@@ -21,10 +21,8 @@ from .coupling import (
     CoupledBeSiDraw,
     CoupledSirSiDraw,
     DecayReport,
-    SharedMultinomial,
     coupled_be_si,
     coupled_sir_si,
-    shared_multinomial,
     verify_decay,
     verify_hajek_bound,
     verify_sir_si_bound,
@@ -32,25 +30,20 @@ from .coupling import (
 from .designs import (
     DesignSpec,
     FirstStageDraw,
-    SecondStageDraw,
     draw_be,
-    draw_second_stage,
     draw_si,
     draw_sir,
     draw_stratified_si,
-    draw_systematic,
 )
 from .estimators import (
     CorrelationEstimand,
     ProportionEstimand,
-    PsuEstimate,
     RatioEstimand,
     TotalEstimand,
     TotalEstimate,
-    hh_total_sir,
     ht_total_be,
-    ht_total_si,
     linearized_values,
+    mean_total,
     normal_ci,
     normal_quantile,
     plugin_estimate,
@@ -60,8 +53,6 @@ from .estimators import (
 )
 from .frame import (
     Frame,
-    PrimaryUnit,
-    SecondaryUnit,
     SyntheticConfig,
     calibrate_model,
     frame_to_csv,

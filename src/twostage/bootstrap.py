@@ -8,15 +8,14 @@ are evaluated at the resampled totals N_I * Zbar*.  Confidence intervals:
 * percentile:  [Q_alpha(theta*), Q_{1-alpha}(theta*)]
 * Studentized: [theta - u*_{1-alpha} se, theta - u*_alpha se] where u* are
   quantiles of the replicate pivots t*_r = (theta*_r - theta) / se*_r and
-  se is a chosen standard error of theta.
+  se is a chosen standard error of theta.  A replicate with se*_r = 0 (it
+  resampled a single distinct PSU) carries no pivot and is dropped.
 
-For totals the within-replicate standard error reduces to
-sqrt(N_I^2 s*_Z^2 / m); for smooth functions of totals it extrapolates by
-linearization at the replicate's resampled totals.
+Within-replicate standard errors exist for totals, sqrt(N_I^2 s*_Z^2 / m),
+and for the stratified proportion (its linearized variance per replicate).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,20 +83,6 @@ def multinomial_weights(rng: np.random.Generator, replicates: int, n: int, m: in
     return rng.multinomial(m, np.full(n, 1.0 / n), size=replicates).astype(np.float64)
 
 
-def _numeric_gradient(estimand: SmoothEstimand, totals: np.ndarray) -> np.ndarray:
-    """Central-difference gradient of the plug-in map at each replicate's totals."""
-    r, p = totals.shape
-    grad = np.empty((r, p))
-    step = 1e-6 * np.maximum(np.abs(totals), 1.0)
-    for d in range(p):
-        hi = totals.copy()
-        lo = totals.copy()
-        hi[:, d] += step[:, d]
-        lo[:, d] -= step[:, d]
-        grad[:, d] = (estimand.evaluate(hi) - estimand.evaluate(lo)) / (2.0 * step[:, d])
-    return grad
-
-
 def resample_wr(
     z_values: np.ndarray,
     n_population: int,
@@ -140,27 +125,17 @@ def replicate_se(
     m: int,
     estimand: SmoothEstimand,
 ) -> np.ndarray:
-    """Within-replicate standard errors of the plug-in values.
+    """Within-replicate standard errors of a total: sqrt(N^2 s*_Z^2 / m).
 
-    The covariance of the resampled totals is N^2/m * S*, with S* the
-    D-weighted covariance of the z rows around Zbar* (ddof m-1); for smooth
-    functions it is mapped through the gradient at the replicate's totals
-    (for a total this reduces to sqrt(N^2 s*_Z^2 / m)).
+    s*_Z^2 is the D-weighted dispersion of the z values around Zbar* (ddof
+    m-1).  Raises ValueError for any estimand other than a total.
     """
-    zbar_star = totals_star / n_population  # (R, p)
-    p = z.shape[1]
-    if p == 1 and estimand.degree == 1:
-        m2 = d_mat @ (z[:, 0] ** 2)
-        s2 = (m2 - m * zbar_star[:, 0] ** 2) / (m - 1)
-        var_theta = n_population**2 * s2 / m
-    else:
-        cross = z[:, :, None] * z[:, None, :]  # (n, p, p)
-        m2 = np.tensordot(d_mat, cross, axes=(1, 0))  # (R, p, p)
-        cov = (m2 - m * zbar_star[:, :, None] * zbar_star[:, None, :]) / (m - 1)
-        cov *= n_population**2 / m
-        grad = _numeric_gradient(estimand, totals_star)
-        var_theta = np.einsum("rp,rpq,rq->r", grad, cov, grad)
-    return np.sqrt(np.maximum(var_theta, 0.0))
+    if z.shape[1] != 1 or estimand.degree != 1:
+        raise ValueError("within-replicate standard errors are available for totals only")
+    zbar_star = totals_star[:, 0] / n_population
+    m2 = d_mat @ (z[:, 0] ** 2)
+    s2 = (m2 - m * zbar_star**2) / (m - 1)
+    return np.sqrt(np.maximum(n_population**2 * s2 / m, 0.0))
 
 
 def bootstrap_variance(reps: ReplicateSet) -> float:
@@ -174,8 +149,6 @@ def percentile_ci(reps: ReplicateSet, alpha: float) -> tuple[float, float]:
     """Percentile bootstrap interval from the replicate distribution."""
     if not 0.0 < alpha < 0.5:
         raise ValueError("alpha must be in (0, 0.5)")
-    if reps.theta_star.size < math.ceil(1.0 / alpha):
-        raise ValueError("not enough replicates for the requested tail probability")
     lo, hi = np.quantile(reps.theta_star, [alpha, 1.0 - alpha])  # type-7 interpolation
     return float(lo), float(hi)
 
@@ -184,17 +157,22 @@ def studentized_ci(reps: ReplicateSet, base_se: float, alpha: float) -> tuple[fl
     """Studentized bootstrap interval using the replicate pivots.
 
     The pivot quantiles replace the normal quantiles in the usual interval:
-    [theta - u*_{1-alpha} base_se, theta - u*_alpha base_se].
+    [theta - u*_{1-alpha} base_se, theta - u*_alpha base_se].  Replicates
+    with se* = 0 are dropped; raises when every replicate is degenerate.
     """
     if reps.se_star is None:
         raise ValueError("replicates carry no within-replicate standard errors")
-    if not np.all(reps.se_star > 0):
-        raise ValueError("every replicate standard error must be positive")
-    if not base_se > 0:
-        raise ValueError("base_se must be positive")
+    if not base_se >= 0:
+        raise ValueError("base_se must be nonnegative")
     if not 0.0 < alpha < 0.5:
         raise ValueError("alpha must be in (0, 0.5)")
-    t = (reps.theta_star - reps.base) / reps.se_star
+    theta_star, se_star = reps.theta_star, reps.se_star
+    valid = se_star > 0
+    if not np.all(valid):
+        if not np.any(valid):
+            raise ValueError("every bootstrap replicate is degenerate")
+        theta_star, se_star = theta_star[valid], se_star[valid]
+    t = (theta_star - reps.base) / se_star
     u_lo, u_hi = np.quantile(t, [alpha, 1.0 - alpha])
     return float(reps.base - u_hi * base_se), float(reps.base - u_lo * base_se)
 

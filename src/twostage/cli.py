@@ -26,16 +26,16 @@ import numpy as np
 from . import __version__
 from .bootstrap import BootstrapConfig, bootstrap_variance, percentile_ci, resample_wr, studentized_ci
 from .coupling import verify_decay, verify_hajek_bound, verify_sir_si_bound
-from .designs import DesignSpec, draw_be, draw_si, draw_sir, psu_subtotal_estimates
+from .designs import DesignSpec, draw_be, draw_si, draw_sir, second_stage_estimates
 from .estimators import (
     CorrelationEstimand,
     ProportionEstimand,
     RatioEstimand,
     TotalEstimand,
-    TotalEstimate,
-    hh_total_sir,
+    estimand_columns,
+    expansion_totals,
     ht_total_be,
-    ht_total_si,
+    mean_total,
     normal_ci,
     variance_estimate,
 )
@@ -314,6 +314,9 @@ def _validate_mc(payload: dict, seed: int) -> None:
     _check_keys(second, ["method", "n0"], "config.scenario.second_stage")
     method = _as_str(_require(second, "method", "config.scenario.second_stage"),
                      "config.scenario.second_stage.method", ["SI", "SYSTEMATIC", "CENSUS"])
+    if kind == "STRAT_SI" and method != "CENSUS":
+        raise ConfigError("config.scenario.second_stage.method: stratified cluster "
+                          "scenarios use a census second stage")
     if method != "CENSUS":
         n0s = _as_list(_require(second, "n0", "config.scenario.second_stage"),
                        "config.scenario.second_stage.n0")
@@ -443,10 +446,6 @@ def _manifest(cfg: RunConfig, written: list[str], started: float) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _load_frame(path: str) -> Frame:
-    return ingest_frame(path)
-
-
 def _run_genpop(cfg: RunConfig, out: str) -> list[str]:
     pop_cfg = SyntheticConfig(seed=cfg.seed, **cfg.payload["population"])
     frame = generate_population(pop_cfg)
@@ -487,39 +486,19 @@ def _one_draw_estimates(cfg: RunConfig, frame: Frame):
         f = design["expected_n_I"] / frame.n_psus
         draw = draw_be(frame.n_psus, f, rng)
 
-    blocks = [est.ssu_columns(frame.values) for est, _, _ in estimands]
-    widths = [b.shape[1] for b in blocks]
-    starts = np.concatenate(([0], np.cumsum(widths)))
-    columns = np.hstack(blocks) if blocks else frame.values
+    columns, subtotals, slices = estimand_columns(frame, [est for est, _, _ in estimands])
     need_vhat = any(vm in ("UNBIASED", "BERNOULLI") for vm in payload.get("variance_methods", []))
-    if method == "CENSUS":
-        col_subtotals = np.add.reduceat(columns, frame.offsets[:-1], axis=0)
-        yhat = col_subtotals[draw.order]
-        vhat = np.zeros_like(yhat) if need_vhat else None
-    else:
-        yhat, vhat = psu_subtotal_estimates(
-            frame, columns, draw.order, method, n0, rng, with_vhat=need_vhat and method == "SI"
-        )
-        if need_vhat and vhat is None:
-            raise ValueError(
-                "UNBIASED/BERNOULLI variance methods need an SI or census second stage"
-            )
-    slices = [slice(int(starts[i]), int(starts[i + 1])) for i in range(len(estimands))]
+    if need_vhat and method == "SYSTEMATIC":
+        raise ValueError("UNBIASED/BERNOULLI variance methods need an SI or census second stage")
+    yhat, vhat = second_stage_estimates(
+        frame, columns, subtotals, draw.order, method, n0, rng, with_vhat=need_vhat
+    )
     return draw, yhat, vhat, slices
-
-
-def _total_for(draw, z, vhats, kind: str) -> TotalEstimate:
-    est_pair = (z[:, None], None if vhats is None else vhats[:, None])
-    if kind == "SI":
-        return ht_total_si(draw, est_pair)
-    if kind == "SIR":
-        return hh_total_sir(draw, est_pair)
-    return ht_total_be(draw, est_pair)
 
 
 def _run_estimate(cfg: RunConfig, out: str) -> list[str]:
     payload = cfg.payload
-    frame = _load_frame(payload["frame"])
+    frame = ingest_frame(payload["frame"])
     alpha = payload.get("alpha", 0.025)
     kind = payload["design"]["kind"]
     draw, yhat, vhat, slices = _one_draw_estimates(cfg, frame)
@@ -527,21 +506,17 @@ def _run_estimate(cfg: RunConfig, out: str) -> list[str]:
 
     results = []
     for (est, est_kind, rho), sl in zip(payload["_estimands"], slices):
-        if draw.n_drawn == 0:
-            totals = np.zeros(sl.stop - sl.start)
+        if kind == "BE":
+            totals = expansion_totals(yhat[:, sl], frame.n_psus, n_exp)
         else:
-            if kind == "BE":
-                totals = frame.n_psus / n_exp * yhat[:, sl].sum(axis=0)
-            else:
-                totals = frame.n_psus * yhat[:, sl].mean(axis=0)
+            totals = frame.n_psus * yhat[:, sl].mean(axis=0)
         point = float(est.evaluate(totals[None, :])[0])
         entry = {"estimand": est.label, "kind": est_kind, "point": point}
         if rho is not None:
             entry["rho"] = rho
         if isinstance(est, TotalEstimand) and payload.get("variance_methods"):
-            z = yhat[:, sl][:, 0] if draw.n_drawn else np.empty(0)
-            v_col = None if vhat is None else vhat[:, sl][:, 0]
-            total = _total_for(draw, z, v_col, kind)
+            total_fn = ht_total_be if kind == "BE" else mean_total
+            total = total_fn(draw, (yhat[:, sl], None if vhat is None else vhat[:, sl]))
             variances = {}
             cis = {}
             for vm in payload["variance_methods"]:
@@ -572,7 +547,7 @@ def _run_estimate(cfg: RunConfig, out: str) -> list[str]:
 
 def _run_bootstrap(cfg: RunConfig, out: str) -> list[str]:
     payload = cfg.payload
-    frame = _load_frame(payload["frame"])
+    frame = ingest_frame(payload["frame"])
     alpha = payload.get("alpha", 0.025)
     boot_cfg: BootstrapConfig = payload["_bootstrap"]
     studentized = payload.get("studentized", False)
@@ -599,9 +574,7 @@ def _run_bootstrap(cfg: RunConfig, out: str) -> list[str]:
         if rho is not None:
             entry["rho"] = rho
         if want_se:
-            z = yhat[:, sl][:, 0]
-            total = _total_for(draw, z, None, "SI")
-            base_v = variance_estimate(total, "SIMPLIFIED")
+            base_v = variance_estimate(mean_total(draw, (yhat[:, sl], None)), "SIMPLIFIED")
             entry["ci_studentized"] = list(
                 studentized_ci(reps, float(np.sqrt(base_v)), boot_cfg.alpha)
             )
@@ -673,7 +646,7 @@ def _run_mc(cfg: RunConfig, out: str) -> list[str]:
     if "population" in payload:
         frame = generate_population(SyntheticConfig(seed=cfg.seed, **payload["population"]))
     else:
-        frame = _load_frame(payload["frame"])
+        frame = ingest_frame(payload["frame"])
     cells, rho_by_label, kind_by_label = _mc_cells(payload, cfg.seed)
     rows = scaling_study(frame, cells, cfg.seed, threads=cfg.threads)
 
@@ -696,7 +669,7 @@ def _run_mc(cfg: RunConfig, out: str) -> list[str]:
 
 def _verify_frame(spec: dict, seed: int, index: int) -> Frame:
     if spec["kind"] == "path":
-        return _load_frame(spec["path"])
+        return ingest_frame(spec["path"])
     n = spec["n_psus"]
     if spec["kind"] == "range":
         subtotals = np.arange(1.0, n + 1.0)

@@ -30,47 +30,37 @@ from typing import Sequence
 
 import numpy as np
 
+from .bootstrap import multinomial_weights
 from .designs import (
     DesignSpec,
-    psu_subtotal_estimates,
+    second_stage_estimates,
     si_order,
     si_order_excluding,
 )
-from .estimators import si_second_stage_variances, theoretical_variance
+from .estimators import expansion_totals, si_second_stage_variances, theoretical_variance
 from .frame import Frame
 from .rng import substream
 
 __all__ = [
     "CoupledBeSiDraw",
     "CoupledSirSiDraw",
-    "SharedMultinomial",
     "BoundReport",
     "DecayRow",
     "DecayReport",
     "coupled_be_si",
     "coupled_sir_si",
-    "shared_multinomial",
     "verify_hajek_bound",
     "verify_sir_si_bound",
     "verify_decay",
 ]
 
 
-def _second_stage_values(
-    frame: Frame,
-    psu_indices: np.ndarray,
-    method: str,
-    n0: int | None,
-    rng: np.random.Generator,
-    var_indices: np.ndarray,
-) -> np.ndarray:
-    """Per-PSU estimated subtotals (k, p); census reads exact subtotals."""
-    if method == "CENSUS":
-        return frame.subtotals[np.asarray(psu_indices, dtype=np.int64)][:, var_indices]
-    y, _ = psu_subtotal_estimates(
-        frame, frame.values[:, var_indices], psu_indices, method, n0, rng
+def _estimates(frame, psu_indices, method, n0, rng, cols) -> np.ndarray:
+    """Estimated subtotals (k, len(cols)) of the listed PSUs' variables ``cols``."""
+    y_hat, _ = second_stage_estimates(
+        frame, frame.values, frame.subtotals, psu_indices, method, n0, rng
     )
-    return y
+    return y_hat[:, cols]
 
 
 @dataclass
@@ -91,10 +81,10 @@ class CoupledBeSiDraw:
 
     def ht_be(self, var: int = 0) -> float:
         """Horvitz-Thompson total from the Bernoulli sample (expected-size divisor)."""
-        return self.n_psus / self.n_I * float(self.be_values[:, var].sum())
+        return float(expansion_totals(self.be_values[:, var], self.n_psus, self.n_I))
 
     def ht_si(self, var: int = 0) -> float:
-        return self.n_psus / self.n_I * float(self.si_values[:, var].sum())
+        return float(expansion_totals(self.si_values[:, var], self.n_psus, self.n_I))
 
     def delta2(self, mu: float, var: int = 0) -> float:
         """sum_SI (Yhat_i - mu) - sum_BE (Yhat_i - mu); shared PSUs cancel exactly."""
@@ -138,11 +128,11 @@ def coupled_be_si(
 
     # One second-stage draw per PSU of the union; the SI side reuses the
     # Bernoulli side's draws on the intersection.
-    be_vals = _second_stage_values(frame, be, second_stage, n0, rng, cols)
+    be_vals = _estimates(frame, be, second_stage, n0, rng, cols)
     if n_b == n_I:
         si_vals = be_vals
     elif n_b < n_I:
-        plus_vals = _second_stage_values(frame, si[n_b:], second_stage, n0, rng, cols)
+        plus_vals = _estimates(frame, si[n_b:], second_stage, n0, rng, cols)
         si_vals = np.concatenate([be_vals, plus_vals], axis=0)
     else:
         si_vals = be_vals[keep]
@@ -216,28 +206,12 @@ def coupled_sir_si(
     )
     si = np.concatenate([distinct, complement])
 
-    x_vals = _second_stage_values(frame, wr, second_stage, n0, rng, cols)
+    x_vals = _estimates(frame, wr, second_stage, n0, rng, cols)
     z_vals = x_vals.copy()
     if complement.size:
-        comp_vals = _second_stage_values(frame, complement, second_stage, n0, rng, cols)
+        comp_vals = _estimates(frame, complement, second_stage, n0, rng, cols)
         z_vals[~first_mask] = comp_vals
     return CoupledSirSiDraw(N, n_I, wr, distinct, multiplicity, si, x_vals, z_vals)
-
-
-@dataclass(frozen=True)
-class SharedMultinomial:
-    """Resampling weights D ~ Multinomial(m; 1/n, ..., 1/n); sum(weights) = m."""
-
-    weights: np.ndarray
-    m: int
-
-
-def shared_multinomial(n_I: int, m: int, rng: np.random.Generator) -> SharedMultinomial:
-    """Draw the multinomial weight vector shared by coupled bootstrap resamples."""
-    if n_I < 1 or m < 1:
-        raise ValueError("need n_I >= 1 and m >= 1")
-    weights = rng.multinomial(m, np.full(n_I, 1.0 / n_I))
-    return SharedMultinomial(weights.astype(np.int64), m)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +388,6 @@ def verify_decay(
         if not n_I < fr.n_psus:
             raise ValueError("decay study needs n_I < N_I for every frame")
     m = n_I if m is None else m
-    pvals = np.full(n_I, 1.0 / n_I)
 
     rows = []
     for fi, fr in enumerate(frames):
@@ -424,7 +397,7 @@ def verify_decay(
             draw = coupled_sir_si(fr, n_I, rng, second_stage, n0, [var_index])
             z = draw.z_values[:, 0]
             x = draw.x_values[:, 0]
-            d = rng.multinomial(m, pvals).astype(np.float64)
+            d = multinomial_weights(rng, 1, n_I, m)[0]
             stats[b, 0] = (z.mean() - x.mean()) ** 2
             stats[b, 1] = abs(np.var(z, ddof=1) - np.var(x, ddof=1))
             stats[b, 2] = ((d @ z - d @ x) / m) ** 2

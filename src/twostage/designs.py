@@ -8,26 +8,24 @@ is the unit selected at the j-th draw.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .frame import Frame, PrimaryUnit
+from .frame import Frame
 
 __all__ = [
     "DesignSpec",
     "FirstStageDraw",
-    "SecondStageDraw",
     "draw_si",
     "draw_sir",
     "draw_be",
-    "draw_systematic",
     "draw_stratified_si",
-    "draw_second_stage",
     "si_order",
     "si_order_excluding",
     "psu_subtotal_estimates",
+    "second_stage_estimates",
 ]
 
 FIRST_STAGE_KINDS = ("SI", "SIR", "BE", "STRAT_SI")
@@ -119,16 +117,6 @@ class FirstStageDraw:
             out["distinct"] = [int(i) for i in self.distinct]
             out["multiplicity"] = [int(w) for w in self.multiplicity]
         return out
-
-
-@dataclass
-class SecondStageDraw:
-    """Within-PSU sample: selected SSU positions and their inclusion probabilities."""
-
-    psu_index: int
-    ssu_indices: np.ndarray
-    inclusion_probs: np.ndarray = field(repr=False)
-    design_tag: str = "SI"
 
 
 # ---------------------------------------------------------------------------
@@ -232,21 +220,6 @@ def draw_be(n_population: int, f: float, rng: np.random.Generator) -> FirstStage
     return FirstStageDraw(design, order, n_population)
 
 
-def draw_systematic(n_population: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Equal-probability systematic sample on the frame order.
-
-    Real-interval rule: with a = N/n and start u ~ Uniform(0, a), select the
-    units at positions floor(u + j*a), j = 0..n-1.  Fixed size n, inclusion
-    probability exactly n/N for every unit, also when a is not an integer.
-    """
-    if not 1 <= n <= n_population:
-        raise ValueError(f"need 1 <= n <= N, got n={n}, N={n_population}")
-    a = n_population / n
-    u = rng.random() * a
-    idx = np.floor(u + a * np.arange(n)).astype(np.int64)
-    return np.minimum(idx, n_population - 1)  # guard the floating top edge
-
-
 def draw_stratified_si(
     frame: Frame,
     allocations: Mapping[str, int],
@@ -306,6 +279,8 @@ def psu_subtotal_estimates(
     elif method == "SYSTEMATIC":
         if with_vhat:
             raise ValueError("no unbiased within-PSU variance under systematic sampling")
+        # real interval a = N_i/n0 and start u ~ U(0, a): positions floor(u + j*a)
+        # include every SSU with probability exactly n0/N_i, also for fractional a
         a = sizes / n0
         u = rng.random(k) * a
         pos = np.floor(u[:, None] + a[:, None] * np.arange(n0)[None, :]).astype(np.int64)
@@ -325,28 +300,24 @@ def psu_subtotal_estimates(
     return y_hat, v_hat
 
 
-def draw_second_stage(
-    psu: PrimaryUnit,
-    n0: int,
+def second_stage_estimates(
+    frame: Frame,
+    columns: np.ndarray,
+    subtotals: np.ndarray,
+    psu_indices: np.ndarray,
     method: str,
+    n0: int | None,
     rng: np.random.Generator,
-) -> SecondStageDraw:
-    """Sample n0 SSUs inside one PSU with equal inclusion probabilities n0/N_i.
+    with_vhat: bool = False,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Estimated subtotals of the selected PSUs under any second-stage method.
 
-    ``method`` is "SI" or "SYSTEMATIC" (on the PSU's frame order); a census
-    is the special case n0 = N_i.  Draws for different PSUs must consume
-    disjoint stream sections (pass per-PSU substreams or draw sequentially),
-    which keeps the second stage independent across PSUs and independent of
-    the first-stage sample.
+    ``columns`` is an (N, p) SSU matrix and ``subtotals`` its (N_I, p) PSU
+    subtotals.  A CENSUS gathers the exact subtotals (zero within-PSU
+    variance estimates with ``with_vhat``) and draws no random numbers; SI
+    and SYSTEMATIC subsample through :func:`psu_subtotal_estimates`.
     """
-    n_i = psu.n_ssus
-    if not 1 <= n0 <= n_i:
-        raise ValueError(f"need 1 <= n0 <= N_i={n_i}, got n0={n0}")
-    if method == "SI":
-        idx = si_order(n_i, n0, rng)
-    elif method == "SYSTEMATIC":
-        idx = draw_systematic(n_i, n0, rng)
-    else:
-        raise ValueError(f"unknown second-stage method: {method!r}")
-    probs = np.full(n0, n0 / n_i)
-    return SecondStageDraw(int(psu.psu_id), idx, probs, method)
+    if method == "CENSUS":
+        y_hat = subtotals[psu_indices]
+        return y_hat, (np.zeros_like(y_hat) if with_vhat else None)
+    return psu_subtotal_estimates(frame, columns, psu_indices, method, n0, rng, with_vhat=with_vhat)

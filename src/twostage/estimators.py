@@ -30,12 +30,11 @@ from .designs import DesignSpec, FirstStageDraw
 from .frame import Frame
 
 __all__ = [
-    "PsuEstimate",
     "TotalEstimate",
     "VARIANCE_METHODS",
-    "ht_total_si",
+    "mean_total",
     "ht_total_be",
-    "hh_total_sir",
+    "expansion_totals",
     "variance_estimate",
     "theoretical_variance",
     "si_second_stage_variances",
@@ -45,6 +44,7 @@ __all__ = [
     "ProportionEstimand",
     "plugin_estimate",
     "population_value",
+    "estimand_columns",
     "StratifiedClusterSample",
     "stratified_cluster_counts",
     "proportion_estimate",
@@ -56,36 +56,14 @@ __all__ = [
 VARIANCE_METHODS = ("UNBIASED", "SIMPLIFIED", "WITH_REPLACEMENT", "BERNOULLI")
 
 
-@dataclass
-class PsuEstimate:
-    """Estimated subtotal(s) for one selected PSU.
-
-    ``v_hat`` is the unbiased within-PSU variance estimate when the second
-    stage admits one (absent for systematic subsampling).
-    """
-
-    psu_index: int
-    y_hat: np.ndarray
-    v_hat: np.ndarray | None = None
-
-
 def _as_estimate_arrays(
-    est: Sequence[PsuEstimate] | tuple[np.ndarray, np.ndarray | None],
+    est: tuple[np.ndarray, np.ndarray | None],
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Normalize a list of PsuEstimate (or an (y_hat, v_hat) pair) to arrays."""
-    if isinstance(est, tuple) and len(est) == 2:
-        y, v = est
-        return np.atleast_2d(np.asarray(y, dtype=np.float64)), (
-            None if v is None else np.atleast_2d(np.asarray(v, dtype=np.float64))
-        )
-    y = np.vstack([np.atleast_1d(e.y_hat) for e in est])
-    if any(e.v_hat is None for e in est):
-        v = None
-    else:
-        v = np.vstack([np.atleast_1d(e.v_hat) for e in est])
-    if v is not None and np.any(v < 0):
-        raise ValueError("v_hat must be nonnegative")
-    return y, v
+    """Normalize a (y_hat, v_hat) pair of per-PSU estimates to 2-d float arrays."""
+    y, v = est
+    return np.atleast_2d(np.asarray(y, dtype=np.float64)), (
+        None if v is None else np.atleast_2d(np.asarray(v, dtype=np.float64))
+    )
 
 
 @dataclass
@@ -119,22 +97,28 @@ def _dispersion(values: np.ndarray) -> float:
     return float(np.var(values, ddof=1)) if values.size >= 2 else math.nan
 
 
-def ht_total_si(
+def mean_total(
     draw: FirstStageDraw,
-    est: Sequence[PsuEstimate] | tuple[np.ndarray, np.ndarray | None],
+    est: tuple[np.ndarray, np.ndarray | None],
     var_index: int = 0,
 ) -> TotalEstimate:
-    """Horvitz-Thompson total under SI sampling of PSUs: (N_I/n_I) sum_S Yhat_i."""
-    if draw.design.kind != "SI":
-        raise ValueError(f"expected an SI draw, got {draw.design.kind}")
+    """Total under SI or SIR sampling of PSUs in draw-sequential form N_I * mean(Z_j).
+
+    Under SI this is the Horvitz-Thompson estimator (N_I/n_I) sum_S Yhat_i;
+    under SIR it is the Hansen-Hurwitz estimator, and ``est`` holds one
+    estimate per draw occurrence aligned with ``draw.order``, so a PSU
+    selected W_i times contributes W_i independent second-stage estimates.
+    """
+    if draw.design.kind not in ("SI", "SIR"):
+        raise ValueError(f"expected an SI or SIR draw, got {draw.design.kind}")
     y, v = _as_estimate_arrays(est)
     if y.shape[0] != draw.n_drawn:
-        raise ValueError("need one PSU estimate per selected PSU")
+        raise ValueError("need one PSU estimate per draw")
     z = y[:, var_index]
     n, N = draw.n_drawn, draw.n_population
     return TotalEstimate(
         y_hat=N * float(z.mean()),
-        method="SI",
+        method=draw.design.kind,
         n_I=n,
         N_I=N,
         f_I=n / N,
@@ -144,9 +128,18 @@ def ht_total_si(
     )
 
 
+def expansion_totals(y_hat: np.ndarray, n_population: int, n: float) -> np.ndarray:
+    """Horvitz-Thompson totals (N_I / n) * sum_S Yhat_i of the selected PSUs' estimates.
+
+    ``n`` is the fixed first-stage size, or the expected size under
+    Bernoulli sampling; the sum runs over axis 0, so an empty sample gives 0.
+    """
+    return n_population / n * y_hat.sum(axis=0)
+
+
 def ht_total_be(
     draw: FirstStageDraw,
-    est: Sequence[PsuEstimate] | tuple[np.ndarray, np.ndarray | None],
+    est: tuple[np.ndarray, np.ndarray | None],
     var_index: int = 0,
 ) -> TotalEstimate:
     """Horvitz-Thompson total under Bernoulli sampling: divides by the expected size."""
@@ -164,7 +157,7 @@ def ht_total_be(
         vhats = None if v is None else v[:, var_index]
     N = draw.n_population
     return TotalEstimate(
-        y_hat=(N / n_expected) * float(z.sum()),
+        y_hat=float(expansion_totals(z, N, n_expected)),
         method="BE",
         n_I=n_expected,
         N_I=N,
@@ -173,36 +166,6 @@ def ht_total_be(
         s2=_dispersion(z),
         v_hats=vhats,
         n_realized=draw.n_drawn,
-    )
-
-
-def hh_total_sir(
-    draw: FirstStageDraw,
-    est: Sequence[PsuEstimate] | tuple[np.ndarray, np.ndarray | None],
-    var_index: int = 0,
-) -> TotalEstimate:
-    """Hansen-Hurwitz total under SIR sampling of PSUs.
-
-    ``est`` holds one estimate per draw occurrence, aligned with
-    ``draw.order``; a PSU selected W_i times contributes W_i independent
-    second-stage estimates.
-    """
-    if draw.design.kind != "SIR":
-        raise ValueError(f"expected an SIR draw, got {draw.design.kind}")
-    y, v = _as_estimate_arrays(est)
-    if y.shape[0] != draw.n_drawn:
-        raise ValueError("need one PSU estimate per draw occurrence")
-    x = y[:, var_index]
-    n, N = draw.n_drawn, draw.n_population
-    return TotalEstimate(
-        y_hat=N * float(x.mean()),
-        method="SIR",
-        n_I=n,
-        N_I=N,
-        f_I=n / N,
-        z_values=x,
-        s2=_dispersion(x),
-        v_hats=None if v is None else v[:, var_index],
     )
 
 
@@ -417,6 +380,21 @@ def population_value(frame: Frame, estimand: SmoothEstimand) -> float:
     return plugin_estimate(cols.sum(axis=0), estimand)
 
 
+def estimand_columns(
+    frame: Frame, estimands: Sequence[SmoothEstimand]
+) -> tuple[np.ndarray, np.ndarray, list[slice]]:
+    """Every estimand's SSU columns side by side.
+
+    Returns the (N, p) column matrix, its (N_I, p) PSU subtotals, and the
+    column slice of each estimand in order.
+    """
+    blocks = [e.ssu_columns(frame.values) for e in estimands]
+    starts = np.concatenate(([0], np.cumsum([b.shape[1] for b in blocks])))
+    slices = [slice(int(starts[i]), int(starts[i + 1])) for i in range(len(blocks))]
+    columns = np.hstack(blocks)
+    return columns, np.add.reduceat(columns, frame.offsets[:-1], axis=0), slices
+
+
 # ---------------------------------------------------------------------------
 # Stratified cluster sampling of PSUs: proportions and linearization
 # ---------------------------------------------------------------------------
@@ -443,20 +421,20 @@ class StratifiedClusterSample:
 def stratified_cluster_counts(
     frame: Frame,
     draws: Mapping[str, FirstStageDraw],
-    var_index: int,
-    category: float,
+    category_counts: np.ndarray,
 ) -> StratifiedClusterSample:
-    """Observe a stratified cluster sample: censuses inside the selected PSUs."""
+    """Observe a stratified cluster sample: censuses inside the selected PSUs.
+
+    ``category_counts`` holds every PSU's count Y_ic of category members.
+    """
     groups = frame.stratum_psu_indices()
-    ind = (frame.values[:, var_index] == category).astype(np.float64)
-    cat_counts = np.add.reduceat(ind, frame.offsets[:-1])
     labels = tuple(draws.keys())
     counts: dict[str, np.ndarray] = {}
     sizes: dict[str, np.ndarray] = {}
     pop: dict[str, int] = {}
     for label in labels:
         sel = draws[label].order
-        counts[label] = cat_counts[sel]
+        counts[label] = category_counts[sel]
         sizes[label] = frame.sizes[sel].astype(np.float64)
         pop[label] = int(groups[label].size)
     return StratifiedClusterSample(labels, pop, counts, sizes)

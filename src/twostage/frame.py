@@ -15,15 +15,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .rng import substream
 
 __all__ = [
-    "SecondaryUnit",
-    "PrimaryUnit",
     "Frame",
     "SyntheticConfig",
     "IngestError",
@@ -45,33 +43,20 @@ class IngestError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class SecondaryUnit:
-    """One SSU: integer label plus its q-vector of study variables."""
-
-    ssu_id: int
-    y: np.ndarray
-
-
-@dataclass(frozen=True)
-class PrimaryUnit:
-    """One PSU: integer label, optional stratum, and its SSUs in frame order."""
-
-    psu_id: int
-    ssus: tuple[SecondaryUnit, ...]
-    stratum: str | None = None
-
-    @property
-    def n_ssus(self) -> int:
-        return len(self.ssus)
-
-    def subtotal(self) -> np.ndarray:
-        """Sum of the y-vectors over the PSU's SSUs."""
-        return np.sum([s.y for s in self.ssus], axis=0)
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A non-writable view of ``a``; a write through it raises ValueError."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
 
 class Frame:
     """Immutable two-level population.
+
+    The arrays it exposes are read-only views: a write through them raises
+    instead of leaving the cached subtotals, within-PSU variances and
+    stratum groups stale.  The views copy nothing, so they share memory
+    with the arrays passed in.
 
     Parameters
     ----------
@@ -106,9 +91,9 @@ class Frame:
         if int(sizes.sum()) != values.shape[0]:
             raise ValueError("sum(sizes) must equal the number of SSU rows")
 
-        self._values = values
-        self._sizes = sizes
-        self._offsets = np.concatenate(([0], np.cumsum(sizes)))
+        self._values = _read_only(values)
+        self._sizes = _read_only(sizes)
+        self._offsets = _read_only(np.concatenate(([0], np.cumsum(sizes))))
 
         n_psus = sizes.size
         if psu_ids is None:
@@ -119,7 +104,7 @@ class Frame:
                 raise ValueError("psu_ids must have one entry per PSU")
             if np.unique(psu_ids).size != n_psus:
                 raise ValueError("psu_ids must be unique")
-        self._psu_ids = psu_ids
+        self._psu_ids = _read_only(psu_ids)
 
         if ssu_ids is None:
             ssu_ids = np.concatenate([np.arange(n, dtype=np.int64) for n in sizes])
@@ -131,7 +116,7 @@ class Frame:
             seg = ssu_ids[self._offsets[i] : self._offsets[i + 1]]
             if np.unique(seg).size != seg.size:
                 raise ValueError(f"duplicate ssu_id within PSU {psu_ids[i]}")
-        self._ssu_ids = ssu_ids
+        self._ssu_ids = _read_only(ssu_ids)
 
         if strata is not None:
             strata = tuple(str(s) for s in strata)
@@ -141,6 +126,7 @@ class Frame:
 
         self._subtotals: np.ndarray | None = None
         self._within_var: np.ndarray | None = None
+        self._groups: dict[str, np.ndarray] | None = None
 
     # -- basic shape -------------------------------------------------------
 
@@ -186,7 +172,9 @@ class Frame:
     def subtotals(self) -> np.ndarray:
         """(N_I, q) matrix of PSU subtotals of the study variables."""
         if self._subtotals is None:
-            self._subtotals = np.add.reduceat(self._values, self._offsets[:-1], axis=0)
+            self._subtotals = _read_only(
+                np.add.reduceat(self._values, self._offsets[:-1], axis=0)
+            )
         return self._subtotals
 
     @property
@@ -203,46 +191,21 @@ class Frame:
             out = np.zeros_like(ss)
             multi = self._sizes > 1
             out[multi] = ss[multi] / (n[multi] - 1.0)
-            self._within_var = np.maximum(out, 0.0)
+            self._within_var = _read_only(np.maximum(out, 0.0))
         return self._within_var
 
     def stratum_psu_indices(self) -> dict[str, np.ndarray]:
         """PSU index arrays per stratum label, labels in first-appearance order."""
         if self._strata is None:
             raise ValueError("frame has no strata")
-        groups: dict[str, list[int]] = {}
-        for i, label in enumerate(self._strata):
-            groups.setdefault(label, []).append(i)
-        return {k: np.asarray(v, dtype=np.int64) for k, v in groups.items()}
-
-    # -- unit views ----------------------------------------------------------
-
-    def psu(self, index: int) -> PrimaryUnit:
-        lo, hi = self._offsets[index], self._offsets[index + 1]
-        ssus = tuple(
-            SecondaryUnit(int(self._ssu_ids[k]), self._values[k].copy())
-            for k in range(lo, hi)
-        )
-        stratum = self._strata[index] if self._strata is not None else None
-        return PrimaryUnit(int(self._psu_ids[index]), ssus, stratum)
-
-    def iter_psus(self) -> Iterator[PrimaryUnit]:
-        return (self.psu(i) for i in range(self.n_psus))
-
-    @classmethod
-    def from_units(cls, units: Sequence[PrimaryUnit]) -> "Frame":
-        if not units:
-            raise ValueError("frame must contain at least one PSU")
-        sizes = np.array([u.n_ssus for u in units], dtype=np.int64)
-        values = np.vstack([np.asarray(s.y, dtype=np.float64) for u in units for s in u.ssus])
-        psu_ids = np.array([u.psu_id for u in units], dtype=np.int64)
-        ssu_ids = np.array([s.ssu_id for u in units for s in u.ssus], dtype=np.int64)
-        strata = None
-        if any(u.stratum is not None for u in units):
-            if any(u.stratum is None for u in units):
-                raise ValueError("either all PSUs carry a stratum or none do")
-            strata = [u.stratum for u in units]
-        return cls(values, sizes, psu_ids, ssu_ids, strata)
+        if self._groups is None:
+            groups: dict[str, list[int]] = {}
+            for i, label in enumerate(self._strata):
+                groups.setdefault(label, []).append(i)
+            self._groups = {
+                k: _read_only(np.asarray(v, dtype=np.int64)) for k, v in groups.items()
+            }
+        return dict(self._groups)
 
 
 def population_summary(frame: Frame, var_index: int = 0) -> tuple[float, float, float]:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import os
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -27,20 +28,34 @@ import numpy as np
 
 from .bootstrap import (
     BootstrapConfig,
+    ReplicateSet,
+    bootstrap_variance,
     multinomial_weights,
+    percentile_ci,
     replicate_se,
     stratified_proportion_resample,
+    studentized_ci,
 )
-from .designs import DesignSpec, psu_subtotal_estimates, si_order
+from .designs import (
+    DesignSpec,
+    FirstStageDraw,
+    draw_stratified_si,
+    second_stage_estimates,
+    si_order,
+)
 from .estimators import (
     ProportionEstimand,
     SmoothEstimand,
     StratifiedClusterSample,
     TotalEstimand,
+    estimand_columns,
     linearized_values,
+    mean_total,
     normal_ci,
     population_value,
     proportion_estimate,
+    stratified_cluster_counts,
+    variance_estimate,
 )
 from .frame import Frame
 from .rng import substream
@@ -192,15 +207,11 @@ class _Context:
     scenario: Scenario
     seed: int
     tag: tuple
-    columns: np.ndarray | None  # (N, p_total) derived SSU matrix (SI scenarios)
-    col_subtotals: np.ndarray | None  # (N_I, p_total) exact subtotals
+    columns: np.ndarray  # (N, p_total) derived SSU matrix
+    col_subtotals: np.ndarray  # (N_I, p_total) exact subtotals
     slices: list[slice]
-    total_vars: list[int | None]  # column of each TotalEstimand within its slice
     slots: dict[tuple, int]
     n_slots: int
-    # stratified scenarios
-    groups: dict[str, np.ndarray] | None = None
-    cat_counts: np.ndarray | None = None
     need_vhat: bool = False
 
     def rng_for(self, b: int, purpose: str) -> np.random.Generator:
@@ -221,6 +232,8 @@ def _build_context(frame: Frame, scenario: Scenario, seed: int, tag: tuple) -> _
         vm_kind: tuple = (TotalEstimand,)
     else:
         vm_kind = (ProportionEstimand,)
+        if len(est) != 1:
+            raise ValueError("stratified scenarios run one proportion estimand at a time")
     for e in est:
         add(("point", e.label))
     for e in est:
@@ -238,71 +251,41 @@ def _build_context(frame: Frame, scenario: Scenario, seed: int, tag: tuple) -> _
                 add(("ci", e.label, "ci_studentized", "lo"))
                 add(("ci", e.label, "ci_studentized", "hi"))
 
-    if scenario.first_stage.kind == "SI":
-        blocks = [e.ssu_columns(frame.values) for e in est]
-        widths = [b.shape[1] for b in blocks]
-        starts = np.concatenate(([0], np.cumsum(widths)))
-        slices = [slice(int(starts[i]), int(starts[i + 1])) for i in range(len(est))]
-        columns = np.ascontiguousarray(np.hstack(blocks))
-        col_subtotals = np.add.reduceat(columns, frame.offsets[:-1], axis=0)
-        return _Context(
-            frame, scenario, seed, tag, columns, col_subtotals, slices,
-            [0 if isinstance(e, TotalEstimand) else None for e in est],
-            slots, len(slots),
-            need_vhat="UNBIASED" in scenario.variance_methods,
-        )
-
-    # stratified proportion pipeline
-    if len(est) != 1:
-        raise ValueError("stratified scenarios run one proportion estimand at a time")
-    groups = frame.stratum_psu_indices()
-    e0 = est[0]
-    ind = (frame.values[:, e0.var] == e0.category).astype(np.float64)
-    cat_counts = np.add.reduceat(ind, frame.offsets[:-1])
+    # under STRAT_SI the proportion's first column subtotals are the PSUs'
+    # category counts
+    columns, col_subtotals, slices = estimand_columns(frame, est)
     return _Context(
-        frame, scenario, seed, tag, None, None, [slice(0, 2)], [None], slots, len(slots),
-        groups=groups, cat_counts=cat_counts,
+        frame, scenario, seed, tag, columns, col_subtotals, slices, slots, len(slots),
+        need_vhat="UNBIASED" in scenario.variance_methods,
     )
 
 
 def _draw_si_estimates(ctx: _Context, rng: np.random.Generator):
-    """One SI first-stage draw; returns (yhat (n,p), vhat (n,p)|None)."""
+    """One SI first-stage draw; returns (draw, yhat (n,p), vhat (n,p)|None)."""
     sc = ctx.scenario
-    n = sc.first_stage.n_I
-    sel = si_order(ctx.frame.n_psus, n, rng)
-    if sc.second_stage == "CENSUS":
-        yhat = ctx.col_subtotals[sel]
-        vhat = np.zeros_like(yhat) if ctx.need_vhat else None
-    else:
-        yhat, vhat = psu_subtotal_estimates(
-            ctx.frame, ctx.columns, sel, sc.second_stage, sc.n0, rng,
-            with_vhat=ctx.need_vhat,
-        )
-    return yhat, vhat
+    draw = FirstStageDraw(sc.first_stage, si_order(ctx.frame.n_psus, sc.first_stage.n_I, rng),
+                          ctx.frame.n_psus)
+    yhat, vhat = second_stage_estimates(
+        ctx.frame, ctx.columns, ctx.col_subtotals, draw.order, sc.second_stage, sc.n0, rng,
+        with_vhat=ctx.need_vhat,
+    )
+    return draw, yhat, vhat
 
 
 def _si_replicate_row(ctx: _Context, rng: np.random.Generator, row: np.ndarray) -> None:
     sc = ctx.scenario
-    frame = ctx.frame
     n = sc.first_stage.n_I
-    N = frame.n_psus
-    f = n / N
-    yhat, vhat = _draw_si_estimates(ctx, rng)
+    N = ctx.frame.n_psus
+    draw, yhat, vhat = _draw_si_estimates(ctx, rng)
     totals = N * yhat.mean(axis=0)
 
-    for e, sl, tv in zip(sc.estimands, ctx.slices, ctx.total_vars):
+    for e, sl in zip(sc.estimands, ctx.slices):
         theta = float(e.evaluate(totals[None, sl])[0])
         row[ctx.slots[("point", e.label)]] = theta
-        if tv is not None and sc.variance_methods:
-            z = yhat[:, sl][:, tv]
-            s2 = float(np.var(z, ddof=1))
+        if isinstance(e, TotalEstimand) and sc.variance_methods:
+            total = mean_total(draw, (yhat[:, sl], None if vhat is None else vhat[:, sl]))
             for vm in sc.variance_methods:
-                if vm == "SIMPLIFIED":
-                    v = N**2 / n * (1.0 - f) * s2
-                elif vm == "WITH_REPLACEMENT":
-                    v = N**2 / n * s2
-                else:  # UNBIASED
-                    v = N**2 / n * ((1.0 - f) * s2 + float(vhat[:, sl][:, tv].mean()))
+                v = variance_estimate(total, vm)
                 row[ctx.slots[("var", e.label, vm)]] = v
                 lo, hi = normal_ci(theta, v, sc.ci_alpha)
                 fam = f"ci_normal_{_FAMILY[vm][2:]}"
@@ -316,51 +299,34 @@ def _si_replicate_row(ctx: _Context, rng: np.random.Generator, row: np.ndarray) 
     d_mat = multinomial_weights(rng, cfg.replicates, n, m)
     totals_star = (d_mat @ yhat) * (N / m)  # (R, p_total)
     for e, sl in zip(sc.estimands, ctx.slices):
-        theta = row[ctx.slots[("point", e.label)]]
-        theta_star = np.asarray(e.evaluate(totals_star[:, sl]), dtype=np.float64)
-        row[ctx.slots[("bootvar", e.label)]] = float(np.var(theta_star, ddof=1))
-        lo, hi = np.quantile(theta_star, [cfg.alpha, 1.0 - cfg.alpha])
-        row[ctx.slots[("ci", e.label, "ci_percentile", "lo")]] = lo
-        row[ctx.slots[("ci", e.label, "ci_percentile", "hi")]] = hi
-        if sc.studentized and ("ci", e.label, "ci_studentized", "lo") in ctx.slots:
-            se_star = replicate_se(d_mat, yhat[:, sl], totals_star[:, sl], N, m, e)
-            base_se = math.sqrt(row[ctx.slots[("var", e.label, "SIMPLIFIED")]])
-            u_lo, u_hi = _pivot_quantiles(theta_star, theta, se_star, cfg.alpha)
-            row[ctx.slots[("ci", e.label, "ci_studentized", "lo")]] = theta - u_hi * base_se
-            row[ctx.slots[("ci", e.label, "ci_studentized", "hi")]] = theta - u_lo * base_se
+        studentized = sc.studentized and ("ci", e.label, "ci_studentized", "lo") in ctx.slots
+        reps = ReplicateSet(
+            np.asarray(e.evaluate(totals_star[:, sl]), dtype=np.float64),
+            row[ctx.slots[("point", e.label)]], m, n,
+            replicate_se(d_mat, yhat[:, sl], totals_star[:, sl], N, m, e) if studentized else None,
+        )
+        _write_bootstrap(ctx, row, e.label, reps, "SIMPLIFIED" if studentized else None)
 
 
-def _pivot_quantiles(
-    theta_star: np.ndarray, theta: float, se_star: np.ndarray, alpha: float
-) -> tuple[float, float]:
-    """Quantiles of the Studentized pivots, dropping zero-dispersion replicates.
-
-    A replicate that resampled a single distinct PSU has se* = 0 and carries
-    no pivot information; such replicates are vanishingly rare for n >= 20.
-    """
-    valid = se_star > 0
-    if not np.all(valid):
-        if not np.any(valid):
-            raise ValueError("every bootstrap replicate is degenerate")
-        theta_star = theta_star[valid]
-        se_star = se_star[valid]
-    t = (theta_star - theta) / se_star
-    u_lo, u_hi = np.quantile(t, [alpha, 1.0 - alpha])
-    return float(u_lo), float(u_hi)
+def _write_bootstrap(
+    ctx: _Context, row: np.ndarray, label: str, reps: ReplicateSet, base_method: str | None
+) -> None:
+    """Store the bootstrap variance and intervals; Studentized with the base_method variance."""
+    alpha = ctx.scenario.bootstrap.alpha
+    row[ctx.slots[("bootvar", label)]] = bootstrap_variance(reps)
+    lo, hi = percentile_ci(reps, alpha)
+    row[ctx.slots[("ci", label, "ci_percentile", "lo")]] = lo
+    row[ctx.slots[("ci", label, "ci_percentile", "hi")]] = hi
+    if base_method is not None:
+        base_se = math.sqrt(row[ctx.slots[("var", label, base_method)]])
+        lo, hi = studentized_ci(reps, base_se, alpha)
+        row[ctx.slots[("ci", label, "ci_studentized", "lo")]] = lo
+        row[ctx.slots[("ci", label, "ci_studentized", "hi")]] = hi
 
 
 def _stratified_sample(ctx: _Context, rng: np.random.Generator) -> StratifiedClusterSample:
-    sc = ctx.scenario
-    counts: dict[str, np.ndarray] = {}
-    sizes: dict[str, np.ndarray] = {}
-    pop: dict[str, int] = {}
-    for label, psu_idx in ctx.groups.items():
-        n_l = sc.first_stage.allocations[label]
-        sel = psu_idx[si_order(psu_idx.size, n_l, rng)]
-        counts[label] = ctx.cat_counts[sel]
-        sizes[label] = ctx.frame.sizes[sel].astype(np.float64)
-        pop[label] = int(psu_idx.size)
-    return StratifiedClusterSample(tuple(ctx.groups.keys()), pop, counts, sizes)
+    draws = draw_stratified_si(ctx.frame, ctx.scenario.first_stage.allocations, rng)
+    return stratified_cluster_counts(ctx.frame, draws, ctx.col_subtotals[:, 0])
 
 
 def _strat_replicate_row(ctx: _Context, rng: np.random.Generator, row: np.ndarray) -> None:
@@ -370,7 +336,6 @@ def _strat_replicate_row(ctx: _Context, rng: np.random.Generator, row: np.ndarra
     p_hat, _ = proportion_estimate(sample)
     row[ctx.slots[("point", e.label)]] = p_hat
 
-    v_stwr = None
     if STRAT_WR in sc.variance_methods:
         _, v_stwr, _, _ = linearized_values(sample)
         row[ctx.slots[("var", e.label, STRAT_WR)]] = v_stwr
@@ -380,19 +345,8 @@ def _strat_replicate_row(ctx: _Context, rng: np.random.Generator, row: np.ndarra
 
     if sc.bootstrap is None:
         return
-    cfg = sc.bootstrap
-    reps = stratified_proportion_resample(sample, cfg, rng=rng, compute_se=sc.studentized)
-    row[ctx.slots[("bootvar", e.label)]] = float(np.var(reps.theta_star, ddof=1))
-    lo, hi = np.quantile(reps.theta_star, [cfg.alpha, 1.0 - cfg.alpha])
-    row[ctx.slots[("ci", e.label, "ci_percentile", "lo")]] = lo
-    row[ctx.slots[("ci", e.label, "ci_percentile", "hi")]] = hi
-    if sc.studentized:
-        if v_stwr is None:
-            raise ValueError("Studentized intervals need the STRAT_WR base variance")
-        base_se = math.sqrt(v_stwr)
-        u_lo, u_hi = _pivot_quantiles(reps.theta_star, p_hat, reps.se_star, cfg.alpha)
-        row[ctx.slots[("ci", e.label, "ci_studentized", "lo")]] = p_hat - u_hi * base_se
-        row[ctx.slots[("ci", e.label, "ci_studentized", "hi")]] = p_hat - u_lo * base_se
+    reps = stratified_proportion_resample(sample, sc.bootstrap, rng=rng, compute_se=sc.studentized)
+    _write_bootstrap(ctx, row, e.label, reps, STRAT_WR if sc.studentized else None)
 
 
 def _replicate_rows(ctx: _Context, start: int, end: int) -> np.ndarray:
@@ -417,7 +371,7 @@ def _point_rows(ctx: _Context, start: int, end: int) -> np.ndarray:
             p_hat, _ = proportion_estimate(_stratified_sample(ctx, rng))
             out[b - start, 0] = p_hat
         else:
-            yhat, _ = _draw_si_estimates(ctx, rng)
+            _, yhat, _ = _draw_si_estimates(ctx, rng)
             totals = ctx.frame.n_psus * yhat.mean(axis=0)
             for j, (e, sl) in enumerate(zip(sc.estimands, ctx.slices)):
                 out[b - start, j] = float(e.evaluate(totals[None, sl])[0])
@@ -456,7 +410,9 @@ def _parallel(fn_serial, pool_fn, total: int, threads: int, ctx: _Context) -> np
         return fn_serial(ctx, 0, total)
     chunk = max(16, -(-total // (threads * 8)))
     spans = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
-    with mp.Pool(processes=threads, initializer=_pool_init, initargs=(ctx,)) as pool:
+    # more workers than cores or spans would only add processes
+    workers = min(threads, os.cpu_count() or 1, len(spans))
+    with mp.Pool(processes=workers, initializer=_pool_init, initargs=(ctx,)) as pool:
         parts = pool.map(pool_fn, spans)
     return np.vstack(parts)
 

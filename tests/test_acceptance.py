@@ -41,9 +41,8 @@ from twostage import (
 from twostage.cli import main as cli_main
 from twostage.designs import FirstStageDraw
 from twostage.estimators import (
-    hh_total_sir,
     ht_total_be,
-    ht_total_si,
+    mean_total,
     si_second_stage_variances,
     variance_estimate,
 )
@@ -75,7 +74,7 @@ def _enumerate_design(subtotals, n_i, f):
     points, weights, v_est = [], [], []
     for sample, w in si_outcomes(n_pop, n_i):
         draw = FirstStageDraw(DesignSpec("SI", n_I=n_i), np.array(sample), n_pop)
-        total = ht_total_si(draw, (subtotals[list(sample)][:, None], np.zeros((n_i, 1))))
+        total = mean_total(draw, (subtotals[list(sample)][:, None], np.zeros((n_i, 1))))
         points.append(total.y_hat)
         weights.append(w)
         v_est.append(variance_estimate(total, "UNBIASED"))
@@ -85,7 +84,7 @@ def _enumerate_design(subtotals, n_i, f):
     points, weights, v_est = [], [], []
     for seq, w in sir_outcomes(n_pop, n_i):
         draw = FirstStageDraw(DesignSpec("SIR", n_I=n_i), np.array(seq), n_pop)
-        total = hh_total_sir(draw, (subtotals[list(seq)][:, None], np.zeros((n_i, 1))))
+        total = mean_total(draw, (subtotals[list(seq)][:, None], np.zeros((n_i, 1))))
         points.append(total.y_hat)
         weights.append(w)
         v_est.append(variance_estimate(total, "WITH_REPLACEMENT"))

@@ -60,14 +60,12 @@ class TestResampleWr:
         reps = resample_wr(z, 200, BootstrapConfig(replicates=5000, seed=9), compute_se=True)
         assert np.median(reps.se_star) == pytest.approx(reps.theta_star.std(ddof=1), rel=0.10)
 
-    def test_ratio_se_star_consistent_with_spread(self):
-        rng = np.random.default_rng(10)
-        z = np.column_stack([rng.normal(20, 2, 60), rng.normal(10, 1, 60)])
-        reps = resample_wr(
-            z, 500, BootstrapConfig(replicates=8000, seed=11),
-            estimand=RatioEstimand(0, 1), compute_se=True,
-        )
-        assert np.median(reps.se_star) == pytest.approx(reps.theta_star.std(ddof=1), rel=0.15)
+    def test_ratio_se_star_raises(self):
+        # within-replicate standard errors exist for totals only
+        z = np.column_stack([np.arange(1.0, 11.0), np.arange(2.0, 12.0)])
+        with pytest.raises(ValueError, match="totals only"):
+            resample_wr(z, 500, BootstrapConfig(replicates=100, seed=11),
+                        estimand=RatioEstimand(0, 1), compute_se=True)
 
     def test_determinism_and_m_default(self):
         z = np.arange(1.0, 11.0)
@@ -100,10 +98,12 @@ class TestPercentileCi:
         reps = ReplicateSet(np.full(100, 2.5), 2.5, 10, 10)
         assert percentile_ci(reps, 0.025) == (2.5, 2.5)
 
-    def test_needs_enough_replicates(self):
-        reps = ReplicateSet(np.arange(30.0), 15.0, 30, 30)
-        with pytest.raises(ValueError, match="replicates"):
-            percentile_ci(reps, 0.025)
+    def test_accepts_mc_replicate_counts(self):
+        # the MC harness runs R = 50 replicates at alpha = 0.01
+        reps = ReplicateSet(np.arange(50.0), 25.0, 50, 50)
+        lo, hi = percentile_ci(reps, 0.01)
+        assert lo == pytest.approx(0.49)
+        assert hi == pytest.approx(48.51)
 
 
 class TestStudentizedCi:
@@ -129,11 +129,24 @@ class TestStudentizedCi:
         with pytest.raises(ValueError, match="standard errors"):
             studentized_ci(reps, 1.0, 0.025)
         reps = ReplicateSet(np.arange(100.0), 50.0, 100, 100, se_star=np.zeros(100))
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match="degenerate"):
             studentized_ci(reps, 1.0, 0.025)
         reps = ReplicateSet(np.arange(100.0), 50.0, 100, 100, se_star=np.ones(100))
         with pytest.raises(ValueError, match="base_se"):
-            studentized_ci(reps, 0.0, 0.025)
+            studentized_ci(reps, -1.0, 0.025)
+
+    def test_drops_zero_se_replicates(self):
+        theta = np.array([9.0, 9.5, 10.5, 11.0])
+        kept = studentized_ci(ReplicateSet(theta, 10.0, 4, 4, se_star=np.ones(4)), 2.0, 0.25)
+        # two degenerate replicates far out in the tails must not move the interval
+        padded = ReplicateSet(np.append(theta, [-50.0, 70.0]), 10.0, 6, 6,
+                              se_star=np.append(np.ones(4), [0.0, 0.0]))
+        assert studentized_ci(padded, 2.0, 0.25) == kept
+
+    def test_accepts_zero_base_se(self):
+        # a census-like draw has v_SIMP = 0, which the MC harness passes through
+        reps = ReplicateSet(np.arange(100.0), 50.0, 100, 100, se_star=np.ones(100))
+        assert studentized_ci(reps, 0.0, 0.01) == (50.0, 50.0)
 
 
 def _toy_sample():

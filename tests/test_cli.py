@@ -197,6 +197,28 @@ class TestEstimateAndBootstrapCommands:
         assert lines[0] == "r,estimand,theta_star,se_star"
         assert len(lines) == 201
 
+    def test_studentized_drops_degenerate_replicates(self, tmp_path, frame_path):
+        # with n_I = 2 about half the replicates resample one PSU twice (se* = 0)
+        cfg = _write_config(
+            tmp_path,
+            "boot2.json",
+            {
+                "frame": frame_path,
+                "design": {"kind": "SI", "n_I": 2},
+                "second_stage": {"method": "CENSUS"},
+                "estimands": [{"kind": "total", "var": 1}],
+                "bootstrap": {"replicates": 200},
+                "studentized": True,
+            },
+        )
+        out = tmp_path / "boot2"
+        assert _run(["bootstrap", "--config", cfg, "--seed", 24, "--out", out]) == 0
+        se_star = [float(line.split(",")[3])
+                   for line in (out / "replicates.csv").read_text().splitlines()[1:]]
+        assert 0.0 in se_star and any(se > 0 for se in se_star)
+        lo, hi = json.loads((out / "bootstrap.json").read_text())["estimates"][0]["ci_studentized"]
+        assert lo <= hi
+
 
 class TestVerifyCommand:
     def test_bounds_and_decay_outputs(self, tmp_path):
@@ -323,6 +345,22 @@ class TestErrorReporting:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "config"
         assert "oops" in err["error"]["message"]
+
+    def test_stratified_non_census_is_a_config_error(self, tmp_path, capsys):
+        payload = {
+            "population": POP,
+            "scenario": {
+                "first_stage": {"kind": "STRAT_SI", "allocations": {"s0": 2}},
+                "second_stage": {"method": "SI", "n0": [2]},
+                "estimands": [{"kind": "proportion", "var": 1, "category": 1.0}],
+            },
+        }
+        cfg = _write_config(tmp_path, "strat.json", payload)
+        rc = _run(["mc", "--config", cfg, "--seed", 1, "--out", tmp_path / "o"])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "config"
+        assert "config.scenario.second_stage.method" in err["error"]["message"]
 
     def test_runtime_error_surfaces_as_json(self, tmp_path, capsys):
         cfg = _write_config(

@@ -10,12 +10,12 @@ from twostage import (
     Frame,
     coupled_be_si,
     coupled_sir_si,
-    shared_multinomial,
     substream,
     verify_decay,
     verify_hajek_bound,
     verify_sir_si_bound,
 )
+from twostage.bootstrap import multinomial_weights
 from conftest import scalar_frame
 
 CHI2_LEVEL = 0.001
@@ -152,29 +152,27 @@ class TestCoupledSirSi:
 
 
 class TestSharedMultinomial:
+    """Law of the weights that verify_decay applies to both coupled vectors."""
+
     def test_degenerate_single_category(self):
-        d = shared_multinomial(1, 7, substream(51, "m"))
-        assert d.weights.tolist() == [7]
+        d = multinomial_weights(substream(51, "m"), 1, 1, 7)
+        assert d.tolist() == [[7.0]]
 
     def test_weights_sum_to_m(self):
-        rng = substream(52, "m")
-        for _ in range(100):
-            d = shared_multinomial(5, 13, rng)
-            assert int(d.weights.sum()) == 13
+        d = multinomial_weights(substream(52, "m"), 100, 5, 13)
+        assert d.shape == (100, 5)
+        assert np.all(d.sum(axis=1) == 13)
 
     def test_mean_weight(self):
-        rng = substream(53, "m")
         n_draws = 20000
-        acc = np.zeros(4)
-        for _ in range(n_draws):
-            acc += shared_multinomial(4, 8, rng).weights
+        d = multinomial_weights(substream(53, "m"), n_draws, 4, 8)
         se = math.sqrt(8 * 0.25 * 0.75 / n_draws)
-        assert np.all(np.abs(acc / n_draws - 2.0) < 4 * se)
+        assert np.all(np.abs(d.mean(axis=0) - 2.0) < 4 * se)
 
     def test_two_by_two_enumeration(self):
-        rng = substream(54, "m")
         n_draws = 40000
-        hits = sum(shared_multinomial(2, 2, rng).weights[0] == 2 for _ in range(n_draws))
+        d = multinomial_weights(substream(54, "m"), n_draws, 2, 2)
+        hits = np.count_nonzero(d[:, 0] == 2)
         se = math.sqrt(0.25 * 0.75 / n_draws)
         assert abs(hits / n_draws - 0.25) < 3 * se
 

@@ -9,17 +9,32 @@ from scipy.stats import chi2
 from twostage import (
     Frame,
     draw_be,
-    draw_second_stage,
     draw_si,
     draw_sir,
     draw_stratified_si,
-    draw_systematic,
     substream,
 )
 from twostage.designs import psu_subtotal_estimates, si_order, si_order_excluding
 from conftest import scalar_frame
 
 CHI2_LEVEL = 0.001
+
+
+def _one_hot_psu(n):
+    """A single PSU of n SSUs; SSU j carries the indicator column of position j."""
+    return Frame(np.eye(n), np.array([n]))
+
+
+def _inclusions(frame, n0, method, rng, draws=1):
+    """(draws, N_i) inclusion counts of independent size-n0 samples inside PSU 0.
+
+    psu_subtotal_estimates returns (N_i/n0) * (sum of the sampled rows), so
+    on one-hot columns it is N_i/n0 times each SSU's inclusion count.
+    """
+    y, _ = psu_subtotal_estimates(
+        frame, frame.values, np.zeros(draws, dtype=np.int64), method, n0, rng
+    )
+    return np.rint(y * n0 / frame.sizes[0]).astype(np.int64)
 
 
 class TestDrawSi:
@@ -160,23 +175,25 @@ class TestDrawBe:
 
 class TestDrawSystematic:
     def test_integer_interval_gaps(self):
-        idx = draw_systematic(40, 5, substream(16, "sys"))
+        inc = _inclusions(_one_hot_psu(40), 5, "SYSTEMATIC", substream(16, "sys"))[0]
+        idx = np.flatnonzero(inc)
         assert idx.size == 5
         assert np.all(np.diff(idx) == 8)
 
     def test_census(self):
-        idx = draw_systematic(7, 7, substream(17, "sys"))
-        assert idx.tolist() == list(range(7))
+        inc = _inclusions(_one_hot_psu(7), 7, "SYSTEMATIC", substream(17, "sys"))[0]
+        assert inc.tolist() == [1] * 7
 
     def test_fractional_interval_inclusion_probabilities(self):
         n_draws = 50000
         rng = substream(18, "sys")
+        frame = _one_hot_psu(41)
         counts = np.zeros(41)
-        for _ in range(n_draws):
-            idx = draw_systematic(41, 5, rng)
-            assert idx.size == 5
-            assert len(set(idx.tolist())) == 5
-            counts[idx] += 1
+        for _ in range(10):
+            inc = _inclusions(frame, 5, "SYSTEMATIC", rng, draws=n_draws // 10)
+            assert np.all(inc.sum(axis=1) == 5)
+            assert np.all(inc <= 1)  # five distinct positions
+            counts += inc.sum(axis=0)
         p = 5 / 41
         se = math.sqrt(p * (1 - p) / n_draws)
         assert np.all(np.abs(counts / n_draws - p) < 4.5 * se)
@@ -229,35 +246,32 @@ class TestStratifiedSi:
 
 
 class TestSecondStage:
-    def _psu(self, n):
-        frame = Frame(np.arange(float(n))[:, None], np.array([n]))
-        return frame.psu(0)
-
     def test_census_has_probability_one(self):
-        draw = draw_second_stage(self._psu(6), 6, "SI", substream(23, "ss"))
-        assert sorted(draw.ssu_indices.tolist()) == list(range(6))
-        assert np.allclose(draw.inclusion_probs, 1.0)
+        frame = _one_hot_psu(6)
+        y, _ = psu_subtotal_estimates(frame, frame.values, np.array([0]), "SI", 6,
+                                      substream(23, "ss"))
+        assert y[0].tolist() == [1.0] * 6  # every SSU once, expansion weight N_i/n0 = 1
 
     def test_si_sample_size_and_probs(self):
-        draw = draw_second_stage(self._psu(40), 5, "SI", substream(24, "ss"))
-        assert draw.ssu_indices.size == 5
-        assert len(set(draw.ssu_indices.tolist())) == 5
-        assert np.allclose(draw.inclusion_probs, 5 / 40)
+        frame = _one_hot_psu(40)
+        y, _ = psu_subtotal_estimates(frame, frame.values, np.array([0]), "SI", 5,
+                                      substream(24, "ss"))
+        picked = y[0][y[0] != 0]
+        assert picked.size == 5  # five distinct SSUs
+        assert np.all(picked == 40 / 5)  # each weighted by 1 / (n0/N_i)
 
     def test_systematic_frequencies(self):
-        rng = substream(25, "ss")
         n_draws = 30000
-        counts = np.zeros(40)
-        psu = self._psu(40)
-        for _ in range(n_draws):
-            counts[draw_second_stage(psu, 5, "SYSTEMATIC", rng).ssu_indices] += 1
+        inc = _inclusions(_one_hot_psu(40), 5, "SYSTEMATIC", substream(25, "ss"), draws=n_draws)
         p = 5 / 40
         se = math.sqrt(p * (1 - p) / n_draws)
-        assert np.all(np.abs(counts / n_draws - p) < 4.5 * se)
+        assert np.all(np.abs(inc.sum(axis=0) / n_draws - p) < 4.5 * se)
 
     def test_oversized_subsample_rejected(self):
-        with pytest.raises(ValueError):
-            draw_second_stage(self._psu(4), 5, "SI", substream(26, "ss"))
+        frame = _one_hot_psu(4)
+        with pytest.raises(ValueError, match="n0 exceeds"):
+            psu_subtotal_estimates(frame, frame.values, np.array([0]), "SI", 5,
+                                   substream(26, "ss"))
 
 
 class TestVectorizedSubsampling:

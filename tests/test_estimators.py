@@ -19,9 +19,8 @@ from twostage import (
     RatioEstimand,
     TotalEstimand,
     draw_si,
-    hh_total_sir,
     ht_total_be,
-    ht_total_si,
+    mean_total,
     linearized_values,
     normal_ci,
     normal_quantile,
@@ -42,7 +41,7 @@ SUB = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
 
 def _si_total(sample):
     draw = FirstStageDraw(DesignSpec("SI", n_I=len(sample)), np.array(sample), 5)
-    return ht_total_si(draw, (SUB[list(sample)][:, None], np.zeros((len(sample), 1))))
+    return mean_total(draw, (SUB[list(sample)][:, None], np.zeros((len(sample), 1))))
 
 
 def _sir_total(seq):
@@ -50,7 +49,7 @@ def _sir_total(seq):
         DesignSpec("SIR", n_I=len(seq)), np.array(seq), 5,
         distinct=np.unique(seq), multiplicity=np.ones(len(set(seq))),
     )
-    return hh_total_sir(draw, (SUB[list(seq)][:, None], np.zeros((len(seq), 1))))
+    return mean_total(draw, (SUB[list(seq)][:, None], np.zeros((len(seq), 1))))
 
 
 def _be_total(subset, n_expected):
@@ -149,7 +148,7 @@ class TestVarianceEstimateContracts:
     def test_census_both_stages_recovers_total_exactly(self, frame_1to5):
         rng = np.random.default_rng(0)
         draw = draw_si(5, 5, rng)
-        total = ht_total_si(draw, (frame_1to5.subtotals[draw.order], None))
+        total = mean_total(draw, (frame_1to5.subtotals[draw.order], None))
         assert total.y_hat == pytest.approx(15.0, rel=1e-14)
 
     def test_wr_vs_simplified_factor(self):
@@ -161,13 +160,13 @@ class TestVarianceEstimateContracts:
 
     def test_unbiased_requires_vhat(self):
         draw = FirstStageDraw(DesignSpec("SI", n_I=2), np.array([0, 1]), 5)
-        total = ht_total_si(draw, (SUB[:2][:, None], None))
+        total = mean_total(draw, (SUB[:2][:, None], None))
         with pytest.raises(ValueError, match="v_hat"):
             variance_estimate(total, "UNBIASED")
 
     def test_single_draw_dispersion_undefined(self):
         draw = FirstStageDraw(DesignSpec("SI", n_I=1), np.array([2]), 5)
-        total = ht_total_si(draw, (SUB[2:3][:, None], np.zeros((1, 1))))
+        total = mean_total(draw, (SUB[2:3][:, None], np.zeros((1, 1))))
         with pytest.raises(ValueError, match="n_I = 1"):
             variance_estimate(total, "SIMPLIFIED")
 

@@ -6,8 +6,6 @@ import pytest
 
 from twostage import (
     Frame,
-    PrimaryUnit,
-    SecondaryUnit,
     SyntheticConfig,
     calibrate_model,
     frame_to_csv,
@@ -120,21 +118,40 @@ class TestFrameInvariants:
         values = np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]])
         frame = Frame(values, np.array([2, 1]))
         assert np.allclose(frame.subtotals, [[3.0, 30.0], [3.0, 30.0]])
-        psu = frame.psu(0)
-        assert isinstance(psu, PrimaryUnit)
-        assert psu.n_ssus == 2
-        assert np.allclose(psu.subtotal(), [3.0, 30.0])
-        assert isinstance(psu.ssus[0], SecondaryUnit)
+        assert frame.offsets.tolist() == [0, 2, 3]
+        assert np.shares_memory(frame.values, values)  # a view, not a copy
 
-    def test_from_units_round_trip(self):
-        units = [
-            PrimaryUnit(7, (SecondaryUnit(0, np.array([1.0])), SecondaryUnit(1, np.array([2.0])))),
-            PrimaryUnit(9, (SecondaryUnit(0, np.array([4.0])),)),
-        ]
-        frame = Frame.from_units(units)
-        assert frame.n_psus == 2
-        assert list(frame.psu_ids) == [7, 9]
-        assert frame.psu(1).ssus[0].y[0] == 4.0
+    def test_constructor_round_trip(self):
+        values = np.array([[1.0], [2.0], [4.0]])
+        frame = Frame(values, np.array([2, 1]), psu_ids=np.array([7, 9]),
+                      ssu_ids=np.array([0, 1, 0]), strata=["a", "b"])
+        back = Frame(frame.values, frame.sizes, frame.psu_ids, frame.ssu_ids, frame.strata)
+        assert back.n_psus == 2
+        assert list(back.psu_ids) == [7, 9]
+        assert back.ssu_ids.tolist() == [0, 1, 0]
+        assert back.strata == ("a", "b")
+        assert back.values[back.offsets[1], 0] == 4.0
+
+    def test_arrays_are_read_only(self):
+        frame = Frame(np.arange(6.0).reshape(3, 2), np.array([2, 1]), strata=["a", "b"])
+        cached = (frame.subtotals, frame.within_psu_variances,
+                  frame.stratum_psu_indices()["a"])
+        for array in (frame.values, frame.sizes, frame.offsets, frame.psu_ids,
+                      frame.ssu_ids) + cached:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            frame.values[0, 0] = 99.0
+        assert frame.subtotals[0].tolist() == [2.0, 4.0]
+
+    def test_stratum_groups_are_cached(self):
+        frame = Frame(np.ones((4, 1)), np.ones(4, dtype=np.int64), strata=["a", "b", "a", "b"])
+        first = frame.stratum_psu_indices()
+        assert {k: v.tolist() for k, v in first.items()} == {"a": [0, 2], "b": [1, 3]}
+        first.pop("a")  # the caller's dict is a copy
+        again = frame.stratum_psu_indices()
+        assert set(again) == {"a", "b"}
+        assert again["b"] is first["b"]
 
     def test_population_summary_oracle(self):
         frame = Frame(np.arange(1.0, 6.0)[:, None], np.ones(5, dtype=np.int64))
@@ -155,8 +172,8 @@ class TestFrameInvariants:
         frame = Frame(rng.normal(size=(30, 2)), np.array([5, 10, 6, 9]))
         total, mu, s2 = population_summary(frame, 1)
         subs = []
-        for psu in frame.iter_psus():
-            subs.append(sum(s.y[1] for s in psu.ssus))
+        for i in range(frame.n_psus):
+            subs.append(sum(frame.values[k, 1] for k in range(frame.offsets[i], frame.offsets[i + 1])))
         naive_mu = sum(subs) / len(subs)
         naive_s2 = sum((v - naive_mu) ** 2 for v in subs) / (len(subs) - 1)
         assert total == pytest.approx(sum(subs), rel=1e-12)

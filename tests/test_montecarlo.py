@@ -217,6 +217,42 @@ class TestDeterminismAndParallel:
         for a, b in zip(serial, parallel):
             assert a == b
 
+    def test_workers_capped_at_cores_and_spans(self, monkeypatch):
+        import os
+
+        import twostage.montecarlo as mc
+
+        frame = scalar_frame(np.arange(1.0, 41.0))
+        scn = Scenario(DesignSpec("SI", n_I=8), "CENSUS", replicates=200, true_run=1000)
+        serial = run_scenario(frame, scn, seed=80, v_true={"total[y1]": 1.0})
+        requested = []
+
+        class FakePool:
+            """Records the worker count and runs the spans in this process."""
+
+            def __init__(self, processes, initializer, initargs):
+                requested.append(processes)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, spans):
+                return [fn(span) for span in spans]
+
+        class FakeContext:
+            Pool = FakePool
+
+        monkeypatch.setattr(mc.multiprocessing, "get_context", lambda method: FakeContext())
+        monkeypatch.setattr(mc, "_WORKER_CTX", None)  # restored after the test
+        capped = run_scenario(frame, scn, seed=80, threads=10**6, v_true={"total[y1]": 1.0})
+        n_spans = -(-200 // 16)  # 16-replicate chunks once threads * 8 exceeds the total
+        assert requested == [min(os.cpu_count() or 1, n_spans)]
+        assert capped == serial
+
     def test_rerun_is_identical(self, frame_1to5):
         scn = Scenario(DesignSpec("SI", n_I=2), "CENSUS", replicates=150, true_run=1000)
         a = run_scenario(frame_1to5, scn, seed=81, v_true={"total[y1]": 18.75})
