@@ -46,7 +46,6 @@ from .estimators import (
     mean_total,
     normal_ci,
     normal_quantile,
-    plugin_estimate,
     population_value,
     theoretical_variance,
     variance_estimate,

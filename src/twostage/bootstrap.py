@@ -21,10 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import (
+    ProportionEstimand,
     SmoothEstimand,
     StratifiedClusterSample,
     TotalEstimand,
-    proportion_estimate,
+    linearized_values,
 )
 from .rng import substream
 
@@ -73,8 +74,6 @@ class ReplicateSet:
 
     theta_star: np.ndarray
     base: float
-    m: int
-    n_draws: int
     se_star: np.ndarray | None = None
 
 
@@ -114,7 +113,7 @@ def resample_wr(
     base = float(estimand.evaluate(n_population * z.mean(axis=0)[None, :])[0])
 
     se_star = replicate_se(d_mat, z, totals_star, n_population, m, estimand) if compute_se else None
-    return ReplicateSet(theta_star, base, m, n, se_star)
+    return ReplicateSet(theta_star, base, se_star)
 
 
 def replicate_se(
@@ -179,6 +178,7 @@ def studentized_ci(reps: ReplicateSet, base_se: float, alpha: float) -> tuple[fl
 
 def stratified_proportion_resample(
     sample: StratifiedClusterSample,
+    estimand: ProportionEstimand,
     cfg: BootstrapConfig,
     rng: np.random.Generator | None = None,
     compute_se: bool = True,
@@ -186,48 +186,25 @@ def stratified_proportion_resample(
     """Stratified with-replacement bootstrap of PSUs for a proportion.
 
     Resamples m_l PSUs with replacement independently within every stratum
-    (m_l = n_Il - 1 by default, ``cfg.m`` overrides a common value), with
-    shared multinomial weights across the numerator and denominator of the
-    substitution estimator.  ``se_star`` recomputes the stratified
+    (m_l = n_Il - 1 by default, ``cfg.m`` overrides a common value); one
+    set of multinomial weights per stratum resamples the (count, size)
+    subtotals together, and the replicate totals are
+    sum_l (N_Il/m_l) D_l @ y_l.  ``se_star`` is the stratified
     with-replacement linearization variance on each replicate's resampled
-    values, which feeds the Studentized interval.
+    values (:func:`linearized_values`), which feeds the Studentized interval.
     """
     rng = rng if rng is not None else substream(cfg.seed, "bootstrap")
-    r = cfg.replicates
-    p_hat, _ = proportion_estimate(sample)
-
-    d_mats: dict[str, np.ndarray] = {}
-    m_by_label: dict[str, int] = {}
-    num = np.zeros(r)
-    den = np.zeros(r)
-    for label in sample.labels:
-        counts = sample.counts[label]
-        sizes = sample.sizes[label]
-        n_l = counts.size
+    weights: dict[str, np.ndarray] = {}
+    totals_star = 0.0
+    for label, y in sample.subtotals.items():
+        n_l = y.shape[0]
         if n_l < 2:
             raise ValueError(f"stratum {label!r} has a single sampled PSU")
         m_l = cfg.resolve_m(n_l)
-        w_l = sample.n_psus_population[label] / m_l
-        d_l = multinomial_weights(rng, r, n_l, m_l)
-        d_mats[label] = d_l
-        m_by_label[label] = m_l
-        num += w_l * (d_l @ counts)
-        den += w_l * (d_l @ sizes)
-    theta_star = num / den
-
+        weights[label] = d_l = multinomial_weights(rng, cfg.replicates, n_l, m_l)
+        totals_star = totals_star + sample.n_psus_population[label] / m_l * (d_l @ y)
+    theta_star = estimand.evaluate(totals_star)
     se_star = None
     if compute_se:
-        v_star = np.zeros(r)
-        for label in sample.labels:
-            counts = sample.counts[label]
-            sizes = sample.sizes[label]
-            m_l = m_by_label[label]
-            d_l = d_mats[label]
-            e = (counts[None, :] - theta_star[:, None] * sizes[None, :]) / den[:, None]
-            mean_e = (d_l * e).sum(axis=1) / m_l
-            m2 = (d_l * e**2).sum(axis=1)
-            s2 = (m2 - m_l * mean_e**2) / (m_l - 1)
-            v_star += sample.n_psus_population[label] ** 2 / m_l * s2
-        se_star = np.sqrt(np.maximum(v_star, 0.0))
-    n_total = sum(sample.counts[label].size for label in sample.labels)
-    return ReplicateSet(theta_star, p_hat, n_total, n_total, se_star)
+        se_star = np.sqrt(linearized_values(sample, theta_star, totals_star[:, 1], weights))
+    return ReplicateSet(theta_star, float(estimand.evaluate(sample.totals)), se_star)

@@ -19,6 +19,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -26,8 +27,16 @@ import numpy as np
 from . import __version__
 from .bootstrap import BootstrapConfig, bootstrap_variance, percentile_ci, resample_wr, studentized_ci
 from .coupling import verify_decay, verify_hajek_bound, verify_sir_si_bound
-from .designs import DesignSpec, draw_be, draw_si, draw_sir, second_stage_estimates
+from .designs import (
+    SECOND_STAGE_METHODS,
+    DesignSpec,
+    draw_be,
+    draw_si,
+    draw_sir,
+    second_stage_estimates,
+)
 from .estimators import (
+    VARIANCE_METHODS,
     CorrelationEstimand,
     ProportionEstimand,
     RatioEstimand,
@@ -243,6 +252,9 @@ def _validate_estimate(payload: dict, seed: int, bootstrap: bool = False) -> Non
     _check_keys(design, ["kind", "n_I", "expected_n_I"], "config.design")
     kind = _as_str(_require(design, "kind", "config.design"), "config.design.kind",
                    ["SI", "SIR", "BE"])
+    stray = "n_I" if kind == "BE" else "expected_n_I"
+    if stray in design:
+        raise ConfigError(f"config.design.{stray}: not a parameter of a {kind} design")
     if kind in ("SI", "SIR"):
         _as_int(_require(design, "n_I", "config.design"), "config.design.n_I", 1)
     else:
@@ -250,7 +262,7 @@ def _validate_estimate(payload: dict, seed: int, bootstrap: bool = False) -> Non
     second = _require(payload, "second_stage", "config")
     _check_keys(second, ["method", "n0"], "config.second_stage")
     method = _as_str(_require(second, "method", "config.second_stage"),
-                     "config.second_stage.method", ["SI", "SYSTEMATIC", "CENSUS"])
+                     "config.second_stage.method", SECOND_STAGE_METHODS)
     if method != "CENSUS":
         _as_int(_require(second, "n0", "config.second_stage"), "config.second_stage.n0", 1)
     elif "n0" in second and second["n0"] is not None:
@@ -260,8 +272,7 @@ def _validate_estimate(payload: dict, seed: int, bootstrap: bool = False) -> Non
         _parse_estimand(e, f"config.estimands[{i}]") for i, e in enumerate(ests)
     ]
     for i, vm in enumerate(payload.get("variance_methods", [])):
-        _as_str(vm, f"config.variance_methods[{i}]",
-                ["UNBIASED", "SIMPLIFIED", "WITH_REPLACEMENT", "BERNOULLI"])
+        _as_str(vm, f"config.variance_methods[{i}]", VARIANCE_METHODS)
     if "alpha" in payload:
         alpha = _as_num(payload["alpha"], "config.alpha")
         if not 0.0 < alpha < 0.5:
@@ -274,10 +285,6 @@ def _validate_estimate(payload: dict, seed: int, bootstrap: bool = False) -> Non
         )
         if "studentized" in payload and not isinstance(payload["studentized"], bool):
             raise ConfigError("config.studentized: expected a boolean")
-
-
-def _validate_bootstrap(payload: dict, seed: int) -> None:
-    _validate_estimate(payload, seed, bootstrap=True)
 
 
 def _validate_mc(payload: dict, seed: int) -> None:
@@ -313,7 +320,7 @@ def _validate_mc(payload: dict, seed: int) -> None:
     second = _require(scn, "second_stage", "config.scenario")
     _check_keys(second, ["method", "n0"], "config.scenario.second_stage")
     method = _as_str(_require(second, "method", "config.scenario.second_stage"),
-                     "config.scenario.second_stage.method", ["SI", "SYSTEMATIC", "CENSUS"])
+                     "config.scenario.second_stage.method", SECOND_STAGE_METHODS)
     if kind == "STRAT_SI" and method != "CENSUS":
         raise ConfigError("config.scenario.second_stage.method: stratified cluster "
                           "scenarios use a census second stage")
@@ -379,8 +386,8 @@ def _validate_verify(payload: dict, seed: int) -> None:
 
 _VALIDATORS = {
     "gen-pop": _validate_genpop,
-    "estimate": lambda p, s: _validate_estimate(p, s),
-    "bootstrap": _validate_bootstrap,
+    "estimate": _validate_estimate,
+    "bootstrap": partial(_validate_estimate, bootstrap=True),
     "mc": _validate_mc,
     "verify": _validate_verify,
 }
@@ -469,6 +476,7 @@ def _run_genpop(cfg: RunConfig, out: str) -> list[str]:
 
 
 def _one_draw_estimates(cfg: RunConfig, frame: Frame):
+    """One two-stage draw; returns (draw, yhat, vhat, [(estimand, slice, point entry)])."""
     payload = cfg.payload
     design = payload["design"]
     second = payload["second_stage"]
@@ -493,7 +501,18 @@ def _one_draw_estimates(cfg: RunConfig, frame: Frame):
     yhat, vhat = second_stage_estimates(
         frame, columns, subtotals, draw.order, method, n0, rng, with_vhat=need_vhat
     )
-    return draw, yhat, vhat, slices
+    points = []
+    for (est, est_kind, rho), sl in zip(estimands, slices):
+        if kind == "BE":
+            totals = expansion_totals(yhat[:, sl], frame.n_psus, design["expected_n_I"])
+        else:
+            totals = frame.n_psus * yhat[:, sl].mean(axis=0)
+        entry = {"estimand": est.label, "kind": est_kind,
+                 "point": float(est.evaluate(totals[None, :])[0])}
+        if rho is not None:
+            entry["rho"] = rho
+        points.append((est, sl, entry))
+    return draw, yhat, vhat, points
 
 
 def _run_estimate(cfg: RunConfig, out: str) -> list[str]:
@@ -501,19 +520,9 @@ def _run_estimate(cfg: RunConfig, out: str) -> list[str]:
     frame = ingest_frame(payload["frame"])
     alpha = payload.get("alpha", 0.025)
     kind = payload["design"]["kind"]
-    draw, yhat, vhat, slices = _one_draw_estimates(cfg, frame)
-    n_exp = payload["design"].get("n_I") or payload["design"]["expected_n_I"]
+    draw, yhat, vhat, points = _one_draw_estimates(cfg, frame)
 
-    results = []
-    for (est, est_kind, rho), sl in zip(payload["_estimands"], slices):
-        if kind == "BE":
-            totals = expansion_totals(yhat[:, sl], frame.n_psus, n_exp)
-        else:
-            totals = frame.n_psus * yhat[:, sl].mean(axis=0)
-        point = float(est.evaluate(totals[None, :])[0])
-        entry = {"estimand": est.label, "kind": est_kind, "point": point}
-        if rho is not None:
-            entry["rho"] = rho
+    for est, sl, entry in points:
         if isinstance(est, TotalEstimand) and payload.get("variance_methods"):
             total_fn = ht_total_be if kind == "BE" else mean_total
             total = total_fn(draw, (yhat[:, sl], None if vhat is None else vhat[:, sl]))
@@ -525,18 +534,17 @@ def _run_estimate(cfg: RunConfig, out: str) -> list[str]:
                 except ValueError:
                     continue  # method/design mismatch; skip quietly in reports
                 variances[vm] = v
-                lo, hi = normal_ci(point, v, alpha)
+                lo, hi = normal_ci(entry["point"], v, alpha)
                 cis[vm] = [lo, hi]
             entry["variance_by_method"] = variances
             entry["ci_by_method"] = cis
-        results.append(entry)
 
     report = {
         "design": draw.to_dict(),
         "second_stage": payload["second_stage"],
         "alpha": alpha,
         "seeds": {"master": cfg.seed, "stream": "estimate"},
-        "estimates": results,
+        "estimates": [entry for _, _, entry in points],
     }
     report_path = os.path.join(out, "estimate.json")
     _write_json(report_path, report)
@@ -551,34 +559,23 @@ def _run_bootstrap(cfg: RunConfig, out: str) -> list[str]:
     alpha = payload.get("alpha", 0.025)
     boot_cfg: BootstrapConfig = payload["_bootstrap"]
     studentized = payload.get("studentized", False)
-    draw, yhat, vhat, slices = _one_draw_estimates(cfg, frame)
+    draw, yhat, vhat, points = _one_draw_estimates(cfg, frame)
 
-    results = []
     replicate_rows = []
-    for (est, est_kind, rho), sl in zip(payload["_estimands"], slices):
-        totals = frame.n_psus * yhat[:, sl].mean(axis=0)
-        point = float(est.evaluate(totals[None, :])[0])
+    for est, sl, entry in points:
         want_se = studentized and isinstance(est, TotalEstimand)
         reps = resample_wr(
             yhat[:, sl], frame.n_psus, boot_cfg, estimand=est,
             rng=substream(cfg.seed, "bootstrap", est.label),
             compute_se=want_se,
         )
-        entry = {
-            "estimand": est.label,
-            "kind": est_kind,
-            "point": point,
-            "bootstrap_variance": bootstrap_variance(reps),
-            "ci_percentile": list(percentile_ci(reps, boot_cfg.alpha)),
-        }
-        if rho is not None:
-            entry["rho"] = rho
+        entry["bootstrap_variance"] = bootstrap_variance(reps)
+        entry["ci_percentile"] = list(percentile_ci(reps, boot_cfg.alpha))
         if want_se:
             base_v = variance_estimate(mean_total(draw, (yhat[:, sl], None)), "SIMPLIFIED")
             entry["ci_studentized"] = list(
                 studentized_ci(reps, float(np.sqrt(base_v)), boot_cfg.alpha)
             )
-        results.append(entry)
         for r, theta in enumerate(reps.theta_star):
             se = reps.se_star[r] if reps.se_star is not None else ""
             replicate_rows.append([r, est.label, theta, se])
@@ -589,7 +586,7 @@ def _run_bootstrap(cfg: RunConfig, out: str) -> list[str]:
         "alpha": alpha,
         "bootstrap": {"replicates": boot_cfg.replicates, "m": boot_cfg.m, "alpha": boot_cfg.alpha},
         "seeds": {"master": cfg.seed},
-        "estimates": results,
+        "estimates": [entry for _, _, entry in points],
     }
     report_path = os.path.join(out, "bootstrap.json")
     _write_json(report_path, report)
@@ -679,27 +676,25 @@ def _verify_frame(spec: dict, seed: int, index: int) -> Frame:
     return Frame(subtotals[:, None], np.ones(n, dtype=np.int64))
 
 
+def _write_records(out: str, name: str, records: list[dict], doc: Any) -> list[str]:
+    """Write ``records`` as name.csv (keys as header, one row each) and ``doc`` as name.json."""
+    csv_path = os.path.join(out, f"{name}.csv")
+    _write_csv(csv_path, list(records[0]), [list(r.values()) for r in records])
+    json_path = os.path.join(out, f"{name}.json")
+    _write_json(json_path, doc)
+    return [csv_path, json_path]
+
+
 def _run_verify(cfg: RunConfig, out: str) -> list[str]:
     payload = cfg.payload
     written = []
-    bound_rows = []
-    bound_dicts = []
+    bounds = []
     for i, spec in enumerate(payload.get("bounds", [])):
         frame = _verify_frame(spec["frame"], cfg.seed, i)
         fn = verify_hajek_bound if spec["check"] == "be_si" else verify_sir_si_bound
-        report = fn(frame, spec["n_I"], spec.get("replicates", 100000), cfg.seed)
-        d = report.to_dict()
-        bound_dicts.append(d)
-        bound_rows.append([d["check"], d["n_psus"], d["n_I"], d["replicates"],
-                           d["lhs_estimate"], d["lhs_se"], d["rhs_bound"], d["passed"]])
-    if bound_rows:
-        path = os.path.join(out, "bounds.csv")
-        _write_csv(path, ["check", "n_psus", "n_I", "replicates",
-                          "lhs_estimate", "lhs_se", "rhs_bound", "passed"], bound_rows)
-        written.append(path)
-        jpath = os.path.join(out, "bounds.json")
-        _write_json(jpath, bound_dicts)
-        written.append(jpath)
+        bounds.append(fn(frame, spec["n_I"], spec.get("replicates", 100000), cfg.seed).to_dict())
+    if bounds:
+        written += _write_records(out, "bounds", bounds, bounds)
 
     decay = payload.get("decay")
     if decay is not None:
@@ -709,25 +704,14 @@ def _run_verify(cfg: RunConfig, out: str) -> list[str]:
         report = verify_decay(
             frames, decay["n_I"], decay.get("replicates", 100000), cfg.seed, m=decay.get("m")
         )
-        rows = [
-            [r.n_psus, r.n_I, r.m, r.mean_sq_diff, r.mean_sq_diff_se,
-             r.abs_s2_diff, r.abs_s2_diff_se, r.boot_sq_diff, r.boot_sq_diff_se]
-            for r in report.rows
-        ]
-        path = os.path.join(out, "decay.csv")
-        _write_csv(path, ["n_psus", "n_I", "m", "mean_sq_diff", "mean_sq_diff_se",
-                          "abs_s2_diff", "abs_s2_diff_se", "boot_sq_diff", "boot_sq_diff_se"],
-                   rows)
-        written.append(path)
-        jpath = os.path.join(out, "decay.json")
-        _write_json(jpath, {
-            "rows": [r.to_dict() for r in report.rows],
+        rows = [r.to_dict() for r in report.rows]
+        written += _write_records(out, "decay", rows, {
+            "rows": rows,
             "strictly_decreasing": {
                 m: report.strictly_decreasing(m)
                 for m in ("mean_sq_diff", "abs_s2_diff", "boot_sq_diff")
             },
         })
-        written.append(jpath)
     return written
 
 

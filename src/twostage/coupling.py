@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .designs import (
     si_order,
     si_order_excluding,
 )
-from .estimators import expansion_totals, si_second_stage_variances, theoretical_variance
+from .estimators import si_second_stage_variances, theoretical_variance
 from .frame import Frame
 from .rng import substream
 
@@ -78,13 +78,6 @@ class CoupledBeSiDraw:
     si_indices: np.ndarray
     be_values: np.ndarray = field(repr=False)
     si_values: np.ndarray = field(repr=False)
-
-    def ht_be(self, var: int = 0) -> float:
-        """Horvitz-Thompson total from the Bernoulli sample (expected-size divisor)."""
-        return float(expansion_totals(self.be_values[:, var], self.n_psus, self.n_I))
-
-    def ht_si(self, var: int = 0) -> float:
-        return float(expansion_totals(self.si_values[:, var], self.n_psus, self.n_I))
 
     def delta2(self, mu: float, var: int = 0) -> float:
         """sum_SI (Yhat_i - mu) - sum_BE (Yhat_i - mu); shared PSUs cancel exactly."""
@@ -164,12 +157,6 @@ class CoupledSirSiDraw:
 
     def ht_si(self, var: int = 0) -> float:
         return self.n_psus * float(self.z_values[:, var].mean())
-
-    def s_x2(self, var: int = 0) -> float:
-        return float(np.var(self.x_values[:, var], ddof=1)) if self.n_I > 1 else math.nan
-
-    def s_z2(self, var: int = 0) -> float:
-        return float(np.var(self.z_values[:, var], ddof=1)) if self.n_I > 1 else math.nan
 
 
 def coupled_sir_si(
@@ -258,6 +245,35 @@ def _exact_second_stage(frame: Frame, second_stage: str, n0: int | None, var: in
     )
 
 
+def _bound_report(
+    check: str,
+    tag: str,
+    frame: Frame,
+    n_I: int,
+    replicates: int,
+    seed: int,
+    denominator: Callable[[], float],
+    statistic: Callable[[np.random.Generator], float],
+    rhs: Callable[[], float],
+) -> BoundReport:
+    """Monte Carlo ratio E(statistic^2) / denominator against its bound ``rhs``.
+
+    Replicate b draws the statistic once from substream (seed, tag, b); the
+    denominator and the bound are closed forms, evaluated only when needed.
+    """
+    if replicates < 1000:
+        raise ValueError("need at least 1000 replicates")
+    denom = denominator()
+    if denom == 0.0:
+        raise ValueError("degenerate denominator: all subtotals equal and V_i = 0")
+    d2 = np.empty(replicates)
+    for b in range(replicates):
+        d2[b] = statistic(substream(seed, tag, b)) ** 2
+    lhs = float(d2.mean()) / denom
+    se = float(d2.std(ddof=1)) / math.sqrt(replicates) / denom
+    return BoundReport(check, frame.n_psus, n_I, replicates, lhs, se, rhs())
+
+
 def verify_hajek_bound(
     frame: Frame,
     n_I: int,
@@ -273,26 +289,20 @@ def verify_hajek_bound(
     f(1-f)*sum((Y_i-mu)^2), to avoid ratio-of-noisy-estimates bias; the
     numerator is averaged over coupled replicates.
     """
-    if replicates < 1000:
-        raise ValueError("need at least 1000 replicates")
     N = frame.n_psus
     sub = frame.subtotals[:, var_index]
     mu = float(sub.mean())
-    f = n_I / N
-    v_i = _exact_second_stage(frame, second_stage, n0, var_index)
-    denom = f * float(v_i.sum()) + f * (1.0 - f) * float(np.sum((sub - mu) ** 2))
-    if denom == 0.0:
-        raise ValueError("degenerate denominator: all subtotals equal and V_i = 0")
 
-    d2 = np.empty(replicates)
-    for b in range(replicates):
-        rng = substream(seed, "be-si", b)
-        draw = coupled_be_si(frame, n_I, rng, second_stage, n0, [var_index])
-        d2[b] = draw.delta2(mu, 0) ** 2
-    lhs = float(d2.mean()) / denom
-    se = float(d2.std(ddof=1)) / math.sqrt(replicates) / denom
-    rhs = math.sqrt(1.0 / n_I + 1.0 / (N - n_I))
-    return BoundReport("be_si", N, n_I, replicates, lhs, se, rhs)
+    def denominator() -> float:
+        f = n_I / N
+        v_i = _exact_second_stage(frame, second_stage, n0, var_index)
+        return f * float(v_i.sum()) + f * (1.0 - f) * float(np.sum((sub - mu) ** 2))
+
+    def delta2(rng: np.random.Generator) -> float:
+        return coupled_be_si(frame, n_I, rng, second_stage, n0, [var_index]).delta2(mu, 0)
+
+    return _bound_report("be_si", "be-si", frame, n_I, replicates, seed, denominator, delta2,
+                         lambda: math.sqrt(1.0 / n_I + 1.0 / (N - n_I)))
 
 
 def verify_sir_si_bound(
@@ -305,23 +315,17 @@ def verify_sir_si_bound(
     n0: int | None = None,
 ) -> BoundReport:
     """Check E(Yhat_WR - Yhat_SI)^2 / V(Yhat_WR) <= (n_I - 1)/(N_I - 1)."""
-    if replicates < 1000:
-        raise ValueError("need at least 1000 replicates")
-    N = frame.n_psus
-    v_i = _exact_second_stage(frame, second_stage, n0, var_index)
-    denom = theoretical_variance(frame, DesignSpec("SIR", n_I=n_I), v_i, var_index)
-    if denom == 0.0:
-        raise ValueError("degenerate denominator: all subtotals equal and V_i = 0")
 
-    d2 = np.empty(replicates)
-    for b in range(replicates):
-        rng = substream(seed, "sir-si", b)
+    def denominator() -> float:
+        v_i = _exact_second_stage(frame, second_stage, n0, var_index)
+        return theoretical_variance(frame, DesignSpec("SIR", n_I=n_I), v_i, var_index)
+
+    def wr_minus_si(rng: np.random.Generator) -> float:
         draw = coupled_sir_si(frame, n_I, rng, second_stage, n0, [var_index])
-        d2[b] = (draw.ht_wr(0) - draw.ht_si(0)) ** 2
-    lhs = float(d2.mean()) / denom
-    se = float(d2.std(ddof=1)) / math.sqrt(replicates) / denom
-    rhs = (n_I - 1.0) / (N - 1.0)
-    return BoundReport("sir_si", N, n_I, replicates, lhs, se, rhs)
+        return draw.ht_wr(0) - draw.ht_si(0)
+
+    return _bound_report("sir_si", "sir-si", frame, n_I, replicates, seed, denominator,
+                         wr_minus_si, lambda: (n_I - 1.0) / (frame.n_psus - 1.0))
 
 
 @dataclass
@@ -359,10 +363,6 @@ class DecayReport:
             prev - cur > 3.0 * math.hypot(se_prev, se_cur)
             for prev, cur, se_prev, se_cur in zip(vals, vals[1:], ses, ses[1:])
         )
-
-    @property
-    def all_decreasing(self) -> bool:
-        return all(self.strictly_decreasing(m) for m in _DECAY_METRICS)
 
 
 def verify_decay(

@@ -96,13 +96,6 @@ class FirstStageDraw:
     def n_drawn(self) -> int:
         return int(self.order.size)
 
-    @property
-    def f_I(self) -> float:
-        """First-stage sampling fraction n_I / N_I (expected size for BE)."""
-        if self.design.kind == "BE":
-            return float(self.design.expected_n_I) / self.n_population
-        return float(self.design.n_I) / self.n_population
-
     def to_dict(self) -> dict:
         out = {
             "kind": self.design.kind,

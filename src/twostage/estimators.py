@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .designs import DesignSpec, FirstStageDraw
+from .designs import DesignSpec, FirstStageDraw, draw_stratified_si
 from .frame import Frame
 
 __all__ = [
@@ -42,28 +43,15 @@ __all__ = [
     "RatioEstimand",
     "CorrelationEstimand",
     "ProportionEstimand",
-    "plugin_estimate",
     "population_value",
     "estimand_columns",
     "StratifiedClusterSample",
-    "stratified_cluster_counts",
-    "proportion_estimate",
     "linearized_values",
     "normal_quantile",
     "normal_ci",
 ]
 
 VARIANCE_METHODS = ("UNBIASED", "SIMPLIFIED", "WITH_REPLACEMENT", "BERNOULLI")
-
-
-def _as_estimate_arrays(
-    est: tuple[np.ndarray, np.ndarray | None],
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Normalize a (y_hat, v_hat) pair of per-PSU estimates to 2-d float arrays."""
-    y, v = est
-    return np.atleast_2d(np.asarray(y, dtype=np.float64)), (
-        None if v is None else np.atleast_2d(np.asarray(v, dtype=np.float64))
-    )
 
 
 @dataclass
@@ -88,33 +76,26 @@ class TotalEstimate:
     v_hats: np.ndarray | None = None
     n_realized: int | None = None
 
-    def __post_init__(self):
-        if self.method in ("SI", "SIR") and self.z_values.size != int(self.n_I):
-            raise ValueError("need one estimate per draw")
-
 
 def _dispersion(values: np.ndarray) -> float:
     return float(np.var(values, ddof=1)) if values.size >= 2 else math.nan
 
 
-def mean_total(
-    draw: FirstStageDraw,
-    est: tuple[np.ndarray, np.ndarray | None],
-    var_index: int = 0,
-) -> TotalEstimate:
+def mean_total(draw: FirstStageDraw, est: tuple[np.ndarray, np.ndarray | None]) -> TotalEstimate:
     """Total under SI or SIR sampling of PSUs in draw-sequential form N_I * mean(Z_j).
 
     Under SI this is the Horvitz-Thompson estimator (N_I/n_I) sum_S Yhat_i;
     under SIR it is the Hansen-Hurwitz estimator, and ``est`` holds one
     estimate per draw occurrence aligned with ``draw.order``, so a PSU
     selected W_i times contributes W_i independent second-stage estimates.
+    ``est`` is a pair of (n, p) arrays (v_hat may be None); column 0 is used.
     """
     if draw.design.kind not in ("SI", "SIR"):
         raise ValueError(f"expected an SI or SIR draw, got {draw.design.kind}")
-    y, v = _as_estimate_arrays(est)
+    y, v = est
     if y.shape[0] != draw.n_drawn:
         raise ValueError("need one PSU estimate per draw")
-    z = y[:, var_index]
+    z = y[:, 0]
     n, N = draw.n_drawn, draw.n_population
     return TotalEstimate(
         y_hat=N * float(z.mean()),
@@ -124,7 +105,7 @@ def mean_total(
         f_I=n / N,
         z_values=z,
         s2=_dispersion(z),
-        v_hats=None if v is None else v[:, var_index],
+        v_hats=None if v is None else v[:, 0],
     )
 
 
@@ -137,24 +118,19 @@ def expansion_totals(y_hat: np.ndarray, n_population: int, n: float) -> np.ndarr
     return n_population / n * y_hat.sum(axis=0)
 
 
-def ht_total_be(
-    draw: FirstStageDraw,
-    est: tuple[np.ndarray, np.ndarray | None],
-    var_index: int = 0,
-) -> TotalEstimate:
-    """Horvitz-Thompson total under Bernoulli sampling: divides by the expected size."""
+def ht_total_be(draw: FirstStageDraw, est: tuple[np.ndarray, np.ndarray | None]) -> TotalEstimate:
+    """Horvitz-Thompson total under Bernoulli sampling: divides by the expected size.
+
+    ``est`` is as for :func:`mean_total`, with one row per selected PSU
+    (zero rows for an empty sample).
+    """
     if draw.design.kind != "BE":
         raise ValueError(f"expected a BE draw, got {draw.design.kind}")
     n_expected = float(draw.design.expected_n_I)
-    if draw.n_drawn == 0:
-        z = np.empty(0)
-        vhats = np.empty(0)
-    else:
-        y, v = _as_estimate_arrays(est)
-        if y.shape[0] != draw.n_drawn:
-            raise ValueError("need one PSU estimate per selected PSU")
-        z = y[:, var_index]
-        vhats = None if v is None else v[:, var_index]
+    y, v = est
+    if y.shape[0] != draw.n_drawn:
+        raise ValueError("need one PSU estimate per selected PSU")
+    z = y[:, 0]
     N = draw.n_population
     return TotalEstimate(
         y_hat=float(expansion_totals(z, N, n_expected)),
@@ -164,7 +140,7 @@ def ht_total_be(
         f_I=n_expected / N,
         z_values=z,
         s2=_dispersion(z),
-        v_hats=vhats,
+        v_hats=None if v is None else v[:, 0],
         n_realized=draw.n_drawn,
     )
 
@@ -209,13 +185,11 @@ def theoretical_variance(
     design: DesignSpec,
     v_i: np.ndarray | None = None,
     var_index: int = 0,
-    approximate: bool = False,
 ) -> float:
     """Closed-form design variance of the total estimator.
 
     ``v_i`` holds the exact second-stage variances per PSU (zeros for a
-    census).  With ``approximate=True`` (SI only) returns the small-f_I
-    approximation (N^2/n)(1-f){S^2 + mean(V_i)}.
+    census).
     """
     sub = frame.subtotals[:, var_index]
     N = frame.n_psus
@@ -223,38 +197,27 @@ def theoretical_variance(
     if v_i.shape != (N,):
         raise ValueError("v_i must hold one value per PSU")
     mean_vi = float(v_i.mean())
-    mu = float(sub.mean())
 
-    if design.kind == "SI":
-        n = design.n_I
-        f = n / N
-        s2 = float(np.sum((sub - mu) ** 2) / (N - 1))
-        if approximate:
-            return N**2 / n * (1.0 - f) * (s2 + mean_vi)
-        return N**2 / n * ((1.0 - f) * s2 + mean_vi)
-    if approximate:
-        raise ValueError("the variance approximation applies to SI designs only")
-    if design.kind == "SIR":
-        n = design.n_I
-        s2 = float(np.sum((sub - mu) ** 2) / (N - 1))
-        return N**2 / n * ((N - 1) / N * s2 + mean_vi)
     if design.kind == "BE":
         n = float(design.expected_n_I)
         f = n / N
         return N**2 / n * ((1.0 - f) * float(np.mean(sub**2)) + mean_vi)
-    raise ValueError(f"unsupported design kind: {design.kind!r}")
+    if design.kind not in ("SI", "SIR"):
+        raise ValueError(f"unsupported design kind: {design.kind!r}")
+    n = design.n_I
+    s2 = float(np.sum((sub - float(sub.mean())) ** 2) / (N - 1))
+    if design.kind == "SI":
+        f = n / N
+        return N**2 / n * ((1.0 - f) * s2 + mean_vi)
+    return N**2 / n * ((N - 1) / N * s2 + mean_vi)
 
 
-def si_second_stage_variances(frame: Frame, n0: int, var_index: int | None = None) -> np.ndarray:
-    """Exact V_i for an SI second stage of size n0: (N_i^2/n0)(1 - n0/N_i) S_i^2."""
+def si_second_stage_variances(frame: Frame, n0: int, var_index: int) -> np.ndarray:
+    """Exact V_i of one variable for an SI second stage of size n0: (N_i^2/n0)(1 - n0/N_i) S_i^2."""
     sizes = frame.sizes.astype(np.float64)
     if np.any(frame.sizes < n0):
         raise ValueError("n0 exceeds the size of some PSU")
-    s2 = frame.within_psu_variances
-    if var_index is not None:
-        s2 = s2[:, var_index]
-        return sizes**2 / n0 * (1.0 - n0 / sizes) * s2
-    return sizes[:, None] ** 2 / n0 * (1.0 - n0 / sizes[:, None]) * s2
+    return sizes**2 / n0 * (1.0 - n0 / sizes) * frame.within_psu_variances[:, var_index]
 
 
 # ---------------------------------------------------------------------------
@@ -368,16 +331,9 @@ class ProportionEstimand:
 SmoothEstimand = TotalEstimand | RatioEstimand | CorrelationEstimand | ProportionEstimand
 
 
-def plugin_estimate(totals: np.ndarray, estimand: SmoothEstimand) -> float:
-    """Substitution value of a smooth function at a vector of (estimated) totals."""
-    value = estimand.evaluate(np.asarray(totals, dtype=np.float64))
-    return float(value)
-
-
 def population_value(frame: Frame, estimand: SmoothEstimand) -> float:
     """Exact population value of the estimand (plug-in at the true totals)."""
-    cols = estimand.ssu_columns(frame.values)
-    return plugin_estimate(cols.sum(axis=0), estimand)
+    return float(estimand.evaluate(estimand.ssu_columns(frame.values).sum(axis=0)))
 
 
 def estimand_columns(
@@ -402,81 +358,76 @@ def estimand_columns(
 
 @dataclass
 class StratifiedClusterSample:
-    """Per-stratum category counts and PSU sizes from a stratified SI cluster sample.
+    """A stratified SI cluster sample with a census inside every selected PSU.
 
-    ``counts[l]`` holds Y_ic (members of category c) and ``sizes[l]`` holds
-    N_i for every sampled PSU of stratum l; ``n_psus_population[l]`` is the
+    ``subtotals[l]`` holds the (n_l, 2) (category count Y_ic, size N_i)
+    subtotals of stratum l's sampled PSUs, the rows of the
+    :class:`ProportionEstimand` subtotals; ``n_psus_population[l]`` is the
     stratum's PSU count N_Il in the frame.
     """
 
-    labels: tuple[str, ...]
     n_psus_population: dict[str, int]
-    counts: dict[str, np.ndarray]
-    sizes: dict[str, np.ndarray]
+    subtotals: dict[str, np.ndarray]
 
-    def weight(self, label: str) -> float:
-        return self.n_psus_population[label] / self.counts[label].size
+    @classmethod
+    def draw(
+        cls,
+        frame: Frame,
+        allocations: Mapping[str, int],
+        subtotals: np.ndarray,
+        rng: np.random.Generator,
+    ) -> StratifiedClusterSample:
+        """Draw SI samples per stratum and observe the (N_I, 2) ``subtotals`` rows."""
+        draws = draw_stratified_si(frame, allocations, rng)
+        return cls(
+            {label: d.n_population for label, d in draws.items()},
+            {label: subtotals[d.order] for label, d in draws.items()},
+        )
 
-
-def stratified_cluster_counts(
-    frame: Frame,
-    draws: Mapping[str, FirstStageDraw],
-    category_counts: np.ndarray,
-) -> StratifiedClusterSample:
-    """Observe a stratified cluster sample: censuses inside the selected PSUs.
-
-    ``category_counts`` holds every PSU's count Y_ic of category members.
-    """
-    groups = frame.stratum_psu_indices()
-    labels = tuple(draws.keys())
-    counts: dict[str, np.ndarray] = {}
-    sizes: dict[str, np.ndarray] = {}
-    pop: dict[str, int] = {}
-    for label in labels:
-        sel = draws[label].order
-        counts[label] = category_counts[sel]
-        sizes[label] = frame.sizes[sel].astype(np.float64)
-        pop[label] = int(groups[label].size)
-    return StratifiedClusterSample(labels, pop, counts, sizes)
-
-
-def proportion_estimate(sample: StratifiedClusterSample) -> tuple[float, float]:
-    """Substitution estimator p_hat = (stratified HT count) / N_hat."""
-    num = den = 0.0
-    for label in sample.labels:
-        w = sample.weight(label)
-        num += w * float(sample.counts[label].sum())
-        den += w * float(sample.sizes[label].sum())
-    if den == 0:
-        raise ZeroDivisionError("estimated population count is zero")
-    return num / den, den
+    @cached_property
+    def totals(self) -> np.ndarray:
+        """Stratified HT totals sum_l (N_Il / n_l) sum_S (Y_ic, N_i) of count and size."""
+        return sum(
+            expansion_totals(y, self.n_psus_population[label], y.shape[0])
+            for label, y in self.subtotals.items()
+        )
 
 
 def linearized_values(
     sample: StratifiedClusterSample,
-) -> tuple[dict[str, np.ndarray], float, float, float]:
-    """Linearized variable of the proportion and its with-replacement variance.
+    theta: float | np.ndarray,
+    n_hat: float | np.ndarray,
+    weights: Mapping[str, np.ndarray] | None = None,
+) -> np.ndarray:
+    """Stratified with-replacement variance of the linearized proportion.
 
-    E_i = (Y_ic - p_hat * N_i) / N_hat per sampled PSU, and
+    The linearized values of the sampled PSUs are E_i = (Y_ic - theta N_i) /
+    N_hat, and
 
-        v_STWR = sum_l (N_Il^2 / n_Il) * s_El^2,
+        v = sum_l (N_Il^2 / m_l) s_D^2(E_l),
 
-    the stratified analog of v_WR applied to the E_i.  By construction the
-    sample-weighted sum of the E_i is zero.  Raises when any stratum has a
-    single sampled PSU (s_El^2 undefined).
+    where s_D^2 is the dispersion of stratum l's E_i weighted by the
+    resampling counts ``weights[l]`` (one (R, n_l) row per replicate, m_l =
+    sum_j D_j, ddof 1, two-pass moments).  Without ``weights`` (unit
+    weights, m_l = n_l) and at the point estimate (p_hat, N_hat) this is
+    v_STWR, the stratified analog of v_WR; at a bootstrap replicate's
+    (theta*, N_hat*) and weights it is se*^2.  Returns one value per row of
+    ``theta``.  Raises when any stratum has a single sampled PSU.
     """
-    p_hat, n_hat = proportion_estimate(sample)
-    e_values: dict[str, np.ndarray] = {}
+    theta = np.atleast_1d(theta)[:, None]
+    n_hat = np.atleast_1d(n_hat)[:, None]
     v = 0.0
-    for label in sample.labels:
-        n_l = sample.counts[label].size
+    for label, y in sample.subtotals.items():
+        n_l = y.shape[0]
         if n_l < 2:
             raise ValueError(f"stratum {label!r} has a single sampled PSU")
-        e = (sample.counts[label] - p_hat * sample.sizes[label]) / n_hat
-        e_values[label] = e
-        n_pop = sample.n_psus_population[label]
-        v += n_pop**2 / n_l * float(np.var(e, ddof=1))
-    return e_values, v, p_hat, n_hat
+        d = np.ones((1, n_l)) if weights is None else weights[label]
+        m_l = d[0].sum()
+        e = (y[:, 0] - theta * y[:, 1]) / n_hat
+        mean = (d * e).sum(axis=1, keepdims=True) / m_l
+        s2 = (d * (e - mean) ** 2).sum(axis=1) / (m_l - 1)
+        v = v + sample.n_psus_population[label] ** 2 / m_l * s2
+    return v
 
 
 # ---------------------------------------------------------------------------

@@ -36,13 +36,7 @@ from .bootstrap import (
     stratified_proportion_resample,
     studentized_ci,
 )
-from .designs import (
-    DesignSpec,
-    FirstStageDraw,
-    draw_stratified_si,
-    second_stage_estimates,
-    si_order,
-)
+from .designs import DesignSpec, FirstStageDraw, second_stage_estimates, si_order
 from .estimators import (
     ProportionEstimand,
     SmoothEstimand,
@@ -53,8 +47,6 @@ from .estimators import (
     mean_total,
     normal_ci,
     population_value,
-    proportion_estimate,
-    stratified_cluster_counts,
     variance_estimate,
 )
 from .frame import Frame
@@ -251,8 +243,8 @@ def _build_context(frame: Frame, scenario: Scenario, seed: int, tag: tuple) -> _
                 add(("ci", e.label, "ci_studentized", "lo"))
                 add(("ci", e.label, "ci_studentized", "hi"))
 
-    # under STRAT_SI the proportion's first column subtotals are the PSUs'
-    # category counts
+    # under STRAT_SI the proportion's (count, size) subtotals are the rows
+    # of every stratified sample
     columns, col_subtotals, slices = estimand_columns(frame, est)
     return _Context(
         frame, scenario, seed, tag, columns, col_subtotals, slices, slots, len(slots),
@@ -302,7 +294,7 @@ def _si_replicate_row(ctx: _Context, rng: np.random.Generator, row: np.ndarray) 
         studentized = sc.studentized and ("ci", e.label, "ci_studentized", "lo") in ctx.slots
         reps = ReplicateSet(
             np.asarray(e.evaluate(totals_star[:, sl]), dtype=np.float64),
-            row[ctx.slots[("point", e.label)]], m, n,
+            row[ctx.slots[("point", e.label)]],
             replicate_se(d_mat, yhat[:, sl], totals_star[:, sl], N, m, e) if studentized else None,
         )
         _write_bootstrap(ctx, row, e.label, reps, "SIMPLIFIED" if studentized else None)
@@ -324,20 +316,16 @@ def _write_bootstrap(
         row[ctx.slots[("ci", label, "ci_studentized", "hi")]] = hi
 
 
-def _stratified_sample(ctx: _Context, rng: np.random.Generator) -> StratifiedClusterSample:
-    draws = draw_stratified_si(ctx.frame, ctx.scenario.first_stage.allocations, rng)
-    return stratified_cluster_counts(ctx.frame, draws, ctx.col_subtotals[:, 0])
-
-
 def _strat_replicate_row(ctx: _Context, rng: np.random.Generator, row: np.ndarray) -> None:
     sc = ctx.scenario
     e = sc.estimands[0]
-    sample = _stratified_sample(ctx, rng)
-    p_hat, _ = proportion_estimate(sample)
+    sample = StratifiedClusterSample.draw(ctx.frame, sc.first_stage.allocations,
+                                          ctx.col_subtotals, rng)
+    p_hat = float(e.evaluate(sample.totals))
     row[ctx.slots[("point", e.label)]] = p_hat
 
     if STRAT_WR in sc.variance_methods:
-        _, v_stwr, _, _ = linearized_values(sample)
+        v_stwr = float(linearized_values(sample, p_hat, sample.totals[1])[0])
         row[ctx.slots[("var", e.label, STRAT_WR)]] = v_stwr
         lo, hi = normal_ci(p_hat, v_stwr, sc.ci_alpha)
         row[ctx.slots[("ci", e.label, "ci_normal_stwr", "lo")]] = lo
@@ -345,7 +333,8 @@ def _strat_replicate_row(ctx: _Context, rng: np.random.Generator, row: np.ndarra
 
     if sc.bootstrap is None:
         return
-    reps = stratified_proportion_resample(sample, sc.bootstrap, rng=rng, compute_se=sc.studentized)
+    reps = stratified_proportion_resample(sample, e, sc.bootstrap, rng=rng,
+                                          compute_se=sc.studentized)
     _write_bootstrap(ctx, row, e.label, reps, STRAT_WR if sc.studentized else None)
 
 
@@ -368,13 +357,13 @@ def _point_rows(ctx: _Context, start: int, end: int) -> np.ndarray:
     for b in range(start, end):
         rng = ctx.rng_for(b, "true")
         if strat:
-            p_hat, _ = proportion_estimate(_stratified_sample(ctx, rng))
-            out[b - start, 0] = p_hat
+            totals = StratifiedClusterSample.draw(ctx.frame, sc.first_stage.allocations,
+                                                  ctx.col_subtotals, rng).totals
         else:
             _, yhat, _ = _draw_si_estimates(ctx, rng)
             totals = ctx.frame.n_psus * yhat.mean(axis=0)
-            for j, (e, sl) in enumerate(zip(sc.estimands, ctx.slices)):
-                out[b - start, j] = float(e.evaluate(totals[None, sl])[0])
+        for j, (e, sl) in enumerate(zip(sc.estimands, ctx.slices)):
+            out[b - start, j] = float(e.evaluate(totals[None, sl])[0])
     return out
 
 
@@ -545,6 +534,8 @@ def scaling_study(
     """
     if not cells:
         raise ValueError("empty scenario grid")
+    for _, scenario in cells:
+        scenario.validate(frame)  # fail before the first cell runs
     rows: list[dict] = []
     for idx, (meta, scenario) in enumerate(cells):
         reports = run_scenario(

@@ -12,9 +12,10 @@ from twostage import (
     resample_wr,
     stratified_proportion_resample,
     studentized_ci,
+    substream,
 )
-from twostage.bootstrap import ReplicateSet
-from twostage.estimators import StratifiedClusterSample
+from twostage.bootstrap import ReplicateSet, multinomial_weights
+from twostage.estimators import ProportionEstimand, StratifiedClusterSample, linearized_values
 
 
 class TestResampleWr:
@@ -50,8 +51,9 @@ class TestResampleWr:
         n, n_pop = 40, 1000
         z = rng.normal(50.0, 8.0, size=n)
         v_wr = n_pop**2 / n * np.var(z, ddof=1)
-        reps = resample_wr(z, n_pop, BootstrapConfig(replicates=40000, seed=7))
-        assert reps.m == n - 1
+        cfg = BootstrapConfig(replicates=40000, seed=7)
+        reps = resample_wr(z, n_pop, cfg)
+        assert cfg.resolve_m(n) == n - 1
         assert bootstrap_variance(reps) == pytest.approx(v_wr, rel=0.05)
 
     def test_se_star_matches_replicate_spread_for_totals(self):
@@ -73,7 +75,7 @@ class TestResampleWr:
         a = resample_wr(z, 10, cfg)
         b = resample_wr(z, 10, cfg)
         assert np.array_equal(a.theta_star, b.theta_star)
-        assert a.m == 9  # defaults to n - 1
+        assert cfg.resolve_m(z.size) == 9  # defaults to n - 1
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -88,19 +90,19 @@ class TestResampleWr:
 
 class TestPercentileCi:
     def test_small_set_quantiles(self):
-        reps = ReplicateSet(np.array([-1.0, 0.0, 1.0]), 0.0, 3, 3)
+        reps = ReplicateSet(np.array([-1.0, 0.0, 1.0]), 0.0)
         # type-7 interpolation: Q(1/3) of {-1,0,1} is -1/3
         lo, hi = percentile_ci(reps, 1 / 3)
         assert lo == pytest.approx(-1 / 3)
         assert hi == pytest.approx(1 / 3)
 
     def test_degenerate_replicates(self):
-        reps = ReplicateSet(np.full(100, 2.5), 2.5, 10, 10)
+        reps = ReplicateSet(np.full(100, 2.5), 2.5)
         assert percentile_ci(reps, 0.025) == (2.5, 2.5)
 
     def test_accepts_mc_replicate_counts(self):
         # the MC harness runs R = 50 replicates at alpha = 0.01
-        reps = ReplicateSet(np.arange(50.0), 25.0, 50, 50)
+        reps = ReplicateSet(np.arange(50.0), 25.0)
         lo, hi = percentile_ci(reps, 0.01)
         assert lo == pytest.approx(0.49)
         assert hi == pytest.approx(48.51)
@@ -109,7 +111,7 @@ class TestPercentileCi:
 class TestStudentizedCi:
     def test_symmetric_pivots_give_symmetric_interval(self):
         theta = np.array([9.0, 9.5, 10.5, 11.0])
-        reps = ReplicateSet(theta, 10.0, 4, 4, se_star=np.ones(4))
+        reps = ReplicateSet(theta, 10.0, se_star=np.ones(4))
         lo, hi = studentized_ci(reps, 2.0, 0.25)
         assert lo + hi == pytest.approx(20.0)
 
@@ -118,60 +120,55 @@ class TestStudentizedCi:
 
         # pivots placed so that the alpha-quantiles are exactly +-1.96
         t = np.linspace(-1.96, 1.96, 4001)
-        reps = ReplicateSet(10.0 + t * 1.0, 10.0, 100, 100, se_star=np.ones(t.size))
+        reps = ReplicateSet(10.0 + t * 1.0, 10.0, se_star=np.ones(t.size))
         lo, hi = studentized_ci(reps, 3.0, 1 / t.size)
         ref_lo, ref_hi = normal_ci(10.0, 9.0, 0.025)
         assert lo == pytest.approx(ref_lo, abs=0.01)
         assert hi == pytest.approx(ref_hi, abs=0.01)
 
     def test_rejects_missing_or_zero_se(self):
-        reps = ReplicateSet(np.arange(100.0), 50.0, 100, 100)
+        reps = ReplicateSet(np.arange(100.0), 50.0)
         with pytest.raises(ValueError, match="standard errors"):
             studentized_ci(reps, 1.0, 0.025)
-        reps = ReplicateSet(np.arange(100.0), 50.0, 100, 100, se_star=np.zeros(100))
+        reps = ReplicateSet(np.arange(100.0), 50.0, se_star=np.zeros(100))
         with pytest.raises(ValueError, match="degenerate"):
             studentized_ci(reps, 1.0, 0.025)
-        reps = ReplicateSet(np.arange(100.0), 50.0, 100, 100, se_star=np.ones(100))
+        reps = ReplicateSet(np.arange(100.0), 50.0, se_star=np.ones(100))
         with pytest.raises(ValueError, match="base_se"):
             studentized_ci(reps, -1.0, 0.025)
 
     def test_drops_zero_se_replicates(self):
         theta = np.array([9.0, 9.5, 10.5, 11.0])
-        kept = studentized_ci(ReplicateSet(theta, 10.0, 4, 4, se_star=np.ones(4)), 2.0, 0.25)
+        kept = studentized_ci(ReplicateSet(theta, 10.0, se_star=np.ones(4)), 2.0, 0.25)
         # two degenerate replicates far out in the tails must not move the interval
-        padded = ReplicateSet(np.append(theta, [-50.0, 70.0]), 10.0, 6, 6,
+        padded = ReplicateSet(np.append(theta, [-50.0, 70.0]), 10.0,
                               se_star=np.append(np.ones(4), [0.0, 0.0]))
         assert studentized_ci(padded, 2.0, 0.25) == kept
 
     def test_accepts_zero_base_se(self):
         # a census-like draw has v_SIMP = 0, which the MC harness passes through
-        reps = ReplicateSet(np.arange(100.0), 50.0, 100, 100, se_star=np.ones(100))
+        reps = ReplicateSet(np.arange(100.0), 50.0, se_star=np.ones(100))
         assert studentized_ci(reps, 0.0, 0.01) == (50.0, 50.0)
 
 
+PROP = ProportionEstimand(0, 1.0)
+
+
 def _toy_sample():
+    counts_a, sizes_a = [2.0, 3.0, 1.0, 4.0, 2.0], [4.0, 6.0, 3.0, 7.0, 5.0]
+    counts_b, sizes_b = [1.0, 0.0, 2.0, 1.0, 3.0, 2.0], [5.0, 4.0, 6.0, 3.0, 7.0, 6.0]
     return StratifiedClusterSample(
-        ("a", "b"),
         {"a": 400, "b": 600},
-        {
-            "a": np.array([2.0, 3.0, 1.0, 4.0, 2.0]),
-            "b": np.array([1.0, 0.0, 2.0, 1.0, 3.0, 2.0]),
-        },
-        {
-            "a": np.array([4.0, 6.0, 3.0, 7.0, 5.0]),
-            "b": np.array([5.0, 4.0, 6.0, 3.0, 7.0, 6.0]),
-        },
+        {"a": np.column_stack([counts_a, sizes_a]), "b": np.column_stack([counts_b, sizes_b])},
     )
 
 
 class TestStratifiedBootstrap:
     def test_replicate_mean_tracks_estimate(self):
-        from twostage.estimators import proportion_estimate
-
         sample = _toy_sample()
-        p_hat, _ = proportion_estimate(sample)
+        p_hat = float(PROP.evaluate(sample.totals))
         reps = stratified_proportion_resample(
-            sample, BootstrapConfig(replicates=20000, seed=13)
+            sample, PROP, BootstrapConfig(replicates=20000, seed=13)
         )
         assert reps.base == pytest.approx(p_hat)
         se = reps.theta_star.std(ddof=1) / math.sqrt(reps.theta_star.size)
@@ -180,31 +177,49 @@ class TestStratifiedBootstrap:
 
     def test_se_star_positive_and_pivot_finite(self):
         reps = stratified_proportion_resample(
-            _toy_sample(), BootstrapConfig(replicates=500, seed=14)
+            _toy_sample(), PROP, BootstrapConfig(replicates=500, seed=14)
         )
         assert np.all(reps.se_star > 0)
         t = (reps.theta_star - reps.base) / reps.se_star
         assert np.all(np.isfinite(t))
 
     def test_identical_psus_give_zero_se(self):
-        sample = StratifiedClusterSample(
-            ("a",), {"a": 50},
-            {"a": np.array([2.0, 2.0, 2.0])},
-            {"a": np.array([4.0, 4.0, 4.0])},
+        sample = StratifiedClusterSample({"a": 50}, {"a": np.array([[2.0, 4.0]] * 3)})
+        reps = stratified_proportion_resample(
+            sample, PROP, BootstrapConfig(replicates=100, seed=15)
         )
-        reps = stratified_proportion_resample(sample, BootstrapConfig(replicates=100, seed=15))
         assert np.all(reps.theta_star == 0.5)
         assert np.all(reps.se_star == 0.0)
 
     def test_common_m_override(self):
         reps = stratified_proportion_resample(
-            _toy_sample(), BootstrapConfig(replicates=100, m=5, seed=16)
+            _toy_sample(), PROP, BootstrapConfig(replicates=100, m=5, seed=16)
         )
         assert reps.theta_star.size == 100
 
     def test_deterministic(self):
         cfg = BootstrapConfig(replicates=200, seed=17)
-        a = stratified_proportion_resample(_toy_sample(), cfg)
-        b = stratified_proportion_resample(_toy_sample(), cfg)
+        a = stratified_proportion_resample(_toy_sample(), PROP, cfg)
+        b = stratified_proportion_resample(_toy_sample(), PROP, cfg)
         assert np.array_equal(a.theta_star, b.theta_star)
         assert np.array_equal(a.se_star, b.se_star)
+
+    def test_se_star_is_linearized_variance_of_resampled_sample(self):
+        # se*_r^2 is v_STWR of the sample in which PSU j of stratum l is
+        # repeated D_rj times: m_l rows, p* and N* of that sample
+        sample = _toy_sample()
+        cfg = BootstrapConfig(replicates=60, seed=18)
+        reps = stratified_proportion_resample(sample, PROP, cfg)
+        rng = substream(cfg.seed, "bootstrap")
+        weights = {label: multinomial_weights(rng, cfg.replicates, y.shape[0],
+                                              cfg.resolve_m(y.shape[0]))
+                   for label, y in sample.subtotals.items()}
+        for r in range(cfg.replicates):
+            expanded = StratifiedClusterSample(sample.n_psus_population, {
+                label: np.repeat(y, weights[label][r].astype(np.int64), axis=0)
+                for label, y in sample.subtotals.items()
+            })
+            totals = expanded.totals
+            assert reps.theta_star[r] == pytest.approx(totals[0] / totals[1], rel=1e-12)
+            v = linearized_values(expanded, totals[0] / totals[1], totals[1])[0]
+            assert reps.se_star[r] ** 2 == pytest.approx(v, rel=1e-10)

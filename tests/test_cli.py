@@ -362,6 +362,42 @@ class TestErrorReporting:
         assert err["error"]["type"] == "config"
         assert "config.scenario.second_stage.method" in err["error"]["message"]
 
+    @pytest.mark.parametrize("design, stray", [
+        ({"kind": "BE", "expected_n_I": 10, "n_I": 5}, "n_I"),
+        ({"kind": "SI", "n_I": 5, "expected_n_I": 10}, "expected_n_I"),
+        ({"kind": "SIR", "n_I": 5, "expected_n_I": 10}, "expected_n_I"),
+    ])
+    def test_size_key_of_another_design_is_a_config_error(self, tmp_path, capsys, design, stray):
+        # a BE point divided by a stray n_I instead of expected_n_I
+        cfg = _write_config(tmp_path, "est.json", {
+            "frame": "f.csv", "design": design, "second_stage": {"method": "CENSUS"},
+            "estimands": [{"kind": "total", "var": 1}],
+        })
+        rc = _run(["estimate", "--config", cfg, "--seed", 1, "--out", tmp_path / "o"])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "config"
+        assert f"config.design.{stray}" in err["error"]["message"]
+
+    def test_invalid_mc_grid_fails_before_the_first_cell(self, tmp_path, capsys, monkeypatch):
+        import twostage.montecarlo as montecarlo
+
+        calls = []
+        monkeypatch.setattr(montecarlo, "run_scenario", lambda *a, **k: calls.append(a))
+        cfg = _write_config(tmp_path, "mc.json", {
+            "population": POP,
+            "scenario": {
+                "first_stage": {"kind": "SI", "n_I": [8, 500]},
+                "second_stage": {"method": "CENSUS"},
+                "estimands": [{"kind": "total", "var": 1}],
+                "replicates": 100, "true_run": 1000,
+            },
+        })
+        rc = _run(["mc", "--config", cfg, "--seed", 1, "--out", tmp_path / "o"])
+        assert rc == 1
+        assert "SI size n_I=500 exceeds N_I=60" in capsys.readouterr().err
+        assert calls == []
+
     def test_runtime_error_surfaces_as_json(self, tmp_path, capsys):
         cfg = _write_config(
             tmp_path,

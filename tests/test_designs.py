@@ -50,7 +50,7 @@ class TestDrawSi:
     def test_large_draw_distinct(self):
         draw = draw_si(2000, 20, substream(2, "si"))
         assert len(set(draw.order.tolist())) == 20
-        assert draw.f_I == pytest.approx(0.01)
+        assert draw.n_population == 2000
 
     def test_pair_frequencies_uniform(self):
         # all C(5,2)=10 unordered pairs equally likely

@@ -24,17 +24,12 @@ from twostage import (
     linearized_values,
     normal_ci,
     normal_quantile,
-    plugin_estimate,
     population_value,
     theoretical_variance,
     variance_estimate,
 )
 from twostage.designs import FirstStageDraw
-from twostage.estimators import (
-    StratifiedClusterSample,
-    proportion_estimate,
-    si_second_stage_variances,
-)
+from twostage.estimators import StratifiedClusterSample, si_second_stage_variances
 
 SUB = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
 
@@ -133,12 +128,6 @@ class TestTheoreticalVariance:
         v = theoretical_variance(frame_1to5, DesignSpec("SI", n_I=2), v_i)
         assert v == pytest.approx(18.75 + 25 / 2 * 3.0)
 
-    def test_approximation_small_f(self, frame_1to5):
-        v_app = theoretical_variance(frame_1to5, DesignSpec("SI", n_I=2), approximate=True)
-        assert v_app == pytest.approx(25 / 2 * 0.6 * 2.5)
-        with pytest.raises(ValueError):
-            theoretical_variance(frame_1to5, DesignSpec("SIR", n_I=2), approximate=True)
-
     def test_unsupported_design(self, frame_1to5):
         with pytest.raises(ValueError):
             theoretical_variance(frame_1to5, DesignSpec("STRAT_SI", allocations={"a": 1}))
@@ -200,9 +189,9 @@ class TestSecondStageVariances:
 
 class TestPluginEstimands:
     def test_ratio_trivials(self):
-        assert plugin_estimate([3.0, 3.0], RatioEstimand(0, 1)) == 1.0
+        assert RatioEstimand(0, 1).evaluate(np.array([3.0, 3.0])) == 1.0
         with pytest.raises(ZeroDivisionError):
-            plugin_estimate([1.0, 0.0], RatioEstimand(0, 1))
+            RatioEstimand(0, 1).evaluate(np.array([1.0, 0.0]))
 
     def test_correlation_of_variable_with_itself(self):
         rng = np.random.default_rng(3)
@@ -246,41 +235,67 @@ class TestPluginEstimands:
 
 def _toy_stratified_sample(counts_a, sizes_a, counts_b, sizes_b, pops):
     return StratifiedClusterSample(
-        ("a", "b"),
         {"a": pops[0], "b": pops[1]},
-        {"a": np.asarray(counts_a, dtype=float), "b": np.asarray(counts_b, dtype=float)},
-        {"a": np.asarray(sizes_a, dtype=float), "b": np.asarray(sizes_b, dtype=float)},
+        {"a": np.column_stack([counts_a, sizes_a]).astype(float),
+         "b": np.column_stack([counts_b, sizes_b]).astype(float)},
     )
+
+
+def _v_stwr(sample):
+    """(v_STWR, p_hat, N_hat) of a stratified cluster sample."""
+    n_hat = sample.totals[1]
+    p_hat = float(ProportionEstimand(0, 1.0).evaluate(sample.totals))
+    return float(linearized_values(sample, p_hat, n_hat)[0]), p_hat, n_hat
 
 
 class TestLinearizedProportion:
     def test_identical_psus_give_zero_dispersion(self):
         sample = _toy_stratified_sample([2, 2], [4, 4], [1, 1], [5, 5], (10, 10))
-        _, v, p_hat, _ = linearized_values(sample)
+        v, p_hat, _ = _v_stwr(sample)
         assert v == 0.0
         assert p_hat == pytest.approx((10 / 2 * 4 + 10 / 2 * 2) / (10 / 2 * 8 + 10 / 2 * 10))
 
     def test_weighted_linearized_values_sum_to_zero(self):
+        # at the point estimate the weighted E_i = (Y_ic - p_hat N_i) / N_hat cancel
         sample = _toy_stratified_sample([2, 3], [4, 6], [1, 5], [5, 7], (8, 12))
-        e, _, _, _ = linearized_values(sample)
+        _, p_hat, n_hat = _v_stwr(sample)
         acc = 0.0
-        for label in ("a", "b"):
-            n_l = sample.counts[label].size
-            acc += sample.n_psus_population[label] / n_l * e[label].sum()
+        for label, y in sample.subtotals.items():
+            e = (y[:, 0] - p_hat * y[:, 1]) / n_hat
+            acc += sample.n_psus_population[label] / y.shape[0] * e.sum()
         assert abs(acc) < 1e-10
 
     def test_single_psu_stratum_rejected(self):
         sample = _toy_stratified_sample([2], [4], [1, 5], [5, 7], (8, 12))
         with pytest.raises(ValueError, match="single sampled PSU"):
-            linearized_values(sample)
+            _v_stwr(sample)
 
     def test_single_stratum_reduces_to_wr_form(self):
         counts = np.array([2.0, 3.0, 1.0])
         sizes = np.array([4.0, 6.0, 5.0])
-        sample = StratifiedClusterSample(("a",), {"a": 9}, {"a": counts}, {"a": sizes})
-        e, v, p_hat, n_hat = linearized_values(sample)
+        sample = StratifiedClusterSample({"a": 9}, {"a": np.column_stack([counts, sizes])})
+        v, p_hat, n_hat = _v_stwr(sample)
         expected = 81 / 3 * np.var((counts - p_hat * sizes) / n_hat, ddof=1)
         assert v == pytest.approx(expected, rel=1e-12)
+
+    def test_v_stwr_is_exactly_the_sum_of_stratum_dispersions(self):
+        # unit weights reproduce sum_l N_l^2/n_l * np.var(E_l, ddof=1) bit for bit
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            n_l = rng.integers(2, 40, size=3)
+            sizes = [rng.integers(1, 9, size=n).astype(float) for n in n_l]
+            sample = StratifiedClusterSample(
+                {f"s{l}": int(n + rng.integers(0, 50)) for l, n in enumerate(n_l)},
+                {f"s{l}": np.column_stack([rng.binomial(sz.astype(np.int64), 0.3), sz])
+                 .astype(float) for l, sz in enumerate(sizes)},
+            )
+            v, p_hat, n_hat = _v_stwr(sample)
+            expected = 0.0
+            for label, y in sample.subtotals.items():
+                e = (y[:, 0] - p_hat * y[:, 1]) / n_hat
+                n_pop = sample.n_psus_population[label]
+                expected += n_pop**2 / y.shape[0] * float(np.var(e, ddof=1))
+            assert v == expected
 
     def test_enumeration_oracle_toy_frame(self):
         # two strata of three PSUs, two sampled in each: mean of v_STWR over
@@ -290,7 +305,6 @@ class TestLinearizedProportion:
 
         counts = {"a": np.array([2.0, 3.0, 1.0]), "b": np.array([4.0, 0.0, 2.0])}
         sizes = {"a": np.array([4.0, 5.0, 3.0]), "b": np.array([6.0, 4.0, 5.0])}
-        n_pop = {"a": 3, "b": 3}
         p_true = (counts["a"].sum() + counts["b"].sum()) / (sizes["a"].sum() + sizes["b"].sum())
         n_true = sizes["a"].sum() + sizes["b"].sum()
         target = 0.0
@@ -304,13 +318,12 @@ class TestLinearizedProportion:
                 counts["a"][list(sa)], sizes["a"][list(sa)],
                 counts["b"][list(sb)], sizes["b"][list(sb)], (3, 3),
             )
-            _, v, _, _ = linearized_values(sample)
-            v_values.append(v)
+            v_values.append(_v_stwr(sample)[0])
         assert np.mean(v_values) == pytest.approx(target, rel=0.05)
 
     def test_proportion_estimate_census_is_exact(self):
         sample = _toy_stratified_sample([2, 3, 1], [4, 5, 3], [4, 0, 2], [6, 4, 5], (3, 3))
-        p_hat, n_hat = proportion_estimate(sample)
+        _, p_hat, n_hat = _v_stwr(sample)
         assert p_hat == pytest.approx(12 / 27)
         assert n_hat == pytest.approx(27.0)
 
