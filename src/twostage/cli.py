@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import os
+import platform
 import sys
 import time
 from dataclasses import dataclass
@@ -417,12 +418,21 @@ def _fmt(value: Any) -> Any:
     return value
 
 
-def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
+def _fmt_column(column: Sequence[Any]) -> list:
+    """``_fmt`` of every value of a column; a numeric array is formatted at once."""
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        return list(map(repr, column.tolist()))
+    if isinstance(column, np.ndarray) and column.dtype.kind in "iu":
+        return column.tolist()
+    return list(map(_fmt, column))
+
+
+def _write_csv(path: str, header: Sequence[str], columns: Sequence[Sequence[Any]]) -> None:
+    """Write one CSV row per index of ``columns``, one column per header name."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+    writer.writerows(zip(*map(_fmt_column, columns)))
     _atomic_write(path, buf.getvalue())
 
 
@@ -444,6 +454,12 @@ def _manifest(cfg: RunConfig, written: list[str], started: float) -> dict:
         "rng": GENERATOR_ID,
         "version": __version__,
         "outputs": sorted(os.path.basename(p) for p in written),
+        # the numpy Generator algorithms differ across versions: byte identity needs these
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "platform": platform.platform(),
+        },
         "wall_time_s": round(time.monotonic() - started, 3),  # timestamp-like field, manifest only
     }
 
@@ -561,7 +577,9 @@ def _run_bootstrap(cfg: RunConfig, out: str) -> list[str]:
     studentized = payload.get("studentized", False)
     draw, yhat, vhat, points = _one_draw_estimates(cfg, frame)
 
-    replicate_rows = []
+    labels: list[str] = []
+    theta_star: list[np.ndarray] = []
+    se_star: list = []
     for est, sl, entry in points:
         want_se = studentized and isinstance(est, TotalEstimand)
         reps = resample_wr(
@@ -576,9 +594,9 @@ def _run_bootstrap(cfg: RunConfig, out: str) -> list[str]:
             entry["ci_studentized"] = list(
                 studentized_ci(reps, float(np.sqrt(base_v)), boot_cfg.alpha)
             )
-        for r, theta in enumerate(reps.theta_star):
-            se = reps.se_star[r] if reps.se_star is not None else ""
-            replicate_rows.append([r, est.label, theta, se])
+        labels += [est.label] * reps.theta_star.size
+        theta_star.append(reps.theta_star)
+        se_star += [""] * reps.theta_star.size if reps.se_star is None else reps.se_star.tolist()
 
     report = {
         "design": draw.to_dict(),
@@ -591,7 +609,9 @@ def _run_bootstrap(cfg: RunConfig, out: str) -> list[str]:
     report_path = os.path.join(out, "bootstrap.json")
     _write_json(report_path, report)
     reps_path = os.path.join(out, "replicates.csv")
-    _write_csv(reps_path, ["r", "estimand", "theta_star", "se_star"], replicate_rows)
+    r = np.concatenate([np.arange(t.size) for t in theta_star])
+    _write_csv(reps_path, ["r", "estimand", "theta_star", "se_star"],
+               [r, labels, np.concatenate(theta_star), se_star])
     return [report_path, reps_path]
 
 
@@ -659,7 +679,7 @@ def _run_mc(cfg: RunConfig, out: str) -> list[str]:
     header = ["population", "rho", "n0", "nI", "estimand", "metric", "value", "mc_se"]
     for kind, kind_rows in sorted(by_kind.items()):
         path = os.path.join(out, f"mc_{kind}.csv")
-        _write_csv(path, header, kind_rows)
+        _write_csv(path, header, list(zip(*kind_rows)))
         written.append(path)
     return written
 
@@ -679,7 +699,7 @@ def _verify_frame(spec: dict, seed: int, index: int) -> Frame:
 def _write_records(out: str, name: str, records: list[dict], doc: Any) -> list[str]:
     """Write ``records`` as name.csv (keys as header, one row each) and ``doc`` as name.json."""
     csv_path = os.path.join(out, f"{name}.csv")
-    _write_csv(csv_path, list(records[0]), [list(r.values()) for r in records])
+    _write_csv(csv_path, list(records[0]), list(zip(*(r.values() for r in records))))
     json_path = os.path.join(out, f"{name}.json")
     _write_json(json_path, doc)
     return [csv_path, json_path]

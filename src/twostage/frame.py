@@ -13,9 +13,12 @@ cross-variable correlation, and delimited-text ingestion/export.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from functools import partial
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -107,15 +110,25 @@ class Frame:
         self._psu_ids = _read_only(psu_ids)
 
         if ssu_ids is None:
-            ssu_ids = np.concatenate([np.arange(n, dtype=np.int64) for n in sizes])
+            ssu_ids = np.arange(values.shape[0], dtype=np.int64) - np.repeat(
+                self._offsets[:-1], sizes
+            )
         else:
             ssu_ids = np.asarray(ssu_ids, dtype=np.int64)
             if ssu_ids.shape != (values.shape[0],):
                 raise ValueError("ssu_ids must have one entry per SSU row")
-        for i in range(n_psus):
-            seg = ssu_ids[self._offsets[i] : self._offsets[i + 1]]
-            if np.unique(seg).size != seg.size:
-                raise ValueError(f"duplicate ssu_id within PSU {psu_ids[i]}")
+            # rows sorted by (PSU, ssu_id): a repeat sits next to its twin, and
+            # the first one found lies in the first PSU that has one
+            psu_of_row = np.repeat(np.arange(n_psus), sizes)
+            order = np.lexsort((ssu_ids, psu_of_row))
+            psu_sorted, ssu_sorted = psu_of_row[order], ssu_ids[order]
+            repeat = np.flatnonzero(
+                (psu_sorted[1:] == psu_sorted[:-1]) & (ssu_sorted[1:] == ssu_sorted[:-1])
+            )
+            if repeat.size:
+                raise ValueError(
+                    f"duplicate ssu_id within PSU {psu_ids[psu_sorted[repeat[0]]]}"
+                )
         self._ssu_ids = _read_only(ssu_ids)
 
         if strata is not None:
@@ -367,6 +380,171 @@ def _delimiter_for(path: str, delimiter: str | None) -> str:
     return "\t" if str(path).endswith(".tsv") else ","
 
 
+
+
+# Rows per block of the reader and the writer.  A block's rows, columns and
+# row strings are Python objects alive at once, so the block size bounds the
+# text layer's memory while amortising the per-block numpy calls; 2048 rows
+# kept peak memory below the row-at-a-time loop's.
+_BLOCK_ROWS = 2048
+
+# every character of str(int) and of repr(float) of a finite float: a
+# delimiter among them makes csv.writer quote number fields
+_NUMBER_CHARS = frozenset("0123456789+-.e")
+
+
+class _Rows(NamedTuple):
+    """Accepted data rows of a frame file, in file order."""
+
+    lines: np.ndarray  # line number: reader row index + 2
+    psu: np.ndarray
+    ssu: np.ndarray
+    codes: np.ndarray  # stratum code, numbered by first appearance
+    values: np.ndarray  # (rows, q)
+
+
+def _is_blank(row: Sequence[str]) -> bool:
+    return not any(field.strip() for field in row)
+
+
+def _convert(convert, fields: Sequence[str]) -> tuple[list, ValueError | None]:
+    """``convert`` the fields in order.
+
+    Returns every value and None, or the values before the first field that
+    raises ValueError and that error.
+    """
+    values: list = []
+    try:
+        values.extend(map(convert, fields))  # keeps the values converted before a raise
+    except ValueError as exc:
+        return values, exc
+    return values, None
+
+
+def _ids(fields: Sequence[str]) -> tuple[np.ndarray, ValueError | None]:
+    """``_convert`` to int64: an id outside the int64 range is also an error."""
+    values, exc = _convert(int, fields)
+    try:
+        return np.array(values, dtype=np.int64), exc
+    except OverflowError:
+        wide = np.array(values, dtype=object)
+        limits = np.iinfo(np.int64)
+        first = int(np.flatnonzero((wide < limits.min) | (wide > limits.max))[0])
+        return (np.array(values[:first], dtype=np.int64),
+                ValueError(f"{values[first]} is outside the int64 range"))
+
+
+def _read_block(
+    rows: list[list[str]],
+    first_line: int,
+    width: int,
+    psu_col: int,
+    ssu_col: int,
+    stratum_col: int | None,
+    y_cols: list[int],
+    labels: dict[str, int],
+) -> tuple[_Rows, IngestError | None]:
+    """Parse one block of reader rows a column at a time.
+
+    ``first_line`` is the line number of ``rows[0]``; blank rows are skipped.
+    Returns the rows before the block's first bad row and that row's error,
+    or all rows and None.  Within a row the checks run in the order field
+    count, psu_id, ssu_id, y values in header order, finiteness.  ``labels``
+    maps each stratum label to its code and gains the block's new labels.
+    """
+    lengths = np.fromiter(map(len, rows), np.int64, len(rows))
+    keep = lengths == width
+    error = None
+    for i in np.flatnonzero(~keep & (lengths > 0)):
+        if not _is_blank(rows[i]):
+            error = IngestError(
+                f"expected {width} fields, got {lengths[i]}", line=first_line + int(i)
+            )
+            keep[i:] = False
+            break
+
+    def columns() -> list[tuple[str, ...]]:
+        return list(zip(*itertools.compress(rows, keep.tolist()))) or [()] * width
+
+    index = np.flatnonzero(keep)
+    fields = columns()
+    psu, exc = _ids(fields[psu_col])
+    if exc is not None:
+        # int() rejects a blank row of full width: drop every one and parse again
+        blank = np.fromiter(map(_is_blank, itertools.compress(rows, keep.tolist())), bool)
+        if blank.any():
+            keep[index[blank]] = False
+            index = index[~blank]
+            fields = columns()
+            psu, exc = _ids(fields[psu_col])
+
+    # each later column is parsed only up to the first bad row found so far
+    bad = len(psu)
+    parsed = [psu]
+    for j, convert in [(ssu_col, _ids)] + [(j, partial(_convert, float)) for j in y_cols]:
+        column, column_exc = convert(fields[j][:bad])
+        if column_exc is not None:
+            bad, exc = len(column), column_exc
+        parsed.append(column)
+    if exc is not None:
+        error = IngestError(f"malformed row ({exc})", line=first_line + int(index[bad]))
+    values = np.array([column[:bad] for column in parsed[2:]], dtype=np.float64).T
+    nonfinite = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if nonfinite.size:
+        bad = int(nonfinite[0])
+        error = IngestError("non-finite y value", line=first_line + int(index[bad]))
+
+    if stratum_col is None:
+        codes = np.zeros(bad, dtype=np.int64)
+    else:
+        strata = list(map(str.strip, fields[stratum_col][:bad]))
+        for label in dict.fromkeys(strata):
+            labels.setdefault(label, len(labels))
+        codes = np.fromiter(map(labels.__getitem__, strata), np.int64, bad)
+    block = _Rows(
+        first_line + index[:bad],
+        parsed[0][:bad],
+        parsed[1][:bad],
+        codes,
+        values[:bad],
+    )
+    return block, error
+
+
+def _first_row_of_psu(rows: _Rows) -> np.ndarray:
+    """The position of each row's psu_id's first row.
+
+    Raises the IngestError of the first row whose psu_id an earlier row
+    put under another stratum or whose (psu_id, ssu_id) an earlier row
+    holds; on one row the strata check comes first.
+    """
+    n = rows.psu.size
+    _, first, inverse = np.unique(rows.psu, return_index=True, return_inverse=True)
+    first_row = first[inverse]
+    two_strata = np.flatnonzero(rows.codes != rows.codes[first_row])
+    # a stable sort keeps equal pairs in file order: all but the first repeat one
+    order = np.lexsort((rows.ssu, rows.psu))
+    psu, ssu = rows.psu[order], rows.ssu[order]
+    repeats = order[1:][(psu[1:] == psu[:-1]) & (ssu[1:] == ssu[:-1])]
+    at_strata = int(two_strata[0]) if two_strata.size else n
+    at_repeat = int(repeats.min()) if repeats.size else n
+    if at_strata < n and at_strata <= at_repeat:
+        raise IngestError(
+            f"psu_id {rows.psu[at_strata]} appears under two strata",
+            line=int(rows.lines[at_strata]),
+        )
+    if at_repeat < n:
+        raise IngestError(
+            f"duplicate (psu_id, ssu_id) = ({rows.psu[at_repeat]}, {rows.ssu[at_repeat]})",
+            line=int(rows.lines[at_repeat]),
+        )
+    return first_row
+
+
+def _concat(blocks: list[_Rows]) -> _Rows:
+    return _Rows(*(np.concatenate(parts) for parts in zip(*blocks)))
+
+
 def ingest_frame(
     path,
     schema: Mapping[str, str] | None = None,
@@ -379,7 +557,8 @@ def ingest_frame(
     ``y_prefix``, in header order).  ``schema`` may override the column
     names.  Rows are grouped by stratum then psu_id, preserving file order
     within groups; duplicate (psu_id, ssu_id) pairs and malformed rows are
-    errors that carry the offending line number.
+    errors that carry the offending line number.  Rows are read in blocks
+    and parsed a column at a time; an error names the first bad line.
     """
     sch = dict(_DEFAULT_SCHEMA)
     if schema:
@@ -421,79 +600,79 @@ def ingest_frame(
                 f"no study-variable columns with prefix '{sch['y_prefix']}'", line=1
             )
 
-        # ordered: stratum -> psu -> list of (ssu_id, y-vector)
-        psus: dict[tuple[str | None, int], list[tuple[int, list[float]]]] = {}
-        seen_ssu: set[tuple[int, int]] = set()
-        psu_stratum: dict[int, str | None] = {}
-        stratum_order: list[str | None] = []
+        labels: dict[str, int] = {}
+        blocks: list[_Rows] = []
+        first_line = 2
+        while rows := list(itertools.islice(reader, _BLOCK_ROWS)):
+            block, error = _read_block(
+                rows, first_line, len(header), psu_col, ssu_col, stratum_col, y_cols, labels
+            )
+            blocks.append(block)
+            if error is not None:
+                _first_row_of_psu(_concat(blocks))  # an earlier row's error comes first
+                raise error
+            first_line += len(rows)
 
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not f.strip() for f in row):
-                continue
-            if len(row) != len(header):
-                raise IngestError(
-                    f"expected {len(header)} fields, got {len(row)}", line=line_no
-                )
-            try:
-                psu_id = int(row[psu_col])
-                ssu_id = int(row[ssu_col])
-                y = [float(row[j]) for j in y_cols]
-            except ValueError as exc:
-                raise IngestError(f"malformed row ({exc})", line=line_no) from None
-            if not all(math.isfinite(v) for v in y):
-                raise IngestError("non-finite y value", line=line_no)
-            stratum = row[stratum_col].strip() if stratum_col is not None else None
-            if psu_id in psu_stratum and psu_stratum[psu_id] != stratum:
-                raise IngestError(
-                    f"psu_id {psu_id} appears under two strata", line=line_no
-                )
-            if (psu_id, ssu_id) in seen_ssu:
-                raise IngestError(
-                    f"duplicate (psu_id, ssu_id) = ({psu_id}, {ssu_id})", line=line_no
-                )
-            seen_ssu.add((psu_id, ssu_id))
-            psu_stratum.setdefault(psu_id, stratum)
-            if stratum not in stratum_order:
-                stratum_order.append(stratum)
-            psus.setdefault((stratum, psu_id), []).append((ssu_id, y))
-
-    if not psus:
+    if not any(block.psu.size for block in blocks):
         raise IngestError("file contains no data rows", line=2)
-
-    # group PSUs under strata by first appearance, file order within groups
-    ordered_keys: list[tuple[str | None, int]] = []
-    for stratum in stratum_order:
-        ordered_keys.extend(k for k in psus if k[0] == stratum)
-
-    sizes = np.array([len(psus[k]) for k in ordered_keys], dtype=np.int64)
-    psu_ids = np.array([k[1] for k in ordered_keys], dtype=np.int64)
-    ssu_ids = np.array(
-        [sid for k in ordered_keys for sid, _ in psus[k]], dtype=np.int64
-    )
-    values = np.array(
-        [y for k in ordered_keys for _, y in psus[k]], dtype=np.float64
-    )
+    rows = _concat(blocks)
+    first_row = _first_row_of_psu(rows)
+    # strata by first appearance, then PSUs by first appearance, then file order
+    order = np.lexsort((first_row, rows.codes))
+    starts = np.flatnonzero(np.diff(first_row[order], prepend=-1))
+    heads = order[starts]
     strata = None
     if stratum_col is not None:
-        strata = [k[0] if k[0] is not None else "" for k in ordered_keys]
-    return Frame(values, sizes, psu_ids, ssu_ids, strata)
+        names = list(labels)
+        strata = [names[code] for code in rows.codes[heads].tolist()]
+    return Frame(
+        rows.values[order],
+        np.diff(starts, append=order.size),
+        rows.psu[heads],
+        rows.ssu[order],
+        strata,
+    )
+
+
+def _csv_field(delimiter: str):
+    """A function giving the text csv.writer writes for one field of a row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
+
+    def field(text: str) -> str:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow((text, ""))  # a lone empty field would be written as '""'
+        return buf.getvalue()[:-2]
+
+    return field
 
 
 def frame_to_csv(frame: Frame, path, delimiter: str | None = None) -> None:
-    """Write a frame in the same delimited format that ``ingest_frame`` reads."""
+    """Write a frame in the same delimited format that ``ingest_frame`` reads.
+
+    The bytes are those of ``csv.writer`` (QUOTE_MINIMAL) writing one row
+    per SSU; rows are written in blocks, formatted a column at a time.
+    """
     delim = _delimiter_for(path, delimiter)
-    q = frame.n_vars
+    field = _csv_field(delim)
+    psu_text = np.array(list(map(str, frame.psu_ids.tolist())), dtype=object)
+    labels = None
+    if frame.strata is not None:
+        labels = np.array(list(map(field, frame.strata)), dtype=object)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, delimiter=delim, lineterminator="\n")
-        head = ["psu_id", "ssu_id"] + [f"y{j + 1}" for j in range(q)]
-        if frame.strata is not None:
+        head = ["psu_id", "ssu_id"] + [f"y{j + 1}" for j in range(frame.n_vars)]
+        if labels is not None:
             head = ["stratum"] + head
         writer.writerow(head)
-        for i in range(frame.n_psus):
-            lo, hi = frame.offsets[i], frame.offsets[i + 1]
-            for k in range(lo, hi):
-                row = [int(frame.psu_ids[i]), int(frame.ssu_ids[k])]
-                row += [repr(float(v)) for v in frame.values[k]]
-                if frame.strata is not None:
-                    row = [frame.strata[i]] + row
-                writer.writerow(row)
+        for lo in range(0, frame.n_ssus, _BLOCK_ROWS):
+            hi = min(lo + _BLOCK_ROWS, frame.n_ssus)
+            psu = np.searchsorted(frame.offsets, np.arange(lo, hi), side="right") - 1
+            columns = [psu_text[psu].tolist(), list(map(str, frame.ssu_ids[lo:hi].tolist()))]
+            columns += [list(map(repr, col)) for col in frame.values[lo:hi].T.tolist()]
+            if delim in _NUMBER_CHARS:
+                columns = [list(map(field, col)) for col in columns]
+            if labels is not None:
+                columns.insert(0, labels[psu].tolist())
+            fh.write("\n".join(map(delim.join, zip(*columns))) + "\n")

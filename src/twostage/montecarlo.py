@@ -128,6 +128,18 @@ class Scenario:
                 raise ValueError("stratified scenarios estimate proportions")
         else:
             raise ValueError(f"scenario first stage must be SI or STRAT_SI, got {kind}")
+        # a variance estimate or a bootstrap needs two sampled PSUs in every stratum
+        if self.variance_methods or self.bootstrap is not None:
+            sampled = (
+                {"n_I": self.first_stage.n_I} if kind == "SI"
+                else {f"stratum {k!r}": n for k, n in self.first_stage.allocations.items()}
+            )
+            for where, n in sampled.items():
+                if n < 2:
+                    raise ValueError(
+                        "variance methods and the bootstrap need at least 2 sampled PSUs; "
+                        f"{where} samples {n}"
+                    )
         if self.studentized:
             if self.bootstrap is None:
                 raise ValueError("Studentized intervals need a bootstrap configuration")

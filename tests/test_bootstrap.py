@@ -175,12 +175,29 @@ class TestStratifiedBootstrap:
         # resampling a nonlinear statistic: allow a small-sample bias margin
         assert abs(reps.theta_star.mean() - p_hat) < 5 * se + 0.01
 
-    def test_se_star_positive_and_pivot_finite(self):
-        reps = stratified_proportion_resample(
-            _toy_sample(), PROP, BootstrapConfig(replicates=500, seed=14)
-        )
-        assert np.all(reps.se_star > 0)
-        t = (reps.theta_star - reps.base) / reps.se_star
+    def test_se_star_vanishes_only_on_single_value_replicates(self):
+        # se* is 0 up to rounding exactly when every stratum's weights sit on
+        # PSUs with one linearized value E = (Y_c - theta* N_i) / N_hat*;
+        # stratum b's PSUs 2 and 5 are identical, so such replicates occur
+        sample = _toy_sample()
+        cfg = BootstrapConfig(replicates=100_000, seed=14)
+        reps = stratified_proportion_resample(sample, PROP, cfg)
+        rng = substream(cfg.seed, "bootstrap")
+        weights = {label: multinomial_weights(rng, cfg.replicates, y.shape[0],
+                                              cfg.resolve_m(y.shape[0]))
+                   for label, y in sample.subtotals.items()}
+        n_hat = sum(sample.n_psus_population[label] / weights[label][0].sum()
+                    * (weights[label] @ y[:, 1]) for label, y in sample.subtotals.items())
+        single = np.ones(cfg.replicates, dtype=bool)
+        for label, y in sample.subtotals.items():
+            e = (y[:, 0] - reps.theta_star[:, None] * y[:, 1]) / n_hat[:, None]
+            held = weights[label] > 0
+            single &= (np.where(held, e, -np.inf).max(axis=1)
+                       == np.where(held, e, np.inf).min(axis=1))
+        assert np.all(np.isfinite(reps.se_star)) and np.all(reps.se_star >= 0)
+        # the weighted mean of equal values rounds, so their dispersion is ~1e-18
+        assert np.all(reps.se_star[single] <= 1e-12 * np.median(reps.se_star))
+        t = (reps.theta_star - reps.base)[~single] / reps.se_star[~single]
         assert np.all(np.isfinite(t))
 
     def test_identical_psus_give_zero_se(self):

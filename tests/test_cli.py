@@ -1,6 +1,8 @@
 """Command-line front end: config validation, outputs, reproducibility."""
 import json
+import platform
 
+import numpy as np
 import pytest
 
 from twostage import ingest_frame, population_summary
@@ -131,6 +133,21 @@ class TestGenPopEstimateRoundTrip:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "gen-pop"
         assert "wall_time_s" in manifest
+
+    def test_manifest_records_environment(self, tmp_path):
+        gen = _write_config(tmp_path, "gen.json", {"population": POP})
+        verify = _write_config(tmp_path, "verify.json", {"bounds": [
+            {"check": "be_si", "n_I": 5, "frame": {"kind": "range", "n_psus": 50},
+             "replicates": 1000}]})
+        for command, cfg in (("gen-pop", gen), ("verify", verify)):
+            out = tmp_path / command
+            assert _run([command, "--config", cfg, "--seed", 3, "--out", out]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["environment"] == {
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+                "platform": platform.platform(),
+            }
 
 
 class TestEstimateAndBootstrapCommands:

@@ -17,6 +17,7 @@ from twostage import (
     scaling_study,
     substream,
 )
+import twostage.montecarlo as montecarlo
 from twostage.montecarlo import anderson_darling_normal
 from conftest import scalar_frame
 
@@ -91,6 +92,30 @@ class TestScenarioValidation:
         )
         with pytest.raises(ValueError, match="proportions"):
             scn.validate(frame)
+
+    @pytest.mark.parametrize("stratified", [False, True])
+    @pytest.mark.parametrize("estimator", ["variance", "bootstrap"])
+    def test_one_sampled_psu_rejected_before_the_reference_run(
+        self, monkeypatch, stratified, estimator
+    ):
+        frame = Frame(np.arange(8.0)[:, None], np.ones(8, dtype=np.int64),
+                      strata=["a"] * 4 + ["b"] * 4)
+        if stratified:
+            design, estimand, method = (DesignSpec("STRAT_SI", allocations={"a": 2, "b": 1}),
+                                        ProportionEstimand(0, 3.0), "STRAT_WR")
+        else:
+            design, estimand, method = DesignSpec("SI", n_I=1), TotalEstimand(0), "SIMPLIFIED"
+        extra = ({"variance_methods": (method,)} if estimator == "variance"
+                 else {"bootstrap": BootstrapConfig(replicates=50, seed=0)})
+        scn = Scenario(design, estimands=(estimand,), replicates=100, true_run=1000, **extra)
+        calls = []
+        monkeypatch.setattr(montecarlo, "approximate_true_variance",
+                            lambda *args, **kwargs: calls.append(args) or ({}, {}))
+        with pytest.raises(ValueError, match="at least 2 sampled PSUs"):
+            run_scenario(frame, scn, seed=5)
+        assert calls == []
+        # a point estimate alone needs one PSU
+        run_scenario(frame, Scenario(design, estimands=(estimand,), replicates=100), seed=5)
 
 
 class TestRunScenario:
