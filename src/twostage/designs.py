@@ -24,11 +24,13 @@ __all__ = [
     "draw_stratified_si",
     "si_order",
     "si_order_excluding",
+    "second_stage_positions",
     "psu_subtotal_estimates",
     "second_stage_estimates",
 ]
 
 FIRST_STAGE_KINDS = ("SI", "SIR", "BE", "STRAT_SI")
+_GATHER_ROWS = 2048  # second-stage samples summed at a time by psu_subtotal_estimates
 SECOND_STAGE_METHODS = ("SI", "SYSTEMATIC", "CENSUS")
 
 
@@ -127,14 +129,12 @@ def si_order(n_population: int, n: int, rng: np.random.Generator) -> np.ndarray:
         raise ValueError(f"need 1 <= n <= N, got n={n}, N={n_population}")
     picks = rng.integers(np.arange(n, dtype=np.int64), n_population)
     displaced: dict[int, int] = {}
-    out = np.empty(n, dtype=np.int64)
-    for j in range(n):
-        r = int(picks[j])
-        a_j = displaced.get(j, j)
-        a_r = displaced.get(r, r)
-        out[j] = a_r
-        displaced[r] = a_j
-    return out
+    get = displaced.get
+    out = []
+    for j, r in enumerate(picks.tolist()):
+        out.append(get(r, r))
+        displaced[r] = get(j, j)
+    return np.array(out, dtype=np.int64)
 
 
 def si_order_excluding(
@@ -144,7 +144,7 @@ def si_order_excluding(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Draw-sequential SI sample of n units from range(n_population) minus ``exclude``."""
-    excluded = set(int(i) for i in np.asarray(exclude).ravel())
+    excluded = set(np.asarray(exclude, dtype=np.int64).ravel().tolist())
     available = n_population - len(excluded)
     if n == 0:
         return np.empty(0, dtype=np.int64)
@@ -159,20 +159,16 @@ def si_order_excluding(
         candidates = np.flatnonzero(mask)
         return candidates[si_order(candidates.size, n, rng)]
     taken = set(excluded)
-    out = np.empty(n, dtype=np.int64)
-    got = 0
-    while got < n:
-        batch = rng.integers(0, n_population, size=max(16, 2 * (n - got)))
-        for c in batch:
-            c = int(c)
+    out: list[int] = []
+    while len(out) < n:
+        for c in rng.integers(0, n_population, size=max(16, 2 * (n - len(out)))).tolist():
             if c in taken:
                 continue
             taken.add(c)
-            out[got] = c
-            got += 1
-            if got == n:
+            out.append(c)
+            if len(out) == n:
                 break
-    return out
+    return np.array(out, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -234,56 +230,86 @@ def draw_stratified_si(
     return out
 
 
-def psu_subtotal_estimates(
+def second_stage_positions(
     frame: Frame,
-    columns: np.ndarray,
     psu_indices: np.ndarray,
     method: str,
     n0: int,
     rng: np.random.Generator,
-    with_vhat: bool = False,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Second-stage subtotal estimates for a batch of selected PSUs.
+) -> np.ndarray:
+    """SSU rows of one size-n0 second-stage sample (SI or SYSTEMATIC) in every listed PSU.
 
-    Draws one size-n0 sample (SI or SYSTEMATIC) inside every PSU listed in
-    ``psu_indices`` (repeats get independent samples) and returns the
-    expansion estimates ``(N_i/n0) * sum`` of the ``(N, p)`` SSU matrix
-    ``columns``, shape (k, p).  With ``with_vhat`` (SI only) also returns
-    the unbiased within-PSU variance estimates
-    ``(N_i^2/n0)(1 - n0/N_i) s_i^2``.
-
-    All PSUs are drawn from the one supplied stream in batch order, which
-    keeps the draws independent across PSUs and of the first stage.
+    Returns a (k, n0) array of row indices into the frame's SSU arrays, one
+    row per entry of ``psu_indices`` (repeats get independent samples).  All
+    PSUs are drawn from the one supplied stream in batch order, which keeps
+    the draws independent across PSUs and of the first stage.
     """
     psu_indices = np.asarray(psu_indices, dtype=np.int64)
-    sizes = frame.sizes[psu_indices].astype(np.float64)
     k = psu_indices.size
     if k == 0:
-        p = columns.shape[1]
-        return np.empty((0, p)), (np.empty((0, p)) if with_vhat else None)
-    if np.any(frame.sizes[psu_indices] < n0):
+        return np.empty((0, n0), dtype=np.int64)
+    sizes_int = frame.sizes[psu_indices]
+    if sizes_int.min() < n0:
         raise ValueError("n0 exceeds the size of a selected PSU")
+    sizes = sizes_int.astype(np.float64)
     if method == "SI":
         # n0 smallest of N_i i.i.d. uniform keys = uniform subset of size n0
-        max_size = int(frame.sizes[psu_indices].max())
+        max_size = int(sizes_int.max())
         keys = rng.random((k, max_size))
         keys[np.arange(max_size)[None, :] >= sizes[:, None]] = np.inf
         pos = np.argpartition(keys, n0 - 1, axis=1)[:, :n0]
     elif method == "SYSTEMATIC":
-        if with_vhat:
-            raise ValueError("no unbiased within-PSU variance under systematic sampling")
         # real interval a = N_i/n0 and start u ~ U(0, a): positions floor(u + j*a)
         # include every SSU with probability exactly n0/N_i, also for fractional a
         a = sizes / n0
         u = rng.random(k) * a
-        pos = np.floor(u[:, None] + a[:, None] * np.arange(n0)[None, :]).astype(np.int64)
-        pos = np.minimum(pos, (sizes[:, None] - 1).astype(np.int64))
+        pos = np.floor(u[:, None] + a[:, None] * np.arange(n0)).astype(np.int64)
+        np.minimum(pos, sizes_int[:, None] - 1, out=pos)
     else:
         raise ValueError(f"unknown second-stage method: {method!r}")
-    rows = frame.offsets[psu_indices][:, None] + pos
-    sel = columns[rows]  # (k, n0, p)
+    return frame.offsets[psu_indices][:, None] + pos
+
+
+def psu_subtotal_estimates(
+    frame: Frame,
+    columns: np.ndarray,
+    psu_indices: np.ndarray,
+    rows: np.ndarray,
+    n0: int,
+    with_vhat: bool = False,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Expansion estimates of the PSU subtotals from drawn second-stage samples.
+
+    ``rows`` (k, n0) holds the SSU rows of one size-n0 sample inside each PSU
+    of ``psu_indices``, as :func:`second_stage_positions` draws them; the
+    samples of many first-stage draws may be stacked along k.  Returns the
+    estimates ``(N_i/n0) * sum`` of the ``(N, p)`` SSU matrix ``columns``,
+    shape (k, p).  With ``with_vhat`` also returns the unbiased within-PSU
+    variance estimates ``(N_i^2/n0)(1 - n0/N_i) s_i^2`` of SI subsampling.
+    """
+    psu_indices = np.asarray(psu_indices, dtype=np.int64)
+    k, p = psu_indices.size, columns.shape[1]
+    if rows.shape != (k, n0):
+        raise ValueError(f"rows must have shape ({k}, {n0}), got {rows.shape}")
+    if k == 0:
+        return np.empty((0, p)), (np.empty((0, p)) if with_vhat else None)
+    sizes = frame.sizes[psu_indices].astype(np.float64)
     scale = (sizes / n0)[:, None]
-    y_hat = scale * sel.sum(axis=1)
+    if with_vhat or p == 1:
+        sel = np.take(columns, rows, axis=0)  # (k, n0, p)
+        y_hat = scale * sel.sum(axis=1)
+    else:
+        # numpy sums (k, n0, p) over axis 1 one j after another when p > 1 (a
+        # contiguous p == 1 row is summed pairwise), so this running sum has
+        # the same bits; it runs on _GATHER_ROWS samples at a time, so that
+        # neither the (k, n0, p) gather nor a (k, p) temporary is held
+        y_hat = np.empty((k, p))
+        for lo in range(0, k, _GATHER_ROWS):
+            acc, sub = y_hat[lo:lo + _GATHER_ROWS], rows[lo:lo + _GATHER_ROWS]
+            np.take(columns, sub[:, 0], axis=0, out=acc)
+            for j in range(1, n0):
+                acc += np.take(columns, sub[:, j], axis=0)
+        y_hat *= scale
     if not with_vhat:
         return y_hat, None
     if n0 < 2:
@@ -308,9 +334,13 @@ def second_stage_estimates(
     ``columns`` is an (N, p) SSU matrix and ``subtotals`` its (N_I, p) PSU
     subtotals.  A CENSUS gathers the exact subtotals (zero within-PSU
     variance estimates with ``with_vhat``) and draws no random numbers; SI
-    and SYSTEMATIC subsample through :func:`psu_subtotal_estimates`.
+    and SYSTEMATIC draw with :func:`second_stage_positions` and estimate
+    with :func:`psu_subtotal_estimates`.
     """
     if method == "CENSUS":
         y_hat = subtotals[psu_indices]
         return y_hat, (np.zeros_like(y_hat) if with_vhat else None)
-    return psu_subtotal_estimates(frame, columns, psu_indices, method, n0, rng, with_vhat=with_vhat)
+    if with_vhat and method == "SYSTEMATIC":
+        raise ValueError("no unbiased within-PSU variance under systematic sampling")
+    rows = second_stage_positions(frame, psu_indices, method, n0, rng)
+    return psu_subtotal_estimates(frame, columns, psu_indices, rows, n0, with_vhat=with_vhat)

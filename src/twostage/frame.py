@@ -635,15 +635,19 @@ def ingest_frame(
 
 
 def _csv_field(delimiter: str):
-    """A function giving the text csv.writer writes for one field of a row."""
+    """A function giving the text csv.writer writes for one field of a row.
+
+    Fields are quoted as if lines ended in "\r\n", so that a lone "\r",
+    which csv.reader takes for a line end, is quoted as well as "\n".
+    """
     buf = io.StringIO()
-    writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
+    writer = csv.writer(buf, delimiter=delimiter, lineterminator="\r\n")
 
     def field(text: str) -> str:
         buf.seek(0)
         buf.truncate()
         writer.writerow((text, ""))  # a lone empty field would be written as '""'
-        return buf.getvalue()[:-2]
+        return buf.getvalue()[:-3]
 
     return field
 

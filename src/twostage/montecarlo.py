@@ -36,7 +36,13 @@ from .bootstrap import (
     stratified_proportion_resample,
     studentized_ci,
 )
-from .designs import DesignSpec, FirstStageDraw, second_stage_estimates, si_order
+from .designs import (
+    DesignSpec,
+    FirstStageDraw,
+    psu_subtotal_estimates,
+    second_stage_positions,
+    si_order,
+)
 from .estimators import (
     ProportionEstimand,
     SmoothEstimand,
@@ -65,6 +71,10 @@ __all__ = [
 ]
 
 STRAT_WR = "STRAT_WR"
+
+# SI replicates are drawn and estimated in fixed blocks of this many; the
+# block never depends on the thread count, and neither do the results
+_BLOCK = 64
 
 _SI_VARIANCE_METHODS = ("UNBIASED", "SIMPLIFIED", "WITH_REPLACEMENT")
 
@@ -211,9 +221,10 @@ class _Context:
     scenario: Scenario
     seed: int
     tag: tuple
-    columns: np.ndarray  # (N, p_total) derived SSU matrix
-    col_subtotals: np.ndarray  # (N_I, p_total) exact subtotals
-    slices: list[slice]
+    columns: np.ndarray  # (N, p_distinct) distinct columns of the derived SSU matrix
+    col_subtotals: np.ndarray  # (N_I, p_distinct) their exact subtotals
+    expand: np.ndarray  # (p_total,) index of each estimand column in ``columns``
+    slices: list[slice]  # each estimand's slice of the p_total columns
     slots: dict[tuple, int]
     n_slots: int
     need_vhat: bool = False
@@ -258,33 +269,117 @@ def _build_context(frame: Frame, scenario: Scenario, seed: int, tag: tuple) -> _
     # under STRAT_SI the proportion's (count, size) subtotals are the rows
     # of every stratified sample
     columns, col_subtotals, slices = estimand_columns(frame, est)
+    keep, expand = _distinct_columns(columns)
     return _Context(
-        frame, scenario, seed, tag, columns, col_subtotals, slices, slots, len(slots),
+        frame, scenario, seed, tag, np.take(columns, keep, axis=1),
+        np.take(col_subtotals, keep, axis=1), expand, slices, slots, len(slots),
         need_vhat="UNBIASED" in scenario.variance_methods,
     )
 
 
-def _draw_si_estimates(ctx: _Context, rng: np.random.Generator):
-    """One SI first-stage draw; returns (draw, yhat (n,p), vhat (n,p)|None)."""
+def _distinct_columns(columns: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """The bitwise-distinct columns of an (N, p) matrix, gathered once per sample.
+
+    Returns the indices ``keep`` of each column's first copy and ``expand``,
+    with ``columns[:, keep][:, expand]`` equal to ``columns``.  Every column
+    is summed on its own, so gathering the copies once changes no bit, as
+    long as two or more columns are gathered: numpy sums a lone column
+    pairwise, not one row after another, so when p > 1 but all columns are
+    equal every column is kept.
+    """
+    bits = columns.view(np.uint64)
+
+    def equal(c: int, f: int) -> bool:  # the first rows tell most columns apart
+        return (np.array_equal(bits[:64, c], bits[:64, f])
+                and np.array_equal(bits[:, c], bits[:, f]))
+
+    keep: list[int] = []
+    expand = []
+    for c in range(columns.shape[1]):
+        u = next((u for u, f in enumerate(keep) if equal(c, f)), len(keep))
+        if u == len(keep):
+            keep.append(c)
+        expand.append(u)
+    if len(keep) < 2:
+        return list(range(columns.shape[1])), np.arange(columns.shape[1])
+    return keep, np.array(expand)
+
+
+@dataclass
+class _SiBlock:
+    """The two-stage draws and point estimates of a block of SI replicates.
+
+    Replicate i of the block drew ``orders[i]`` and its second stage from
+    ``rngs[i]``, which the replicate's variance and bootstrap work goes on
+    drawing from.
+    """
+
+    rngs: list[np.random.Generator]
+    orders: np.ndarray  # (B, n_I) first-stage draws
+    yhat: np.ndarray  # (B, n_I, p_distinct) estimated subtotals, C-contiguous
+    vhat: np.ndarray | None  # (B, n_I, p_distinct) within-PSU variance estimates
+    theta: np.ndarray  # (B, n_estimands) point estimates
+
+
+def _blocks(start: int, end: int):
+    """The spans of [start, end) cut at multiples of _BLOCK."""
+    lo = start
+    while lo < end:
+        hi = min(end, (lo // _BLOCK + 1) * _BLOCK)
+        yield lo, hi
+        lo = hi
+
+
+def _si_block(ctx: _Context, purpose: str, lo: int, hi: int) -> _SiBlock:
+    """Replicates lo..hi-1: each draws from its own substream, then one estimate for all.
+
+    A replicate's draws are those of a lone replicate, and every reduction
+    runs over axis 1 of a C-contiguous array, so each row has the bits that
+    the replicate computed on its own would have.
+    """
     sc = ctx.scenario
-    draw = FirstStageDraw(sc.first_stage, si_order(ctx.frame.n_psus, sc.first_stage.n_I, rng),
-                          ctx.frame.n_psus)
-    yhat, vhat = second_stage_estimates(
-        ctx.frame, ctx.columns, ctx.col_subtotals, draw.order, sc.second_stage, sc.n0, rng,
-        with_vhat=ctx.need_vhat,
-    )
-    return draw, yhat, vhat
+    frame = ctx.frame
+    N, n, n0 = frame.n_psus, sc.first_stage.n_I, sc.n0
+    census = sc.second_stage == "CENSUS"
+    rngs = [ctx.rng_for(b, purpose) for b in range(lo, hi)]
+    orders = np.empty((hi - lo, n), dtype=np.int64)
+    rows = None if census else np.empty((hi - lo, n, n0), dtype=np.int64)
+    for i, rng in enumerate(rngs):
+        orders[i] = si_order(N, n, rng)
+        if rows is not None:
+            rows[i] = second_stage_positions(frame, orders[i], sc.second_stage, n0, rng)
+    vhat = None
+    if census:
+        yhat = ctx.col_subtotals[orders]
+        if ctx.need_vhat:
+            vhat = np.zeros_like(yhat)
+    elif ctx.need_vhat:
+        pairs = [psu_subtotal_estimates(frame, ctx.columns, o, r, n0, with_vhat=True)
+                 for o, r in zip(orders, rows)]
+        yhat = np.stack([y for y, _ in pairs])
+        vhat = np.stack([v for _, v in pairs])
+    else:
+        flat, _ = psu_subtotal_estimates(frame, ctx.columns, orders.ravel(),
+                                         rows.reshape(-1, n0), n0)
+        yhat = flat.reshape(hi - lo, n, -1)
+    totals = (N * yhat.mean(axis=1))[:, ctx.expand]
+    theta = np.column_stack([e.evaluate(totals[:, sl])
+                             for e, sl in zip(sc.estimands, ctx.slices)])
+    return _SiBlock(rngs, orders, yhat, vhat, theta)
 
 
-def _si_replicate_row(ctx: _Context, rng: np.random.Generator, row: np.ndarray) -> None:
+def _si_replicate_row(ctx: _Context, block: _SiBlock, i: int, row: np.ndarray) -> None:
+    """Variance estimates and the bootstrap of replicate i of the block."""
     sc = ctx.scenario
     n = sc.first_stage.n_I
     N = ctx.frame.n_psus
-    draw, yhat, vhat = _draw_si_estimates(ctx, rng)
-    totals = N * yhat.mean(axis=0)
+    # fresh C-contiguous (n_I, p_total) arrays, as a lone replicate would have
+    yhat = np.take(block.yhat[i], ctx.expand, axis=1)
+    vhat = None if block.vhat is None else np.take(block.vhat[i], ctx.expand, axis=1)
+    draw = FirstStageDraw(sc.first_stage, block.orders[i], N)
 
-    for e, sl in zip(sc.estimands, ctx.slices):
-        theta = float(e.evaluate(totals[None, sl])[0])
+    for j, (e, sl) in enumerate(zip(sc.estimands, ctx.slices)):
+        theta = float(block.theta[i, j])
         row[ctx.slots[("point", e.label)]] = theta
         if isinstance(e, TotalEstimand) and sc.variance_methods:
             total = mean_total(draw, (yhat[:, sl], None if vhat is None else vhat[:, sl]))
@@ -300,7 +395,7 @@ def _si_replicate_row(ctx: _Context, rng: np.random.Generator, row: np.ndarray) 
         return
     cfg = sc.bootstrap
     m = cfg.resolve_m(n)
-    d_mat = multinomial_weights(rng, cfg.replicates, n, m)
+    d_mat = multinomial_weights(block.rngs[i], cfg.replicates, n, m)
     totals_star = (d_mat @ yhat) * (N / m)  # (R, p_total)
     for e, sl in zip(sc.estimands, ctx.slices):
         studentized = sc.studentized and ("ci", e.label, "ci_studentized", "lo") in ctx.slots
@@ -352,30 +447,27 @@ def _strat_replicate_row(ctx: _Context, rng: np.random.Generator, row: np.ndarra
 
 def _replicate_rows(ctx: _Context, start: int, end: int) -> np.ndarray:
     out = np.full((end - start, ctx.n_slots), np.nan)
-    strat = ctx.scenario.first_stage.kind == "STRAT_SI"
-    for b in range(start, end):
-        rng = ctx.rng_for(b, "mc")
-        if strat:
-            _strat_replicate_row(ctx, rng, out[b - start])
-        else:
-            _si_replicate_row(ctx, rng, out[b - start])
+    if ctx.scenario.first_stage.kind == "STRAT_SI":
+        for b in range(start, end):
+            _strat_replicate_row(ctx, ctx.rng_for(b, "mc"), out[b - start])
+        return out
+    for lo, hi in _blocks(start, end):
+        block = _si_block(ctx, "mc", lo, hi)
+        for i in range(hi - lo):
+            _si_replicate_row(ctx, block, i, out[lo - start + i])
     return out
 
 
 def _point_rows(ctx: _Context, start: int, end: int) -> np.ndarray:
     sc = ctx.scenario
-    out = np.empty((end - start, len(sc.estimands)))
-    strat = sc.first_stage.kind == "STRAT_SI"
+    if sc.first_stage.kind != "STRAT_SI":
+        return np.vstack([_si_block(ctx, "true", lo, hi).theta for lo, hi in _blocks(start, end)])
+    (e,) = sc.estimands
+    out = np.empty((end - start, 1))
     for b in range(start, end):
-        rng = ctx.rng_for(b, "true")
-        if strat:
-            totals = StratifiedClusterSample.draw(ctx.frame, sc.first_stage.allocations,
-                                                  ctx.col_subtotals, rng).totals
-        else:
-            _, yhat, _ = _draw_si_estimates(ctx, rng)
-            totals = ctx.frame.n_psus * yhat.mean(axis=0)
-        for j, (e, sl) in enumerate(zip(sc.estimands, ctx.slices)):
-            out[b - start, j] = float(e.evaluate(totals[None, sl])[0])
+        totals = StratifiedClusterSample.draw(ctx.frame, sc.first_stage.allocations,
+                                              ctx.col_subtotals, ctx.rng_for(b, "true")).totals
+        out[b - start, 0] = float(e.evaluate(totals[None, :])[0])
     return out
 
 

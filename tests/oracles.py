@@ -3,10 +3,13 @@
 These enumerate every possible outcome of a design with its probability and
 reduce estimator values to exact means/variances.  They deliberately avoid
 the package's sampling code so that estimator tests check against an
-independent computation.  The frame text I/O oracles at the end are the
-row-at-a-time reader and writer that the block-columnar ones replaced.
+independent computation.  The frame text I/O oracles further down are the
+row-at-a-time reader and writer that the block-columnar ones replaced, and
+the Monte Carlo oracles at the end are the one-replicate-at-a-time loops
+that the block engine of ``twostage.montecarlo`` replaced.
 """
 import csv
+import io
 import itertools
 import math
 
@@ -172,12 +175,22 @@ def frame_to_csv_rows(frame, path, delimiter=None):
     """Write a frame one row at a time (the reference for ``frame_to_csv``)."""
     delim = _io_delimiter(path, delimiter)
     q = frame.n_vars
+    # each row is written with a "\r\n" end, which quotes a field holding a
+    # lone "\r", and the end is then rewritten as "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, delimiter=delim, lineterminator="\r\n")
+
+    def write_row(fh, row):
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow(row)
+        fh.write(buf.getvalue()[:-2] + "\n")
+
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, delimiter=delim, lineterminator="\n")
         head = ["psu_id", "ssu_id"] + [f"y{j + 1}" for j in range(q)]
         if frame.strata is not None:
             head = ["stratum"] + head
-        writer.writerow(head)
+        write_row(fh, head)
         for i in range(frame.n_psus):
             lo, hi = frame.offsets[i], frame.offsets[i + 1]
             for k in range(lo, hi):
@@ -185,7 +198,7 @@ def frame_to_csv_rows(frame, path, delimiter=None):
                 row += [repr(float(v)) for v in frame.values[k]]
                 if frame.strata is not None:
                     row = [frame.strata[i]] + row
-                writer.writerow(row)
+                write_row(fh, row)
 
 
 def first_duplicate_ssu_psu(offsets, psu_ids, ssu_ids):
@@ -195,3 +208,153 @@ def first_duplicate_ssu_psu(offsets, psu_ids, ssu_ids):
         if np.unique(seg).size != seg.size:
             return psu_ids[i]
     return None
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo replicates: the one-replicate-at-a-time loops and draws that the
+# block engine of ``twostage.montecarlo`` must match bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def si_order_loop(n_population, n, rng):
+    """Draw-sequential SI sample, one numpy scalar at a time (the reference for ``si_order``)."""
+    picks = rng.integers(np.arange(n, dtype=np.int64), n_population)
+    displaced = {}
+    out = np.empty(n, dtype=np.int64)
+    for j in range(n):
+        r = int(picks[j])
+        a_j = displaced.get(j, j)
+        a_r = displaced.get(r, r)
+        out[j] = a_r
+        displaced[r] = a_j
+    return out
+
+
+def subsample_estimates(frame, columns, psu_indices, method, n0, rng, with_vhat=False):
+    """Draw and estimate one PSU batch's second stage in one gather (the unsplit engine)."""
+    psu_indices = np.asarray(psu_indices, dtype=np.int64)
+    sizes = frame.sizes[psu_indices].astype(np.float64)
+    k = psu_indices.size
+    if method == "SI":
+        max_size = int(frame.sizes[psu_indices].max())
+        keys = rng.random((k, max_size))
+        keys[np.arange(max_size)[None, :] >= sizes[:, None]] = np.inf
+        pos = np.argpartition(keys, n0 - 1, axis=1)[:, :n0]
+    else:
+        a = sizes / n0
+        u = rng.random(k) * a
+        pos = np.floor(u[:, None] + a[:, None] * np.arange(n0)[None, :]).astype(np.int64)
+        pos = np.minimum(pos, (sizes[:, None] - 1).astype(np.int64))
+    sel = columns[frame.offsets[psu_indices][:, None] + pos]  # (k, n0, p)
+    y_hat = (sizes / n0)[:, None] * sel.sum(axis=1)
+    if not with_vhat:
+        return y_hat, None
+    v_hat = (sizes**2 / n0 * (1.0 - n0 / sizes))[:, None] * sel.var(axis=1, ddof=1)
+    return y_hat, v_hat
+
+
+def _si_draw(ctx, est_columns, rng):
+    """One SI replicate's draw: (FirstStageDraw, yhat (n, p), vhat (n, p) or None).
+
+    ``est_columns`` is the (columns, subtotals, slices) of ``estimand_columns``.
+    """
+    from twostage.designs import FirstStageDraw
+
+    sc = ctx.scenario
+    N = ctx.frame.n_psus
+    draw = FirstStageDraw(sc.first_stage, si_order_loop(N, sc.first_stage.n_I, rng), N)
+    if sc.second_stage == "CENSUS":
+        yhat = est_columns[1][draw.order]
+        return draw, yhat, (np.zeros_like(yhat) if ctx.need_vhat else None)
+    yhat, vhat = subsample_estimates(ctx.frame, est_columns[0], draw.order, sc.second_stage,
+                                     sc.n0, rng, with_vhat=ctx.need_vhat)
+    return draw, yhat, vhat
+
+
+def _si_replicate_row(ctx, est_columns, rng, row):
+    from twostage import montecarlo as mc
+    from twostage.bootstrap import ReplicateSet, multinomial_weights, replicate_se
+    from twostage.estimators import TotalEstimand, mean_total, normal_ci, variance_estimate
+
+    sc = ctx.scenario
+    n = sc.first_stage.n_I
+    N = ctx.frame.n_psus
+    draw, yhat, vhat = _si_draw(ctx, est_columns, rng)
+    totals = N * yhat.mean(axis=0)
+    for e, sl in zip(sc.estimands, ctx.slices):
+        theta = float(e.evaluate(totals[None, sl])[0])
+        row[ctx.slots[("point", e.label)]] = theta
+        if isinstance(e, TotalEstimand) and sc.variance_methods:
+            total = mean_total(draw, (yhat[:, sl], None if vhat is None else vhat[:, sl]))
+            for vm in sc.variance_methods:
+                v = variance_estimate(total, vm)
+                row[ctx.slots[("var", e.label, vm)]] = v
+                lo, hi = normal_ci(theta, v, sc.ci_alpha)
+                fam = f"ci_normal_{mc._FAMILY[vm][2:]}"
+                row[ctx.slots[("ci", e.label, fam, "lo")]] = lo
+                row[ctx.slots[("ci", e.label, fam, "hi")]] = hi
+    if sc.bootstrap is None:
+        return
+    m = sc.bootstrap.resolve_m(n)
+    d_mat = multinomial_weights(rng, sc.bootstrap.replicates, n, m)
+    totals_star = (d_mat @ yhat) * (N / m)
+    for e, sl in zip(sc.estimands, ctx.slices):
+        studentized = sc.studentized and ("ci", e.label, "ci_studentized", "lo") in ctx.slots
+        reps = ReplicateSet(
+            np.asarray(e.evaluate(totals_star[:, sl]), dtype=np.float64),
+            row[ctx.slots[("point", e.label)]],
+            replicate_se(d_mat, yhat[:, sl], totals_star[:, sl], N, m, e) if studentized else None,
+        )
+        mc._write_bootstrap(ctx, row, e.label, reps, "SIMPLIFIED" if studentized else None)
+
+
+def replicate_rows(ctx, start, end):
+    """MC replicate rows start..end-1, one replicate at a time (for ``_replicate_rows``)."""
+    from twostage import montecarlo as mc
+    from twostage.estimators import estimand_columns
+
+    est_columns = estimand_columns(ctx.frame, ctx.scenario.estimands)
+    out = np.full((end - start, ctx.n_slots), np.nan)
+    for b in range(start, end):
+        rng = ctx.rng_for(b, "mc")
+        if ctx.scenario.first_stage.kind == "STRAT_SI":
+            mc._strat_replicate_row(ctx, rng, out[b - start])
+        else:
+            _si_replicate_row(ctx, est_columns, rng, out[b - start])
+    return out
+
+
+def point_rows(ctx, start, end):
+    """Reference-run point estimates start..end-1, one sample at a time (for ``_point_rows``)."""
+    from twostage.estimators import StratifiedClusterSample, estimand_columns
+
+    sc = ctx.scenario
+    est_columns = estimand_columns(ctx.frame, sc.estimands)
+    out = np.empty((end - start, len(sc.estimands)))
+    for b in range(start, end):
+        rng = ctx.rng_for(b, "true")
+        if sc.first_stage.kind == "STRAT_SI":
+            totals = StratifiedClusterSample.draw(ctx.frame, sc.first_stage.allocations,
+                                                  est_columns[1], rng).totals
+        else:
+            _, yhat, _ = _si_draw(ctx, est_columns, rng)
+            totals = ctx.frame.n_psus * yhat.mean(axis=0)
+        for j, (e, sl) in enumerate(zip(sc.estimands, ctx.slices)):
+            out[b - start, j] = float(e.evaluate(totals[None, sl])[0])
+    return out
+
+
+def si_order_excluding_loop(n_population, n, exclude, rng):
+    """The rejection branch of ``si_order_excluding``, one numpy scalar at a time."""
+    taken = set(int(i) for i in exclude)
+    out = []
+    while len(out) < n:
+        for c in rng.integers(0, n_population, size=max(16, 2 * (n - len(out)))):
+            c = int(c)
+            if c in taken:
+                continue
+            taken.add(c)
+            out.append(c)
+            if len(out) == n:
+                break
+    return out

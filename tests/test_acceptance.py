@@ -3,7 +3,8 @@
 Heavy Monte Carlo runs use fixed seeds; the tolerances are pinned here and
 the replicate counts satisfy each criterion's runtime budget on two cores.
 Run with ``pytest tests/test_acceptance.py`` (lines print unbuffered so they
-are visible regardless of capture settings).
+are visible regardless of capture settings); every test carries the
+``acceptance`` marker, so ``pytest -m "not acceptance"`` runs the rest.
 """
 import json
 import time
@@ -48,6 +49,8 @@ from twostage.estimators import (
 )
 from twostage.frame import empirical_icc, empirical_pair_correlation
 from conftest import ACCEPTANCE_LINES, scalar_frame
+
+pytestmark = pytest.mark.acceptance
 
 POP3_SEED = 20250810
 GRID_SEED = 818283

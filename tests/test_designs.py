@@ -14,7 +14,7 @@ from twostage import (
     draw_stratified_si,
     substream,
 )
-from twostage.designs import psu_subtotal_estimates, si_order, si_order_excluding
+from twostage.designs import second_stage_estimates, si_order, si_order_excluding
 from conftest import scalar_frame
 
 CHI2_LEVEL = 0.001
@@ -25,15 +25,19 @@ def _one_hot_psu(n):
     return Frame(np.eye(n), np.array([n]))
 
 
+def _subsample(frame, psu_indices, method, n0, rng, with_vhat=False):
+    """Draw and estimate a size-n0 second stage of the frame's own values in the listed PSUs."""
+    return second_stage_estimates(frame, frame.values, frame.subtotals, psu_indices, method, n0,
+                                  rng, with_vhat=with_vhat)
+
+
 def _inclusions(frame, n0, method, rng, draws=1):
     """(draws, N_i) inclusion counts of independent size-n0 samples inside PSU 0.
 
-    psu_subtotal_estimates returns (N_i/n0) * (sum of the sampled rows), so
+    The second stage estimates (N_i/n0) * (sum of the sampled rows), so
     on one-hot columns it is N_i/n0 times each SSU's inclusion count.
     """
-    y, _ = psu_subtotal_estimates(
-        frame, frame.values, np.zeros(draws, dtype=np.int64), method, n0, rng
-    )
+    y, _ = _subsample(frame, np.zeros(draws, dtype=np.int64), method, n0, rng)
     return np.rint(y * n0 / frame.sizes[0]).astype(np.int64)
 
 
@@ -248,14 +252,12 @@ class TestStratifiedSi:
 class TestSecondStage:
     def test_census_has_probability_one(self):
         frame = _one_hot_psu(6)
-        y, _ = psu_subtotal_estimates(frame, frame.values, np.array([0]), "SI", 6,
-                                      substream(23, "ss"))
+        y, _ = _subsample(frame, np.array([0]), "SI", 6, substream(23, "ss"))
         assert y[0].tolist() == [1.0] * 6  # every SSU once, expansion weight N_i/n0 = 1
 
     def test_si_sample_size_and_probs(self):
         frame = _one_hot_psu(40)
-        y, _ = psu_subtotal_estimates(frame, frame.values, np.array([0]), "SI", 5,
-                                      substream(24, "ss"))
+        y, _ = _subsample(frame, np.array([0]), "SI", 5, substream(24, "ss"))
         picked = y[0][y[0] != 0]
         assert picked.size == 5  # five distinct SSUs
         assert np.all(picked == 40 / 5)  # each weighted by 1 / (n0/N_i)
@@ -270,8 +272,7 @@ class TestSecondStage:
     def test_oversized_subsample_rejected(self):
         frame = _one_hot_psu(4)
         with pytest.raises(ValueError, match="n0 exceeds"):
-            psu_subtotal_estimates(frame, frame.values, np.array([0]), "SI", 5,
-                                   substream(26, "ss"))
+            _subsample(frame, np.array([0]), "SI", 5, substream(26, "ss"))
 
 
 class TestVectorizedSubsampling:
@@ -281,7 +282,7 @@ class TestVectorizedSubsampling:
         n_draws = 20000
         acc = np.zeros(3)
         for _ in range(n_draws):
-            y, _ = psu_subtotal_estimates(frame, frame.values, np.arange(3), "SI", 2, rng)
+            y, _ = _subsample(frame, np.arange(3), "SI", 2, rng)
             acc += y[:, 0]
         means = acc / n_draws
         for i in range(3):
@@ -290,19 +291,14 @@ class TestVectorizedSubsampling:
 
     def test_vhat_matches_formula_under_census(self):
         frame = Frame(np.arange(12.0)[:, None], np.array([4, 4, 4]))
-        y, v = psu_subtotal_estimates(
-            frame, frame.values, np.arange(3), "SI", 4, substream(28, "vec"), with_vhat=True
-        )
+        y, v = _subsample(frame, np.arange(3), "SI", 4, substream(28, "vec"), with_vhat=True)
         assert np.allclose(y[:, 0], frame.subtotals[:, 0])
         assert np.allclose(v, 0.0)
 
     def test_systematic_refuses_vhat(self):
         frame = Frame(np.arange(12.0)[:, None], np.array([4, 4, 4]))
         with pytest.raises(ValueError, match="systematic"):
-            psu_subtotal_estimates(
-                frame, frame.values, np.arange(3), "SYSTEMATIC", 2,
-                substream(29, "vec"), with_vhat=True,
-            )
+            _subsample(frame, np.arange(3), "SYSTEMATIC", 2, substream(29, "vec"), with_vhat=True)
 
 
 class TestDeterminism:

@@ -83,10 +83,21 @@ class TestValidFiles:
         frame = Frame(values, sizes, strata=labels)
         for name in ("frame.csv", "frame.tsv"):
             path = _check_write(frame, tmp_path, name=name)
-            _check_read(path)
+            assert isinstance(_check_read(path), Frame)  # "cr\rhere" is quoted
         # a delimiter that occurs in numbers quotes them, as csv.writer does
         for delimiter in ("-", ".", "e", "1", ";", " "):
             _check_write(frame, tmp_path, name=f"d{ord(delimiter)}.txt", delimiter=delimiter)
+
+    @pytest.mark.parametrize("name", ["frame.csv", "frame.tsv"])
+    @pytest.mark.parametrize("label", ["cr\rhere", "a\rb\rc"])
+    def test_carriage_return_labels_read_back(self, tmp_path, name, label):
+        """A lone "\\r" ends a line for csv.reader, so a label holding one is quoted."""
+        frame = Frame(np.arange(6.0)[:, None], np.array([2, 1, 3]), strata=[label, label, "b"])
+        path = tmp_path / name
+        frame_to_csv(frame, path)
+        back = ingest_frame(path)
+        assert back.strata == frame.strata
+        assert back.values.tobytes() == frame.values.tobytes()
 
     @pytest.mark.parametrize("n_rows", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
     def test_block_edges(self, tmp_path, n_rows):

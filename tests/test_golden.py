@@ -79,6 +79,30 @@ def _configs(root: str) -> dict[str, tuple[str, dict]]:
             "replicates": 100, "true_run": 1000,
         },
     })
+    # true_run and replicates are not multiples of the MC block size (64)
+    mc_systematic = {
+        "frame": frame, "population_label": "golden",
+        "scenario": {
+            "first_stage": {"kind": "SI", "n_I": [8]},
+            "second_stage": {"method": "SYSTEMATIC", "n0": [3]},
+            "estimands": [dict(e, rho=0.1) for e in ESTIMANDS],
+            "variance_methods": ["SIMPLIFIED"],
+            "bootstrap": {"replicates": 50}, "studentized": True,
+            "replicates": 100, "true_run": 1000,
+        },
+    }
+    runs["mc-SI-SYSTEMATIC"] = ("mc", mc_systematic)
+    runs["mc-SI-SYSTEMATIC-threads2"] = ("mc", dict(mc_systematic, threads=2))
+    runs["mc-SI-CENSUS"] = ("mc", {
+        "frame": frame, "population_label": "golden",
+        "scenario": {
+            "first_stage": {"kind": "SI", "n_I": [8]},
+            "second_stage": {"method": "CENSUS"},
+            "estimands": [dict(e, rho=0.1) for e in ESTIMANDS],
+            "variance_methods": ["UNBIASED", "SIMPLIFIED", "WITH_REPLACEMENT"],
+            "replicates": 100, "true_run": 1000,
+        },
+    })
     runs["mc-STRAT_SI"] = ("mc", {
         "frame": os.path.join(root, "strat.csv"), "population_label": "strat",
         "scenario": {
@@ -173,6 +197,25 @@ GOLDEN: dict[str, str] = {
         "a124264abebd25f0c1591fa5f1118af5b10d27a5c7c47a3298ee86dd64f76140",
     "mc-SI-SI/mc_total.csv":
         "20cb55aaf3782b4e544464f2d08bae9fba72bf52f415dc40f432cc6311140b45",
+    "mc-SI-CENSUS/mc_correlation.csv":
+        "7718b935e6a42db8a7478fa1fe0c88da716b0cdb7eedd8f35ec0ce4f45ba5559",
+    "mc-SI-CENSUS/mc_ratio.csv":
+        "a0c6a15505bad3d454779206894373c6b48c2fb1ffadc5249b9bf2ef1b79439e",
+    "mc-SI-CENSUS/mc_total.csv":
+        "9cc35d32b7888ac06d340e85d0b813b13cd41330a467242c8b6a8378520b31d3",
+    "mc-SI-SYSTEMATIC/mc_correlation.csv":
+        "6380c44bed47c39be977fe80b864c9abdc9a74832f43e317d1b48c5e372f2f45",
+    "mc-SI-SYSTEMATIC/mc_ratio.csv":
+        "71fe1f960a15782988f272732dae71bef15e00d40b9105f9da72aa529d647c1a",
+    "mc-SI-SYSTEMATIC/mc_total.csv":
+        "e566839294bf1e5e49c844a5a95eb76354275fc8d9d85c6f6dd9458763ae2fa8",
+    # the same cell on two worker processes
+    "mc-SI-SYSTEMATIC-threads2/mc_correlation.csv":
+        "6380c44bed47c39be977fe80b864c9abdc9a74832f43e317d1b48c5e372f2f45",
+    "mc-SI-SYSTEMATIC-threads2/mc_ratio.csv":
+        "71fe1f960a15782988f272732dae71bef15e00d40b9105f9da72aa529d647c1a",
+    "mc-SI-SYSTEMATIC-threads2/mc_total.csv":
+        "e566839294bf1e5e49c844a5a95eb76354275fc8d9d85c6f6dd9458763ae2fa8",
     "mc-STRAT_SI/mc_proportion.csv":
         "27b0d4166764295a73b28e0c542112400e15b077bdab12916cd6e6695de1fe01",
     "verify/bounds.csv":
