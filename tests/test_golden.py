@@ -6,6 +6,10 @@ compared with the digest pinned below.  A refactor that keeps the statistics
 the same keeps every digest.  The numpy ``Generator`` algorithms may change
 between numpy releases, so the pins hold for the numpy major.minor recorded
 in ``NUMPY`` and the test skips on any other.
+
+``LIBRARY_GOLDEN`` pins the coupling reports that the CLI cannot ask for
+(second stages other than a census) the same way, as the SHA-256 of their
+JSON.  Every digest was recorded before the code it guards was rewritten.
 """
 import hashlib
 import json
@@ -14,7 +18,7 @@ import os
 import numpy as np
 import pytest
 
-from twostage import Frame, frame_to_csv
+from twostage import Frame, frame_to_csv, verify_decay, verify_hajek_bound, verify_sir_si_bound
 from twostage.cli import main
 
 NUMPY = "2.4"
@@ -125,6 +129,21 @@ def _configs(root: str) -> dict[str, tuple[str, dict]]:
                   "frames": [{"kind": "normal", "n_psus": n, "mean": 100, "sd": 15}
                              for n in (20, 200, 2000)]},
     })
+    # N_I above 2,048: the SI completions take the rejection branch of
+    # si_order_excluding
+    runs["verify-large"] = ("verify", {
+        "bounds": [
+            {"check": "be_si", "n_I": 40,
+             "frame": {"kind": "normal", "n_psus": 3000, "mean": 50, "sd": 8},
+             "replicates": 1000},
+            {"check": "sir_si", "n_I": 60,
+             "frame": {"kind": "normal", "n_psus": 2500, "mean": 50, "sd": 8},
+             "replicates": 1000},
+        ],
+        "decay": {"n_I": 50, "replicates": 1000,
+                  "frames": [{"kind": "normal", "n_psus": n, "mean": 100, "sd": 15}
+                             for n in (100, 400, 3000)]},
+    })
     return runs
 
 
@@ -226,14 +245,79 @@ GOLDEN: dict[str, str] = {
         "b6f439f25620ca1de9107dfa496d36427d7693821c8c1fd4afebf7788cefb5aa",
     "verify/decay.json":
         "9e6ae35512746e519936f7225a864ce43264d860a882a2084e9722861a382006",
+    "verify-large/bounds.csv":
+        "2a1de4f45237093820f4092fc5790a8e276be453f62b2a82ee901c95e1e0be52",
+    "verify-large/bounds.json":
+        "3f1979089d89effb2bc2e2f8e479e50c03749e371e44e6a1dc1bcb7945656b28",
+    "verify-large/decay.csv":
+        "0340d8cbb29fb3bec119d24c8fb2557973447f8874e1373115b61df53f356c82",
+    "verify-large/decay.json":
+        "4267c3b3215da918a9ebd6e8a75de639b959661107b3d5372e608492ee0410e8",
 }
+
+
+def _multi_ssu_frame(n_psus: int, seed: int) -> Frame:
+    """PSUs of 3-6 SSUs holding two variables."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(3, 7, size=n_psus).astype(np.int64)
+    values = rng.normal([20.0, 50.0], [4.0, 9.0], size=(int(sizes.sum()), 2))
+    values[:, 1] += np.repeat(rng.normal(0.0, 6.0, size=n_psus), sizes)
+    return Frame(values, sizes)
+
+
+def _library_reports() -> dict[str, object]:
+    """Coupling reports the CLI cannot ask for: second stages other than a census."""
+    small, large = _multi_ssu_frame(60, 11), _multi_ssu_frame(2500, 12)
+    decay = [_multi_ssu_frame(n, 13 + i) for i, n in enumerate((30, 300, 3000))]
+    return {
+        "be_si-SI": verify_hajek_bound(small, 8, 1000, 31, var_index=1,
+                                       second_stage="SI", n0=3).to_dict(),
+        "be_si-SI-large": verify_hajek_bound(large, 40, 1000, 32, var_index=1,
+                                             second_stage="SI", n0=2).to_dict(),
+        "sir_si-SI": verify_sir_si_bound(small, 8, 1000, 33, var_index=1,
+                                         second_stage="SI", n0=3).to_dict(),
+        "sir_si-SI-large": verify_sir_si_bound(large, 60, 1000, 34, var_index=1,
+                                               second_stage="SI", n0=2).to_dict(),
+        "decay-SYSTEMATIC": [r.to_dict() for r in verify_decay(
+            decay, 12, 1000, 35, m=9, var_index=1, second_stage="SYSTEMATIC", n0=2).rows],
+    }
+
+
+def library_digests() -> dict[str, str]:
+    """SHA-256 of each library report's JSON; floats print with every bit."""
+    return {name: hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+            for name, doc in _library_reports().items()}
+
+
+LIBRARY_GOLDEN: dict[str, str] = {
+    "be_si-SI":
+        "1a8ac1dea8f42a3646c4a60e383bb29bf505dcf8c3662812709569a1a3e96784",
+    "be_si-SI-large":
+        "6a53a55b2d57712369edf1e085c987eea115d528316b88e1722ff4af039d5269",
+    "decay-SYSTEMATIC":
+        "02ae0f817f709c1354ddd69d788ffee5fb2d2660d4cc8b8b8d608cf826a81ad7",
+    "sir_si-SI":
+        "a9ba752b52de97c21471492953bddb65b72a003bf6001c39abce7cf1241e5a28",
+    "sir_si-SI-large":
+        "93bc023e963c074b9a1be786f619291aa822751e80dba598bc31581844e3e3b4",
+}
+
+
+def _skip_other_numpy() -> None:
+    if ".".join(np.__version__.split(".")[:2]) != NUMPY:
+        pytest.skip(f"digests pinned on numpy {NUMPY}.x, running numpy {np.__version__}")
 
 
 @pytest.fixture(scope="module")
 def digests(tmp_path_factory):
-    if ".".join(np.__version__.split(".")[:2]) != NUMPY:
-        pytest.skip(f"digests pinned on numpy {NUMPY}.x, running numpy {np.__version__}")
+    _skip_other_numpy()
     return run_golden_configs(str(tmp_path_factory.mktemp("golden")))
+
+
+@pytest.fixture(scope="module")
+def lib_digests():
+    _skip_other_numpy()
+    return library_digests()
 
 
 def test_same_outputs(digests):
@@ -243,3 +327,12 @@ def test_same_outputs(digests):
 @pytest.mark.parametrize("output", sorted(GOLDEN))
 def test_output_digest(digests, output):
     assert digests[output] == GOLDEN[output]
+
+
+def test_same_library_reports(lib_digests):
+    assert sorted(lib_digests) == sorted(LIBRARY_GOLDEN)
+
+
+@pytest.mark.parametrize("report", sorted(LIBRARY_GOLDEN))
+def test_library_report_digest(lib_digests, report):
+    assert lib_digests[report] == LIBRARY_GOLDEN[report]
