@@ -64,7 +64,6 @@ from .montecarlo import (
     Scenario,
     approximate_true_variance,
     coverage_stats,
-    normality_screen,
     run_scenario,
     scaling_study,
 )

@@ -33,13 +33,14 @@ import numpy as np
 from .bootstrap import multinomial_weights
 from .designs import (
     DesignSpec,
-    second_stage_estimates,
+    psu_subtotal_estimates,
+    second_stage_positions,
     si_order,
     si_order_excluding,
 )
 from .estimators import si_second_stage_variances, theoretical_variance
 from .frame import Frame
-from .rng import substream
+from .rng import substreams
 
 __all__ = [
     "CoupledBeSiDraw",
@@ -55,12 +56,89 @@ __all__ = [
 ]
 
 
-def _estimates(frame, psu_indices, method, n0, rng, cols) -> np.ndarray:
-    """Estimated subtotals (k, len(cols)) of the listed PSUs' variables ``cols``."""
-    y_hat, _ = second_stage_estimates(
-        frame, frame.values, frame.subtotals, psu_indices, method, n0, rng
-    )
-    return y_hat[:, cols]
+# The verification helpers draw their SIR/SI replicates in blocks of at
+# most this many (replicates x n_I) cells, so memory never grows with the
+# replicate count
+_BLOCK_CELLS = 1 << 13
+
+
+def _second_stage(frame: Frame, method: str, n0: int | None, cols) -> Callable:
+    """values(psus, rng): estimated subtotals (k, len(cols)) of the listed PSUs.
+
+    A census gathers the exact subtotals and draws nothing; SI and
+    SYSTEMATIC draw one second-stage sample per listed PSU from ``rng`` and
+    estimate every variable of the frame, as :func:`second_stage_estimates`
+    does, before keeping ``cols``.
+    """
+    if method == "CENSUS":
+        sub = frame.subtotals[:, cols]
+        return lambda psus, rng: sub[psus]
+
+    def values(psus: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        rows = second_stage_positions(frame, psus, method, n0, rng)
+        return psu_subtotal_estimates(frame, frame.values, psus, rows, n0)[0][:, cols]
+
+    return values
+
+
+def _draw_be_si(n_psus: int, n_I: int, rng: np.random.Generator, values: Callable):
+    """One BE/SI coupled draw, in stream order: (be, si, be_vals, si_vals)."""
+    if not 1 <= n_I < n_psus:
+        raise ValueError(f"need 1 <= n_I < N_I, got n_I={n_I}, N_I={n_psus}")
+    be = np.flatnonzero(rng.random(n_psus) < n_I / n_psus).astype(np.int64)
+    n_b = be.size
+    if n_b < n_I:
+        si = np.concatenate([be, si_order_excluding(n_psus, n_I - n_b, be, rng)])
+    elif n_b > n_I:
+        keep = np.ones(n_b, dtype=bool)
+        keep[si_order(n_b, n_b - n_I, rng)] = False
+        si = be[keep]
+    else:
+        si = be
+
+    # One second-stage draw per PSU of the union; the SI side reuses the
+    # Bernoulli side's draws on the intersection.
+    be_vals = values(be, rng)
+    if n_b < n_I:
+        si_vals = np.concatenate([be_vals, values(si[n_b:], rng)], axis=0)
+    elif n_b > n_I:
+        si_vals = be_vals[keep]
+    else:
+        si_vals = be_vals
+    return be, si, be_vals, si_vals
+
+
+def _delta2(be_vals: np.ndarray, si_vals: np.ndarray, mu: float) -> float:
+    """sum_SI (Yhat_i - mu) - sum_BE (Yhat_i - mu); shared PSUs cancel exactly."""
+    return float(si_vals.sum() - be_vals.sum()) - mu * (si_vals.size - be_vals.size)
+
+
+def _draw_sir_si(n_psus: int, n_I: int, rng: np.random.Generator):
+    """First stage of one SIR/SI coupled draw: (wr, uniq, first_pos, complement).
+
+    ``wr`` are the with-replacement draws, ``uniq`` their distinct PSUs in
+    sorted order and ``first_pos`` the draw at which each first occurs (as
+    ``np.unique`` returns them), and ``complement`` is the SI completion
+    from the PSUs never drawn, one per repeat draw.
+    """
+    if not 1 <= n_I <= n_psus:
+        raise ValueError(f"need 1 <= n_I <= N_I, got n_I={n_I}, N_I={n_psus}")
+    wr = rng.integers(0, n_psus, size=n_I)
+    order = wr.argsort(kind="stable")
+    ranked = wr[order]
+    starts = np.empty(n_I, dtype=bool)
+    starts[0] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
+    uniq, first_pos = ranked[starts], order[starts]
+    complement = (si_order_excluding(n_psus, n_I - uniq.size, uniq, rng) if uniq.size < n_I
+                  else np.empty(0, dtype=np.int64))
+    return wr, uniq, first_pos, complement
+
+
+def _repeats(n_I: int, first_pos: np.ndarray) -> np.ndarray:
+    repeat = np.ones(n_I, dtype=bool)
+    repeat[first_pos] = False
+    return repeat
 
 
 @dataclass
@@ -81,9 +159,7 @@ class CoupledBeSiDraw:
 
     def delta2(self, mu: float, var: int = 0) -> float:
         """sum_SI (Yhat_i - mu) - sum_BE (Yhat_i - mu); shared PSUs cancel exactly."""
-        return float(self.si_values[:, var].sum() - self.be_values[:, var].sum()) - mu * (
-            self.si_indices.size - self.be_indices.size
-        )
+        return _delta2(self.be_values[:, var], self.si_values[:, var], mu)
 
 
 def coupled_be_si(
@@ -101,34 +177,9 @@ def coupled_be_si(
     are shared on the intersection.
     """
     N = frame.n_psus
-    if not 1 <= n_I < N:
-        raise ValueError(f"need 1 <= n_I < N_I, got n_I={n_I}, N_I={N}")
     cols = np.arange(frame.n_vars) if var_indices is None else np.asarray(var_indices)
-    f = n_I / N
-
-    be = np.flatnonzero(rng.random(N) < f).astype(np.int64)
-    n_b = be.size
-    if n_b == n_I:
-        si = be
-    elif n_b < n_I:
-        plus = si_order_excluding(N, n_I - n_b, be, rng)
-        si = np.concatenate([be, plus])
-    else:
-        drop = si_order(n_b, n_b - n_I, rng)
-        keep = np.ones(n_b, dtype=bool)
-        keep[drop] = False
-        si = be[keep]
-
-    # One second-stage draw per PSU of the union; the SI side reuses the
-    # Bernoulli side's draws on the intersection.
-    be_vals = _estimates(frame, be, second_stage, n0, rng, cols)
-    if n_b == n_I:
-        si_vals = be_vals
-    elif n_b < n_I:
-        plus_vals = _estimates(frame, si[n_b:], second_stage, n0, rng, cols)
-        si_vals = np.concatenate([be_vals, plus_vals], axis=0)
-    else:
-        si_vals = be_vals[keep]
+    values = _second_stage(frame, second_stage, n0, cols)
+    be, si, be_vals, si_vals = _draw_be_si(N, n_I, rng, values)
     return CoupledBeSiDraw(N, n_I, be, si, be_vals, si_vals)
 
 
@@ -175,29 +226,19 @@ def coupled_sir_si(
     first occurrence's.
     """
     N = frame.n_psus
-    if not 1 <= n_I <= N:
-        raise ValueError(f"need 1 <= n_I <= N_I, got n_I={n_I}, N_I={N}")
     cols = np.arange(frame.n_vars) if var_indices is None else np.asarray(var_indices)
 
-    wr = rng.integers(0, N, size=n_I).astype(np.int64)
-    uniq, first_pos, counts = np.unique(wr, return_index=True, return_counts=True)
+    wr, uniq, first_pos, complement = _draw_sir_si(N, n_I, rng)
     by_first = np.argsort(first_pos, kind="stable")
     distinct = uniq[by_first]
-    multiplicity = counts[by_first]
-    first_mask = np.zeros(n_I, dtype=bool)
-    first_mask[first_pos] = True
-
-    n_d = distinct.size
-    complement = si_order_excluding(N, n_I - n_d, distinct, rng) if n_d < n_I else np.empty(
-        0, dtype=np.int64
-    )
+    multiplicity = np.unique(wr, return_counts=True)[1][by_first]
     si = np.concatenate([distinct, complement])
 
-    x_vals = _estimates(frame, wr, second_stage, n0, rng, cols)
+    values = _second_stage(frame, second_stage, n0, cols)
+    x_vals = values(wr, rng)
     z_vals = x_vals.copy()
     if complement.size:
-        comp_vals = _estimates(frame, complement, second_stage, n0, rng, cols)
-        z_vals[~first_mask] = comp_vals
+        z_vals[_repeats(n_I, first_pos)] = values(complement, rng)
     return CoupledSirSiDraw(N, n_I, wr, distinct, multiplicity, si, x_vals, z_vals)
 
 
@@ -247,28 +288,24 @@ def _exact_second_stage(frame: Frame, second_stage: str, n0: int | None, var: in
 
 def _bound_report(
     check: str,
-    tag: str,
     frame: Frame,
     n_I: int,
     replicates: int,
-    seed: int,
     denominator: Callable[[], float],
-    statistic: Callable[[np.random.Generator], float],
+    squares: Callable[[], np.ndarray],
     rhs: Callable[[], float],
 ) -> BoundReport:
     """Monte Carlo ratio E(statistic^2) / denominator against its bound ``rhs``.
 
-    Replicate b draws the statistic once from substream (seed, tag, b); the
-    denominator and the bound are closed forms, evaluated only when needed.
+    ``squares`` draws the (replicates,) squared statistics; the denominator
+    and the bound are closed forms, evaluated only when needed.
     """
     if replicates < 1000:
         raise ValueError("need at least 1000 replicates")
     denom = denominator()
     if denom == 0.0:
         raise ValueError("degenerate denominator: all subtotals equal and V_i = 0")
-    d2 = np.empty(replicates)
-    for b in range(replicates):
-        d2[b] = statistic(substream(seed, tag, b)) ** 2
+    d2 = squares()
     lhs = float(d2.mean()) / denom
     se = float(d2.std(ddof=1)) / math.sqrt(replicates) / denom
     return BoundReport(check, frame.n_psus, n_I, replicates, lhs, se, rhs())
@@ -287,7 +324,8 @@ def verify_hajek_bound(
 
     The denominator is computed in closed form, f*sum(V_i) +
     f(1-f)*sum((Y_i-mu)^2), to avoid ratio-of-noisy-estimates bias; the
-    numerator is averaged over coupled replicates.
+    numerator is averaged over coupled replicates, replicate b drawn from
+    substream (seed, "be-si", b).
     """
     N = frame.n_psus
     sub = frame.subtotals[:, var_index]
@@ -298,11 +336,68 @@ def verify_hajek_bound(
         v_i = _exact_second_stage(frame, second_stage, n0, var_index)
         return f * float(v_i.sum()) + f * (1.0 - f) * float(np.sum((sub - mu) ** 2))
 
-    def delta2(rng: np.random.Generator) -> float:
-        return coupled_be_si(frame, n_I, rng, second_stage, n0, [var_index]).delta2(mu, 0)
+    def squares() -> np.ndarray:
+        # the sums run over ragged samples, so each replicate sums its own
+        values = _second_stage(frame, second_stage, n0, [var_index])
+        d2 = np.empty(replicates)
+        for b, rng in enumerate(substreams(seed, "be-si", indices=range(replicates))):
+            _, _, be_vals, si_vals = _draw_be_si(N, n_I, rng, values)
+            d2[b] = _delta2(be_vals[:, 0], si_vals[:, 0], mu) ** 2
+        return d2
 
-    return _bound_report("be_si", "be-si", frame, n_I, replicates, seed, denominator, delta2,
+    return _bound_report("be_si", frame, n_I, replicates, denominator, squares,
                          lambda: math.sqrt(1.0 / n_I + 1.0 / (N - n_I)))
+
+
+def _sir_si_blocks(
+    frame: Frame,
+    n_I: int,
+    replicates: int,
+    stream: tuple,
+    second_stage: str,
+    n0: int | None,
+    var: int,
+    m: int | None = None,
+):
+    """Coupled SIR/SI replicates of variable ``var`` in blocks: yields (lo, x, z, d).
+
+    Replicate b draws from substream (*stream, b), in this order: the
+    with-replacement PSUs, the SI completion, the second stage of the
+    former and then of the latter, and with ``m`` one multinomial row of m
+    resampling weights.  x[i] and z[i] are replicate lo + i's per-draw
+    estimates on the WR and SI side (the z-multiset is the SI sample's) and
+    d[i] its weights (None without ``m``), all (B, n_I) and C-contiguous, so
+    a reduction over axis 1 gives each replicate the bits it would have on
+    its own.  A census gathers the block's subtotals at once.
+    """
+    N = frame.n_psus
+    census = second_stage == "CENSUS"
+    values = None if census else _second_stage(frame, second_stage, n0, [var])
+    sub = frame.subtotals[:, var]
+    rows = max(1, _BLOCK_CELLS // n_I)
+    for lo in range(0, replicates, rows):
+        hi = min(lo + rows, replicates)
+        # census: the PSU behind each estimate, gathered once per block
+        x = np.empty((hi - lo, n_I), dtype=np.int64 if census else np.float64)
+        z = np.empty_like(x)
+        d = None if m is None else np.empty((hi - lo, n_I))
+        for i, rng in enumerate(substreams(*stream, indices=range(lo, hi))):
+            wr, _, first_pos, complement = _draw_sir_si(N, n_I, rng)
+            repeat = _repeats(n_I, first_pos)
+            if census:
+                x[i] = wr
+                z[i] = wr
+                z[i, repeat] = complement
+            else:
+                x[i] = values(wr, rng)[:, 0]
+                z[i] = x[i]
+                if complement.size:
+                    z[i, repeat] = values(complement, rng)[:, 0]
+            if d is not None:
+                d[i] = multinomial_weights(rng, 1, n_I, m)[0]
+        if census:
+            x, z = sub[x], sub[z]
+        yield lo, x, z, d
 
 
 def verify_sir_si_bound(
@@ -314,18 +409,27 @@ def verify_sir_si_bound(
     second_stage: str = "CENSUS",
     n0: int | None = None,
 ) -> BoundReport:
-    """Check E(Yhat_WR - Yhat_SI)^2 / V(Yhat_WR) <= (n_I - 1)/(N_I - 1)."""
+    """Check E(Yhat_WR - Yhat_SI)^2 / V(Yhat_WR) <= (n_I - 1)/(N_I - 1).
+
+    Replicate b draws from substream (seed, "sir-si", b).
+    """
+    N = frame.n_psus
 
     def denominator() -> float:
         v_i = _exact_second_stage(frame, second_stage, n0, var_index)
         return theoretical_variance(frame, DesignSpec("SIR", n_I=n_I), v_i, var_index)
 
-    def wr_minus_si(rng: np.random.Generator) -> float:
-        draw = coupled_sir_si(frame, n_I, rng, second_stage, n0, [var_index])
-        return draw.ht_wr(0) - draw.ht_si(0)
+    def squares() -> np.ndarray:
+        d2 = np.empty(replicates)
+        for lo, x, z, _ in _sir_si_blocks(frame, n_I, replicates, (seed, "sir-si"),
+                                          second_stage, n0, var_index):
+            # squared as Python floats, as each replicate's statistic was
+            wr_minus_si = N * x.mean(axis=1) - N * z.mean(axis=1)
+            d2[lo:lo + len(x)] = [v ** 2 for v in wr_minus_si.tolist()]
+        return d2
 
-    return _bound_report("sir_si", "sir-si", frame, n_I, replicates, seed, denominator,
-                         wr_minus_si, lambda: (n_I - 1.0) / (frame.n_psus - 1.0))
+    return _bound_report("sir_si", frame, n_I, replicates, denominator, squares,
+                         lambda: (n_I - 1.0) / (N - 1.0))
 
 
 @dataclass
@@ -392,15 +496,14 @@ def verify_decay(
     rows = []
     for fi, fr in enumerate(frames):
         stats = np.empty((replicates, 3))
-        for b in range(replicates):
-            rng = substream(seed, "decay", fi, b)
-            draw = coupled_sir_si(fr, n_I, rng, second_stage, n0, [var_index])
-            z = draw.z_values[:, 0]
-            x = draw.x_values[:, 0]
-            d = multinomial_weights(rng, 1, n_I, m)[0]
-            stats[b, 0] = (z.mean() - x.mean()) ** 2
-            stats[b, 1] = abs(np.var(z, ddof=1) - np.var(x, ddof=1))
-            stats[b, 2] = ((d @ z - d @ x) / m) ** 2
+        for lo, x, z, d in _sir_si_blocks(fr, n_I, replicates, (seed, "decay", fi),
+                                          second_stage, n0, var_index, m):
+            hi = lo + len(x)
+            # numpy scalars squared and one dot product per replicate, as a
+            # lone replicate computed them
+            stats[lo:hi, 0] = [v ** 2 for v in z.mean(axis=1) - x.mean(axis=1)]
+            stats[lo:hi, 1] = np.abs(np.var(z, axis=1, ddof=1) - np.var(x, axis=1, ddof=1))
+            stats[lo:hi, 2] = [((di @ zi - di @ xi) / m) ** 2 for di, zi, xi in zip(d, z, x)]
         means = stats.mean(axis=0)
         ses = stats.std(axis=0, ddof=1) / math.sqrt(replicates)
         rows.append(

@@ -497,7 +497,7 @@ def _read_block(
     if stratum_col is None:
         codes = np.zeros(bad, dtype=np.int64)
     else:
-        strata = list(map(str.strip, fields[stratum_col][:bad]))
+        strata = fields[stratum_col][:bad]
         for label in dict.fromkeys(strata):
             labels.setdefault(label, len(labels))
         codes = np.fromiter(map(labels.__getitem__, strata), np.int64, bad)
@@ -555,10 +555,12 @@ def ingest_frame(
     Expected columns: optional stratum, psu_id, ssu_id, and the study
     variables (auto-detected as every column whose name starts with the
     ``y_prefix``, in header order).  ``schema`` may override the column
-    names.  Rows are grouped by stratum then psu_id, preserving file order
-    within groups; duplicate (psu_id, ssu_id) pairs and malformed rows are
-    errors that carry the offending line number.  Rows are read in blocks
-    and parsed a column at a time; an error names the first bad line.
+    names.  Stratum labels are read verbatim, whitespace included, as
+    :func:`frame_to_csv` writes them.  Rows are grouped by stratum then
+    psu_id, preserving file order within groups; duplicate (psu_id, ssu_id)
+    pairs and malformed rows are errors that carry the offending line
+    number.  Rows are read in blocks and parsed a column at a time; an
+    error names the first bad line.
     """
     sch = dict(_DEFAULT_SCHEMA)
     if schema:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -56,7 +56,7 @@ from .estimators import (
     variance_estimate,
 )
 from .frame import Frame
-from .rng import substream
+from .rng import new_stream, reset_stream, substream_keys, substreams
 
 __all__ = [
     "Scenario",
@@ -65,9 +65,6 @@ __all__ = [
     "approximate_true_variance",
     "coverage_stats",
     "scaling_study",
-    "anderson_darling_normal",
-    "normality_screen",
-    "NormalityScreen",
 ]
 
 STRAT_WR = "STRAT_WR"
@@ -228,9 +225,16 @@ class _Context:
     slots: dict[tuple, int]
     n_slots: int
     need_vhat: bool = False
+    # _BLOCK generators that _si_block resets to its replicates' streams
+    pool: list[np.random.Generator] = field(default_factory=list)
 
-    def rng_for(self, b: int, purpose: str) -> np.random.Generator:
-        return substream(self.seed, *self.tag, purpose, b)
+    def keys(self, purpose: str, start: int, end: int) -> np.ndarray:
+        """Philox keys of replicates start..end-1's substreams (seed, *tag, purpose, b)."""
+        return substream_keys(self.seed, *self.tag, purpose, indices=range(start, end))
+
+    def streams(self, purpose: str, start: int, end: int):
+        """Replicates start..end-1's streams, one reused generator (see ``substreams``)."""
+        return substreams(self.seed, *self.tag, purpose, indices=range(start, end))
 
 
 def _build_context(frame: Frame, scenario: Scenario, seed: int, tag: tuple) -> _Context:
@@ -330,20 +334,25 @@ def _blocks(start: int, end: int):
         lo = hi
 
 
-def _si_block(ctx: _Context, purpose: str, lo: int, hi: int) -> _SiBlock:
-    """Replicates lo..hi-1: each draws from its own substream, then one estimate for all.
+def _si_block(ctx: _Context, keys: np.ndarray) -> _SiBlock:
+    """One block of replicates: each draws from its own substream, then one estimate for all.
 
-    A replicate's draws are those of a lone replicate, and every reduction
-    runs over axis 1 of a C-contiguous array, so each row has the bits that
-    the replicate computed on its own would have.
+    ``keys`` holds the block's Philox keys (at most _BLOCK); replicate i's
+    stream is the context's i-th pooled generator, reset to keys[i], so it
+    stays the replicate's own until the next block.  A replicate's draws are
+    those of a lone replicate, and every reduction runs over axis 1 of a
+    C-contiguous array, so each row has the bits that the replicate computed
+    on its own would have.
     """
     sc = ctx.scenario
     frame = ctx.frame
     N, n, n0 = frame.n_psus, sc.first_stage.n_I, sc.n0
     census = sc.second_stage == "CENSUS"
-    rngs = [ctx.rng_for(b, purpose) for b in range(lo, hi)]
-    orders = np.empty((hi - lo, n), dtype=np.int64)
-    rows = None if census else np.empty((hi - lo, n, n0), dtype=np.int64)
+    if not ctx.pool:
+        ctx.pool = [new_stream() for _ in range(_BLOCK)]
+    rngs = [reset_stream(rng, key) for rng, key in zip(ctx.pool, keys.tolist())]
+    orders = np.empty((len(rngs), n), dtype=np.int64)
+    rows = None if census else np.empty((len(rngs), n, n0), dtype=np.int64)
     for i, rng in enumerate(rngs):
         orders[i] = si_order(N, n, rng)
         if rows is not None:
@@ -361,7 +370,7 @@ def _si_block(ctx: _Context, purpose: str, lo: int, hi: int) -> _SiBlock:
     else:
         flat, _ = psu_subtotal_estimates(frame, ctx.columns, orders.ravel(),
                                          rows.reshape(-1, n0), n0)
-        yhat = flat.reshape(hi - lo, n, -1)
+        yhat = flat.reshape(len(rngs), n, -1)
     totals = (N * yhat.mean(axis=1))[:, ctx.expand]
     theta = np.column_stack([e.evaluate(totals[:, sl])
                              for e, sl in zip(sc.estimands, ctx.slices)])
@@ -448,11 +457,12 @@ def _strat_replicate_row(ctx: _Context, rng: np.random.Generator, row: np.ndarra
 def _replicate_rows(ctx: _Context, start: int, end: int) -> np.ndarray:
     out = np.full((end - start, ctx.n_slots), np.nan)
     if ctx.scenario.first_stage.kind == "STRAT_SI":
-        for b in range(start, end):
-            _strat_replicate_row(ctx, ctx.rng_for(b, "mc"), out[b - start])
+        for row, rng in zip(out, ctx.streams("mc", start, end)):
+            _strat_replicate_row(ctx, rng, row)
         return out
+    keys = ctx.keys("mc", start, end)
     for lo, hi in _blocks(start, end):
-        block = _si_block(ctx, "mc", lo, hi)
+        block = _si_block(ctx, keys[lo - start:hi - start])
         for i in range(hi - lo):
             _si_replicate_row(ctx, block, i, out[lo - start + i])
     return out
@@ -461,13 +471,15 @@ def _replicate_rows(ctx: _Context, start: int, end: int) -> np.ndarray:
 def _point_rows(ctx: _Context, start: int, end: int) -> np.ndarray:
     sc = ctx.scenario
     if sc.first_stage.kind != "STRAT_SI":
-        return np.vstack([_si_block(ctx, "true", lo, hi).theta for lo, hi in _blocks(start, end)])
+        keys = ctx.keys("true", start, end)
+        return np.vstack([_si_block(ctx, keys[lo - start:hi - start]).theta
+                          for lo, hi in _blocks(start, end)])
     (e,) = sc.estimands
     out = np.empty((end - start, 1))
-    for b in range(start, end):
+    for row, rng in zip(out, ctx.streams("true", start, end)):
         totals = StratifiedClusterSample.draw(ctx.frame, sc.first_stage.allocations,
-                                              ctx.col_subtotals, ctx.rng_for(b, "true")).totals
-        out[b - start, 0] = float(e.evaluate(totals[None, :])[0])
+                                              ctx.col_subtotals, rng).totals
+        row[0] = float(e.evaluate(totals[None, :])[0])
     return out
 
 
@@ -653,39 +665,3 @@ def scaling_study(
                 )
                 rows.append(row)
     return rows
-
-
-# ---------------------------------------------------------------------------
-# distributional screen
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NormalityScreen:
-    statistic: float
-    critical: float
-
-    @property
-    def passed(self) -> bool:
-        return self.statistic < self.critical
-
-
-def anderson_darling_normal(values: np.ndarray) -> float:
-    """Anderson-Darling statistic against the standard normal (fully specified)."""
-    x = np.sort(np.asarray(values, dtype=np.float64))
-    n = x.size
-    if n < 8:
-        raise ValueError("need at least 8 observations")
-    u = 0.5 * (1.0 + np.array([math.erf(v / math.sqrt(2.0)) for v in x]))
-    u = np.clip(u, 1e-300, 1.0 - 1e-16)
-    i = np.arange(1, n + 1)
-    return float(-n - np.mean((2 * i - 1) * (np.log(u) + np.log1p(-u[::-1]))))
-
-
-def normality_screen(values: np.ndarray, critical: float = 6.0) -> NormalityScreen:
-    """Screen a pivot sample for normality.
-
-    The default critical value 6.0 is the asymptotic upper point of the
-    fully-specified-normal Anderson-Darling statistic at level 0.001.
-    """
-    return NormalityScreen(anderson_darling_normal(values), critical)

@@ -5,8 +5,9 @@ reduce estimator values to exact means/variances.  They deliberately avoid
 the package's sampling code so that estimator tests check against an
 independent computation.  The frame text I/O oracles further down are the
 row-at-a-time reader and writer that the block-columnar ones replaced, and
-the Monte Carlo oracles at the end are the one-replicate-at-a-time loops
-that the block engine of ``twostage.montecarlo`` replaced.
+the Monte Carlo and coupling oracles at the end are the
+one-replicate-at-a-time loops that the block engines of
+``twostage.montecarlo`` and ``twostage.coupling`` replaced.
 """
 import csv
 import io
@@ -139,7 +140,7 @@ def ingest_frame_rows(path, schema=None, delimiter=None):
                 raise IngestError(f"malformed row ({exc})", line=line_no) from None
             if not all(math.isfinite(v) for v in y):
                 raise IngestError("non-finite y value", line=line_no)
-            stratum = row[stratum_col].strip() if stratum_col is not None else None
+            stratum = row[stratum_col] if stratum_col is not None else None
             if psu_id in psu_stratum and psu_stratum[psu_id] != stratum:
                 raise IngestError(
                     f"psu_id {psu_id} appears under two strata", line=line_no
@@ -312,11 +313,12 @@ def replicate_rows(ctx, start, end):
     """MC replicate rows start..end-1, one replicate at a time (for ``_replicate_rows``)."""
     from twostage import montecarlo as mc
     from twostage.estimators import estimand_columns
+    from twostage.rng import substream
 
     est_columns = estimand_columns(ctx.frame, ctx.scenario.estimands)
     out = np.full((end - start, ctx.n_slots), np.nan)
     for b in range(start, end):
-        rng = ctx.rng_for(b, "mc")
+        rng = substream(ctx.seed, *ctx.tag, "mc", b)
         if ctx.scenario.first_stage.kind == "STRAT_SI":
             mc._strat_replicate_row(ctx, rng, out[b - start])
         else:
@@ -327,12 +329,13 @@ def replicate_rows(ctx, start, end):
 def point_rows(ctx, start, end):
     """Reference-run point estimates start..end-1, one sample at a time (for ``_point_rows``)."""
     from twostage.estimators import StratifiedClusterSample, estimand_columns
+    from twostage.rng import substream
 
     sc = ctx.scenario
     est_columns = estimand_columns(ctx.frame, sc.estimands)
     out = np.empty((end - start, len(sc.estimands)))
     for b in range(start, end):
-        rng = ctx.rng_for(b, "true")
+        rng = substream(ctx.seed, *ctx.tag, "true", b)
         if sc.first_stage.kind == "STRAT_SI":
             totals = StratifiedClusterSample.draw(ctx.frame, sc.first_stage.allocations,
                                                   est_columns[1], rng).totals
@@ -358,3 +361,142 @@ def si_order_excluding_loop(n_population, n, exclude, rng):
             if len(out) == n:
                 break
     return out
+
+
+# ---------------------------------------------------------------------------
+# Coupling verification: the one-replicate-at-a-time loops that the block
+# engine of ``twostage.coupling`` must match bit for bit.  Every replicate
+# draws from a fresh ``substream`` and builds its coupled draw from the
+# public second-stage engine.
+# ---------------------------------------------------------------------------
+
+
+def _coupled_estimates(frame, psu_indices, method, n0, rng, var):
+    from twostage.designs import second_stage_estimates
+
+    y_hat, _ = second_stage_estimates(
+        frame, frame.values, frame.subtotals, psu_indices, method, n0, rng
+    )
+    return y_hat[:, [var]]
+
+
+def be_si_delta2(frame, n_I, rng, method, n0, var, mu):
+    """sum_SI (Yhat_i - mu) - sum_BE (Yhat_i - mu) of one BE/SI coupled draw."""
+    from twostage.designs import si_order, si_order_excluding
+
+    N = frame.n_psus
+    be = np.flatnonzero(rng.random(N) < n_I / N).astype(np.int64)
+    n_b = be.size
+    if n_b == n_I:
+        si = be
+    elif n_b < n_I:
+        si = np.concatenate([be, si_order_excluding(N, n_I - n_b, be, rng)])
+    else:
+        keep = np.ones(n_b, dtype=bool)
+        keep[si_order(n_b, n_b - n_I, rng)] = False
+        si = be[keep]
+    be_vals = _coupled_estimates(frame, be, method, n0, rng, var)
+    if n_b == n_I:
+        si_vals = be_vals
+    elif n_b < n_I:
+        plus_vals = _coupled_estimates(frame, si[n_b:], method, n0, rng, var)
+        si_vals = np.concatenate([be_vals, plus_vals], axis=0)
+    else:
+        si_vals = be_vals[keep]
+    return float(si_vals[:, 0].sum() - be_vals[:, 0].sum()) - mu * (si.size - be.size)
+
+
+def sir_si_values(frame, n_I, rng, method, n0, var):
+    """(x, z) of one SIR/SI coupled draw: per-draw estimates, WR and SI side."""
+    from twostage.designs import si_order_excluding
+
+    N = frame.n_psus
+    wr = rng.integers(0, N, size=n_I).astype(np.int64)
+    uniq, first_pos, counts = np.unique(wr, return_index=True, return_counts=True)
+    distinct = uniq[np.argsort(first_pos, kind="stable")]
+    first_mask = np.zeros(n_I, dtype=bool)
+    first_mask[first_pos] = True
+    n_d = distinct.size
+    complement = (si_order_excluding(N, n_I - n_d, distinct, rng) if n_d < n_I
+                  else np.empty(0, dtype=np.int64))
+    x_vals = _coupled_estimates(frame, wr, method, n0, rng, var)
+    z_vals = x_vals.copy()
+    if complement.size:
+        z_vals[~first_mask] = _coupled_estimates(frame, complement, method, n0, rng, var)
+    return x_vals[:, 0], z_vals[:, 0]
+
+
+def _exact_vi(frame, method, n0, var):
+    from twostage.estimators import si_second_stage_variances
+
+    return np.zeros(frame.n_psus) if method == "CENSUS" else si_second_stage_variances(frame, n0, var)
+
+
+def _bound_report(check, tag, frame, n_I, replicates, seed, denom, statistic, rhs):
+    """The report of statistic(rng)^2 / denom, replicate b on substream (seed, tag, b)."""
+    from twostage.coupling import BoundReport
+    from twostage.rng import substream
+
+    d2 = np.empty(replicates)
+    for b in range(replicates):
+        d2[b] = statistic(substream(seed, tag, b)) ** 2
+    lhs = float(d2.mean()) / denom
+    se = float(d2.std(ddof=1)) / math.sqrt(replicates) / denom
+    return BoundReport(check, frame.n_psus, n_I, replicates, lhs, se, rhs).to_dict()
+
+
+def hajek_bound_loop(frame, n_I, replicates, seed, var=0, method="CENSUS", n0=None):
+    """``verify_hajek_bound(...).to_dict()``, one replicate at a time."""
+    N = frame.n_psus
+    sub = frame.subtotals[:, var]
+    mu = float(sub.mean())
+    f = n_I / N
+    v_i = _exact_vi(frame, method, n0, var)
+    denom = f * float(v_i.sum()) + f * (1.0 - f) * float(np.sum((sub - mu) ** 2))
+    return _bound_report("be_si", "be-si", frame, n_I, replicates, seed, denom,
+                         lambda rng: be_si_delta2(frame, n_I, rng, method, n0, var, mu),
+                         math.sqrt(1.0 / n_I + 1.0 / (N - n_I)))
+
+
+def sir_si_bound_loop(frame, n_I, replicates, seed, var=0, method="CENSUS", n0=None):
+    """``verify_sir_si_bound(...).to_dict()``, one replicate at a time."""
+    from twostage.designs import DesignSpec
+    from twostage.estimators import theoretical_variance
+
+    N = frame.n_psus
+    denom = theoretical_variance(frame, DesignSpec("SIR", n_I=n_I),
+                                 _exact_vi(frame, method, n0, var), var)
+
+    def wr_minus_si(rng):
+        x, z = sir_si_values(frame, n_I, rng, method, n0, var)
+        return N * float(x.mean()) - N * float(z.mean())
+
+    return _bound_report("sir_si", "sir-si", frame, n_I, replicates, seed, denom, wr_minus_si,
+                         (n_I - 1.0) / (N - 1.0))
+
+
+def decay_loop(frames, n_I, replicates, seed, m=None, var=0, method="CENSUS", n0=None):
+    """The rows of ``verify_decay(...)`` as dicts, one replicate at a time."""
+    from twostage.bootstrap import multinomial_weights
+    from twostage.rng import substream
+
+    m = n_I if m is None else m
+    rows = []
+    for fi, fr in enumerate(frames):
+        stats = np.empty((replicates, 3))
+        for b in range(replicates):
+            rng = substream(seed, "decay", fi, b)
+            x, z = sir_si_values(fr, n_I, rng, method, n0, var)
+            d = multinomial_weights(rng, 1, n_I, m)[0]
+            stats[b, 0] = (z.mean() - x.mean()) ** 2
+            stats[b, 1] = abs(np.var(z, ddof=1) - np.var(x, ddof=1))
+            stats[b, 2] = ((d @ z - d @ x) / m) ** 2
+        means = stats.mean(axis=0)
+        ses = stats.std(axis=0, ddof=1) / math.sqrt(replicates)
+        rows.append({
+            "n_psus": fr.n_psus, "n_I": n_I, "m": m,
+            "mean_sq_diff": n_I * means[0], "mean_sq_diff_se": n_I * ses[0],
+            "abs_s2_diff": means[1], "abs_s2_diff_se": ses[1],
+            "boot_sq_diff": m * means[2], "boot_sq_diff_se": m * ses[2],
+        })
+    return rows

@@ -30,7 +30,6 @@ from twostage import (
     TotalEstimand,
     draw_si,
     generate_population,
-    normality_screen,
     resample_wr,
     run_scenario,
     substream,
@@ -49,6 +48,7 @@ from twostage.estimators import (
 )
 from twostage.frame import empirical_icc, empirical_pair_correlation
 from conftest import ACCEPTANCE_LINES, scalar_frame
+from normality import normality_screen
 
 pytestmark = pytest.mark.acceptance
 

@@ -1,6 +1,7 @@
 """Coupled-draw marginals, sharing rules, and bound/decay verification."""
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from twostage import (
     verify_sir_si_bound,
 )
 from twostage.bootstrap import multinomial_weights
-from twostage.estimators import expansion_totals
+from twostage.estimators import expansion_totals, si_second_stage_variances
 from conftest import scalar_frame
 
 CHI2_LEVEL = 0.001
@@ -244,3 +245,98 @@ class TestDecay:
         report = verify_decay(frames, 5, 1000, seed=63)
         with pytest.raises(ValueError):
             report.strictly_decreasing("nope")
+
+
+def _sir_si_ratio_exact(y, n):
+    """E(Yhat_WR - Yhat_SI)^2 / V(Yhat_WR) of the SIR/SI coupling, by enumeration.
+
+    Every ordered with-replacement draw has probability N^-n; its repeats r
+    are completed by each r-subset of the never-drawn PSUs with equal
+    probability.  Under a census the estimators are (N/n) times the sums of
+    the drawn subtotals, and V(Yhat_WR) = (N^2/n) sigma^2 with divisor N.
+    """
+    N = len(y)
+    y = [Fraction(v) for v in y]
+    scale = Fraction(N, n) ** 2
+    second_moment = Fraction(0)
+    for seq in itertools.product(range(N), repeat=n):
+        distinct = set(seq)
+        rest = [i for i in range(N) if i not in distinct]
+        r = n - len(distinct)
+        completions = list(itertools.combinations(rest, r))
+        wr_minus_distinct = sum(y[i] for i in seq) - sum(y[i] for i in distinct)
+        for comp in completions:
+            diff = wr_minus_distinct - sum(y[i] for i in comp)
+            second_moment += scale * diff**2 / (N**n * len(completions))
+    mean = sum(y) / N
+    sigma2 = sum((v - mean) ** 2 for v in y) / N
+    return second_moment / (Fraction(N * N, n) * sigma2)
+
+
+class TestSirSiIdentity:
+    """Under a census second stage the SIR/SI "bound" holds with equality.
+
+    With W_i the SIR multiplicity, I_i = 1{W_i >= 1} and J_i the SI
+    completion, c_i = W_i - I_i - J_i is exchangeable and sums to 0, so
+    E(Yhat_WR - Yhat_SI)^2 / V(Yhat_WR) = (n_I - 1)/(N_I - 1) for every y.
+    """
+
+    @pytest.mark.parametrize("y, n", [
+        ([1, 2, 3, 4, 5], 2),
+        ([0, 0, 7, 3], 3),
+        ([2, 9, 4, 4, 1, 6], 3),
+        ([1, 5, 2], 3),
+    ])
+    def test_identity_by_exact_enumeration(self, y, n):
+        assert _sir_si_ratio_exact(y, n) == Fraction(n - 1, len(y) - 1)
+
+    @pytest.mark.parametrize("n_psus, n_I, replicates, seed", [
+        (20, 5, 20000, 90),
+        (3000, 60, 5000, 91),  # N_I above 2,048: completions by rejection
+    ])
+    def test_identity_holds_two_sided(self, n_psus, n_I, replicates, seed):
+        frame = scalar_frame(100.0 + 15.0 * substream(seed, "frame").standard_normal(n_psus))
+        report = verify_sir_si_bound(frame, n_I, replicates, seed=seed)
+        assert abs(report.lhs_estimate - report.rhs_bound) < 4 * report.lhs_se
+
+
+def _within_heavy_frame():
+    """10 PSUs of 20-30 SSUs whose within-PSU variance dwarfs the between-PSU one."""
+    rng = np.random.default_rng(4)
+    sizes = rng.integers(20, 31, size=10).astype(np.int64)
+    return Frame(rng.normal(50.0, 10.0, size=(int(sizes.sum()), 1)), sizes)
+
+
+class TestStrictBoundsWithSubsampling:
+    """An SI second stage makes both bounds strict inequalities."""
+
+    def test_sir_si_matches_its_closed_form_below_the_bound(self):
+        # Second-stage errors of first occurrences cancel; each repeat adds a
+        # fresh estimate of a drawn PSU and one of its completion PSU, so
+        # E(diff^2) = (n-1)/(N-1) (N^2/n) sigma^2 + (N/n)^2 2 E(r) Vbar with
+        # E(r) = n - N + N (1 - 1/N)^n repeats, and V(Yhat_WR) = (N^2/n)
+        # (sigma^2 + Vbar).  Since 2 E(r)/n < (n-1)/(N-1), the ratio lies
+        # strictly below the bound.
+        frame = _within_heavy_frame()
+        N, n, n0 = frame.n_psus, 8, 2
+        y = frame.subtotals[:, 0]
+        sigma2 = float(np.mean((y - y.mean()) ** 2))
+        v_bar = float(si_second_stage_variances(frame, n0, 0).mean())
+        repeats = n - N + N * (1.0 - 1.0 / N) ** n
+        exact = ((n - 1) / (N - 1) * sigma2 + 2.0 * repeats / n * v_bar) / (sigma2 + v_bar)
+        report = verify_sir_si_bound(frame, n, 20000, seed=92, second_stage="SI", n0=n0)
+        assert abs(report.lhs_estimate - exact) < 4 * report.lhs_se
+        assert report.lhs_estimate + 4 * report.lhs_se < report.rhs_bound
+        assert report.passed
+
+    @pytest.mark.parametrize("n_psus, n_I", [(10, 5), (2500, 40)])
+    def test_hajek_bound_strict_on_multi_ssu_frames(self, n_psus, n_I):
+        rng = np.random.default_rng(n_psus)
+        sizes = rng.integers(3, 8, size=n_psus).astype(np.int64)
+        values = rng.normal(50.0, 10.0, size=(int(sizes.sum()), 2))
+        values[:, 1] += np.repeat(rng.normal(0.0, 5.0, size=n_psus), sizes)
+        frame = Frame(values, sizes)
+        report = verify_hajek_bound(frame, n_I, 5000, seed=93, var_index=1,
+                                    second_stage="SI", n0=2)
+        assert report.passed
+        assert report.lhs_estimate + 4 * report.lhs_se < report.rhs_bound

@@ -25,3 +25,11 @@ def test_package_imports_resolve():
             module = importlib.import_module(f"twostage.{node.module}")
             missing += [f"{node.module}.{a.name}" for a in node.names if not hasattr(module, a.name)]
     assert not missing, f"twostage/__init__.py imports undefined names {missing}"
+
+
+def test_the_normality_screen_lives_in_the_tests():
+    """Only the acceptance and Monte Carlo tests screen pivots; the library does not."""
+    import twostage.montecarlo as montecarlo
+
+    for name in ("normality_screen", "anderson_darling_normal", "NormalityScreen"):
+        assert not hasattr(twostage, name) and not hasattr(montecarlo, name), name

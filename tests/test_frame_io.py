@@ -99,6 +99,17 @@ class TestValidFiles:
         assert back.strata == frame.strata
         assert back.values.tobytes() == frame.values.tobytes()
 
+    @pytest.mark.parametrize("name", ["frame.csv", "frame.tsv"])
+    def test_labels_keep_their_whitespace(self, tmp_path, name):
+        """Whitespace is data in CSV: "a", " a " and "a\t" stay three strata."""
+        labels = ["a", " a ", "a\t", " ", ""]
+        frame = Frame(np.arange(10.0)[:, None], np.array([2, 1, 3, 2, 2]), strata=labels)
+        path = tmp_path / name
+        frame_to_csv(frame, path)
+        back = _check_read(path)
+        assert list(back.strata) == labels
+        assert back.sizes.tolist() == frame.sizes.tolist()
+
     @pytest.mark.parametrize("n_rows", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
     def test_block_edges(self, tmp_path, n_rows):
         path = tmp_path / "f.csv"

@@ -12,14 +12,13 @@ from twostage import (
     TotalEstimand,
     approximate_true_variance,
     coverage_stats,
-    normality_screen,
     run_scenario,
     scaling_study,
     substream,
 )
 import twostage.montecarlo as montecarlo
-from twostage.montecarlo import anderson_darling_normal
 from conftest import scalar_frame
+from normality import anderson_darling_normal, normality_screen
 
 
 def _report(reports, estimand, family):
