@@ -18,7 +18,7 @@ from twostage import (
 )
 from twostage.bootstrap import multinomial_weights
 from twostage.estimators import expansion_totals, si_second_stage_variances
-from conftest import scalar_frame
+from conftest import multi_ssu_frame, scalar_frame
 
 CHI2_LEVEL = 0.001
 
@@ -331,12 +331,7 @@ class TestStrictBoundsWithSubsampling:
 
     @pytest.mark.parametrize("n_psus, n_I", [(10, 5), (2500, 40)])
     def test_hajek_bound_strict_on_multi_ssu_frames(self, n_psus, n_I):
-        rng = np.random.default_rng(n_psus)
-        sizes = rng.integers(3, 8, size=n_psus).astype(np.int64)
-        values = rng.normal(50.0, 10.0, size=(int(sizes.sum()), 2))
-        values[:, 1] += np.repeat(rng.normal(0.0, 5.0, size=n_psus), sizes)
-        frame = Frame(values, sizes)
-        report = verify_hajek_bound(frame, n_I, 5000, seed=93, var_index=1,
-                                    second_stage="SI", n0=2)
+        report = verify_hajek_bound(multi_ssu_frame(n_psus, 94), n_I, 5000, seed=93,
+                                    var_index=1, second_stage="SI", n0=2)
         assert report.passed
         assert report.lhs_estimate + 4 * report.lhs_se < report.rhs_bound

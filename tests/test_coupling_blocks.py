@@ -11,14 +11,14 @@ import pytest
 
 import twostage.coupling as coupling
 from twostage import (
-    Frame,
     coupled_be_si,
+    coupled_sir_si,
     substream,
     verify_decay,
     verify_hajek_bound,
     verify_sir_si_bound,
 )
-from conftest import scalar_frame
+from conftest import multi_ssu_frame, scalar_frame
 
 import oracles
 
@@ -27,23 +27,14 @@ def _normal(n_psus, seed):
     return scalar_frame(100.0 + 15.0 * np.random.default_rng(seed).standard_normal(n_psus))
 
 
-def _multi(n_psus, seed):
-    """PSUs of 3-6 SSUs holding two variables, the second clustered."""
-    rng = np.random.default_rng(seed)
-    sizes = rng.integers(3, 7, size=n_psus).astype(np.int64)
-    values = rng.normal([20.0, 50.0], [4.0, 9.0], size=(int(sizes.sum()), 2))
-    values[:, 1] += np.repeat(rng.normal(0.0, 6.0, size=n_psus), sizes)
-    return Frame(values, sizes)
-
-
 # (frame, n_I, var, second stage, n0); N_I above 2,048 reaches the rejection
 # branch of si_order_excluding
 BE_SI = {
     "census-100": (lambda: _normal(100, 1), 10, 0, "CENSUS", None),
     "census-3000": (lambda: _normal(3000, 2), 40, 0, "CENSUS", None),
     "census-5-of-6": (lambda: scalar_frame(np.arange(1.0, 7.0)), 5, 0, "CENSUS", None),
-    "si-40": (lambda: _multi(40, 3), 6, 1, "SI", 3),
-    "si-2500": (lambda: _multi(2500, 4), 30, 1, "SI", 2),
+    "si-40": (lambda: multi_ssu_frame(40, 3), 6, 1, "SI", 3),
+    "si-2500": (lambda: multi_ssu_frame(2500, 4), 30, 1, "SI", 2),
 }
 SIR_SI = {
     "census-5-2": (lambda: scalar_frame(np.arange(1.0, 6.0)), 2, 0, "CENSUS", None),
@@ -51,17 +42,17 @@ SIR_SI = {
     "census-500": (lambda: _normal(500, 6), 50, 0, "CENSUS", None),
     "census-3000": (lambda: _normal(3000, 7), 60, 0, "CENSUS", None),
     "census-one-draw": (lambda: _normal(30, 8), 1, 0, "CENSUS", None),
-    "si-40": (lambda: _multi(40, 9), 8, 1, "SI", 3),
-    "si-40-n-equals-N": (lambda: _multi(40, 10), 40, 0, "SI", 2),
-    "si-2500": (lambda: _multi(2500, 11), 60, 1, "SI", 2),
-    "systematic-40": (lambda: _multi(40, 12), 8, 0, "SYSTEMATIC", 3),
+    "si-40": (lambda: multi_ssu_frame(40, 9), 8, 1, "SI", 3),
+    "si-40-n-equals-N": (lambda: multi_ssu_frame(40, 10), 40, 0, "SI", 2),
+    "si-2500": (lambda: multi_ssu_frame(2500, 11), 60, 1, "SI", 2),
+    "systematic-40": (lambda: multi_ssu_frame(40, 12), 8, 0, "SYSTEMATIC", 3),
 }
 DECAY = {
     "census": (lambda: [_normal(n, 20 + n) for n in (60, 600, 3000)], 20, 0, "CENSUS", None, 15),
     "census-pairwise": (lambda: [_normal(n, 30 + n) for n in (300, 1000, 2500)], 150, 0,
                         "CENSUS", None, None),
-    "si": (lambda: [_multi(n, 40 + n) for n in (30, 300, 2500)], 12, 1, "SI", 3, 9),
-    "systematic": (lambda: [_multi(n, 50 + n) for n in (30, 300, 2500)], 12, 1,
+    "si": (lambda: [multi_ssu_frame(n, 40 + n) for n in (30, 300, 2500)], 12, 1, "SI", 3, 9),
+    "systematic": (lambda: [multi_ssu_frame(n, 50 + n) for n in (30, 300, 2500)], 12, 1,
                    "SYSTEMATIC", 2, None),
 }
 # the default block and blocks of a few replicates, so that 1,000 or 1,001
@@ -113,11 +104,15 @@ def test_decay_matches_the_replicate_loop(case, block_cells):
     assert [r.to_dict() for r in got.rows] == want
 
 
-def test_one_replicate_functions_are_the_engine_draws():
-    """coupled_sir_si draws exactly what the block engine draws for one replicate."""
-    frame = _multi(40, 13)
+def test_one_replicate_functions_draw_what_the_loop_drew():
+    """coupled_sir_si and coupled_be_si share the engine's draw code; both keep their bits."""
+    frame = multi_ssu_frame(40, 13)
+    mu = float(frame.subtotals[:, 1].mean())
     for b in range(200):
-        draw = coupling.coupled_sir_si(frame, 8, substream(74, "sir-si", b), "SI", 3, [1])
+        draw = coupled_sir_si(frame, 8, substream(74, "sir-si", b), "SI", 3, [1])
         x, z = oracles.sir_si_values(frame, 8, substream(74, "sir-si", b), "SI", 3, 1)
         assert draw.x_values[:, 0].tobytes() == x.tobytes()
         assert draw.z_values[:, 0].tobytes() == z.tobytes()
+        be_si = coupled_be_si(frame, 6, substream(74, "be-si", b), "SI", 3, [1])
+        assert be_si.delta2(mu) == oracles.be_si_delta2(frame, 6, substream(74, "be-si", b),
+                                                         "SI", 3, 1, mu)

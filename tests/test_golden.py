@@ -20,6 +20,7 @@ import pytest
 
 from twostage import Frame, frame_to_csv, verify_decay, verify_hajek_bound, verify_sir_si_bound
 from twostage.cli import main
+from conftest import multi_ssu_frame
 
 NUMPY = "2.4"
 
@@ -256,19 +257,10 @@ GOLDEN: dict[str, str] = {
 }
 
 
-def _multi_ssu_frame(n_psus: int, seed: int) -> Frame:
-    """PSUs of 3-6 SSUs holding two variables."""
-    rng = np.random.default_rng(seed)
-    sizes = rng.integers(3, 7, size=n_psus).astype(np.int64)
-    values = rng.normal([20.0, 50.0], [4.0, 9.0], size=(int(sizes.sum()), 2))
-    values[:, 1] += np.repeat(rng.normal(0.0, 6.0, size=n_psus), sizes)
-    return Frame(values, sizes)
-
-
 def _library_reports() -> dict[str, object]:
     """Coupling reports the CLI cannot ask for: second stages other than a census."""
-    small, large = _multi_ssu_frame(60, 11), _multi_ssu_frame(2500, 12)
-    decay = [_multi_ssu_frame(n, 13 + i) for i, n in enumerate((30, 300, 3000))]
+    small, large = multi_ssu_frame(60, 11), multi_ssu_frame(2500, 12)
+    decay = [multi_ssu_frame(n, 13 + i) for i, n in enumerate((30, 300, 3000))]
     return {
         "be_si-SI": verify_hajek_bound(small, 8, 1000, 31, var_index=1,
                                        second_stage="SI", n0=3).to_dict(),
