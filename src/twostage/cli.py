@@ -247,6 +247,17 @@ def _validate_genpop(payload: dict, seed: int) -> None:
         raise ConfigError(f"config.population: {exc}") from None
 
 
+def _parse_second_stage(obj: Any, path: str, methods: Sequence[str]) -> tuple[str, int | None]:
+    """(method, n0) of a ``{"method", "n0"}`` second stage; a census takes no n0."""
+    _check_keys(obj, ["method", "n0"], path)
+    method = _as_str(_require(obj, "method", path), f"{path}.method", methods)
+    if method != "CENSUS":
+        return method, _as_int(_require(obj, "n0", path), f"{path}.n0", 1)
+    if obj.get("n0") is not None:
+        raise ConfigError(f"{path}.n0: a census takes no n0")
+    return method, None
+
+
 def _validate_estimate(payload: dict, seed: int, bootstrap: bool = False) -> None:
     _as_str(_require(payload, "frame", "config"), "config.frame")
     design = _require(payload, "design", "config")
@@ -260,14 +271,8 @@ def _validate_estimate(payload: dict, seed: int, bootstrap: bool = False) -> Non
         _as_int(_require(design, "n_I", "config.design"), "config.design.n_I", 1)
     else:
         _as_num(_require(design, "expected_n_I", "config.design"), "config.design.expected_n_I")
-    second = _require(payload, "second_stage", "config")
-    _check_keys(second, ["method", "n0"], "config.second_stage")
-    method = _as_str(_require(second, "method", "config.second_stage"),
-                     "config.second_stage.method", SECOND_STAGE_METHODS)
-    if method != "CENSUS":
-        _as_int(_require(second, "n0", "config.second_stage"), "config.second_stage.n0", 1)
-    elif "n0" in second and second["n0"] is not None:
-        raise ConfigError("config.second_stage.n0: a census takes no n0")
+    _parse_second_stage(_require(payload, "second_stage", "config"), "config.second_stage",
+                        SECOND_STAGE_METHODS)
     ests = _as_list(_require(payload, "estimands", "config"), "config.estimands")
     payload["_estimands"] = [
         _parse_estimand(e, f"config.estimands[{i}]") for i, e in enumerate(ests)
@@ -360,20 +365,33 @@ def _parse_verify_frame(obj: Any, path: str) -> dict:
     return dict(obj)
 
 
+def _validate_verify_second_stage(spec: dict, path: str, methods: Sequence[str],
+                                  frames: Sequence[dict]) -> None:
+    """The optional second stage of a check; the default is a census."""
+    if "second_stage" not in spec:
+        return
+    _, n0 = _parse_second_stage(spec["second_stage"], f"{path}.second_stage", methods)
+    if n0 is not None and n0 > 1 and any(f["kind"] != "path" for f in frames):
+        raise ConfigError(f"{path}.second_stage.n0: the PSUs of a generated frame "
+                          "hold one SSU each, so n0 must be 1")
+
+
 def _validate_verify(payload: dict, seed: int) -> None:
     if not payload.get("bounds") and not payload.get("decay"):
         raise ConfigError("config: verify needs 'bounds' and/or 'decay'")
     for i, spec in enumerate(payload.get("bounds", [])):
         path = f"config.bounds[{i}]"
-        _check_keys(spec, ["check", "n_I", "replicates", "frame"], path)
+        _check_keys(spec, ["check", "n_I", "replicates", "frame", "second_stage"], path)
         _as_str(_require(spec, "check", path), f"{path}.check", ["be_si", "sir_si"])
         _as_int(_require(spec, "n_I", path), f"{path}.n_I", 1)
         _as_int(spec.get("replicates", 100000), f"{path}.replicates", 1000)
-        _parse_verify_frame(_require(spec, "frame", path), f"{path}.frame")
+        frame = _parse_verify_frame(_require(spec, "frame", path), f"{path}.frame")
+        # the bounds' denominators need the exact within-PSU variances
+        _validate_verify_second_stage(spec, path, ["CENSUS", "SI"], [frame])
     decay = payload.get("decay")
     if decay is not None:
         path = "config.decay"
-        _check_keys(decay, ["n_I", "m", "replicates", "frames"], path)
+        _check_keys(decay, ["n_I", "m", "replicates", "frames", "second_stage"], path)
         _as_int(_require(decay, "n_I", path), f"{path}.n_I", 2)
         if decay.get("m") is not None:
             _as_int(decay["m"], f"{path}.m", 2)
@@ -381,8 +399,9 @@ def _validate_verify(payload: dict, seed: int) -> None:
         frames = _as_list(_require(decay, "frames", path), f"{path}.frames")
         if len(frames) < 3:
             raise ConfigError(f"{path}.frames: need at least 3 frames")
-        for i, spec in enumerate(frames):
-            _parse_verify_frame(spec, f"{path}.frames[{i}]")
+        frames = [_parse_verify_frame(spec, f"{path}.frames[{i}]")
+                  for i, spec in enumerate(frames)]
+        _validate_verify_second_stage(decay, path, SECOND_STAGE_METHODS, frames)
 
 
 _VALIDATORS = {
@@ -469,7 +488,7 @@ def _manifest(cfg: RunConfig, written: list[str], started: float) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _run_genpop(cfg: RunConfig, out: str) -> list[str]:
+def _run_genpop(cfg: RunConfig, out: str, notes: dict) -> list[str]:
     pop_cfg = SyntheticConfig(seed=cfg.seed, **cfg.payload["population"])
     frame = generate_population(pop_cfg)
     ext = cfg.payload.get("format", "csv")
@@ -531,12 +550,13 @@ def _one_draw_estimates(cfg: RunConfig, frame: Frame):
     return draw, yhat, vhat, points
 
 
-def _run_estimate(cfg: RunConfig, out: str) -> list[str]:
+def _run_estimate(cfg: RunConfig, out: str, notes: dict) -> list[str]:
     payload = cfg.payload
     frame = ingest_frame(payload["frame"])
     alpha = payload.get("alpha", 0.025)
     kind = payload["design"]["kind"]
     draw, yhat, vhat, points = _one_draw_estimates(cfg, frame)
+    skipped = notes["skipped_variance_methods"] = []
 
     for est, sl, entry in points:
         if isinstance(est, TotalEstimand) and payload.get("variance_methods"):
@@ -547,8 +567,9 @@ def _run_estimate(cfg: RunConfig, out: str) -> list[str]:
             for vm in payload["variance_methods"]:
                 try:
                     v = variance_estimate(total, vm)
-                except ValueError:
-                    continue  # method/design mismatch; skip quietly in reports
+                except ValueError as exc:  # method/design mismatch: left out of the report
+                    skipped.append({"estimand": est.label, "method": vm, "message": str(exc)})
+                    continue
                 variances[vm] = v
                 lo, hi = normal_ci(entry["point"], v, alpha)
                 cis[vm] = [lo, hi]
@@ -569,7 +590,7 @@ def _run_estimate(cfg: RunConfig, out: str) -> list[str]:
     return [report_path, draw_path]
 
 
-def _run_bootstrap(cfg: RunConfig, out: str) -> list[str]:
+def _run_bootstrap(cfg: RunConfig, out: str, notes: dict) -> list[str]:
     payload = cfg.payload
     frame = ingest_frame(payload["frame"])
     alpha = payload.get("alpha", 0.025)
@@ -658,7 +679,7 @@ def _mc_cells(payload: dict, seed: int):
     return cells, rho_by_label, kind_by_label
 
 
-def _run_mc(cfg: RunConfig, out: str) -> list[str]:
+def _run_mc(cfg: RunConfig, out: str, notes: dict) -> list[str]:
     payload = cfg.payload
     if "population" in payload:
         frame = generate_population(SyntheticConfig(seed=cfg.seed, **payload["population"]))
@@ -705,14 +726,21 @@ def _write_records(out: str, name: str, records: list[dict], doc: Any) -> list[s
     return [csv_path, json_path]
 
 
-def _run_verify(cfg: RunConfig, out: str) -> list[str]:
+def _second_stage_args(spec: dict) -> dict:
+    """The ``second_stage`` and ``n0`` arguments of a verify check (a census by default)."""
+    second = spec.get("second_stage", {"method": "CENSUS"})
+    return {"second_stage": second["method"], "n0": second.get("n0")}
+
+
+def _run_verify(cfg: RunConfig, out: str, notes: dict) -> list[str]:
     payload = cfg.payload
     written = []
     bounds = []
     for i, spec in enumerate(payload.get("bounds", [])):
         frame = _verify_frame(spec["frame"], cfg.seed, i)
         fn = verify_hajek_bound if spec["check"] == "be_si" else verify_sir_si_bound
-        bounds.append(fn(frame, spec["n_I"], spec.get("replicates", 100000), cfg.seed).to_dict())
+        bounds.append(fn(frame, spec["n_I"], spec.get("replicates", 100000), cfg.seed,
+                         **_second_stage_args(spec)).to_dict())
     if bounds:
         written += _write_records(out, "bounds", bounds, bounds)
 
@@ -722,7 +750,8 @@ def _run_verify(cfg: RunConfig, out: str) -> list[str]:
             _verify_frame(spec, cfg.seed, 1000 + i) for i, spec in enumerate(decay["frames"])
         ]
         report = verify_decay(
-            frames, decay["n_I"], decay.get("replicates", 100000), cfg.seed, m=decay.get("m")
+            frames, decay["n_I"], decay.get("replicates", 100000), cfg.seed, m=decay.get("m"),
+            **_second_stage_args(decay),
         )
         rows = [r.to_dict() for r in report.rows]
         written += _write_records(out, "decay", rows, {
@@ -748,9 +777,10 @@ def execute(cfg: RunConfig) -> int:
     """Run a validated configuration; returns the process exit status."""
     started = time.monotonic()
     os.makedirs(cfg.out, exist_ok=True)
-    written = _RUNNERS[cfg.command](cfg, cfg.out)
+    notes: dict = {}  # what the run skipped, for the manifest only
+    written = _RUNNERS[cfg.command](cfg, cfg.out, notes)
     manifest_path = os.path.join(cfg.out, "manifest.json")
-    _write_json(manifest_path, _manifest(cfg, written, started))
+    _write_json(manifest_path, {**_manifest(cfg, written, started), **notes})
     return 0
 
 

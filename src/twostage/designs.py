@@ -22,15 +22,19 @@ __all__ = [
     "draw_sir",
     "draw_be",
     "draw_stratified_si",
+    "si_draws",
     "si_order",
+    "resolve_si_orders",
     "si_order_excluding",
     "second_stage_positions",
+    "systematic_positions",
     "psu_subtotal_estimates",
     "second_stage_estimates",
 ]
 
 FIRST_STAGE_KINDS = ("SI", "SIR", "BE", "STRAT_SI")
 _GATHER_ROWS = 2048  # second-stage samples summed at a time by psu_subtotal_estimates
+_KEY_CELLS = 1 << 20  # SI subsampling keys drawn and partitioned at a time
 SECOND_STAGE_METHODS = ("SI", "SYSTEMATIC", "CENSUS")
 
 
@@ -119,22 +123,77 @@ class FirstStageDraw:
 # ---------------------------------------------------------------------------
 
 
+def si_draws(n_population: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """The n Fisher-Yates draws of an SI sample: draw j is uniform on j..n_population-1.
+
+    :func:`si_order` resolves one row of them and :func:`resolve_si_orders`
+    a block of rows, into the same draw-sequential sample.
+    """
+    if not 1 <= n <= n_population:
+        raise ValueError(f"need 1 <= n <= N, got n={n}, N={n_population}")
+    return rng.integers(np.arange(n, dtype=np.int64), n_population)
+
+
 def si_order(n_population: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw-sequential SI sample: n distinct indices from range(n_population).
 
     Sparse Fisher-Yates prefix: O(n) time and memory, equivalent in law to
     drawing n times without replacement one unit at a time.
     """
-    if not 1 <= n <= n_population:
-        raise ValueError(f"need 1 <= n <= N, got n={n}, N={n_population}")
-    picks = rng.integers(np.arange(n, dtype=np.int64), n_population)
     displaced: dict[int, int] = {}
     get = displaced.get
     out = []
-    for j, r in enumerate(picks.tolist()):
+    for j, r in enumerate(si_draws(n_population, n, rng).tolist()):
         out.append(get(r, r))
         displaced[r] = get(j, j)
     return np.array(out, dtype=np.int64)
+
+
+def resolve_si_orders(draws: np.ndarray) -> np.ndarray:
+    """The SI samples of a (B, n) block of :func:`si_draws` rows, as :func:`si_order` resolves each.
+
+    Step j of the sparse Fisher-Yates loop swaps positions j and r_j, the
+    row's j-th draw.  Let W(j) be the unit at position j when step j starts:
+    W(j) = W(hit(j)) for the last earlier step hit(j) with r = j, or j if
+    there is none.  Step j selects W(prev(j)) for the last earlier step
+    prev(j) that drew r_j too, or r_j if there is none.  One sort of the
+    (unit, step) keys of every row finds prev and hit, and W follows the
+    strictly decreasing hit chains by pointer jumping, in at most
+    ceil(log2 n) rounds.  Memory is O(B n).
+    """
+    draws = np.asarray(draws, dtype=np.int64)
+    n_rows, n = draws.shape
+    if draws.size == 0:
+        return draws.copy()
+    # flat step index row * n + j of every entry, and the rows' (unit, step)
+    # keys sorted within each row (the steps make every key distinct)
+    base = np.arange(0, n_rows * n, n, dtype=np.int64)[:, None]
+    keys = draws * n + np.arange(n, dtype=np.int64)
+    keys.sort(axis=1)
+    unit, step = np.divmod(keys, n)
+    step += base
+    repeat = unit[:, 1:] == unit[:, :-1]  # the entry draws the unit its predecessor drew
+    prev = np.full(n_rows * n, -1, dtype=np.int64)
+    prev[step[:, 1:][repeat]] = step[:, :-1][repeat]
+    # ptr[j] = hit(j), the last step that drew unit j < n (the last entry of
+    # the unit, picked out first: numpy does not order repeated scatter
+    # targets).  That is j itself only after a self-draw r_j = j, and then
+    # W(j) is never read, since no later step can draw j
+    last = unit < n
+    last[:, :-1] &= ~repeat
+    ptr = np.arange(n_rows * n, dtype=np.int64)
+    ptr[(unit + base)[last]] = step[last]
+    moving = np.flatnonzero(ptr != np.arange(n_rows * n))
+    while moving.size:
+        target = ptr[moving]
+        jump = ptr[target]
+        ptr[moving] = jump
+        moving = moving[jump != target]
+    out = draws.copy()
+    flat = out.reshape(-1)
+    has = np.flatnonzero(prev >= 0)
+    flat[has] = ptr[prev[has]] % n  # W(prev(j))
+    return out
 
 
 def si_order_excluding(
@@ -144,21 +203,22 @@ def si_order_excluding(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Draw-sequential SI sample of n units from range(n_population) minus ``exclude``."""
-    excluded = set(np.asarray(exclude, dtype=np.int64).ravel().tolist())
-    available = n_population - len(excluded)
+    exclude = np.asarray(exclude, dtype=np.int64).ravel()
     if n == 0:
         return np.empty(0, dtype=np.int64)
-    if not 1 <= n <= available:
-        raise ValueError(f"need 1 <= n <= {available} available units, got n={n}")
-    # Rejection is O(n) when the excluded fraction is small; otherwise
-    # materialize the candidate list once.
-    if n_population < 2048 or 2 * (len(excluded) + n) > n_population:
+    # Rejection is O(n) when the excluded fraction is small; otherwise draw
+    # from the candidate list.  ``exclude`` may repeat units, so where its
+    # size alone does not settle the choice the mask's count of them does.
+    if n_population < 2048 or 2 * (exclude.size + n) > n_population:
         mask = np.ones(n_population, dtype=bool)
-        if excluded:
-            mask[np.fromiter(excluded, dtype=np.int64)] = False
+        mask[exclude] = False
         candidates = np.flatnonzero(mask)
-        return candidates[si_order(candidates.size, n, rng)]
-    taken = set(excluded)
+        excluded = n_population - candidates.size
+        if n_population < 2048 or 2 * (excluded + n) > n_population:
+            _check_available(n, candidates.size)
+            return candidates[si_order(candidates.size, n, rng)]
+    taken = set(exclude.tolist())
+    _check_available(n, n_population - len(taken))
     out: list[int] = []
     while len(out) < n:
         for c in rng.integers(0, n_population, size=max(16, 2 * (n - len(out)))).tolist():
@@ -169,6 +229,11 @@ def si_order_excluding(
             if len(out) == n:
                 break
     return np.array(out, dtype=np.int64)
+
+
+def _check_available(n: int, available: int) -> None:
+    if not 1 <= n <= available:
+        raise ValueError(f"need 1 <= n <= {available} available units, got n={n}")
 
 
 # ---------------------------------------------------------------------------
@@ -248,26 +313,55 @@ def second_stage_positions(
     k = psu_indices.size
     if k == 0:
         return np.empty((0, n0), dtype=np.int64)
-    sizes_int = frame.sizes[psu_indices]
-    if sizes_int.min() < n0:
-        raise ValueError("n0 exceeds the size of a selected PSU")
-    sizes = sizes_int.astype(np.float64)
-    if method == "SI":
-        # n0 smallest of N_i i.i.d. uniform keys = uniform subset of size n0
-        max_size = int(sizes_int.max())
-        keys = rng.random((k, max_size))
-        keys[np.arange(max_size)[None, :] >= sizes[:, None]] = np.inf
-        pos = np.argpartition(keys, n0 - 1, axis=1)[:, :n0]
-    elif method == "SYSTEMATIC":
-        # real interval a = N_i/n0 and start u ~ U(0, a): positions floor(u + j*a)
-        # include every SSU with probability exactly n0/N_i, also for fractional a
-        a = sizes / n0
-        u = rng.random(k) * a
-        pos = np.floor(u[:, None] + a[:, None] * np.arange(n0)).astype(np.int64)
-        np.minimum(pos, sizes_int[:, None] - 1, out=pos)
-    else:
+    if method == "SYSTEMATIC":
+        return systematic_positions(frame, psu_indices, rng.random(k), n0)
+    if method != "SI":
         raise ValueError(f"unknown second-stage method: {method!r}")
+    sizes = _check_n0(frame, psu_indices, n0)
+    # n0 smallest of N_i i.i.d. uniform keys = uniform subset of size n0.  The
+    # (k, max N_i) keys are drawn and partitioned about _KEY_CELLS at a time:
+    # consecutive draws fill the rows in order and every row is partitioned
+    # on its own, so the chunks change no bit
+    max_size = int(sizes.max())
+    chunk = max(1, _KEY_CELLS // max_size)
+    units = np.arange(max_size)[None, :]
+    pos = np.empty((k, n0), dtype=np.int64)
+    for lo in range(0, k, chunk):
+        keys = rng.random((min(chunk, k - lo), max_size))
+        keys[units >= sizes[lo:lo + chunk, None]] = np.inf
+        pos[lo:lo + chunk] = np.argpartition(keys, n0 - 1, axis=1)[:, :n0]
     return frame.offsets[psu_indices][:, None] + pos
+
+
+def _check_n0(frame: Frame, psu_indices: np.ndarray, n0: int) -> np.ndarray:
+    """The sizes of the listed PSUs; raises if one is smaller than n0."""
+    sizes = frame.sizes[psu_indices]
+    if sizes.size and sizes.min() < n0:
+        raise ValueError("n0 exceeds the size of a selected PSU")
+    return sizes
+
+
+def systematic_positions(
+    frame: Frame, psu_indices: np.ndarray, starts: np.ndarray, n0: int
+) -> np.ndarray:
+    """SSU rows of the systematic samples of size n0 with the given U(0, 1) starts.
+
+    ``psu_indices`` and ``starts`` share a shape S; returns the rows, shape
+    (*S, n0).  The real interval a = N_i/n0 and start u = start * a give
+    positions floor(u + j*a), which include every SSU with probability
+    exactly n0/N_i, also for fractional a.  Every step is elementwise, so a
+    block of samples has the bits of each sample placed on its own.
+    """
+    psu_indices = np.asarray(psu_indices, dtype=np.int64)
+    sizes = _check_n0(frame, psu_indices, n0)[..., None]
+    a = sizes / n0
+    pos = a * np.arange(n0)
+    pos += starts[..., None] * a  # floating-point addition commutes exactly
+    np.floor(pos, out=pos)
+    np.minimum(pos, sizes - 1, out=pos)
+    rows = pos.astype(np.int64)
+    rows += frame.offsets[psu_indices][..., None]
+    return rows
 
 
 def psu_subtotal_estimates(

@@ -36,12 +36,15 @@ from .bootstrap import (
     stratified_proportion_resample,
     studentized_ci,
 )
-from .designs import (
+from .designs import (  # noqa: F401 - si_order stays importable here for perfbench's tracer test
     DesignSpec,
     FirstStageDraw,
     psu_subtotal_estimates,
+    resolve_si_orders,
     second_stage_positions,
+    si_draws,
     si_order,
+    systematic_positions,
 )
 from .estimators import (
     ProportionEstimand,
@@ -339,10 +342,12 @@ def _si_block(ctx: _Context, keys: np.ndarray) -> _SiBlock:
 
     ``keys`` holds the block's Philox keys (at most _BLOCK); replicate i's
     stream is the context's i-th pooled generator, reset to keys[i], so it
-    stays the replicate's own until the next block.  A replicate's draws are
-    those of a lone replicate, and every reduction runs over axis 1 of a
-    C-contiguous array, so each row has the bits that the replicate computed
-    on its own would have.
+    stays the replicate's own until the next block.  Each replicate makes
+    the draws of a lone replicate in the same order (its Fisher-Yates draws,
+    then its second stage); the block resolves the SI orders and places the
+    systematic samples at once, both elementwise per row, and every
+    reduction runs over axis 1 of a C-contiguous array, so each row has the
+    bits that the replicate computed on its own would have.
     """
     sc = ctx.scenario
     frame = ctx.frame
@@ -351,12 +356,20 @@ def _si_block(ctx: _Context, keys: np.ndarray) -> _SiBlock:
     if not ctx.pool:
         ctx.pool = [new_stream() for _ in range(_BLOCK)]
     rngs = [reset_stream(rng, key) for rng, key in zip(ctx.pool, keys.tolist())]
-    orders = np.empty((len(rngs), n), dtype=np.int64)
-    rows = None if census else np.empty((len(rngs), n, n0), dtype=np.int64)
+    draws = np.empty((len(rngs), n), dtype=np.int64)
+    # the systematic starts follow each replicate's first stage in its stream
+    starts = np.empty((len(rngs), n)) if sc.second_stage == "SYSTEMATIC" else None
     for i, rng in enumerate(rngs):
-        orders[i] = si_order(N, n, rng)
-        if rows is not None:
-            rows[i] = second_stage_positions(frame, orders[i], sc.second_stage, n0, rng)
+        draws[i] = si_draws(N, n, rng)
+        if starts is not None:
+            starts[i] = rng.random(n)
+    orders = resolve_si_orders(draws)
+    if starts is not None:
+        rows = systematic_positions(frame, orders, starts, n0)
+    elif not census:
+        # an SI subsample's key matrix depends on the row's PSUs
+        rows = np.stack([second_stage_positions(frame, o, "SI", n0, rng)
+                         for o, rng in zip(orders, rngs)])
     vhat = None
     if census:
         yhat = ctx.col_subtotals[orders]

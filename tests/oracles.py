@@ -347,6 +347,31 @@ def point_rows(ctx, start, end):
     return out
 
 
+def si_order_excluding_sets(n_population, n, exclude, rng):
+    """``si_order_excluding`` as it was before it built its mask from the array.
+
+    Below 2,048 units and for large excluded shares it builds a Python set of
+    the excluded units and a mask through ``np.fromiter``; the draws are the
+    same as today's, so the outputs and the errors must be too.
+    """
+    from twostage.designs import si_order
+
+    excluded = set(np.asarray(exclude, dtype=np.int64).ravel().tolist())
+    available = n_population - len(excluded)
+    if n == 0:
+        return np.empty(0, dtype=np.int64)
+    if not 1 <= n <= available:
+        raise ValueError(f"need 1 <= n <= {available} available units, got n={n}")
+    if n_population < 2048 or 2 * (len(excluded) + n) > n_population:
+        mask = np.ones(n_population, dtype=bool)
+        if excluded:
+            mask[np.fromiter(excluded, dtype=np.int64)] = False
+        candidates = np.flatnonzero(mask)
+        return candidates[si_order(candidates.size, n, rng)]
+    return np.array(si_order_excluding_loop(n_population, n, list(excluded), rng),
+                    dtype=np.int64)
+
+
 def si_order_excluding_loop(n_population, n, exclude, rng):
     """The rejection branch of ``si_order_excluding``, one numpy scalar at a time."""
     taken = set(int(i) for i in exclude)

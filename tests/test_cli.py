@@ -5,8 +5,16 @@ import platform
 import numpy as np
 import pytest
 
-from twostage import ingest_frame, population_summary
+from twostage import (
+    frame_to_csv,
+    ingest_frame,
+    population_summary,
+    verify_decay,
+    verify_hajek_bound,
+    verify_sir_si_bound,
+)
 from twostage.cli import ConfigError, main, parse_config
+from conftest import multi_ssu_frame
 
 POP = {
     "n_psus": 60,
@@ -189,6 +197,38 @@ class TestEstimateAndBootstrapCommands:
         assert -1.0 <= corr_entry["point"] <= 1.0
         assert (out / "draw.json").exists()
 
+    def test_manifest_lists_skipped_variance_methods(self, tmp_path, frame_path):
+        payload = {
+            "frame": frame_path,
+            "design": {"kind": "SIR", "n_I": 10},
+            "second_stage": {"method": "CENSUS"},
+            "estimands": [{"kind": "total", "var": 1}, {"kind": "total", "var": 2}],
+            "variance_methods": ["WITH_REPLACEMENT", "SIMPLIFIED", "BERNOULLI"],
+        }
+        out = tmp_path / "est"
+        cfg = _write_config(tmp_path, "est.json", payload)
+        assert _run(["estimate", "--config", cfg, "--seed", 22, "--out", out]) == 0
+        report = json.loads((out / "estimate.json").read_text())
+        labels = [e["estimand"] for e in report["estimates"]]
+        assert all(set(e["variance_by_method"]) == {"WITH_REPLACEMENT"}
+                   for e in report["estimates"])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["skipped_variance_methods"] == [
+            {"estimand": label, "method": method, "message": message}
+            for label in labels
+            for method, message in [("SIMPLIFIED", "SIMPLIFIED variance needs an SI total"),
+                                    ("BERNOULLI", "BERNOULLI variance needs a BE total")]
+        ]
+        # the data outputs are those of a run that never asked for the skipped methods
+        payload["variance_methods"] = ["WITH_REPLACEMENT"]
+        lean = tmp_path / "lean"
+        cfg = _write_config(tmp_path, "lean.json", payload)
+        assert _run(["estimate", "--config", cfg, "--seed", 22, "--out", lean]) == 0
+        for name in ("estimate.json", "draw.json"):
+            assert (out / name).read_bytes() == (lean / name).read_bytes()
+        manifest = json.loads((lean / "manifest.json").read_text())
+        assert manifest["skipped_variance_methods"] == []
+
     def test_bootstrap_outputs(self, tmp_path, frame_path):
         cfg = _write_config(
             tmp_path,
@@ -269,6 +309,50 @@ class TestVerifyCommand:
         assert set(decay["strictly_decreasing"]) == {
             "mean_sq_diff", "abs_s2_diff", "boot_sq_diff",
         }
+
+
+    def test_path_frame_with_an_si_second_stage_matches_the_library(self, tmp_path):
+        frames = [multi_ssu_frame(n, seed=n) for n in (40, 80, 160)]
+        paths = []
+        for i, frame in enumerate(frames):
+            paths.append(str(tmp_path / f"frame{i}.csv"))
+            frame_to_csv(frame, paths[-1])
+        second = {"method": "SI", "n0": 3}
+        cfg = _write_config(tmp_path, "verify.json", {
+            "bounds": [
+                {"check": check, "n_I": 6, "replicates": 1000, "second_stage": second,
+                 "frame": {"kind": "path", "path": paths[0]}}
+                for check in ("be_si", "sir_si")
+            ],
+            "decay": {"n_I": 5, "replicates": 1000, "second_stage": second,
+                      "frames": [{"kind": "path", "path": p} for p in paths]},
+        })
+        out = tmp_path / "verify"
+        assert _run(["verify", "--config", cfg, "--seed", 32, "--out", out]) == 0
+        frames = [ingest_frame(p) for p in paths]
+        bounds = [fn(frames[0], 6, 1000, 32, second_stage="SI", n0=3).to_dict()
+                  for fn in (verify_hajek_bound, verify_sir_si_bound)]
+        assert json.loads((out / "bounds.json").read_text()) == bounds
+        decay = verify_decay(frames, 5, 1000, 32, second_stage="SI", n0=3)
+        assert json.loads((out / "decay.json").read_text())["rows"] == [
+            r.to_dict() for r in decay.rows]
+        # a census draws other bits
+        census = verify_hajek_bound(frames[0], 6, 1000, 32).to_dict()
+        assert census["lhs_estimate"] != bounds[0]["lhs_estimate"]
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"method": "SYSTEMATIC", "n0": 1}, "bounds[0].second_stage.method"),
+        ({"method": "SI"}, "bounds[0].second_stage.n0: missing required key"),
+        ({"method": "CENSUS", "n0": 2}, "a census takes no n0"),
+        ({"method": "SI", "n0": 2}, "n0 must be 1"),
+        ({"method": "SI", "n0": 1, "n1": 2}, "n1"),
+    ])
+    def test_second_stage_is_validated(self, tmp_path, capsys, spec, message):
+        cfg = _write_config(tmp_path, "verify.json", {"bounds": [
+            {"check": "be_si", "n_I": 5, "second_stage": spec,
+             "frame": {"kind": "range", "n_psus": 50}}]})
+        assert _run(["verify", "--config", cfg, "--seed", 1, "--out", tmp_path / "o"]) == 2
+        assert message in json.loads(capsys.readouterr().err)["error"]["message"]
 
 
 class TestMcCommand:

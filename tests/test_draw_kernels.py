@@ -1,0 +1,177 @@
+"""Differential tests of the block draw kernels against the scalar loops.
+
+``designs.resolve_si_orders`` resolves a block of Fisher-Yates draw rows at
+once and ``designs.systematic_positions`` places a block of systematic
+samples; both must give every row the bits that ``si_order`` and
+``second_stage_positions`` give it on its own.  The chunked SI key matrix
+and the mask of ``si_order_excluding`` must not move a bit either.
+"""
+import re
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import twostage.designs as designs
+from twostage import Frame, substream
+from twostage.designs import (
+    resolve_si_orders,
+    second_stage_estimates,
+    second_stage_positions,
+    si_draws,
+    si_order,
+    si_order_excluding,
+    systematic_positions,
+)
+
+import oracles
+
+
+def _block(n_population: int, n: int, rows: int, tag) -> tuple[np.ndarray, np.ndarray]:
+    """(draws, si_order's samples) of ``rows`` streams, each drawn on its own."""
+    draws = np.array([si_draws(n_population, n, substream(11, *tag, b)) for b in range(rows)])
+    loop = np.array([si_order(n_population, n, substream(11, *tag, b)) for b in range(rows)])
+    return draws.reshape(rows, n), loop.reshape(rows, n)
+
+
+def _same(a: np.ndarray, b: np.ndarray) -> None:
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+class TestResolveSiOrders:
+    @pytest.mark.parametrize("n_population, n", [
+        (1, 1), (2, 1), (2, 2), (7, 1), (7, 7), (59, 59), (59, 30),
+        (2049, 1), (2049, 2049), (5000, 200),
+    ])
+    @pytest.mark.parametrize("rows", [1, 2, 7, 63, 64])
+    def test_matches_the_scalar_loop(self, n_population, n, rows):
+        draws, loop = _block(n_population, n, rows, ("fixed", n_population, n))
+        _same(resolve_si_orders(draws), loop)
+
+    def test_dense_random_cases(self):
+        """Frames under 60 PSUs, where repeat draws and displacement chains are common."""
+        rng = np.random.default_rng(20261018)
+        for case in range(300):
+            n_population = int(rng.integers(1, 60))
+            n = n_population if case % 4 == 0 else int(rng.integers(1, n_population + 1))
+            rows = int(rng.integers(1, 65))
+            draws, loop = _block(n_population, n, rows, ("dense", case))
+            _same(resolve_si_orders(draws), loop)
+
+    def test_every_row_is_a_set_of_distinct_units(self):
+        draws, _ = _block(40, 40, 64, ("perm",))
+        orders = resolve_si_orders(draws)
+        assert (np.sort(orders, axis=1) == np.arange(40)).all()
+
+    def test_the_input_is_not_written(self):
+        draws, _ = _block(30, 20, 5, ("ro",))
+        before = draws.copy()
+        resolve_si_orders(draws)
+        _same(draws, before)
+
+
+def _sized_frame(sizes) -> Frame:
+    sizes = np.asarray(sizes, dtype=np.int64)
+    values = np.random.default_rng(4).normal(size=(int(sizes.sum()), 2))
+    return Frame(values, sizes)
+
+
+class TestSystematicPositions:
+    FRAME = _sized_frame([3, 10, 7, 25, 4, 4, 13, 6])
+
+    @pytest.mark.parametrize("n0", [1, 3, 4])
+    def test_one_row_matches_second_stage_positions(self, n0):
+        psus = np.array([3, 4, 6, 6, 1, 7])
+        for rep in range(5):
+            ref = second_stage_positions(self.FRAME, psus, "SYSTEMATIC", n0,
+                                         substream(12, n0, rep))
+            starts = substream(12, n0, rep).random(psus.size)
+            _same(systematic_positions(self.FRAME, psus, starts, n0), ref)
+
+    @pytest.mark.parametrize("rows", [1, 5, 64])
+    def test_a_block_matches_every_row_placed_on_its_own(self, rows):
+        psus = np.random.default_rng(rows).integers(0, self.FRAME.n_psus, size=(rows, 6))
+        starts = np.array([substream(17, rows, b).random(6) for b in range(rows)])
+        block = systematic_positions(self.FRAME, psus, starts, 3)
+        assert block.shape == (rows, 6, 3)
+        for b in range(rows):
+            _same(block[b], second_stage_positions(self.FRAME, psus[b], "SYSTEMATIC", 3,
+                                                   substream(17, rows, b)))
+
+    def test_a_psu_smaller_than_n0_raises_the_same_error(self):
+        psus = np.array([[1, 4], [3, 0]])
+        with pytest.raises(ValueError, match="^n0 exceeds the size of a selected PSU$"):
+            second_stage_positions(self.FRAME, psus[1], "SYSTEMATIC", 4, substream(1))
+        with pytest.raises(ValueError, match="^n0 exceeds the size of a selected PSU$"):
+            systematic_positions(self.FRAME, psus, np.full((2, 2), 0.5), 4)
+
+
+class TestChunkedSiKeys:
+    @pytest.mark.parametrize("cells", [1, 20, 64, 1000])
+    @pytest.mark.parametrize("with_vhat", [False, True])
+    def test_any_chunk_size_gives_the_one_matrix_bits(self, monkeypatch, cells, with_vhat):
+        frame = _sized_frame([3, 10, 7, 25, 4, 4, 13, 6])
+        psus = np.resize([3, 0, 6, 6, 1, 7, 2], 23)
+        monkeypatch.setattr(designs, "_KEY_CELLS", cells)
+        new = second_stage_estimates(frame, frame.values, frame.subtotals, psus, "SI", 3,
+                                     substream(13, cells), with_vhat=with_vhat)
+        old = oracles.subsample_estimates(frame, frame.values, psus, "SI", 3,
+                                          substream(13, cells), with_vhat=with_vhat)
+        for a, b in zip(new, old):
+            if b is None:
+                assert a is None
+            else:
+                _same(a, b)
+
+    def test_one_huge_psu_does_not_grow_the_key_matrix(self):
+        """64 sampled PSUs with one of 2**17 SSUs: one (64, 2**17) matrix would need 64 MiB."""
+        sizes = np.full(64, 4, dtype=np.int64)
+        sizes[17] = 1 << 17
+        frame = Frame(np.zeros((int(sizes.sum()), 1)), sizes)
+        psus = np.arange(64)
+        tracemalloc.start()
+        try:
+            rows = second_stage_positions(frame, psus, "SI", 2, substream(14))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rows.shape == (64, 2)
+        assert peak < 24 << 20
+
+
+class TestSiOrderExcluding:
+    CASES = [
+        (10, 4, [0, 1, 2]),
+        (10, 4, [2, 2, 2, 5]),  # repeats count once
+        (10, 0, [1, 1]),
+        (10, 8, [3, 3, 8]),  # every available unit
+        (2047, 30, np.arange(0, 2047, 3)),
+        (2048, 500, np.arange(500)),  # rejection branch
+        (2048, 900, np.arange(200)),  # 2 * (200 + 900) > 2048: the mask branch
+        (4096, 1000, np.repeat(np.arange(600), 2)),  # the repeats leave it to rejection
+        (4096, 1500, np.repeat(np.arange(600), 2)),  # still the mask branch
+        (100000, 5, [7]),
+    ]
+
+    @pytest.mark.parametrize("n_population, n, exclude", CASES)
+    def test_matches_the_set_version(self, n_population, n, exclude):
+        exclude = np.asarray(exclude, dtype=np.int64)
+        for rep in range(3):
+            out = si_order_excluding(n_population, n, exclude, substream(15, n_population, rep))
+            ref = oracles.si_order_excluding_sets(n_population, n, exclude,
+                                                  substream(15, n_population, rep))
+            _same(out, ref)
+            assert not set(out.tolist()) & set(exclude.tolist())
+
+    @pytest.mark.parametrize("n_population, n, exclude", [
+        (10, 8, [0, 1, 1, 2]), (10, -1, []), (3000, 2999, [5, 5]), (3000, 0, [])])
+    def test_raises_as_the_set_version(self, n_population, n, exclude):
+        exclude = np.asarray(exclude, dtype=np.int64)
+        try:
+            ref = oracles.si_order_excluding_sets(n_population, n, exclude, substream(16))
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                si_order_excluding(n_population, n, exclude, substream(16))
+        else:
+            _same(si_order_excluding(n_population, n, exclude, substream(16)), ref)

@@ -7,8 +7,8 @@ the same keeps every digest.  The numpy ``Generator`` algorithms may change
 between numpy releases, so the pins hold for the numpy major.minor recorded
 in ``NUMPY`` and the test skips on any other.
 
-``LIBRARY_GOLDEN`` pins the coupling reports that the CLI cannot ask for
-(second stages other than a census) the same way, as the SHA-256 of their
+``LIBRARY_GOLDEN`` pins coupling reports with second stages other than a
+census, called through the library, the same way, as the SHA-256 of their
 JSON.  Every digest was recorded before the code it guards was rewritten.
 """
 import hashlib
@@ -258,7 +258,7 @@ GOLDEN: dict[str, str] = {
 
 
 def _library_reports() -> dict[str, object]:
-    """Coupling reports the CLI cannot ask for: second stages other than a census."""
+    """Coupling reports with second stages other than a census, from the library."""
     small, large = multi_ssu_frame(60, 11), multi_ssu_frame(2500, 12)
     decay = [multi_ssu_frame(n, 13 + i) for i, n in enumerate((30, 300, 3000))]
     return {

@@ -44,6 +44,13 @@ def _skewed() -> Frame:
     return Frame(values, sizes)
 
 
+def _sized(sizes) -> Frame:
+    """PSUs of the given sizes holding two normal variables."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    return Frame(np.random.default_rng(sizes.size).normal(50.0, 10.0, (int(sizes.sum()), 2)),
+                 sizes)
+
+
 def _stratified() -> Frame:
     rng = np.random.default_rng(3)
     sizes = rng.integers(2, 6, size=45).astype(np.int64)
@@ -76,6 +83,16 @@ CASES = {
         variance_methods=("WITH_REPLACEMENT",), bootstrap=BOOT)),
     "skewed-systematic": (_skewed, Scenario(
         DesignSpec("SI", n_I=6), "SYSTEMATIC", n0=10, estimands=ESTIMANDS)),
+    # the block resolver at the edges: every PSU of a tiny frame, and a
+    # frame above 2,048 PSUs
+    "one-psu-frame": (lambda: _sized([5]), Scenario(
+        DesignSpec("SI", n_I=1), "SYSTEMATIC", n0=2, estimands=ESTIMANDS)),
+    "every-psu-systematic": (lambda: _sized([4, 6]), Scenario(
+        DesignSpec("SI", n_I=2), "SYSTEMATIC", n0=3, estimands=ESTIMANDS,
+        variance_methods=("SIMPLIFIED",), bootstrap=BOOT)),
+    "large-frame-systematic": (lambda: _sized(np.resize([2, 3, 4], 2100)), Scenario(
+        DesignSpec("SI", n_I=40), "SYSTEMATIC", n0=2, estimands=ESTIMANDS,
+        variance_methods=("SIMPLIFIED",))),
     "point-only-one-psu": (_population, Scenario(
         DesignSpec("SI", n_I=1), "SI", n0=5, estimands=ESTIMANDS)),
     "stratified": (_stratified, Scenario(
