@@ -104,6 +104,13 @@ def _as_num(value: Any, path: str) -> float:
     return float(value)
 
 
+def _as_alpha(value: Any, path: str) -> float:
+    alpha = _as_num(value, path)
+    if not 0.0 < alpha < 0.5:
+        raise ConfigError(f"{path}: must be in (0, 0.5)")
+    return alpha
+
+
 def _as_str(value: Any, path: str, choices: Sequence[str] | None = None) -> str:
     if not isinstance(value, str):
         raise ConfigError(f"{path}: expected a string")
@@ -271,18 +278,19 @@ def _validate_estimate(payload: dict, seed: int, bootstrap: bool = False) -> Non
         _as_int(_require(design, "n_I", "config.design"), "config.design.n_I", 1)
     else:
         _as_num(_require(design, "expected_n_I", "config.design"), "config.design.expected_n_I")
-    _parse_second_stage(_require(payload, "second_stage", "config"), "config.second_stage",
-                        SECOND_STAGE_METHODS)
+    method, _ = _parse_second_stage(_require(payload, "second_stage", "config"),
+                                    "config.second_stage", SECOND_STAGE_METHODS)
     ests = _as_list(_require(payload, "estimands", "config"), "config.estimands")
     payload["_estimands"] = [
         _parse_estimand(e, f"config.estimands[{i}]") for i, e in enumerate(ests)
     ]
     for i, vm in enumerate(payload.get("variance_methods", [])):
         _as_str(vm, f"config.variance_methods[{i}]", VARIANCE_METHODS)
+        if vm in ("UNBIASED", "BERNOULLI") and method == "SYSTEMATIC":
+            raise ConfigError(f"config.variance_methods[{i}]: {vm} needs within-PSU variance "
+                              "estimates, which a SYSTEMATIC second stage does not provide")
     if "alpha" in payload:
-        alpha = _as_num(payload["alpha"], "config.alpha")
-        if not 0.0 < alpha < 0.5:
-            raise ConfigError("config.alpha: must be in (0, 0.5)")
+        _as_alpha(payload["alpha"], "config.alpha")
     if bootstrap:
         if kind != "SI":
             raise ConfigError("config.design.kind: the PSU bootstrap runs on SI designs")
@@ -347,7 +355,7 @@ def _validate_mc(payload: dict, seed: int) -> None:
     if "studentized" in scn and not isinstance(scn["studentized"], bool):
         raise ConfigError("config.scenario.studentized: expected a boolean")
     if "alpha" in scn:
-        _as_num(scn["alpha"], "config.scenario.alpha")
+        _as_alpha(scn["alpha"], "config.scenario.alpha")
     _as_int(scn.get("replicates", 1000), "config.scenario.replicates", 100)
     _as_int(scn.get("true_run", 20000), "config.scenario.true_run", 1000)
 
@@ -531,11 +539,10 @@ def _one_draw_estimates(cfg: RunConfig, frame: Frame):
 
     columns, subtotals, slices = estimand_columns(frame, [est for est, _, _ in estimands])
     need_vhat = any(vm in ("UNBIASED", "BERNOULLI") for vm in payload.get("variance_methods", []))
-    if need_vhat and method == "SYSTEMATIC":
-        raise ValueError("UNBIASED/BERNOULLI variance methods need an SI or census second stage")
     yhat, vhat = second_stage_estimates(
-        frame, columns, subtotals, draw.order, method, n0, rng, with_vhat=need_vhat
+        frame, columns, subtotals, draw.order[None], method, n0, (rng,), with_vhat=need_vhat
     )
+    yhat, vhat = yhat[0], (None if vhat is None else vhat[0])
     points = []
     for (est, est_kind, rho), sl in zip(estimands, slices):
         if kind == "BE":

@@ -33,8 +33,7 @@ import numpy as np
 from .bootstrap import multinomial_weights
 from .designs import (
     DesignSpec,
-    psu_subtotal_estimates,
-    second_stage_positions,
+    second_stage_estimates,
     si_order,
     si_order_excluding,
 )
@@ -65,18 +64,20 @@ _BLOCK_CELLS = 1 << 13
 def _second_stage(frame: Frame, method: str, n0: int | None, cols) -> Callable:
     """values(psus, rng): estimated subtotals (k, len(cols)) of the listed PSUs.
 
-    A census gathers the exact subtotals and draws nothing; SI and
-    SYSTEMATIC draw one second-stage sample per listed PSU from ``rng`` and
-    estimate every variable of the frame, as :func:`second_stage_estimates`
-    does, before keeping ``cols``.
+    A census gathers the exact subtotals (precomputed, since the coupled
+    loops call it once or twice per replicate) and draws nothing; SI and
+    SYSTEMATIC draw one second-stage sample per listed PSU from ``rng`` with
+    :func:`second_stage_estimates` on every variable of the frame, before
+    keeping ``cols``.
     """
     if method == "CENSUS":
         sub = frame.subtotals[:, cols]
         return lambda psus, rng: sub[psus]
 
     def values(psus: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        rows = second_stage_positions(frame, psus, method, n0, rng)
-        return psu_subtotal_estimates(frame, frame.values, psus, rows, n0)[0][:, cols]
+        y_hat, _ = second_stage_estimates(frame, frame.values, frame.subtotals, psus[None],
+                                          method, n0, (rng,))
+        return y_hat[0][:, cols]
 
     return values
 

@@ -9,7 +9,7 @@ is the unit selected at the j-th draw.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -26,7 +26,6 @@ __all__ = [
     "si_order",
     "resolve_si_orders",
     "si_order_excluding",
-    "second_stage_positions",
     "systematic_positions",
     "psu_subtotal_estimates",
     "second_stage_estimates",
@@ -295,33 +294,18 @@ def draw_stratified_si(
     return out
 
 
-def second_stage_positions(
-    frame: Frame,
-    psu_indices: np.ndarray,
-    method: str,
-    n0: int,
-    rng: np.random.Generator,
+def _si_positions(
+    frame: Frame, psu_indices: np.ndarray, n0: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """SSU rows of one size-n0 second-stage sample (SI or SYSTEMATIC) in every listed PSU.
+    """SSU rows (k, n0) of one SI subsample of size n0 in every listed PSU, drawn from ``rng``.
 
-    Returns a (k, n0) array of row indices into the frame's SSU arrays, one
-    row per entry of ``psu_indices`` (repeats get independent samples).  All
-    PSUs are drawn from the one supplied stream in batch order, which keeps
-    the draws independent across PSUs and of the first stage.
+    The n0 smallest of N_i i.i.d. uniform keys are a uniform subset of size
+    n0.  The (k, max N_i) keys are drawn and partitioned about _KEY_CELLS at
+    a time: consecutive draws fill the rows in order and every row is
+    partitioned on its own, so the chunks change no bit.
     """
-    psu_indices = np.asarray(psu_indices, dtype=np.int64)
-    k = psu_indices.size
-    if k == 0:
-        return np.empty((0, n0), dtype=np.int64)
-    if method == "SYSTEMATIC":
-        return systematic_positions(frame, psu_indices, rng.random(k), n0)
-    if method != "SI":
-        raise ValueError(f"unknown second-stage method: {method!r}")
     sizes = _check_n0(frame, psu_indices, n0)
-    # n0 smallest of N_i i.i.d. uniform keys = uniform subset of size n0.  The
-    # (k, max N_i) keys are drawn and partitioned about _KEY_CELLS at a time:
-    # consecutive draws fill the rows in order and every row is partitioned
-    # on its own, so the chunks change no bit
+    k = psu_indices.size
     max_size = int(sizes.max())
     chunk = max(1, _KEY_CELLS // max_size)
     units = np.arange(max_size)[None, :]
@@ -375,7 +359,7 @@ def psu_subtotal_estimates(
     """Expansion estimates of the PSU subtotals from drawn second-stage samples.
 
     ``rows`` (k, n0) holds the SSU rows of one size-n0 sample inside each PSU
-    of ``psu_indices``, as :func:`second_stage_positions` draws them; the
+    of ``psu_indices``, as :func:`second_stage_estimates` draws them; the
     samples of many first-stage draws may be stacked along k.  Returns the
     estimates ``(N_i/n0) * sum`` of the ``(N, p)`` SSU matrix ``columns``,
     shape (k, p).  With ``with_vhat`` also returns the unbiased within-PSU
@@ -420,21 +404,39 @@ def second_stage_estimates(
     psu_indices: np.ndarray,
     method: str,
     n0: int | None,
-    rng: np.random.Generator,
+    rngs: Sequence[np.random.Generator],
     with_vhat: bool = False,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Estimated subtotals of the selected PSUs under any second-stage method.
+    """Estimated subtotals of a (B, k) block of selected PSUs under any second-stage method.
 
     ``columns`` is an (N, p) SSU matrix and ``subtotals`` its (N_I, p) PSU
-    subtotals.  A CENSUS gathers the exact subtotals (zero within-PSU
-    variance estimates with ``with_vhat``) and draws no random numbers; SI
-    and SYSTEMATIC draw with :func:`second_stage_positions` and estimate
-    with :func:`psu_subtotal_estimates`.
+    subtotals.  Row b of ``psu_indices`` lists one first-stage sample's PSUs
+    (repeats get independent subsamples), and its second stage is drawn
+    from ``rngs[b]`` alone, so every row has the bits it would have on its
+    own.  Returns the (B, k, p) estimates and, with ``with_vhat``, the
+    within-PSU variance estimates of SI subsampling.  A CENSUS gathers the
+    exact subtotals (zero variance estimates) and, like k = 0, draws
+    nothing.
     """
-    if method == "CENSUS":
-        y_hat = subtotals[psu_indices]
-        return y_hat, (np.zeros_like(y_hat) if with_vhat else None)
+    psu_indices = np.asarray(psu_indices, dtype=np.int64)
+    n_rows, k = psu_indices.shape
+    if method not in SECOND_STAGE_METHODS:
+        raise ValueError(f"unknown second-stage method: {method!r}")
     if with_vhat and method == "SYSTEMATIC":
         raise ValueError("no unbiased within-PSU variance under systematic sampling")
-    rows = second_stage_positions(frame, psu_indices, method, n0, rng)
-    return psu_subtotal_estimates(frame, columns, psu_indices, rows, n0, with_vhat=with_vhat)
+    if method == "CENSUS" or k == 0:
+        y_hat = subtotals[psu_indices]
+        return y_hat, (np.zeros_like(y_hat) if with_vhat else None)
+    if method == "SYSTEMATIC":
+        starts = np.empty((n_rows, k))
+        for b, rng in enumerate(rngs):
+            starts[b] = rng.random(k)
+        rows = systematic_positions(frame, psu_indices, starts, n0)
+    else:
+        rows = np.empty((n_rows, k, n0), dtype=np.int64)
+        for b, rng in enumerate(rngs):
+            rows[b] = _si_positions(frame, psu_indices[b], n0, rng)
+    y_hat, v_hat = psu_subtotal_estimates(frame, columns, psu_indices.ravel(),
+                                          rows.reshape(-1, n0), n0, with_vhat=with_vhat)
+    shape = (n_rows, k, columns.shape[1])
+    return y_hat.reshape(shape), (None if v_hat is None else v_hat.reshape(shape))

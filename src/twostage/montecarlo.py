@@ -39,12 +39,10 @@ from .bootstrap import (
 from .designs import (  # noqa: F401 - si_order stays importable here for perfbench's tracer test
     DesignSpec,
     FirstStageDraw,
-    psu_subtotal_estimates,
     resolve_si_orders,
-    second_stage_positions,
+    second_stage_estimates,
     si_draws,
     si_order,
-    systematic_positions,
 )
 from .estimators import (
     ProportionEstimand,
@@ -106,6 +104,8 @@ class Scenario:
             raise ValueError("need at least 100 Monte Carlo replicates")
         if not self.estimands:
             raise ValueError("scenario needs at least one estimand")
+        if not 0.0 < self.ci_alpha <= 0.5:
+            raise ValueError("ci_alpha must be in (0, 0.5]")
         if self.second_stage == "CENSUS":
             if self.n0 is not None:
                 raise ValueError("a census second stage takes no n0")
@@ -344,46 +344,20 @@ def _si_block(ctx: _Context, keys: np.ndarray) -> _SiBlock:
     stream is the context's i-th pooled generator, reset to keys[i], so it
     stays the replicate's own until the next block.  Each replicate makes
     the draws of a lone replicate in the same order (its Fisher-Yates draws,
-    then its second stage); the block resolves the SI orders and places the
-    systematic samples at once, both elementwise per row, and every
-    reduction runs over axis 1 of a C-contiguous array, so each row has the
-    bits that the replicate computed on its own would have.
+    then its second stage); the block resolves the SI orders at once and
+    makes one ``second_stage_estimates`` call, both elementwise per row, and
+    every reduction runs over axis 1 of a C-contiguous array, so each row
+    has the bits that the replicate computed on its own would have.
     """
     sc = ctx.scenario
-    frame = ctx.frame
-    N, n, n0 = frame.n_psus, sc.first_stage.n_I, sc.n0
-    census = sc.second_stage == "CENSUS"
+    N, n = ctx.frame.n_psus, sc.first_stage.n_I
     if not ctx.pool:
         ctx.pool = [new_stream() for _ in range(_BLOCK)]
     rngs = [reset_stream(rng, key) for rng, key in zip(ctx.pool, keys.tolist())]
-    draws = np.empty((len(rngs), n), dtype=np.int64)
-    # the systematic starts follow each replicate's first stage in its stream
-    starts = np.empty((len(rngs), n)) if sc.second_stage == "SYSTEMATIC" else None
-    for i, rng in enumerate(rngs):
-        draws[i] = si_draws(N, n, rng)
-        if starts is not None:
-            starts[i] = rng.random(n)
-    orders = resolve_si_orders(draws)
-    if starts is not None:
-        rows = systematic_positions(frame, orders, starts, n0)
-    elif not census:
-        # an SI subsample's key matrix depends on the row's PSUs
-        rows = np.stack([second_stage_positions(frame, o, "SI", n0, rng)
-                         for o, rng in zip(orders, rngs)])
-    vhat = None
-    if census:
-        yhat = ctx.col_subtotals[orders]
-        if ctx.need_vhat:
-            vhat = np.zeros_like(yhat)
-    elif ctx.need_vhat:
-        pairs = [psu_subtotal_estimates(frame, ctx.columns, o, r, n0, with_vhat=True)
-                 for o, r in zip(orders, rows)]
-        yhat = np.stack([y for y, _ in pairs])
-        vhat = np.stack([v for _, v in pairs])
-    else:
-        flat, _ = psu_subtotal_estimates(frame, ctx.columns, orders.ravel(),
-                                         rows.reshape(-1, n0), n0)
-        yhat = flat.reshape(len(rngs), n, -1)
+    # the second stage follows each replicate's first stage in its stream
+    orders = resolve_si_orders(np.stack([si_draws(N, n, rng) for rng in rngs]))
+    yhat, vhat = second_stage_estimates(ctx.frame, ctx.columns, ctx.col_subtotals, orders,
+                                        sc.second_stage, sc.n0, rngs, with_vhat=ctx.need_vhat)
     totals = (N * yhat.mean(axis=1))[:, ctx.expand]
     theta = np.column_stack([e.evaluate(totals[:, sl])
                              for e, sl in zip(sc.estimands, ctx.slices)])
@@ -505,33 +479,30 @@ def _pool_init(ctx: _Context) -> None:
     _WORKER_CTX = ctx
 
 
-def _pool_mc(span: tuple[int, int]) -> np.ndarray:
-    return _replicate_rows(_WORKER_CTX, span[0], span[1])
+def _pool_rows(job: tuple) -> np.ndarray:
+    fn, start, end = job
+    return fn(_WORKER_CTX, start, end)
 
 
-def _pool_true(span: tuple[int, int]) -> np.ndarray:
-    return _point_rows(_WORKER_CTX, span[0], span[1])
-
-
-def _parallel(fn_serial, pool_fn, total: int, threads: int, ctx: _Context) -> np.ndarray:
-    """Run a chunked replicate loop, serial or on a fork pool.
+def _parallel(fn, total: int, threads: int, ctx: _Context) -> np.ndarray:
+    """Run a chunked replicate loop fn(ctx, start, end), serial or on a fork pool.
 
     Every replicate derives its stream from its own index, and chunk results
     are reassembled in index order, so the output does not depend on the
     thread count.
     """
     if threads <= 1 or total < 32:
-        return fn_serial(ctx, 0, total)
+        return fn(ctx, 0, total)
     try:
         mp = multiprocessing.get_context("fork")
     except ValueError:
-        return fn_serial(ctx, 0, total)
+        return fn(ctx, 0, total)
     chunk = max(16, -(-total // (threads * 8)))
-    spans = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
+    spans = [(fn, s, min(s + chunk, total)) for s in range(0, total, chunk)]
     # more workers than cores or spans would only add processes
     workers = min(threads, os.cpu_count() or 1, len(spans))
     with mp.Pool(processes=workers, initializer=_pool_init, initargs=(ctx,)) as pool:
-        parts = pool.map(pool_fn, spans)
+        parts = pool.map(_pool_rows, spans)
     return np.vstack(parts)
 
 
@@ -554,7 +525,7 @@ def approximate_true_variance(
     if scenario.true_run < 1000:
         raise ValueError("the reference run needs at least 1000 samples")
     ctx = _build_context(frame, scenario, seed, stream_tag)
-    theta = _parallel(_point_rows, _pool_true, scenario.true_run, threads, ctx)
+    theta = _parallel(_point_rows, scenario.true_run, threads, ctx)
     v_true = {e.label: float(np.var(theta[:, j], ddof=1)) for j, e in enumerate(scenario.estimands)}
     means = {e.label: float(theta[:, j].mean()) for j, e in enumerate(scenario.estimands)}
     return v_true, means
@@ -588,7 +559,7 @@ def run_scenario(
         e.label: population_value(frame, e) for e in scenario.estimands
     }
 
-    rows = _parallel(_replicate_rows, _pool_mc, scenario.replicates, threads, ctx)
+    rows = _parallel(_replicate_rows, scenario.replicates, threads, ctx)
     b = scenario.replicates
     reports: list[MCReport] = []
 

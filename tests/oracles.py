@@ -231,8 +231,8 @@ def si_order_loop(n_population, n, rng):
     return out
 
 
-def subsample_estimates(frame, columns, psu_indices, method, n0, rng, with_vhat=False):
-    """Draw and estimate one PSU batch's second stage in one gather (the unsplit engine)."""
+def second_stage_rows(frame, psu_indices, method, n0, rng):
+    """SSU rows (k, n0) of one SI or SYSTEMATIC sample in every listed PSU, in one key matrix."""
     psu_indices = np.asarray(psu_indices, dtype=np.int64)
     sizes = frame.sizes[psu_indices].astype(np.float64)
     k = psu_indices.size
@@ -246,12 +246,31 @@ def subsample_estimates(frame, columns, psu_indices, method, n0, rng, with_vhat=
         u = rng.random(k) * a
         pos = np.floor(u[:, None] + a[:, None] * np.arange(n0)[None, :]).astype(np.int64)
         pos = np.minimum(pos, (sizes[:, None] - 1).astype(np.int64))
-    sel = columns[frame.offsets[psu_indices][:, None] + pos]  # (k, n0, p)
+    return frame.offsets[psu_indices][:, None] + pos
+
+
+def subsample_estimates(frame, columns, psu_indices, method, n0, rng, with_vhat=False):
+    """Draw and estimate one PSU batch's second stage in one gather (the unsplit engine)."""
+    psu_indices = np.asarray(psu_indices, dtype=np.int64)
+    sizes = frame.sizes[psu_indices].astype(np.float64)
+    sel = columns[second_stage_rows(frame, psu_indices, method, n0, rng)]  # (k, n0, p)
     y_hat = (sizes / n0)[:, None] * sel.sum(axis=1)
     if not with_vhat:
         return y_hat, None
     v_hat = (sizes**2 / n0 * (1.0 - n0 / sizes))[:, None] * sel.var(axis=1, ddof=1)
     return y_hat, v_hat
+
+
+def row_estimates(frame, columns, subtotals, psu_indices, method, n0, rng, with_vhat=False):
+    """One first-stage sample's second stage: a census gather, or ``subsample_estimates``.
+
+    A census, and a sample of no PSUs, draw nothing from ``rng``.
+    """
+    psu_indices = np.asarray(psu_indices, dtype=np.int64)
+    if method == "CENSUS" or psu_indices.size == 0:
+        y_hat = subtotals[psu_indices]
+        return y_hat, (np.zeros_like(y_hat) if with_vhat else None)
+    return subsample_estimates(frame, columns, psu_indices, method, n0, rng, with_vhat)
 
 
 def _si_draw(ctx, est_columns, rng):
@@ -264,11 +283,8 @@ def _si_draw(ctx, est_columns, rng):
     sc = ctx.scenario
     N = ctx.frame.n_psus
     draw = FirstStageDraw(sc.first_stage, si_order_loop(N, sc.first_stage.n_I, rng), N)
-    if sc.second_stage == "CENSUS":
-        yhat = est_columns[1][draw.order]
-        return draw, yhat, (np.zeros_like(yhat) if ctx.need_vhat else None)
-    yhat, vhat = subsample_estimates(ctx.frame, est_columns[0], draw.order, sc.second_stage,
-                                     sc.n0, rng, with_vhat=ctx.need_vhat)
+    yhat, vhat = row_estimates(ctx.frame, est_columns[0], est_columns[1], draw.order,
+                               sc.second_stage, sc.n0, rng, with_vhat=ctx.need_vhat)
     return draw, yhat, vhat
 
 
@@ -391,17 +407,13 @@ def si_order_excluding_loop(n_population, n, exclude, rng):
 # ---------------------------------------------------------------------------
 # Coupling verification: the one-replicate-at-a-time loops that the block
 # engine of ``twostage.coupling`` must match bit for bit.  Every replicate
-# draws from a fresh ``substream`` and builds its coupled draw from the
-# public second-stage engine.
+# draws from a fresh ``substream`` and builds its coupled draw from
+# ``row_estimates``.
 # ---------------------------------------------------------------------------
 
 
 def _coupled_estimates(frame, psu_indices, method, n0, rng, var):
-    from twostage.designs import second_stage_estimates
-
-    y_hat, _ = second_stage_estimates(
-        frame, frame.values, frame.subtotals, psu_indices, method, n0, rng
-    )
+    y_hat, _ = row_estimates(frame, frame.values, frame.subtotals, psu_indices, method, n0, rng)
     return y_hat[:, [var]]
 
 

@@ -480,6 +480,42 @@ class TestErrorReporting:
         assert err["error"]["type"] == "config"
         assert f"config.design.{stray}" in err["error"]["message"]
 
+    @pytest.mark.parametrize("alpha", [0.7, 0.5, 0.0])
+    def test_mc_alpha_out_of_range_is_a_config_error(self, tmp_path, capsys, alpha):
+        cfg = _write_config(tmp_path, "mc.json", {
+            "population": POP,
+            "scenario": {
+                "first_stage": {"kind": "SI", "n_I": [8]},
+                "second_stage": {"method": "CENSUS"},
+                "estimands": [{"kind": "total", "var": 1}],
+                "variance_methods": ["SIMPLIFIED"],
+                "alpha": alpha, "replicates": 100, "true_run": 1000,
+            },
+        })
+        rc = _run(["mc", "--config", cfg, "--seed", 1, "--out", tmp_path / "o"])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == {"type": "config",
+                                "message": "config.scenario.alpha: must be in (0, 0.5)"}
+
+    @pytest.mark.parametrize("command", ["estimate", "bootstrap"])
+    @pytest.mark.parametrize("method", ["UNBIASED", "BERNOULLI"])
+    def test_within_psu_variance_under_systematic_is_a_config_error(
+        self, tmp_path, capsys, command, method
+    ):
+        # settled by the config alone: no frame is read, no sample drawn
+        cfg = _write_config(tmp_path, "est.json", {
+            "frame": str(tmp_path / "missing.csv"), "design": {"kind": "SI", "n_I": 4},
+            "second_stage": {"method": "SYSTEMATIC", "n0": 2},
+            "estimands": [{"kind": "total", "var": 1}],
+            "variance_methods": ["SIMPLIFIED", method],
+        })
+        rc = _run([command, "--config", cfg, "--seed", 1, "--out", tmp_path / "o"])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "config"
+        assert err["error"]["message"].startswith(f"config.variance_methods[1]: {method} ")
+
     def test_invalid_mc_grid_fails_before_the_first_cell(self, tmp_path, capsys, monkeypatch):
         import twostage.montecarlo as montecarlo
 

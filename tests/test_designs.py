@@ -27,8 +27,10 @@ def _one_hot_psu(n):
 
 def _subsample(frame, psu_indices, method, n0, rng, with_vhat=False):
     """Draw and estimate a size-n0 second stage of the frame's own values in the listed PSUs."""
-    return second_stage_estimates(frame, frame.values, frame.subtotals, psu_indices, method, n0,
-                                  rng, with_vhat=with_vhat)
+    y_hat, v_hat = second_stage_estimates(frame, frame.values, frame.subtotals,
+                                          np.asarray(psu_indices)[None], method, n0, (rng,),
+                                          with_vhat=with_vhat)
+    return y_hat[0], (None if v_hat is None else v_hat[0])
 
 
 def _inclusions(frame, n0, method, rng, draws=1):

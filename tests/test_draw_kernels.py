@@ -2,9 +2,10 @@
 
 ``designs.resolve_si_orders`` resolves a block of Fisher-Yates draw rows at
 once and ``designs.systematic_positions`` places a block of systematic
-samples; both must give every row the bits that ``si_order`` and
-``second_stage_positions`` give it on its own.  The chunked SI key matrix
-and the mask of ``si_order_excluding`` must not move a bit either.
+samples; both must give every row the bits that ``si_order`` and the
+one-sample placement of ``oracles.second_stage_rows`` give it on its own.
+The chunked SI key matrix and the mask of ``si_order_excluding`` must not
+move a bit either.
 """
 import re
 import tracemalloc
@@ -17,7 +18,6 @@ from twostage import Frame, substream
 from twostage.designs import (
     resolve_si_orders,
     second_stage_estimates,
-    second_stage_positions,
     si_draws,
     si_order,
     si_order_excluding,
@@ -81,11 +81,11 @@ class TestSystematicPositions:
     FRAME = _sized_frame([3, 10, 7, 25, 4, 4, 13, 6])
 
     @pytest.mark.parametrize("n0", [1, 3, 4])
-    def test_one_row_matches_second_stage_positions(self, n0):
+    def test_one_row_matches_the_oracle(self, n0):
         psus = np.array([3, 4, 6, 6, 1, 7])
         for rep in range(5):
-            ref = second_stage_positions(self.FRAME, psus, "SYSTEMATIC", n0,
-                                         substream(12, n0, rep))
+            ref = oracles.second_stage_rows(self.FRAME, psus, "SYSTEMATIC", n0,
+                                            substream(12, n0, rep))
             starts = substream(12, n0, rep).random(psus.size)
             _same(systematic_positions(self.FRAME, psus, starts, n0), ref)
 
@@ -96,13 +96,15 @@ class TestSystematicPositions:
         block = systematic_positions(self.FRAME, psus, starts, 3)
         assert block.shape == (rows, 6, 3)
         for b in range(rows):
-            _same(block[b], second_stage_positions(self.FRAME, psus[b], "SYSTEMATIC", 3,
-                                                   substream(17, rows, b)))
+            _same(block[b], oracles.second_stage_rows(self.FRAME, psus[b], "SYSTEMATIC", 3,
+                                                      substream(17, rows, b)))
 
     def test_a_psu_smaller_than_n0_raises_the_same_error(self):
         psus = np.array([[1, 4], [3, 0]])
-        with pytest.raises(ValueError, match="^n0 exceeds the size of a selected PSU$"):
-            second_stage_positions(self.FRAME, psus[1], "SYSTEMATIC", 4, substream(1))
+        for method in ("SI", "SYSTEMATIC"):
+            with pytest.raises(ValueError, match="^n0 exceeds the size of a selected PSU$"):
+                second_stage_estimates(self.FRAME, self.FRAME.values, self.FRAME.subtotals,
+                                       psus, method, 4, (substream(1), substream(2)))
         with pytest.raises(ValueError, match="^n0 exceeds the size of a selected PSU$"):
             systematic_positions(self.FRAME, psus, np.full((2, 2), 0.5), 4)
 
@@ -114,15 +116,15 @@ class TestChunkedSiKeys:
         frame = _sized_frame([3, 10, 7, 25, 4, 4, 13, 6])
         psus = np.resize([3, 0, 6, 6, 1, 7, 2], 23)
         monkeypatch.setattr(designs, "_KEY_CELLS", cells)
-        new = second_stage_estimates(frame, frame.values, frame.subtotals, psus, "SI", 3,
-                                     substream(13, cells), with_vhat=with_vhat)
+        new = second_stage_estimates(frame, frame.values, frame.subtotals, psus[None], "SI", 3,
+                                     (substream(13, cells),), with_vhat=with_vhat)
         old = oracles.subsample_estimates(frame, frame.values, psus, "SI", 3,
                                           substream(13, cells), with_vhat=with_vhat)
         for a, b in zip(new, old):
             if b is None:
                 assert a is None
             else:
-                _same(a, b)
+                _same(a[0], b)
 
     def test_one_huge_psu_does_not_grow_the_key_matrix(self):
         """64 sampled PSUs with one of 2**17 SSUs: one (64, 2**17) matrix would need 64 MiB."""
@@ -132,11 +134,12 @@ class TestChunkedSiKeys:
         psus = np.arange(64)
         tracemalloc.start()
         try:
-            rows = second_stage_positions(frame, psus, "SI", 2, substream(14))
+            y_hat, _ = second_stage_estimates(frame, frame.values, frame.subtotals, psus[None],
+                                              "SI", 2, (substream(14),))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert rows.shape == (64, 2)
+        assert y_hat.shape == (1, 64, 1)
         assert peak < 24 << 20
 
 

@@ -115,6 +115,11 @@ def _same(a: np.ndarray, b: np.ndarray) -> None:
     assert a.tobytes() == b.tobytes()
 
 
+def _state(rng: np.random.Generator) -> str:
+    """The generator's full state (Philox holds arrays, so compared as text)."""
+    return repr(rng.bit_generator.state)
+
+
 @pytest.mark.parametrize("span", SPANS)
 def test_point_rows_match_the_replicate_loop(ctx, span):
     _same(montecarlo._point_rows(ctx, *span), oracles.point_rows(ctx, *span))
@@ -134,25 +139,36 @@ def test_any_split_gives_the_same_rows(ctx, fn):
         _same(np.vstack(parts), whole)
 
 
-@pytest.mark.parametrize("method, with_vhat", [("SI", False), ("SI", True), ("SYSTEMATIC", False)])
+@pytest.mark.parametrize("method, with_vhat", [
+    ("SI", False), ("SI", True), ("SYSTEMATIC", False), ("CENSUS", False), ("CENSUS", True)])
 @pytest.mark.parametrize("p", [1, 2, 7])
 @pytest.mark.parametrize("n0", [1, 3, 8, 10])
-@pytest.mark.parametrize("k", [7, 2 * designs._GATHER_ROWS + 5])
+@pytest.mark.parametrize("k", [0, 7, 2 * designs._GATHER_ROWS + 5])
 def test_second_stage_matches_the_one_gather_engine(method, with_vhat, p, n0, k):
+    """Blocks of 1 and 3 rows, each row drawn from its own generator, against the row oracle."""
     frame = _skewed()
     columns = np.random.default_rng(p).normal(size=(frame.n_ssus, p)) * 1e3
     subtotals = np.add.reduceat(columns, frame.offsets[:-1], axis=0)
-    psus = np.resize([39, 3, 3, 17, 0, 39, 25], k)
     with_vhat = with_vhat and n0 > 1
-    new = second_stage_estimates(frame, columns, subtotals, psus, method, n0,
-                                 substream(4, method, p, n0), with_vhat=with_vhat)
-    old = oracles.subsample_estimates(frame, columns, psus, method, n0,
-                                      substream(4, method, p, n0), with_vhat=with_vhat)
-    for a, b in zip(new, old):
-        if b is None:
-            assert a is None
+    for rows in (1, 3):
+        psus = np.stack([np.resize(np.roll([39, 3, 3, 17, 0, 39, 25], b), k)
+                         for b in range(rows)])
+        new_rngs = [substream(4, method, p, n0, b) for b in range(rows)]
+        old_rngs = [substream(4, method, p, n0, b) for b in range(rows)]
+        before = [_state(rng) for rng in new_rngs]
+        new = second_stage_estimates(frame, columns, subtotals, psus, method, n0, new_rngs,
+                                     with_vhat=with_vhat)
+        old = [oracles.row_estimates(frame, columns, subtotals, row, method, n0, rng,
+                                     with_vhat=with_vhat) for row, rng in zip(psus, old_rngs)]
+        _same(new[0], np.stack([y for y, _ in old]).reshape(rows, k, p))
+        if with_vhat:
+            _same(new[1], np.stack([v for _, v in old]).reshape(rows, k, p))
         else:
-            _same(a, b)
+            assert new[1] is None
+        after = [_state(rng) for rng in new_rngs]
+        assert after == [_state(rng) for rng in old_rngs]
+        if method == "CENSUS" or k == 0:
+            assert after == before  # nothing drawn
 
 
 @pytest.mark.parametrize("n_population, n", [(1, 1), (5, 5), (200, 37), (2000, 200)])

@@ -117,6 +117,20 @@ class TestScenarioValidation:
         run_scenario(frame, Scenario(design, estimands=(estimand,), replicates=100), seed=5)
 
 
+    @pytest.mark.parametrize("ci_alpha", [0.7, 0.0, float("nan")])
+    def test_ci_alpha_out_of_range_rejected_before_the_reference_run(
+        self, monkeypatch, frame_1to5, ci_alpha
+    ):
+        scn = Scenario(DesignSpec("SI", n_I=2), variance_methods=("SIMPLIFIED",),
+                       ci_alpha=ci_alpha, replicates=100, true_run=1000)
+        calls = []
+        monkeypatch.setattr(montecarlo, "approximate_true_variance",
+                            lambda *args, **kwargs: calls.append(args) or ({}, {}))
+        with pytest.raises(ValueError, match=r"^ci_alpha must be in \(0, 0.5\]$"):
+            run_scenario(frame_1to5, scn, seed=5)
+        assert calls == []
+
+
 class TestRunScenario:
     def test_constant_estimator_has_zero_rb_rs(self, frame_1to5):
         # census first and second stage: the estimator equals Y identically
