@@ -21,7 +21,7 @@ import sys
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -496,9 +496,11 @@ def _manifest(cfg: RunConfig, written: list[str], started: float) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _run_genpop(cfg: RunConfig, out: str, notes: dict) -> list[str]:
+def _run_genpop(cfg: RunConfig, out: str, notes: dict, phase: Callable) -> list[str]:
     pop_cfg = SyntheticConfig(seed=cfg.seed, **cfg.payload["population"])
+    phase("frame")
     frame = generate_population(pop_cfg)
+    phase("write")
     ext = cfg.payload.get("format", "csv")
     frame_path = os.path.join(out, f"frame.{ext}")
     # frame_to_csv writes directly; route through a buffer for atomicity
@@ -537,12 +539,15 @@ def _one_draw_estimates(cfg: RunConfig, frame: Frame):
         f = design["expected_n_I"] / frame.n_psus
         draw = draw_be(frame.n_psus, f, rng)
 
-    columns, subtotals, slices = estimand_columns(frame, [est for est, _, _ in estimands])
+    columns, subtotals, index, slices = estimand_columns(frame, [est for est, _, _ in estimands])
     need_vhat = any(vm in ("UNBIASED", "BERNOULLI") for vm in payload.get("variance_methods", []))
     yhat, vhat = second_stage_estimates(
         frame, columns, subtotals, draw.order[None], method, n0, (rng,), with_vhat=need_vhat
     )
-    yhat, vhat = yhat[0], (None if vhat is None else vhat[0])
+    # np.take keeps the (k, p_total) estimates row-major, as yhat[0][:, index] would not,
+    # so the sums over their columns below add in the order they always have
+    yhat = np.take(yhat[0], index, axis=1)
+    vhat = None if vhat is None else np.take(vhat[0], index, axis=1)
     points = []
     for (est, est_kind, rho), sl in zip(estimands, slices):
         if kind == "BE":
@@ -557,9 +562,11 @@ def _one_draw_estimates(cfg: RunConfig, frame: Frame):
     return draw, yhat, vhat, points
 
 
-def _run_estimate(cfg: RunConfig, out: str, notes: dict) -> list[str]:
+def _run_estimate(cfg: RunConfig, out: str, notes: dict, phase: Callable) -> list[str]:
     payload = cfg.payload
+    phase("frame")
     frame = ingest_frame(payload["frame"])
+    phase("compute")
     alpha = payload.get("alpha", 0.025)
     kind = payload["design"]["kind"]
     draw, yhat, vhat, points = _one_draw_estimates(cfg, frame)
@@ -590,6 +597,7 @@ def _run_estimate(cfg: RunConfig, out: str, notes: dict) -> list[str]:
         "seeds": {"master": cfg.seed, "stream": "estimate"},
         "estimates": [entry for _, _, entry in points],
     }
+    phase("write")
     report_path = os.path.join(out, "estimate.json")
     _write_json(report_path, report)
     draw_path = os.path.join(out, "draw.json")
@@ -597,9 +605,11 @@ def _run_estimate(cfg: RunConfig, out: str, notes: dict) -> list[str]:
     return [report_path, draw_path]
 
 
-def _run_bootstrap(cfg: RunConfig, out: str, notes: dict) -> list[str]:
+def _run_bootstrap(cfg: RunConfig, out: str, notes: dict, phase: Callable) -> list[str]:
     payload = cfg.payload
+    phase("frame")
     frame = ingest_frame(payload["frame"])
+    phase("compute")
     alpha = payload.get("alpha", 0.025)
     boot_cfg: BootstrapConfig = payload["_bootstrap"]
     studentized = payload.get("studentized", False)
@@ -634,6 +644,7 @@ def _run_bootstrap(cfg: RunConfig, out: str, notes: dict) -> list[str]:
         "seeds": {"master": cfg.seed},
         "estimates": [entry for _, _, entry in points],
     }
+    phase("write")
     report_path = os.path.join(out, "bootstrap.json")
     _write_json(report_path, report)
     reps_path = os.path.join(out, "replicates.csv")
@@ -686,12 +697,14 @@ def _mc_cells(payload: dict, seed: int):
     return cells, rho_by_label, kind_by_label
 
 
-def _run_mc(cfg: RunConfig, out: str, notes: dict) -> list[str]:
+def _run_mc(cfg: RunConfig, out: str, notes: dict, phase: Callable) -> list[str]:
     payload = cfg.payload
+    phase("frame")
     if "population" in payload:
         frame = generate_population(SyntheticConfig(seed=cfg.seed, **payload["population"]))
     else:
         frame = ingest_frame(payload["frame"])
+    phase("compute")
     cells, rho_by_label, kind_by_label = _mc_cells(payload, cfg.seed)
     rows = scaling_study(frame, cells, cfg.seed, threads=cfg.threads)
 
@@ -703,6 +716,7 @@ def _run_mc(cfg: RunConfig, out: str, notes: dict) -> list[str]:
             [row["population"], "" if rho is None else rho, row["n0"], row["nI"],
              row["estimand"], row["metric"], row["value"], row["mc_se"]]
         )
+    phase("write")
     written = []
     header = ["population", "rho", "n0", "nI", "estimand", "metric", "value", "mc_se"]
     for kind, kind_rows in sorted(by_kind.items()):
@@ -739,28 +753,34 @@ def _second_stage_args(spec: dict) -> dict:
     return {"second_stage": second["method"], "n0": second.get("n0")}
 
 
-def _run_verify(cfg: RunConfig, out: str, notes: dict) -> list[str]:
+def _run_verify(cfg: RunConfig, out: str, notes: dict, phase: Callable) -> list[str]:
     payload = cfg.payload
     written = []
     bounds = []
     for i, spec in enumerate(payload.get("bounds", [])):
+        phase("frame")
         frame = _verify_frame(spec["frame"], cfg.seed, i)
+        phase("compute")
         fn = verify_hajek_bound if spec["check"] == "be_si" else verify_sir_si_bound
         bounds.append(fn(frame, spec["n_I"], spec.get("replicates", 100000), cfg.seed,
                          **_second_stage_args(spec)).to_dict())
     if bounds:
+        phase("write")
         written += _write_records(out, "bounds", bounds, bounds)
 
     decay = payload.get("decay")
     if decay is not None:
+        phase("frame")
         frames = [
             _verify_frame(spec, cfg.seed, 1000 + i) for i, spec in enumerate(decay["frames"])
         ]
+        phase("compute")
         report = verify_decay(
             frames, decay["n_I"], decay.get("replicates", 100000), cfg.seed, m=decay.get("m"),
             **_second_stage_args(decay),
         )
         rows = [r.to_dict() for r in report.rows]
+        phase("write")
         written += _write_records(out, "decay", rows, {
             "rows": rows,
             "strictly_decreasing": {
@@ -784,8 +804,15 @@ def execute(cfg: RunConfig) -> int:
     """Run a validated configuration; returns the process exit status."""
     started = time.monotonic()
     os.makedirs(cfg.out, exist_ok=True)
-    notes: dict = {}  # what the run skipped, for the manifest only
-    written = _RUNNERS[cfg.command](cfg, cfg.out, notes)
+    notes: dict = {}  # what the run skipped and how long it took, for the manifest only
+    marks = [("compute", started)]  # each phase the runner enters, from when
+    written = _RUNNERS[cfg.command](cfg, cfg.out, notes,
+                                    lambda phase: marks.append((phase, time.monotonic())))
+    seconds = dict.fromkeys(("frame", "compute", "write"), 0.0)
+    for (phase, since), (_, until) in zip(marks, marks[1:] + [("", time.monotonic())]):
+        seconds[phase] += until - since
+    # whole milliseconds rounded down never add up to more than the wall time
+    notes["phase_s"] = {phase: int(s * 1000) / 1000 for phase, s in seconds.items()}
     manifest_path = os.path.join(cfg.out, "manifest.json")
     _write_json(manifest_path, {**_manifest(cfg, written, started), **notes})
     return 0

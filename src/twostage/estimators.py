@@ -237,8 +237,8 @@ class TotalEstimand:
     def label(self) -> str:
         return f"total[y{self.var + 1}]"
 
-    def ssu_columns(self, values: np.ndarray) -> np.ndarray:
-        return values[:, [self.var]]
+    def column_keys(self) -> tuple:
+        return (("y", self.var),)
 
     def evaluate(self, totals: np.ndarray) -> np.ndarray:
         totals = np.asarray(totals, dtype=np.float64)
@@ -258,8 +258,8 @@ class RatioEstimand:
     def label(self) -> str:
         return f"ratio[y{self.num + 1}/y{self.den + 1}]"
 
-    def ssu_columns(self, values: np.ndarray) -> np.ndarray:
-        return values[:, [self.num, self.den]]
+    def column_keys(self) -> tuple:
+        return (("y", self.num), ("y", self.den))
 
     def evaluate(self, totals: np.ndarray) -> np.ndarray:
         totals = np.asarray(totals, dtype=np.float64)
@@ -287,9 +287,9 @@ class CorrelationEstimand:
     def label(self) -> str:
         return f"corr[y{self.a + 1},y{self.b + 1}]"
 
-    def ssu_columns(self, values: np.ndarray) -> np.ndarray:
-        ya, yb = values[:, self.a], values[:, self.b]
-        return np.column_stack([ya, yb, ya**2, yb**2, ya * yb, np.ones_like(ya)])
+    def column_keys(self) -> tuple:
+        a, b = self.a, self.b
+        return (("y", a), ("y", b), ("sq", a), ("sq", b), ("prod", a, b), ("one",))
 
     def evaluate(self, totals: np.ndarray) -> np.ndarray:
         totals = np.asarray(totals, dtype=np.float64)
@@ -316,9 +316,8 @@ class ProportionEstimand:
     def label(self) -> str:
         return f"prop[y{self.var + 1}={self.category:g}]"
 
-    def ssu_columns(self, values: np.ndarray) -> np.ndarray:
-        ind = (values[:, self.var] == self.category).astype(np.float64)
-        return np.column_stack([ind, np.ones_like(ind)])
+    def column_keys(self) -> tuple:
+        return (("eq", self.var, self.category), ("one",))
 
     def evaluate(self, totals: np.ndarray) -> np.ndarray:
         totals = np.asarray(totals, dtype=np.float64)
@@ -331,24 +330,65 @@ class ProportionEstimand:
 SmoothEstimand = TotalEstimand | RatioEstimand | CorrelationEstimand | ProportionEstimand
 
 
+def _column_matrix(values: np.ndarray, keys: Sequence[tuple]) -> np.ndarray:
+    """The C-contiguous (N, len(keys)) matrix of the SSU columns named by ``keys``.
+
+    ("y", a) is y_a, ("sq", a) is y_a^2, ("prod", a, b) is y_a * y_b, ("one",)
+    is 1 and ("eq", v, c) is the indicator of y_v == c.
+    """
+    out = np.empty((values.shape[0], len(keys)))
+    for col, (kind, *args) in zip(out.T, keys):
+        if kind == "y":
+            col[...] = values[:, args[0]]
+        elif kind == "sq":
+            np.square(values[:, args[0]], out=col)
+        elif kind == "prod":
+            np.multiply(values[:, args[0]], values[:, args[1]], out=col)
+        elif kind == "one":
+            col[...] = 1.0
+        else:
+            np.equal(values[:, args[0]], args[1], out=col)
+    return out
+
+
 def population_value(frame: Frame, estimand: SmoothEstimand) -> float:
-    """Exact population value of the estimand (plug-in at the true totals)."""
-    return float(estimand.evaluate(estimand.ssu_columns(frame.values).sum(axis=0)))
+    """Exact population value of the estimand (plug-in at the true totals).
+
+    The totals of raw variables are summed one column at a time (pairwise),
+    and an estimand with derived columns sums its (N, p) matrix row after
+    row, the orders these values have always been summed in.
+    """
+    keys = estimand.column_keys()
+    if all(kind == "y" for kind, *_ in keys):
+        totals = np.array([frame.values[:, var].sum() for _, var in keys])
+    else:
+        totals = _column_matrix(frame.values, keys).sum(axis=0)
+    return float(estimand.evaluate(totals))
 
 
 def estimand_columns(
     frame: Frame, estimands: Sequence[SmoothEstimand]
-) -> tuple[np.ndarray, np.ndarray, list[slice]]:
-    """Every estimand's SSU columns side by side.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[slice]]:
+    """The distinct SSU columns of all estimands, each built once.
 
-    Returns the (N, p) column matrix, its (N_I, p) PSU subtotals, and the
-    column slice of each estimand in order.
+    The estimands' column keys are kept once each, in order of first
+    appearance.  Returns the C-contiguous (N, p) matrix of those columns,
+    its (N_I, p) PSU subtotals, ``index``, the (p_total,) column of the
+    matrix that each estimand column reads (every estimand's columns side by
+    side), and each estimand's slice of ``index``.  When fewer than two
+    distinct keys remain, every column is kept: the second stage sums a lone
+    column pairwise, not one row after another as it sums two or more.
     """
-    blocks = [e.ssu_columns(frame.values) for e in estimands]
-    starts = np.concatenate(([0], np.cumsum([b.shape[1] for b in blocks])))
-    slices = [slice(int(starts[i]), int(starts[i + 1])) for i in range(len(blocks))]
-    columns = np.hstack(blocks)
-    return columns, np.add.reduceat(columns, frame.offsets[:-1], axis=0), slices
+    keys = [key for e in estimands for key in e.column_keys()]
+    first = {key: j for j, key in enumerate(dict.fromkeys(keys))}
+    if len(first) < 2:
+        distinct, index = keys, np.arange(len(keys))
+    else:
+        distinct, index = list(first), np.array([first[key] for key in keys])
+    columns = _column_matrix(frame.values, distinct)
+    starts = np.concatenate(([0], np.cumsum([len(e.column_keys()) for e in estimands])))
+    slices = [slice(int(starts[i]), int(starts[i + 1])) for i in range(len(estimands))]
+    return columns, np.add.reduceat(columns, frame.offsets[:-1], axis=0), index, slices
 
 
 # ---------------------------------------------------------------------------

@@ -275,41 +275,11 @@ def _build_context(frame: Frame, scenario: Scenario, seed: int, tag: tuple) -> _
 
     # under STRAT_SI the proportion's (count, size) subtotals are the rows
     # of every stratified sample
-    columns, col_subtotals, slices = estimand_columns(frame, est)
-    keep, expand = _distinct_columns(columns)
+    columns, col_subtotals, expand, slices = estimand_columns(frame, est)
     return _Context(
-        frame, scenario, seed, tag, np.take(columns, keep, axis=1),
-        np.take(col_subtotals, keep, axis=1), expand, slices, slots, len(slots),
+        frame, scenario, seed, tag, columns, col_subtotals, expand, slices, slots, len(slots),
         need_vhat="UNBIASED" in scenario.variance_methods,
     )
-
-
-def _distinct_columns(columns: np.ndarray) -> tuple[list[int], np.ndarray]:
-    """The bitwise-distinct columns of an (N, p) matrix, gathered once per sample.
-
-    Returns the indices ``keep`` of each column's first copy and ``expand``,
-    with ``columns[:, keep][:, expand]`` equal to ``columns``.  Every column
-    is summed on its own, so gathering the copies once changes no bit, as
-    long as two or more columns are gathered: numpy sums a lone column
-    pairwise, not one row after another, so when p > 1 but all columns are
-    equal every column is kept.
-    """
-    bits = columns.view(np.uint64)
-
-    def equal(c: int, f: int) -> bool:  # the first rows tell most columns apart
-        return (np.array_equal(bits[:64, c], bits[:64, f])
-                and np.array_equal(bits[:, c], bits[:, f]))
-
-    keep: list[int] = []
-    expand = []
-    for c in range(columns.shape[1]):
-        u = next((u for u, f in enumerate(keep) if equal(c, f)), len(keep))
-        if u == len(keep):
-            keep.append(c)
-        expand.append(u)
-    if len(keep) < 2:
-        return list(range(columns.shape[1])), np.arange(columns.shape[1])
-    return keep, np.array(expand)
 
 
 @dataclass
@@ -522,9 +492,14 @@ def approximate_true_variance(
 
     Returns ``(v_true, mean)`` keyed by estimand label; C = scenario.true_run.
     """
+    return _reference_run(_build_context(frame, scenario, seed, stream_tag), threads)
+
+
+def _reference_run(ctx: _Context, threads: int) -> tuple[dict[str, float], dict[str, float]]:
+    """``approximate_true_variance`` on a built context."""
+    scenario = ctx.scenario
     if scenario.true_run < 1000:
         raise ValueError("the reference run needs at least 1000 samples")
-    ctx = _build_context(frame, scenario, seed, stream_tag)
     theta = _parallel(_point_rows, scenario.true_run, threads, ctx)
     v_true = {e.label: float(np.var(theta[:, j], ddof=1)) for j, e in enumerate(scenario.estimands)}
     means = {e.label: float(theta[:, j].mean()) for j, e in enumerate(scenario.estimands)}
@@ -549,12 +524,7 @@ def run_scenario(
     ctx = _build_context(frame, scenario, seed, stream_tag)
     if v_true is None:
         needs_v = bool(scenario.variance_methods) or scenario.bootstrap is not None
-        if needs_v:
-            v_true, _ = approximate_true_variance(
-                frame, scenario, seed, threads, stream_tag
-            )
-        else:
-            v_true = {}
+        v_true = _reference_run(ctx, threads)[0] if needs_v else {}
     theta_true = dict(theta_true) if theta_true is not None else {
         e.label: population_value(frame, e) for e in scenario.estimands
     }

@@ -7,7 +7,10 @@ independent computation.  The frame text I/O oracles further down are the
 row-at-a-time reader and writer that the block-columnar ones replaced, and
 the Monte Carlo and coupling oracles at the end are the
 one-replicate-at-a-time loops that the block engines of
-``twostage.montecarlo`` and ``twostage.coupling`` replaced.
+``twostage.montecarlo`` and ``twostage.coupling`` replaced; the Monte Carlo
+loops run on every estimand's columns written out per estimand type and
+stacked side by side, repeats included (``stacked_columns``), not on the
+library's keyed column builder.
 """
 import csv
 import io
@@ -273,10 +276,34 @@ def row_estimates(frame, columns, subtotals, psu_indices, method, n0, rng, with_
     return subsample_estimates(frame, columns, psu_indices, method, n0, rng, with_vhat)
 
 
+def ssu_columns(estimand, values):
+    """An estimand's (N, p) SSU columns, written out per estimand type."""
+    from twostage.estimators import CorrelationEstimand, ProportionEstimand, RatioEstimand
+
+    if isinstance(estimand, RatioEstimand):
+        return values[:, [estimand.num, estimand.den]]
+    if isinstance(estimand, CorrelationEstimand):
+        ya, yb = values[:, estimand.a], values[:, estimand.b]
+        return np.column_stack([ya, yb, ya**2, yb**2, ya * yb, np.ones_like(ya)])
+    if isinstance(estimand, ProportionEstimand):
+        ind = (values[:, estimand.var] == estimand.category).astype(np.float64)
+        return np.column_stack([ind, np.ones_like(ind)])
+    return values[:, [estimand.var]]
+
+
+def stacked_columns(frame, estimands):
+    """Every estimand's columns side by side, repeats included: (columns, subtotals, slices)."""
+    blocks = [ssu_columns(e, frame.values) for e in estimands]
+    starts = np.concatenate(([0], np.cumsum([b.shape[1] for b in blocks])))
+    columns = np.hstack(blocks)
+    return (columns, np.add.reduceat(columns, frame.offsets[:-1], axis=0),
+            [slice(int(starts[i]), int(starts[i + 1])) for i in range(len(blocks))])
+
+
 def _si_draw(ctx, est_columns, rng):
     """One SI replicate's draw: (FirstStageDraw, yhat (n, p), vhat (n, p) or None).
 
-    ``est_columns`` is the (columns, subtotals, slices) of ``estimand_columns``.
+    ``est_columns`` is the (columns, subtotals, slices) of ``stacked_columns``.
     """
     from twostage.designs import FirstStageDraw
 
@@ -328,10 +355,9 @@ def _si_replicate_row(ctx, est_columns, rng, row):
 def replicate_rows(ctx, start, end):
     """MC replicate rows start..end-1, one replicate at a time (for ``_replicate_rows``)."""
     from twostage import montecarlo as mc
-    from twostage.estimators import estimand_columns
     from twostage.rng import substream
 
-    est_columns = estimand_columns(ctx.frame, ctx.scenario.estimands)
+    est_columns = stacked_columns(ctx.frame, ctx.scenario.estimands)
     out = np.full((end - start, ctx.n_slots), np.nan)
     for b in range(start, end):
         rng = substream(ctx.seed, *ctx.tag, "mc", b)
@@ -344,11 +370,11 @@ def replicate_rows(ctx, start, end):
 
 def point_rows(ctx, start, end):
     """Reference-run point estimates start..end-1, one sample at a time (for ``_point_rows``)."""
-    from twostage.estimators import StratifiedClusterSample, estimand_columns
+    from twostage.estimators import StratifiedClusterSample
     from twostage.rng import substream
 
     sc = ctx.scenario
-    est_columns = estimand_columns(ctx.frame, sc.estimands)
+    est_columns = stacked_columns(ctx.frame, sc.estimands)
     out = np.empty((end - start, len(sc.estimands)))
     for b in range(start, end):
         rng = substream(ctx.seed, *ctx.tag, "true", b)

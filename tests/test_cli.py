@@ -157,6 +157,39 @@ class TestGenPopEstimateRoundTrip:
                 "platform": platform.platform(),
             }
 
+    def test_manifest_times_every_phase(self, tmp_path):
+        """Frame load or generation, compute and output writing, within the wall time."""
+        frame = str(tmp_path / "gen-pop" / "frame.csv")
+        draw = {"frame": frame, "design": {"kind": "SI", "n_I": 10},
+                "second_stage": {"method": "SI", "n0": 3},
+                "estimands": [{"kind": "total", "var": 1}, {"kind": "correlation", "a": 1, "b": 2}],
+                "variance_methods": ["SIMPLIFIED"]}
+        configs = {
+            "gen-pop": {"population": POP},
+            "estimate": draw,
+            "bootstrap": dict(draw, bootstrap={"replicates": 100}),
+            "mc": {"frame": frame, "scenario": {
+                "first_stage": {"kind": "SI", "n_I": [8]},
+                "second_stage": {"method": "SYSTEMATIC", "n0": [3]},
+                "estimands": [{"kind": "total", "var": 1}], "variance_methods": ["SIMPLIFIED"],
+                "replicates": 100, "true_run": 1000}},
+            "verify": {"bounds": [{"check": "be_si", "n_I": 5, "replicates": 1000,
+                                   "frame": {"kind": "range", "n_psus": 50}}],
+                       "decay": {"n_I": 4, "replicates": 1000, "frames": [
+                           {"kind": "normal", "n_psus": n, "mean": 10.0, "sd": 2.0}
+                           for n in (20, 40, 80)]}},
+        }
+        for command, payload in configs.items():
+            out = tmp_path / command
+            cfg = _write_config(tmp_path, f"{command}.json", payload)
+            assert _run([command, "--config", cfg, "--seed", 3, "--out", out]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            phases = manifest["phase_s"]
+            assert set(phases) == {"frame", "compute", "write"}
+            assert all(s >= 0.0 for s in phases.values())
+            # whole milliseconds: their sum rounds to at most the wall time
+            assert round(sum(phases.values()), 3) <= manifest["wall_time_s"]
+
 
 class TestEstimateAndBootstrapCommands:
     @pytest.fixture

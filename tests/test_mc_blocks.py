@@ -6,6 +6,8 @@ Fisher-Yates loop) that ``montecarlo._point_rows`` / ``_replicate_rows``
 replaced.  On every scenario below both must produce the same rows bit for
 bit, for any span and any split of it into worker chunks.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from twostage import (
     substream,
 )
 from twostage.designs import second_stage_estimates, si_order, si_order_excluding
+from twostage.estimators import estimand_columns
 
 import oracles
 
@@ -78,6 +81,12 @@ CASES = {
     "equal-columns": (_population, Scenario(
         DesignSpec("SI", n_I=12), "SYSTEMATIC", n0=9,
         estimands=(TotalEstimand(1), RatioEstimand(1, 1)), variance_methods=("SIMPLIFIED",))),
+    # on a 0/1 variable the indicator and y are equal bit for bit but have
+    # distinct keys, so each is gathered on its own
+    "equal-bits-distinct-keys": (_stratified, Scenario(
+        DesignSpec("SI", n_I=8), "SYSTEMATIC", n0=2,
+        estimands=(ProportionEstimand(0, 1.0), TotalEstimand(0)),
+        variance_methods=("SIMPLIFIED",), bootstrap=BOOT)),
     "skewed-si": (_skewed, Scenario(
         DesignSpec("SI", n_I=6), "SI", n0=10, estimands=ESTIMANDS,
         variance_methods=("WITH_REPLACEMENT",), bootstrap=BOOT)),
@@ -188,11 +197,54 @@ def test_si_order_excluding_rejection_branch_is_unchanged():
         assert len(set(out.tolist()) | set(exclude.tolist())) == 1000
 
 
-def test_distinct_columns_are_bitwise_distinct():
-    x = np.linspace(-1.0, 1.0, 101)[:, None]
-    # x * 0.0 holds -0.0 where x < 0; abs(x) * 0.0 holds +0.0 everywhere
-    columns = np.hstack([x, x * 0.0, x, np.abs(x) * 0.0, x + 1e-12])
-    keep, expand = montecarlo._distinct_columns(columns)
-    assert keep == [0, 1, 3, 4] and expand.tolist() == [0, 1, 0, 2, 3]
-    keep, expand = montecarlo._distinct_columns(np.hstack([x, x, x]))
-    assert keep == [0, 1, 2] and expand.tolist() == [0, 1, 2]  # never a lone column
+def _three_variables() -> Frame:
+    """PSUs of 1-9 SSUs: two normal variables and a category coded 0, 1 or 2."""
+    rng = np.random.default_rng(12)
+    sizes = rng.integers(1, 10, size=50).astype(np.int64)
+    n = int(sizes.sum())
+    return Frame(np.column_stack([rng.normal(50.0, 10.0, (n, 2)), rng.integers(0, 3, n)]),
+                 sizes)
+
+
+@pytest.mark.parametrize("estimands, n_columns", [
+    ((CorrelationEstimand(0, 1), CorrelationEstimand(0, 2)), 9),  # share y_0, y_0^2 and 1
+    ((ProportionEstimand(2, 1.0), CorrelationEstimand(0, 1)), 7),  # share the count column
+    ((TotalEstimand(1), TotalEstimand(1)), 2),  # a lone key keeps every column
+], ids=["two-correlations", "proportion-and-correlation", "repeated-lone-total"])
+def test_estimand_columns_hold_each_definition_once(estimands, n_columns):
+    frame = _three_variables()
+    y = frame.values
+    one = np.ones(frame.n_ssus)
+    definitions = {
+        TotalEstimand: lambda e: [y[:, e.var]],
+        CorrelationEstimand: lambda e: [y[:, e.a], y[:, e.b], y[:, e.a] ** 2, y[:, e.b] ** 2,
+                                        y[:, e.a] * y[:, e.b], one],
+        ProportionEstimand: lambda e: [np.where(y[:, e.var] == e.category, 1.0, 0.0), one],
+    }
+    columns, subtotals, index, slices = estimand_columns(frame, estimands)
+    assert columns.flags.c_contiguous and columns.shape == (frame.n_ssus, n_columns)
+    assert subtotals.shape == (frame.n_psus, n_columns)
+    for e, sl in zip(estimands, slices):
+        want = np.column_stack(definitions[type(e)](e))
+        _same(np.take(columns, index[sl], axis=1), want)
+        _same(np.take(subtotals, index[sl], axis=1),
+              np.add.reduceat(want, frame.offsets[:-1], axis=0))
+
+
+def test_build_context_peaks_at_the_distinct_columns():
+    """A pop3-shaped cell holds its 11 distinct columns and their subtotals, little more."""
+    frame = generate_population(SyntheticConfig(2000, 40, 0.06, 20.0, 2.0, (0.1, 0.2, 0.3), 0.6,
+                                                seed=3))
+    scenario = Scenario(DesignSpec("SI", n_I=200), "SYSTEMATIC", n0=10, estimands=(
+        TotalEstimand(0), TotalEstimand(4), RatioEstimand(0, 1), RatioEstimand(4, 5),
+        CorrelationEstimand(0, 1), CorrelationEstimand(4, 5)), variance_methods=("SIMPLIFIED",))
+    montecarlo._build_context(frame, scenario, 1, ())  # the frame's own caches fill here
+    tracemalloc.start()
+    try:
+        ctx = montecarlo._build_context(frame, scenario, 1, ())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    p = ctx.columns.shape[1]
+    assert p == 11
+    assert peak <= (frame.n_ssus + frame.n_psus) * p * 8 + (1 << 20)

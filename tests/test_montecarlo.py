@@ -17,7 +17,7 @@ from twostage import (
     substream,
 )
 import twostage.montecarlo as montecarlo
-from conftest import scalar_frame
+from conftest import multi_ssu_frame, scalar_frame
 from normality import anderson_darling_normal, normality_screen
 
 
@@ -108,7 +108,7 @@ class TestScenarioValidation:
                  else {"bootstrap": BootstrapConfig(replicates=50, seed=0)})
         scn = Scenario(design, estimands=(estimand,), replicates=100, true_run=1000, **extra)
         calls = []
-        monkeypatch.setattr(montecarlo, "approximate_true_variance",
+        monkeypatch.setattr(montecarlo, "_reference_run",
                             lambda *args, **kwargs: calls.append(args) or ({}, {}))
         with pytest.raises(ValueError, match="at least 2 sampled PSUs"):
             run_scenario(frame, scn, seed=5)
@@ -124,7 +124,7 @@ class TestScenarioValidation:
         scn = Scenario(DesignSpec("SI", n_I=2), variance_methods=("SIMPLIFIED",),
                        ci_alpha=ci_alpha, replicates=100, true_run=1000)
         calls = []
-        monkeypatch.setattr(montecarlo, "approximate_true_variance",
+        monkeypatch.setattr(montecarlo, "_reference_run",
                             lambda *args, **kwargs: calls.append(args) or ({}, {}))
         with pytest.raises(ValueError, match=r"^ci_alpha must be in \(0, 0.5\]$"):
             run_scenario(frame_1to5, scn, seed=5)
@@ -185,6 +185,22 @@ class TestRunScenario:
         point = _report(reports, "ratio[y1/y2]", "point")
         assert abs(point.rb) < 5.0  # percent
         assert _report(reports, "ratio[y1/y2]", "boot_var").mean_estimate > 0
+
+    def test_the_reference_run_reuses_the_built_context(self, monkeypatch):
+        frame = multi_ssu_frame(30, 78)
+        scn = Scenario(
+            DesignSpec("SI", n_I=6), "SYSTEMATIC", n0=3,
+            estimands=(TotalEstimand(0), RatioEstimand(0, 1)), variance_methods=("SIMPLIFIED",),
+            bootstrap=BootstrapConfig(replicates=100, seed=0), replicates=100, true_run=1000,
+        )
+        v_true, _ = approximate_true_variance(frame, scn, seed=78)
+        supplied = run_scenario(frame, scn, seed=78, v_true=v_true)
+        calls = []
+        build = montecarlo.estimand_columns
+        monkeypatch.setattr(montecarlo, "estimand_columns",
+                            lambda *args: calls.append(args) or build(*args))
+        assert run_scenario(frame, scn, seed=78) == supplied
+        assert len(calls) == 1
 
     def test_supplied_v_true_used_for_variance_rows(self, frame_1to5):
         scn = Scenario(
