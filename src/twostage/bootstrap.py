@@ -76,6 +76,11 @@ class ReplicateSet:
     base: float
     se_star: np.ndarray | None = None
 
+    @property
+    def pivotal(self) -> np.ndarray:
+        """Which replicates carry a Studentized pivot: those with se* > 0."""
+        return self.se_star > 0
+
 
 def multinomial_weights(rng: np.random.Generator, replicates: int, n: int, m: int) -> np.ndarray:
     """(R, n) matrix of resampling weights, one multinomial row per replicate."""
@@ -166,7 +171,7 @@ def studentized_ci(reps: ReplicateSet, base_se: float, alpha: float) -> tuple[fl
     if not 0.0 < alpha < 0.5:
         raise ValueError("alpha must be in (0, 0.5)")
     theta_star, se_star = reps.theta_star, reps.se_star
-    valid = se_star > 0
+    valid = reps.pivotal
     if not np.all(valid):
         if not np.any(valid):
             raise ValueError("every bootstrap replicate is degenerate")

@@ -614,6 +614,7 @@ def _run_bootstrap(cfg: RunConfig, out: str, notes: dict, phase: Callable) -> li
     boot_cfg: BootstrapConfig = payload["_bootstrap"]
     studentized = payload.get("studentized", False)
     draw, yhat, vhat, points = _one_draw_estimates(cfg, frame)
+    dropped = notes["studentized_dropped_replicates"] = {}  # replicates without a pivot
 
     labels: list[str] = []
     theta_star: list[np.ndarray] = []
@@ -632,6 +633,7 @@ def _run_bootstrap(cfg: RunConfig, out: str, notes: dict, phase: Callable) -> li
             entry["ci_studentized"] = list(
                 studentized_ci(reps, float(np.sqrt(base_v)), boot_cfg.alpha)
             )
+            dropped[est.label] = int(np.count_nonzero(~reps.pivotal))
         labels += [est.label] * reps.theta_star.size
         theta_star.append(reps.theta_star)
         se_star += [""] * reps.theta_star.size if reps.se_star is None else reps.se_star.tolist()

@@ -70,15 +70,18 @@ class DesignSpec:
         if self.kind == "STRAT_SI":
             if stratum_sizes is None:
                 raise ValueError("stratified design on a frame without strata")
-            missing = set(self.allocations) - set(stratum_sizes)
-            if missing:
-                raise ValueError(f"allocations for unknown strata: {sorted(missing)}")
+            unknown = set(self.allocations) - set(stratum_sizes)
+            if unknown:
+                raise ValueError(f"allocations for unknown strata: {sorted(unknown)}")
             for label, n in self.allocations.items():
                 if not 1 <= n <= stratum_sizes[label]:
                     raise ValueError(
                         f"allocation {n} invalid for stratum {label!r} "
                         f"of size {stratum_sizes[label]}"
                     )
+            for label in stratum_sizes:
+                if label not in self.allocations:
+                    raise ValueError(f"missing allocation for stratum {label!r}")
 
 
 @dataclass
@@ -284,8 +287,6 @@ def draw_stratified_si(
     design.validate_for(frame.n_psus, {k: v.size for k, v in groups.items()})
     out: dict[str, FirstStageDraw] = {}
     for label, psu_idx in groups.items():
-        if label not in allocations:
-            raise ValueError(f"missing allocation for stratum {label!r}")
         n_l = allocations[label]
         local = si_order(psu_idx.size, n_l, rng)
         out[label] = FirstStageDraw(

@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .designs import DesignSpec, FirstStageDraw, draw_stratified_si
+from .designs import DesignSpec, FirstStageDraw
 from .frame import Frame
 
 __all__ = [
@@ -408,21 +408,6 @@ class StratifiedClusterSample:
 
     n_psus_population: dict[str, int]
     subtotals: dict[str, np.ndarray]
-
-    @classmethod
-    def draw(
-        cls,
-        frame: Frame,
-        allocations: Mapping[str, int],
-        subtotals: np.ndarray,
-        rng: np.random.Generator,
-    ) -> StratifiedClusterSample:
-        """Draw SI samples per stratum and observe the (N_I, 2) ``subtotals`` rows."""
-        draws = draw_stratified_si(frame, allocations, rng)
-        return cls(
-            {label: d.n_population for label, d in draws.items()},
-            {label: subtotals[d.order] for label, d in draws.items()},
-        )
 
     @cached_property
     def totals(self) -> np.ndarray:

@@ -39,6 +39,7 @@ from .bootstrap import (
 from .designs import (  # noqa: F401 - si_order stays importable here for perfbench's tracer test
     DesignSpec,
     FirstStageDraw,
+    draw_stratified_si,
     resolve_si_orders,
     second_stage_estimates,
     si_draws,
@@ -57,7 +58,7 @@ from .estimators import (
     variance_estimate,
 )
 from .frame import Frame
-from .rng import new_stream, reset_stream, substream_keys, substreams
+from .rng import new_stream, reset_stream, substream_keys
 
 __all__ = [
     "Scenario",
@@ -70,8 +71,8 @@ __all__ = [
 
 STRAT_WR = "STRAT_WR"
 
-# SI replicates are drawn and estimated in fixed blocks of this many; the
-# block never depends on the thread count, and neither do the results
+# replicates are drawn and estimated in fixed blocks of this many; the block
+# never depends on the thread count, and neither do the results
 _BLOCK = 64
 
 _SI_VARIANCE_METHODS = ("UNBIASED", "SIMPLIFIED", "WITH_REPLACEMENT")
@@ -126,10 +127,8 @@ class Scenario:
                     "which systematic subsampling does not provide"
                 )
         elif kind == "STRAT_SI":
-            groups = frame.stratum_psu_indices()
             self.first_stage.validate_for(
-                frame.n_psus, {k: v.size for k, v in groups.items()}
-            )
+                frame.n_psus, {k: v.size for k, v in frame.stratum_psu_indices().items()})
             if set(self.variance_methods) - {STRAT_WR}:
                 raise ValueError("stratified scenarios support the STRAT_WR method only")
             if self.second_stage != "CENSUS":
@@ -228,16 +227,12 @@ class _Context:
     slots: dict[tuple, int]
     n_slots: int
     need_vhat: bool = False
-    # _BLOCK generators that _si_block resets to its replicates' streams
+    # _BLOCK generators that _block resets to its replicates' streams
     pool: list[np.random.Generator] = field(default_factory=list)
 
     def keys(self, purpose: str, start: int, end: int) -> np.ndarray:
         """Philox keys of replicates start..end-1's substreams (seed, *tag, purpose, b)."""
         return substream_keys(self.seed, *self.tag, purpose, indices=range(start, end))
-
-    def streams(self, purpose: str, start: int, end: int):
-        """Replicates start..end-1's streams, one reused generator (see ``substreams``)."""
-        return substreams(self.seed, *self.tag, purpose, indices=range(start, end))
 
 
 def _build_context(frame: Frame, scenario: Scenario, seed: int, tag: tuple) -> _Context:
@@ -273,8 +268,6 @@ def _build_context(frame: Frame, scenario: Scenario, seed: int, tag: tuple) -> _
                 add(("ci", e.label, "ci_studentized", "lo"))
                 add(("ci", e.label, "ci_studentized", "hi"))
 
-    # under STRAT_SI the proportion's (count, size) subtotals are the rows
-    # of every stratified sample
     columns, col_subtotals, expand, slices = estimand_columns(frame, est)
     return _Context(
         frame, scenario, seed, tag, columns, col_subtotals, expand, slices, slots, len(slots),
@@ -283,12 +276,13 @@ def _build_context(frame: Frame, scenario: Scenario, seed: int, tag: tuple) -> _
 
 
 @dataclass
-class _SiBlock:
-    """The two-stage draws and point estimates of a block of SI replicates.
+class _Block:
+    """The two-stage draws and point estimates of a block of replicates.
 
     Replicate i of the block drew ``orders[i]`` and its second stage from
     ``rngs[i]``, which the replicate's variance and bootstrap work goes on
-    drawing from.
+    drawing from.  Under STRAT_SI a row holds the strata's samples one
+    after another, in frame stratum order.
     """
 
     rngs: list[np.random.Generator]
@@ -307,35 +301,51 @@ def _blocks(start: int, end: int):
         lo = hi
 
 
-def _si_block(ctx: _Context, keys: np.ndarray) -> _SiBlock:
+def _block(ctx: _Context, keys: np.ndarray) -> _Block:
     """One block of replicates: each draws from its own substream, then one estimate for all.
 
     ``keys`` holds the block's Philox keys (at most _BLOCK); replicate i's
     stream is the context's i-th pooled generator, reset to keys[i], so it
     stays the replicate's own until the next block.  Each replicate makes
-    the draws of a lone replicate in the same order (its Fisher-Yates draws,
-    then its second stage); the block resolves the SI orders at once and
-    makes one ``second_stage_estimates`` call, both elementwise per row, and
+    the draws of a lone replicate in the same order (its first stage, then
+    its second stage); the block resolves the SI orders at once and makes
+    one ``second_stage_estimates`` call, both elementwise per row, and
     every reduction runs over axis 1 of a C-contiguous array, so each row
     has the bits that the replicate computed on its own would have.
     """
-    sc = ctx.scenario
-    N, n = ctx.frame.n_psus, sc.first_stage.n_I
+    sc, design = ctx.scenario, ctx.scenario.first_stage
+    N = ctx.frame.n_psus
     if not ctx.pool:
         ctx.pool = [new_stream() for _ in range(_BLOCK)]
     rngs = [reset_stream(rng, key) for rng, key in zip(ctx.pool, keys.tolist())]
     # the second stage follows each replicate's first stage in its stream
-    orders = resolve_si_orders(np.stack([si_draws(N, n, rng) for rng in rngs]))
+    if design.kind == "SI":
+        orders = resolve_si_orders(np.stack([si_draws(N, design.n_I, rng) for rng in rngs]))
+    else:
+        orders = np.stack([np.concatenate([d.order for d in draw_stratified_si(
+            ctx.frame, design.allocations, rng).values()]) for rng in rngs])
     yhat, vhat = second_stage_estimates(ctx.frame, ctx.columns, ctx.col_subtotals, orders,
                                         sc.second_stage, sc.n0, rngs, with_vhat=ctx.need_vhat)
-    totals = (N * yhat.mean(axis=1))[:, ctx.expand]
+    totals = (N * yhat.mean(axis=1) if design.kind == "SI"
+              else np.stack([_stratified_sample(ctx, y).totals for y in yhat]))[:, ctx.expand]
     theta = np.column_stack([e.evaluate(totals[:, sl])
                              for e, sl in zip(sc.estimands, ctx.slices)])
-    return _SiBlock(rngs, orders, yhat, vhat, theta)
+    return _Block(rngs, orders, yhat, vhat, theta)
 
 
-def _si_replicate_row(ctx: _Context, block: _SiBlock, i: int, row: np.ndarray) -> None:
-    """Variance estimates and the bootstrap of replicate i of the block."""
+def _stratified_sample(ctx: _Context, yhat: np.ndarray) -> StratifiedClusterSample:
+    """The stratified sample of a block row's (n_I, p) estimates, cut into its strata."""
+    alloc = ctx.scenario.first_stage.allocations
+    n_population, subtotals, lo = {}, {}, 0
+    for label, psus in ctx.frame.stratum_psu_indices().items():
+        n_population[label] = psus.size
+        subtotals[label] = yhat[lo:lo + alloc[label]]
+        lo += alloc[label]
+    return StratifiedClusterSample(n_population, subtotals)
+
+
+def _si_replicate_row(ctx: _Context, block: _Block, i: int, row: np.ndarray) -> None:
+    """Variance estimates and the bootstrap of SI replicate i of the block."""
     sc = ctx.scenario
     n = sc.first_stage.n_I
     N = ctx.frame.n_psus
@@ -350,12 +360,7 @@ def _si_replicate_row(ctx: _Context, block: _SiBlock, i: int, row: np.ndarray) -
         if isinstance(e, TotalEstimand) and sc.variance_methods:
             total = mean_total(draw, (yhat[:, sl], None if vhat is None else vhat[:, sl]))
             for vm in sc.variance_methods:
-                v = variance_estimate(total, vm)
-                row[ctx.slots[("var", e.label, vm)]] = v
-                lo, hi = normal_ci(theta, v, sc.ci_alpha)
-                fam = f"ci_normal_{_FAMILY[vm][2:]}"
-                row[ctx.slots[("ci", e.label, fam, "lo")]] = lo
-                row[ctx.slots[("ci", e.label, fam, "hi")]] = hi
+                _write_normal(ctx, row, e.label, vm, theta, variance_estimate(total, vm))
 
     if sc.bootstrap is None:
         return
@@ -371,6 +376,35 @@ def _si_replicate_row(ctx: _Context, block: _SiBlock, i: int, row: np.ndarray) -
             replicate_se(d_mat, yhat[:, sl], totals_star[:, sl], N, m, e) if studentized else None,
         )
         _write_bootstrap(ctx, row, e.label, reps, "SIMPLIFIED" if studentized else None)
+
+
+def _strat_replicate_row(ctx: _Context, block: _Block, i: int, row: np.ndarray) -> None:
+    """v_STWR and the stratified bootstrap of STRAT_SI replicate i of the block."""
+    sc = ctx.scenario
+    e = sc.estimands[0]
+    sample = _stratified_sample(ctx, block.yhat[i])
+    p_hat = float(block.theta[i, 0])
+    row[ctx.slots[("point", e.label)]] = p_hat
+    if STRAT_WR in sc.variance_methods:
+        v_stwr = float(linearized_values(sample, p_hat, sample.totals[1])[0])
+        _write_normal(ctx, row, e.label, STRAT_WR, p_hat, v_stwr)
+
+    if sc.bootstrap is None:
+        return
+    reps = stratified_proportion_resample(sample, e, sc.bootstrap, rng=block.rngs[i],
+                                          compute_se=sc.studentized)
+    _write_bootstrap(ctx, row, e.label, reps, STRAT_WR if sc.studentized else None)
+
+
+def _write_normal(
+    ctx: _Context, row: np.ndarray, label: str, method: str, theta: float, v: float
+) -> None:
+    """Store the method's variance estimate and its normality-based interval."""
+    row[ctx.slots[("var", label, method)]] = v
+    lo, hi = normal_ci(theta, v, ctx.scenario.ci_alpha)
+    family = f"ci_normal_{_FAMILY[method][2:]}"
+    row[ctx.slots[("ci", label, family, "lo")]] = lo
+    row[ctx.slots[("ci", label, family, "hi")]] = hi
 
 
 def _write_bootstrap(
@@ -389,55 +423,21 @@ def _write_bootstrap(
         row[ctx.slots[("ci", label, "ci_studentized", "hi")]] = hi
 
 
-def _strat_replicate_row(ctx: _Context, rng: np.random.Generator, row: np.ndarray) -> None:
-    sc = ctx.scenario
-    e = sc.estimands[0]
-    sample = StratifiedClusterSample.draw(ctx.frame, sc.first_stage.allocations,
-                                          ctx.col_subtotals, rng)
-    p_hat = float(e.evaluate(sample.totals))
-    row[ctx.slots[("point", e.label)]] = p_hat
-
-    if STRAT_WR in sc.variance_methods:
-        v_stwr = float(linearized_values(sample, p_hat, sample.totals[1])[0])
-        row[ctx.slots[("var", e.label, STRAT_WR)]] = v_stwr
-        lo, hi = normal_ci(p_hat, v_stwr, sc.ci_alpha)
-        row[ctx.slots[("ci", e.label, "ci_normal_stwr", "lo")]] = lo
-        row[ctx.slots[("ci", e.label, "ci_normal_stwr", "hi")]] = hi
-
-    if sc.bootstrap is None:
-        return
-    reps = stratified_proportion_resample(sample, e, sc.bootstrap, rng=rng,
-                                          compute_se=sc.studentized)
-    _write_bootstrap(ctx, row, e.label, reps, STRAT_WR if sc.studentized else None)
-
-
 def _replicate_rows(ctx: _Context, start: int, end: int) -> np.ndarray:
     out = np.full((end - start, ctx.n_slots), np.nan)
-    if ctx.scenario.first_stage.kind == "STRAT_SI":
-        for row, rng in zip(out, ctx.streams("mc", start, end)):
-            _strat_replicate_row(ctx, rng, row)
-        return out
+    write = _si_replicate_row if ctx.scenario.first_stage.kind == "SI" else _strat_replicate_row
     keys = ctx.keys("mc", start, end)
     for lo, hi in _blocks(start, end):
-        block = _si_block(ctx, keys[lo - start:hi - start])
+        block = _block(ctx, keys[lo - start:hi - start])
         for i in range(hi - lo):
-            _si_replicate_row(ctx, block, i, out[lo - start + i])
+            write(ctx, block, i, out[lo - start + i])
     return out
 
 
 def _point_rows(ctx: _Context, start: int, end: int) -> np.ndarray:
-    sc = ctx.scenario
-    if sc.first_stage.kind != "STRAT_SI":
-        keys = ctx.keys("true", start, end)
-        return np.vstack([_si_block(ctx, keys[lo - start:hi - start]).theta
-                          for lo, hi in _blocks(start, end)])
-    (e,) = sc.estimands
-    out = np.empty((end - start, 1))
-    for row, rng in zip(out, ctx.streams("true", start, end)):
-        totals = StratifiedClusterSample.draw(ctx.frame, sc.first_stage.allocations,
-                                              ctx.col_subtotals, rng).totals
-        row[0] = float(e.evaluate(totals[None, :])[0])
-    return out
+    keys = ctx.keys("true", start, end)
+    return np.vstack([_block(ctx, keys[lo - start:hi - start]).theta
+                      for lo, hi in _blocks(start, end)])
 
 
 # module-level worker state for fork-based pools

@@ -352,25 +352,61 @@ def _si_replicate_row(ctx, est_columns, rng, row):
         mc._write_bootstrap(ctx, row, e.label, reps, "SIMPLIFIED" if studentized else None)
 
 
+def _strat_draw(ctx, est_columns, rng):
+    """One STRAT_SI replicate's draw: per-stratum SI samples in frame stratum order.
+
+    Returns the ``StratifiedClusterSample`` of the sampled PSUs' subtotals and
+    the stratified totals sum_l (N_Il / n_l) sum_S y, summed here.
+    """
+    from twostage.estimators import StratifiedClusterSample
+
+    alloc = ctx.scenario.first_stage.allocations
+    n_population, subtotals, totals = {}, {}, 0.0
+    for label, psus in ctx.frame.stratum_psu_indices().items():
+        n_l = alloc[label]
+        y = est_columns[1][psus[si_order_loop(psus.size, n_l, rng)]]
+        n_population[label], subtotals[label] = psus.size, y
+        totals = totals + psus.size / n_l * y.sum(axis=0)
+    return StratifiedClusterSample(n_population, subtotals), totals
+
+
+def _strat_replicate_row(ctx, est_columns, rng, row):
+    from twostage import montecarlo as mc
+    from twostage.bootstrap import stratified_proportion_resample
+    from twostage.estimators import linearized_values, normal_ci
+
+    sc = ctx.scenario
+    (e,) = sc.estimands
+    sample, totals = _strat_draw(ctx, est_columns, rng)
+    p_hat = float(totals[0] / totals[1])
+    row[ctx.slots[("point", e.label)]] = p_hat
+    if mc.STRAT_WR in sc.variance_methods:
+        v = float(linearized_values(sample, p_hat, totals[1])[0])
+        row[ctx.slots[("var", e.label, mc.STRAT_WR)]] = v
+        lo, hi = normal_ci(p_hat, v, sc.ci_alpha)
+        row[ctx.slots[("ci", e.label, "ci_normal_stwr", "lo")]] = lo
+        row[ctx.slots[("ci", e.label, "ci_normal_stwr", "hi")]] = hi
+    if sc.bootstrap is None:
+        return
+    reps = stratified_proportion_resample(sample, e, sc.bootstrap, rng=rng,
+                                          compute_se=sc.studentized)
+    mc._write_bootstrap(ctx, row, e.label, reps, mc.STRAT_WR if sc.studentized else None)
+
+
 def replicate_rows(ctx, start, end):
     """MC replicate rows start..end-1, one replicate at a time (for ``_replicate_rows``)."""
-    from twostage import montecarlo as mc
     from twostage.rng import substream
 
     est_columns = stacked_columns(ctx.frame, ctx.scenario.estimands)
+    write = _si_replicate_row if ctx.scenario.first_stage.kind == "SI" else _strat_replicate_row
     out = np.full((end - start, ctx.n_slots), np.nan)
     for b in range(start, end):
-        rng = substream(ctx.seed, *ctx.tag, "mc", b)
-        if ctx.scenario.first_stage.kind == "STRAT_SI":
-            mc._strat_replicate_row(ctx, rng, out[b - start])
-        else:
-            _si_replicate_row(ctx, est_columns, rng, out[b - start])
+        write(ctx, est_columns, substream(ctx.seed, *ctx.tag, "mc", b), out[b - start])
     return out
 
 
 def point_rows(ctx, start, end):
     """Reference-run point estimates start..end-1, one sample at a time (for ``_point_rows``)."""
-    from twostage.estimators import StratifiedClusterSample
     from twostage.rng import substream
 
     sc = ctx.scenario
@@ -379,8 +415,7 @@ def point_rows(ctx, start, end):
     for b in range(start, end):
         rng = substream(ctx.seed, *ctx.tag, "true", b)
         if sc.first_stage.kind == "STRAT_SI":
-            totals = StratifiedClusterSample.draw(ctx.frame, sc.first_stage.allocations,
-                                                  est_columns[1], rng).totals
+            _, totals = _strat_draw(ctx, est_columns, rng)
         else:
             _, yhat, _ = _si_draw(ctx, est_columns, rng)
             totals = ctx.frame.n_psus * yhat.mean(axis=0)

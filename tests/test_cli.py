@@ -296,18 +296,27 @@ class TestEstimateAndBootstrapCommands:
                 "frame": frame_path,
                 "design": {"kind": "SI", "n_I": 2},
                 "second_stage": {"method": "CENSUS"},
-                "estimands": [{"kind": "total", "var": 1}],
+                "estimands": [{"kind": "total", "var": 1}, {"kind": "total", "var": 2},
+                              {"kind": "ratio", "num": 1, "den": 2}],
                 "bootstrap": {"replicates": 200},
                 "studentized": True,
             },
         )
         out = tmp_path / "boot2"
         assert _run(["bootstrap", "--config", cfg, "--seed", 24, "--out", out]) == 0
-        se_star = [float(line.split(",")[3])
-                   for line in (out / "replicates.csv").read_text().splitlines()[1:]]
-        assert 0.0 in se_star and any(se > 0 for se in se_star)
-        lo, hi = json.loads((out / "bootstrap.json").read_text())["estimates"][0]["ci_studentized"]
-        assert lo <= hi
+        zeros: dict = {}
+        for line in (out / "replicates.csv").read_text().splitlines()[1:]:
+            _, label, _, se = line.split(",")
+            if se:
+                zeros[label] = zeros.get(label, 0) + (float(se) == 0.0)
+        assert 0 < zeros["total[y1]"] < 200
+        for entry in json.loads((out / "bootstrap.json").read_text())["estimates"][:2]:
+            lo, hi = entry["ci_studentized"]
+            assert lo <= hi
+        # the manifest counts the dropped replicates of every Studentized interval;
+        # the ratio has no se* and no Studentized interval
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["studentized_dropped_replicates"] == zeros
 
 
 class TestVerifyCommand:

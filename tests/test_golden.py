@@ -108,7 +108,7 @@ def _configs(root: str) -> dict[str, tuple[str, dict]]:
             "replicates": 100, "true_run": 1000,
         },
     })
-    runs["mc-STRAT_SI"] = ("mc", {
+    mc_stratified = {
         "frame": os.path.join(root, "strat.csv"), "population_label": "strat",
         "scenario": {
             "first_stage": {"kind": "STRAT_SI", "allocations": {"s0": 5, "s1": 6, "s2": 4}},
@@ -117,7 +117,9 @@ def _configs(root: str) -> dict[str, tuple[str, dict]]:
             "variance_methods": ["STRAT_WR"], "bootstrap": {"replicates": 50},
             "studentized": True, "replicates": 100, "true_run": 1000,
         },
-    })
+    }
+    runs["mc-STRAT_SI"] = ("mc", mc_stratified)
+    runs["mc-STRAT_SI-threads2"] = ("mc", dict(mc_stratified, threads=2))
     runs["verify"] = ("verify", {
         "bounds": [
             {"check": "be_si", "n_I": 5, "frame": {"kind": "range", "n_psus": 30},
@@ -237,6 +239,9 @@ GOLDEN: dict[str, str] = {
     "mc-SI-SYSTEMATIC-threads2/mc_total.csv":
         "e566839294bf1e5e49c844a5a95eb76354275fc8d9d85c6f6dd9458763ae2fa8",
     "mc-STRAT_SI/mc_proportion.csv":
+        "27b0d4166764295a73b28e0c542112400e15b077bdab12916cd6e6695de1fe01",
+    # the same cell on two worker processes
+    "mc-STRAT_SI-threads2/mc_proportion.csv":
         "27b0d4166764295a73b28e0c542112400e15b077bdab12916cd6e6695de1fe01",
     "verify/bounds.csv":
         "13f19323bb8e2e5eda08d105d5b60a0655199e9dc052554e80d6fac1f39a586f",

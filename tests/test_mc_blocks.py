@@ -2,9 +2,10 @@
 
 ``tests/oracles.py`` keeps the one-replicate-at-a-time reference-run and
 MC-replicate loops (with the unsplit second-stage engine and the scalar
-Fisher-Yates loop) that ``montecarlo._point_rows`` / ``_replicate_rows``
-replaced.  On every scenario below both must produce the same rows bit for
-bit, for any span and any split of it into worker chunks.
+Fisher-Yates loop, stratum by stratum under STRAT_SI) that
+``montecarlo._point_rows`` / ``_replicate_rows`` replaced.  On every
+scenario below both must produce the same rows bit for bit, for any span
+and any split of it into worker chunks.
 """
 import tracemalloc
 
@@ -54,11 +55,12 @@ def _sized(sizes) -> Frame:
                  sizes)
 
 
-def _stratified() -> Frame:
+def _stratified(n_strata: int = 3) -> Frame:
+    """45 PSUs of 2-5 SSUs with a 0/1 category, dealt into strata s0, s1, ... in turn."""
     rng = np.random.default_rng(3)
     sizes = rng.integers(2, 6, size=45).astype(np.int64)
     cat = (rng.random(int(sizes.sum())) < 0.3).astype(np.float64)
-    return Frame(cat[:, None], sizes, strata=[f"s{i % 3}" for i in range(45)])
+    return Frame(cat[:, None], sizes, strata=[f"s{i % n_strata}" for i in range(45)])
 
 
 BOOT = BootstrapConfig(replicates=50, seed=0)
@@ -108,6 +110,18 @@ CASES = {
         DesignSpec("STRAT_SI", allocations={"s0": 4, "s1": 5, "s2": 3}), "CENSUS",
         estimands=(ProportionEstimand(0, 1.0),), variance_methods=(montecarlo.STRAT_WR,),
         bootstrap=BOOT, studentized=True)),
+    # stratum s1 is sampled whole (n_l = N_l = 15)
+    "stratified-whole-stratum": (_stratified, Scenario(
+        DesignSpec("STRAT_SI", allocations={"s0": 3, "s1": 15, "s2": 2}), "CENSUS",
+        estimands=(ProportionEstimand(0, 1.0),), variance_methods=(montecarlo.STRAT_WR,),
+        bootstrap=BOOT, studentized=True)),
+    "stratified-one-stratum": (lambda: _stratified(1), Scenario(
+        DesignSpec("STRAT_SI", allocations={"s0": 9}), "CENSUS",
+        estimands=(ProportionEstimand(0, 1.0),), variance_methods=(montecarlo.STRAT_WR,),
+        bootstrap=BOOT, studentized=True)),
+    "stratified-point-only": (_stratified, Scenario(
+        DesignSpec("STRAT_SI", allocations={"s0": 1, "s1": 4, "s2": 1}), "CENSUS",
+        estimands=(ProportionEstimand(0, 0.0),))),
 }
 # spans that start and end inside a block, cover exactly one, or straddle two
 SPANS = [(0, 2 * BLOCK + 9), (5, BLOCK - 3), (BLOCK - 1, BLOCK + 1), (BLOCK, 2 * BLOCK)]

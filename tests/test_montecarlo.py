@@ -116,6 +116,20 @@ class TestScenarioValidation:
         # a point estimate alone needs one PSU
         run_scenario(frame, Scenario(design, estimands=(estimand,), replicates=100), seed=5)
 
+    def test_unallocated_stratum_rejected_before_the_reference_run(self, monkeypatch):
+        frame = Frame(np.arange(8.0)[:, None], np.ones(8, dtype=np.int64),
+                      strata=["a"] * 4 + ["b"] * 4)
+        scn = Scenario(DesignSpec("STRAT_SI", allocations={"a": 2}),
+                       estimands=(ProportionEstimand(0, 3.0),), variance_methods=("STRAT_WR",),
+                       replicates=100, true_run=1000)
+        calls = []
+        monkeypatch.setattr(montecarlo, "_reference_run",
+                            lambda *args, **kwargs: calls.append(args) or ({}, {}))
+        with pytest.raises(ValueError, match="^missing allocation for stratum 'b'$"):
+            run_scenario(frame, scn, seed=5)
+        with pytest.raises(ValueError, match="^missing allocation for stratum 'b'$"):
+            scaling_study(frame, [({}, scn)], seed=5)
+        assert calls == []
 
     @pytest.mark.parametrize("ci_alpha", [0.7, 0.0, float("nan")])
     def test_ci_alpha_out_of_range_rejected_before_the_reference_run(
