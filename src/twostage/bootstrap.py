@@ -25,6 +25,7 @@ from .estimators import (
     SmoothEstimand,
     StratifiedClusterSample,
     TotalEstimand,
+    check_alpha,
     linearized_values,
 )
 from .rng import substream
@@ -58,11 +59,10 @@ class BootstrapConfig:
 
     def __post_init__(self):
         if self.replicates < 50:
-            raise ValueError("need at least 50 bootstrap replicates")
+            raise ValueError("replicates must be >= 50")
         if self.m is not None and self.m < 2:
-            raise ValueError("resample size m must be >= 2")
-        if not 0.0 < self.alpha < 0.5:
-            raise ValueError("alpha must be in (0, 0.5)")
+            raise ValueError("m must be >= 2")
+        check_alpha(self.alpha, "alpha")
 
     def resolve_m(self, n_draws: int) -> int:
         return self.m if self.m is not None else max(2, n_draws - 1)

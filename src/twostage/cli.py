@@ -17,9 +17,10 @@ import io
 import json
 import os
 import platform
+import re
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 from typing import Any, Callable, Mapping, Sequence
 
@@ -37,11 +38,12 @@ from .designs import (
     second_stage_estimates,
 )
 from .estimators import (
-    VARIANCE_METHODS,
     CorrelationEstimand,
     ProportionEstimand,
     RatioEstimand,
     TotalEstimand,
+    check_alpha,
+    check_variance_methods,
     estimand_columns,
     expansion_totals,
     ht_total_be,
@@ -104,13 +106,6 @@ def _as_num(value: Any, path: str) -> float:
     return float(value)
 
 
-def _as_alpha(value: Any, path: str) -> float:
-    alpha = _as_num(value, path)
-    if not 0.0 < alpha < 0.5:
-        raise ConfigError(f"{path}: must be in (0, 0.5)")
-    return alpha
-
-
 def _as_str(value: Any, path: str, choices: Sequence[str] | None = None) -> str:
     if not isinstance(value, str):
         raise ConfigError(f"{path}: expected a string")
@@ -125,72 +120,56 @@ def _as_list(value: Any, path: str) -> list:
     return value
 
 
-def _parse_population(obj: Any, path: str) -> dict:
-    _check_keys(obj, ["n_psus", "mean_size", "size_cv", "lam", "sigma",
-                      "icc_targets", "pair_corr_target"], path)
-    return {
-        "n_psus": _as_int(_require(obj, "n_psus", path), f"{path}.n_psus", 1),
-        "mean_size": _as_num(_require(obj, "mean_size", path), f"{path}.mean_size"),
-        "size_cv": _as_num(_require(obj, "size_cv", path), f"{path}.size_cv"),
-        "lam": _as_num(_require(obj, "lam", path), f"{path}.lam"),
-        "sigma": _as_num(_require(obj, "sigma", path), f"{path}.sigma"),
-        "icc_targets": tuple(
-            _as_num(v, f"{path}.icc_targets[{i}]")
-            for i, v in enumerate(_as_list(_require(obj, "icc_targets", path), f"{path}.icc_targets"))
-        ),
-        "pair_corr_target": _as_num(
-            _require(obj, "pair_corr_target", path), f"{path}.pair_corr_target"
-        ),
-    }
+def _spec(build: Callable, path: str, keys: Mapping[str, str] | None = None) -> Any:
+    """``build()``; a spec's ValueError "<attribute>[index] <reason>" becomes a ConfigError
+    naming the config key under ``path``, which ``keys`` gives where it has another name."""
+    try:
+        return build()
+    except ValueError as exc:
+        name, index, reason = re.match(r"([\w.]+)(\[.*?\])? (.*)", str(exc), re.S).groups()
+        raise ConfigError(f"{path}.{(keys or {}).get(name, name)}{index or ''}: {reason}") from None
+
+
+def _parse_population(obj: Any, path: str, seed: int) -> SyntheticConfig:
+    names = [f.name for f in fields(SyntheticConfig) if f.name != "seed"]
+    _check_keys(obj, names, path)
+    pop: dict[str, Any] = {}
+    for name in names:
+        value, where = _require(obj, name, path), f"{path}.{name}"
+        if name == "n_psus":
+            pop[name] = _as_int(value, where)
+        elif name == "icc_targets":
+            pop[name] = tuple(_as_num(v, f"{where}[{i}]")
+                              for i, v in enumerate(_as_list(value, where)))
+        else:
+            pop[name] = _as_num(value, where)
+    return _spec(lambda: SyntheticConfig(seed=seed, **pop), path)
 
 
 def _parse_estimand(obj: Any, path: str):
     if not isinstance(obj, Mapping):
         raise ConfigError(f"{path}: expected an object")
-    kind = _as_str(_require(obj, "kind", path), f"{path}.kind",
-                   ["total", "ratio", "correlation", "proportion"])
+    # each kind's class and fields; variable numbers are 1-based, matching the y1..yq names
+    kinds = {"total": (TotalEstimand, ["var"]), "ratio": (RatioEstimand, ["num", "den"]),
+             "correlation": (CorrelationEstimand, ["a", "b"]),
+             "proportion": (ProportionEstimand, ["var", "category"])}
+    kind = _as_str(_require(obj, "kind", path), f"{path}.kind", list(kinds))
     rho = obj.get("rho")
     if rho is not None:
         rho = _as_num(rho, f"{path}.rho")
-    # variable numbers are 1-based, matching the y1..yq column names
-    if kind == "total":
-        _check_keys(obj, ["kind", "var", "rho"], path)
-        est = TotalEstimand(_as_int(_require(obj, "var", path), f"{path}.var", 1) - 1)
-    elif kind == "ratio":
-        _check_keys(obj, ["kind", "num", "den", "rho"], path)
-        est = RatioEstimand(
-            _as_int(_require(obj, "num", path), f"{path}.num", 1) - 1,
-            _as_int(_require(obj, "den", path), f"{path}.den", 1) - 1,
-        )
-    elif kind == "correlation":
-        _check_keys(obj, ["kind", "a", "b", "rho"], path)
-        est = CorrelationEstimand(
-            _as_int(_require(obj, "a", path), f"{path}.a", 1) - 1,
-            _as_int(_require(obj, "b", path), f"{path}.b", 1) - 1,
-        )
-    else:
-        _check_keys(obj, ["kind", "var", "category", "rho"], path)
-        est = ProportionEstimand(
-            _as_int(_require(obj, "var", path), f"{path}.var", 1) - 1,
-            _as_num(_require(obj, "category", path), f"{path}.category"),
-        )
-    return est, kind, rho
+    cls, names = kinds[kind]
+    _check_keys(obj, ["kind", *names, "rho"], path)
+    args = [_as_num(_require(obj, name, path), f"{path}.{name}") if name == "category"
+            else _as_int(_require(obj, name, path), f"{path}.{name}", 1) - 1 for name in names]
+    return cls(*args), kind, rho
 
 
 def _parse_bootstrap(obj: Any, path: str, seed: int) -> BootstrapConfig:
     _check_keys(obj, ["replicates", "m", "alpha"], path)
-    m = obj.get("m")
-    if m is not None:
-        m = _as_int(m, f"{path}.m", 2)
-    try:
-        return BootstrapConfig(
-            replicates=_as_int(obj.get("replicates", 1000), f"{path}.replicates", 50),
-            m=m,
-            alpha=_as_num(obj.get("alpha", 0.025), f"{path}.alpha"),
-            seed=seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    m = None if obj.get("m") is None else _as_int(obj["m"], f"{path}.m")
+    replicates = _as_int(obj.get("replicates", 1000), f"{path}.replicates")
+    alpha = _as_num(obj.get("alpha", 0.025), f"{path}.alpha")
+    return _spec(lambda: BootstrapConfig(replicates, m, alpha, seed), path)
 
 
 def parse_config(
@@ -201,7 +180,8 @@ def parse_config(
     """Load, merge and validate a run configuration.
 
     ``overrides`` (typically from command-line flags) replace top-level
-    config values; validation is strict and rejects unknown keys.
+    config values; validation is strict, rejects unknown keys and builds every library
+    spec, so a rule that needs no frame fails before any frame is read or generated.
     """
     if command not in COMMANDS:
         raise ConfigError(f"unknown command: {command!r}")
@@ -244,14 +224,10 @@ def parse_config(
 
 
 def _validate_genpop(payload: dict, seed: int) -> None:
-    pop = _parse_population(_require(payload, "population", "config"), "config.population")
-    payload["population"] = pop
+    payload["_population"] = _parse_population(
+        _require(payload, "population", "config"), "config.population", seed)
     if "format" in payload:
         _as_str(payload["format"], "config.format", ["csv", "tsv"])
-    try:
-        SyntheticConfig(seed=seed, **pop)
-    except ValueError as exc:
-        raise ConfigError(f"config.population: {exc}") from None
 
 
 def _parse_second_stage(obj: Any, path: str, methods: Sequence[str]) -> tuple[str, int | None]:
@@ -271,93 +247,93 @@ def _validate_estimate(payload: dict, seed: int, bootstrap: bool = False) -> Non
     _check_keys(design, ["kind", "n_I", "expected_n_I"], "config.design")
     kind = _as_str(_require(design, "kind", "config.design"), "config.design.kind",
                    ["SI", "SIR", "BE"])
-    stray = "n_I" if kind == "BE" else "expected_n_I"
+    size, stray = ("expected_n_I", "n_I") if kind == "BE" else ("n_I", "expected_n_I")
     if stray in design:
         raise ConfigError(f"config.design.{stray}: not a parameter of a {kind} design")
-    if kind in ("SI", "SIR"):
-        _as_int(_require(design, "n_I", "config.design"), "config.design.n_I", 1)
-    else:
-        _as_num(_require(design, "expected_n_I", "config.design"), "config.design.expected_n_I")
+    value = (_as_num if kind == "BE" else _as_int)(_require(design, size, "config.design"),
+                                                   f"config.design.{size}")
+    payload["_design"] = _spec(lambda: DesignSpec(kind, **{size: value}), "config.design")
     method, _ = _parse_second_stage(_require(payload, "second_stage", "config"),
                                     "config.second_stage", SECOND_STAGE_METHODS)
     ests = _as_list(_require(payload, "estimands", "config"), "config.estimands")
-    payload["_estimands"] = [
-        _parse_estimand(e, f"config.estimands[{i}]") for i, e in enumerate(ests)
-    ]
-    for i, vm in enumerate(payload.get("variance_methods", [])):
-        _as_str(vm, f"config.variance_methods[{i}]", VARIANCE_METHODS)
-        if vm in ("UNBIASED", "BERNOULLI") and method == "SYSTEMATIC":
-            raise ConfigError(f"config.variance_methods[{i}]: {vm} needs within-PSU variance "
-                              "estimates, which a SYSTEMATIC second stage does not provide")
-    if "alpha" in payload:
-        _as_alpha(payload["alpha"], "config.alpha")
+    payload["_estimands"] = [_parse_estimand(e, f"config.estimands[{i}]")
+                             for i, e in enumerate(ests)]
+    methods = payload.get("variance_methods", [])
+    if not isinstance(methods, list):
+        raise ConfigError("config.variance_methods: expected a list")
+    _spec(lambda: check_variance_methods(methods, method), "config")
+    alpha = _as_num(payload.get("alpha", 0.025), "config.alpha")
+    _spec(lambda: check_alpha(alpha, "alpha"), "config")
     if bootstrap:
         if kind != "SI":
             raise ConfigError("config.design.kind: the PSU bootstrap runs on SI designs")
-        payload["_bootstrap"] = _parse_bootstrap(
-            payload.get("bootstrap", {}), "config.bootstrap", seed
-        )
+        payload["_bootstrap"] = _parse_bootstrap(payload.get("bootstrap", {}),
+                                                 "config.bootstrap", seed)
         if "studentized" in payload and not isinstance(payload["studentized"], bool):
             raise ConfigError("config.studentized: expected a boolean")
 
 
 def _validate_mc(payload: dict, seed: int) -> None:
+    """Build and check every cell's Scenario: its (row metadata, scenario) pairs go to _cells."""
     if ("population" in payload) == ("frame" in payload):
         raise ConfigError("config: provide exactly one of 'population' or 'frame'")
     if "population" in payload:
-        payload["population"] = _parse_population(payload["population"], "config.population")
-        try:
-            SyntheticConfig(seed=seed, **payload["population"])
-        except ValueError as exc:
-            raise ConfigError(f"config.population: {exc}") from None
-    if "population_label" in payload:
-        _as_str(payload["population_label"], "config.population_label")
+        payload["_population"] = _parse_population(
+            payload["population"], "config.population", seed)
+    else:
+        _as_str(payload["frame"], "config.frame")
+    label = _as_str(payload.get("population_label", "pop"), "config.population_label")
+    path = "config.scenario"
     scn = _require(payload, "scenario", "config")
     _check_keys(scn, ["first_stage", "second_stage", "estimands", "variance_methods",
-                      "bootstrap", "studentized", "alpha", "replicates", "true_run"],
-                "config.scenario")
-    first = _require(scn, "first_stage", "config.scenario")
-    _check_keys(first, ["kind", "n_I", "allocations"], "config.scenario.first_stage")
-    kind = _as_str(_require(first, "kind", "config.scenario.first_stage"),
-                   "config.scenario.first_stage.kind", ["SI", "STRAT_SI"])
+                      "bootstrap", "studentized", "alpha", "replicates", "true_run"], path)
+    first = _require(scn, "first_stage", path)
+    _check_keys(first, ["kind", "n_I", "allocations"], f"{path}.first_stage")
+    kind = _as_str(_require(first, "kind", f"{path}.first_stage"), f"{path}.first_stage.kind",
+                   ["SI", "STRAT_SI"])
     if kind == "SI":
-        grid = _as_list(_require(first, "n_I", "config.scenario.first_stage"),
-                        "config.scenario.first_stage.n_I")
-        for i, n in enumerate(grid):
-            _as_int(n, f"config.scenario.first_stage.n_I[{i}]", 1)
+        grid = _as_list(_require(first, "n_I", f"{path}.first_stage"), f"{path}.first_stage.n_I")
+        sizes = [{"n_I": _as_int(n, f"{path}.first_stage.n_I[{i}]")} for i, n in enumerate(grid)]
     else:
-        alloc = _require(first, "allocations", "config.scenario.first_stage")
-        if not isinstance(alloc, Mapping) or not alloc:
-            raise ConfigError("config.scenario.first_stage.allocations: expected a nonempty object")
-        for label, n in alloc.items():
-            _as_int(n, f"config.scenario.first_stage.allocations[{label}]", 1)
-    second = _require(scn, "second_stage", "config.scenario")
-    _check_keys(second, ["method", "n0"], "config.scenario.second_stage")
-    method = _as_str(_require(second, "method", "config.scenario.second_stage"),
-                     "config.scenario.second_stage.method", SECOND_STAGE_METHODS)
-    if kind == "STRAT_SI" and method != "CENSUS":
-        raise ConfigError("config.scenario.second_stage.method: stratified cluster "
-                          "scenarios use a census second stage")
-    if method != "CENSUS":
-        n0s = _as_list(_require(second, "n0", "config.scenario.second_stage"),
-                       "config.scenario.second_stage.n0")
-        for i, n0 in enumerate(n0s):
-            _as_int(n0, f"config.scenario.second_stage.n0[{i}]", 1)
-    ests = _as_list(_require(scn, "estimands", "config.scenario"), "config.scenario.estimands")
-    scn["_estimands"] = [
-        _parse_estimand(e, f"config.scenario.estimands[{i}]") for i, e in enumerate(ests)
-    ]
-    for i, vm in enumerate(scn.get("variance_methods", [])):
-        _as_str(vm, f"config.scenario.variance_methods[{i}]",
-                ["UNBIASED", "SIMPLIFIED", "WITH_REPLACEMENT", "STRAT_WR"])
-    if scn.get("bootstrap") is not None:
-        scn["_bootstrap"] = _parse_bootstrap(scn["bootstrap"], "config.scenario.bootstrap", seed)
-    if "studentized" in scn and not isinstance(scn["studentized"], bool):
-        raise ConfigError("config.scenario.studentized: expected a boolean")
-    if "alpha" in scn:
-        _as_alpha(scn["alpha"], "config.scenario.alpha")
-    _as_int(scn.get("replicates", 1000), "config.scenario.replicates", 100)
-    _as_int(scn.get("true_run", 20000), "config.scenario.true_run", 1000)
+        alloc = _require(first, "allocations", f"{path}.first_stage")
+        if not isinstance(alloc, Mapping):
+            raise ConfigError(f"{path}.first_stage.allocations: expected an object")
+        sizes = [{"allocations": {k: _as_int(n, f"{path}.first_stage.allocations[{k}]")
+                                  for k, n in alloc.items()}}]
+    designs = [_spec(lambda: DesignSpec(kind, **size), f"{path}.first_stage") for size in sizes]
+    second = _require(scn, "second_stage", path)
+    _check_keys(second, ["method", "n0"], f"{path}.second_stage")
+    method = _as_str(_require(second, "method", f"{path}.second_stage"),
+                     f"{path}.second_stage.method")
+    n0s = [None] if second.get("n0") is None else [
+        _as_int(n0, f"{path}.second_stage.n0[{i}]")
+        for i, n0 in enumerate(_as_list(second["n0"], f"{path}.second_stage.n0"))]
+    if not isinstance(scn.get("studentized", False), bool):
+        raise ConfigError(f"{path}.studentized: expected a boolean")
+    if not isinstance(scn.get("variance_methods", []), list):
+        raise ConfigError(f"{path}.variance_methods: expected a list")
+    ests = _as_list(_require(scn, "estimands", path), f"{path}.estimands")
+    scn["_estimands"] = [_parse_estimand(e, f"{path}.estimands[{i}]") for i, e in enumerate(ests)]
+    common = dict(
+        estimands=tuple(e for e, _, _ in scn["_estimands"]),
+        variance_methods=tuple(scn.get("variance_methods", [])),
+        bootstrap=(None if scn.get("bootstrap") is None
+                   else _parse_bootstrap(scn["bootstrap"], f"{path}.bootstrap", seed)),
+        studentized=scn.get("studentized", False),
+        ci_alpha=_as_num(scn.get("alpha", 0.025), f"{path}.alpha"),
+        replicates=_as_int(scn.get("replicates", 1000), f"{path}.replicates"),
+        true_run=_as_int(scn.get("true_run", 20000), f"{path}.true_run"),
+    )
+    # the Scenario attributes whose config keys have other names
+    keys = {"ci_alpha": "alpha", "second_stage": "second_stage.method", "n0": "second_stage.n0"}
+    payload["_cells"] = []
+    for n0 in n0s:
+        for design in designs:
+            scenario = Scenario(design, method, n0, **common)
+            _spec(scenario.check, path, keys)
+            n_I = design.n_I if kind == "SI" else sum(design.allocations.values())
+            meta = {"population": label, "n0": "" if n0 is None else n0, "nI": n_I}
+            payload["_cells"].append((meta, scenario))
 
 
 def _parse_verify_frame(obj: Any, path: str) -> dict:
@@ -497,7 +473,7 @@ def _manifest(cfg: RunConfig, written: list[str], started: float) -> dict:
 
 
 def _run_genpop(cfg: RunConfig, out: str, notes: dict, phase: Callable) -> list[str]:
-    pop_cfg = SyntheticConfig(seed=cfg.seed, **cfg.payload["population"])
+    pop_cfg = cfg.payload["_population"]
     phase("frame")
     frame = generate_population(pop_cfg)
     phase("write")
@@ -508,7 +484,7 @@ def _run_genpop(cfg: RunConfig, out: str, notes: dict, phase: Callable) -> list[
     frame_to_csv(frame, buf_path, delimiter="\t" if ext == "tsv" else ",")
     os.replace(buf_path, frame_path)
     sidecar = {
-        "population": cfg.payload["population"],
+        "population": {k: v for k, v in asdict(pop_cfg).items() if k != "seed"},
         "seed": cfg.seed,
         "rng": GENERATOR_ID,
         "n_psus": frame.n_psus,
@@ -523,21 +499,19 @@ def _run_genpop(cfg: RunConfig, out: str, notes: dict, phase: Callable) -> list[
 def _one_draw_estimates(cfg: RunConfig, frame: Frame):
     """One two-stage draw; returns (draw, yhat, vhat, [(estimand, slice, point entry)])."""
     payload = cfg.payload
-    design = payload["design"]
+    design = payload["_design"]
     second = payload["second_stage"]
     method = second["method"]
     n0 = second.get("n0")
     estimands = payload["_estimands"]
     rng = substream(cfg.seed, "estimate")
 
-    kind = design["kind"]
-    if kind == "SI":
-        draw = draw_si(frame.n_psus, design["n_I"], rng)
-    elif kind == "SIR":
-        draw = draw_sir(frame.n_psus, design["n_I"], rng)
+    if design.kind == "SI":
+        draw = draw_si(frame.n_psus, design.n_I, rng)
+    elif design.kind == "SIR":
+        draw = draw_sir(frame.n_psus, design.n_I, rng)
     else:
-        f = design["expected_n_I"] / frame.n_psus
-        draw = draw_be(frame.n_psus, f, rng)
+        draw = draw_be(frame.n_psus, design.expected_n_I / frame.n_psus, rng)
 
     columns, subtotals, index, slices = estimand_columns(frame, [est for est, _, _ in estimands])
     need_vhat = any(vm in ("UNBIASED", "BERNOULLI") for vm in payload.get("variance_methods", []))
@@ -550,8 +524,8 @@ def _one_draw_estimates(cfg: RunConfig, frame: Frame):
     vhat = None if vhat is None else np.take(vhat[0], index, axis=1)
     points = []
     for (est, est_kind, rho), sl in zip(estimands, slices):
-        if kind == "BE":
-            totals = expansion_totals(yhat[:, sl], frame.n_psus, design["expected_n_I"])
+        if design.kind == "BE":
+            totals = expansion_totals(yhat[:, sl], frame.n_psus, design.expected_n_I)
         else:
             totals = frame.n_psus * yhat[:, sl].mean(axis=0)
         entry = {"estimand": est.label, "kind": est_kind,
@@ -568,7 +542,7 @@ def _run_estimate(cfg: RunConfig, out: str, notes: dict, phase: Callable) -> lis
     frame = ingest_frame(payload["frame"])
     phase("compute")
     alpha = payload.get("alpha", 0.025)
-    kind = payload["design"]["kind"]
+    kind = payload["_design"].kind
     draw, yhat, vhat, points = _one_draw_estimates(cfg, frame)
     skipped = notes["skipped_variance_methods"] = []
 
@@ -656,64 +630,20 @@ def _run_bootstrap(cfg: RunConfig, out: str, notes: dict, phase: Callable) -> li
     return [report_path, reps_path]
 
 
-def _mc_cells(payload: dict, seed: int):
-    scn = payload["scenario"]
-    first = scn["first_stage"]
-    second = scn["second_stage"]
-    estimands = tuple(e for e, _, _ in scn["_estimands"])
-    rho_by_label = {e.label: rho for e, _, rho in scn["_estimands"]}
-    kind_by_label = {e.label: k for e, k, _ in scn["_estimands"]}
-    common = dict(
-        estimands=estimands,
-        variance_methods=tuple(scn.get("variance_methods", [])),
-        bootstrap=scn.get("_bootstrap"),
-        studentized=scn.get("studentized", False),
-        ci_alpha=scn.get("alpha", 0.025),
-        replicates=scn.get("replicates", 1000),
-        true_run=scn.get("true_run", 20000),
-    )
-    label = payload.get("population_label", "pop")
-    cells = []
-    if first["kind"] == "SI":
-        n0_grid = [None] if second["method"] == "CENSUS" else second["n0"]
-        for n0 in n0_grid:
-            for n_i in first["n_I"]:
-                meta = {"population": label, "n0": n0 if n0 is not None else "", "nI": n_i}
-                scenario = Scenario(
-                    first_stage=DesignSpec("SI", n_I=n_i),
-                    second_stage=second["method"],
-                    n0=n0,
-                    **common,
-                )
-                cells.append((meta, scenario))
-    else:
-        alloc = {str(k): int(v) for k, v in first["allocations"].items()}
-        meta = {"population": label, "n0": "", "nI": sum(alloc.values())}
-        scenario = Scenario(
-            first_stage=DesignSpec("STRAT_SI", allocations=alloc),
-            second_stage=second["method"],
-            n0=None,
-            **common,
-        )
-        cells.append((meta, scenario))
-    return cells, rho_by_label, kind_by_label
-
-
 def _run_mc(cfg: RunConfig, out: str, notes: dict, phase: Callable) -> list[str]:
     payload = cfg.payload
     phase("frame")
-    if "population" in payload:
-        frame = generate_population(SyntheticConfig(seed=cfg.seed, **payload["population"]))
+    if "_population" in payload:
+        frame = generate_population(payload["_population"])
     else:
         frame = ingest_frame(payload["frame"])
     phase("compute")
-    cells, rho_by_label, kind_by_label = _mc_cells(payload, cfg.seed)
-    rows = scaling_study(frame, cells, cfg.seed, threads=cfg.threads)
+    rows = scaling_study(frame, payload["_cells"], cfg.seed, threads=cfg.threads)
+    kind_rho = {e.label: (kind, rho) for e, kind, rho in payload["scenario"]["_estimands"]}
 
     by_kind: dict[str, list] = {}
     for row in rows:
-        kind = kind_by_label[row["estimand"]]
-        rho = rho_by_label[row["estimand"]]
+        kind, rho = kind_rho[row["estimand"]]
         by_kind.setdefault(kind, []).append(
             [row["population"], "" if rho is None else rho, row["n0"], row["nI"],
              row["estimand"], row["metric"], row["value"], row["mc_se"]]

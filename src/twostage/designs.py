@@ -54,13 +54,16 @@ class DesignSpec:
 
     def __post_init__(self):
         if self.kind not in FIRST_STAGE_KINDS:
-            raise ValueError(f"unknown first-stage design kind: {self.kind!r}")
+            raise ValueError(f"kind must be one of {list(FIRST_STAGE_KINDS)}, got {self.kind!r}")
         if self.kind in ("SI", "SIR") and (self.n_I is None or self.n_I < 1):
-            raise ValueError(f"{self.kind} design needs n_I >= 1")
-        if self.kind == "BE" and (self.expected_n_I is None or self.expected_n_I <= 0):
-            raise ValueError("BE design needs expected_n_I > 0")
+            raise ValueError(f"n_I must be >= 1, got {self.n_I}")
+        if self.kind == "BE" and (self.expected_n_I is None or not self.expected_n_I > 0):
+            raise ValueError(f"expected_n_I must be > 0, got {self.expected_n_I}")
         if self.kind == "STRAT_SI" and not self.allocations:
-            raise ValueError("STRAT_SI design needs per-stratum allocations")
+            raise ValueError("allocations must be nonempty")
+        for label, n in (self.allocations or {}).items():
+            if n < 1:
+                raise ValueError(f"allocations[{label}] must be >= 1")
 
     def validate_for(self, n_population: int, stratum_sizes: Mapping[str, int] | None = None):
         if self.kind == "SI" and self.n_I > n_population:
@@ -74,7 +77,7 @@ class DesignSpec:
             if unknown:
                 raise ValueError(f"allocations for unknown strata: {sorted(unknown)}")
             for label, n in self.allocations.items():
-                if not 1 <= n <= stratum_sizes[label]:
+                if n > stratum_sizes[label]:
                     raise ValueError(
                         f"allocation {n} invalid for stratum {label!r} "
                         f"of size {stratum_sizes[label]}"

@@ -33,6 +33,8 @@ from .frame import Frame
 __all__ = [
     "TotalEstimate",
     "VARIANCE_METHODS",
+    "check_variance_methods",
+    "check_alpha",
     "mean_total",
     "ht_total_be",
     "expansion_totals",
@@ -52,6 +54,24 @@ __all__ = [
 ]
 
 VARIANCE_METHODS = ("UNBIASED", "SIMPLIFIED", "WITH_REPLACEMENT", "BERNOULLI")
+
+
+def check_variance_methods(methods: Sequence[str], second_stage: str,
+                           allowed: Sequence[str] = VARIANCE_METHODS) -> None:
+    """Refuse a method outside ``allowed``, and a within-PSU method under SYSTEMATIC subsampling."""
+    for i, method in enumerate(methods):
+        if method not in allowed:
+            raise ValueError(f"variance_methods[{i}] must be one of {list(allowed)}, "
+                             f"got {method!r}")
+        if method in ("UNBIASED", "BERNOULLI") and second_stage == "SYSTEMATIC":
+            raise ValueError(f"variance_methods[{i}] {method} needs within-PSU variance "
+                             "estimates, which systematic subsampling does not provide")
+
+
+def check_alpha(alpha: float, name: str) -> None:
+    """Refuse a one-tailed error rate ``name`` outside (0, 0.5)."""
+    if not 0.0 < alpha < 0.5:
+        raise ValueError(f"{name} must be in (0, 0.5)")
 
 
 @dataclass

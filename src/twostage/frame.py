@@ -275,8 +275,11 @@ class SyntheticConfig:
             raise ValueError("sigma must be >= 0")
         if not self.icc_targets:
             raise ValueError("icc_targets must be nonempty")
-        for rho in self.icc_targets:
-            calibrate_model(rho, self.pair_corr_target)  # validates feasibility
+        for i, rho in enumerate(self.icc_targets):
+            try:
+                calibrate_model(rho, self.pair_corr_target)  # validates feasibility
+            except ValueError as exc:  # name the target at fault
+                raise ValueError(str(exc).replace("icc_target", f"icc_targets[{i}]", 1)) from None
 
 
 def calibrate_model(icc_target: float, pair_corr_target: float) -> tuple[float, float]:
@@ -289,13 +292,13 @@ def calibrate_model(icc_target: float, pair_corr_target: float) -> tuple[float, 
     ``alpha = sqrt((r* - rho*)/(1 - r*))``, which hits both targets exactly.
     """
     rho_star, r_star = float(icc_target), float(pair_corr_target)
-    if not 0.0 < rho_star < 1.0 or not 0.0 < r_star < 1.0:
-        raise ValueError("targets must lie in (0, 1)")
+    if not 0.0 < r_star < 1.0:
+        raise ValueError("pair_corr_target must lie in (0, 1)")
+    if not 0.0 < rho_star < 1.0:
+        raise ValueError("icc_target must lie in (0, 1)")
     if rho_star >= r_star:
-        raise ValueError(
-            f"infeasible calibration: icc_target {rho_star} must be < "
-            f"pair_corr_target {r_star}"
-        )
+        raise ValueError("icc_target must be < pair_corr_target, "
+                         f"got {rho_star} >= {r_star} (infeasible calibration)")
     rho_h = rho_star / (rho_star + 1.0 - r_star)
     alpha = math.sqrt((r_star - rho_star) / (1.0 - r_star))
     return rho_h, alpha

@@ -37,6 +37,7 @@ from .bootstrap import (
     studentized_ci,
 )
 from .designs import (  # noqa: F401 - si_order stays importable here for perfbench's tracer test
+    SECOND_STAGE_METHODS,
     DesignSpec,
     FirstStageDraw,
     draw_stratified_si,
@@ -50,6 +51,8 @@ from .estimators import (
     SmoothEstimand,
     StratifiedClusterSample,
     TotalEstimand,
+    check_alpha,
+    check_variance_methods,
     estimand_columns,
     linearized_values,
     mean_total,
@@ -100,63 +103,57 @@ class Scenario:
     replicates: int = 1000
     true_run: int = 20000
 
-    def validate(self, frame: Frame) -> None:
+    def check(self) -> None:
+        """Every rule that needs no frame; each message starts with the attribute at fault."""
         if self.replicates < 100:
-            raise ValueError("need at least 100 Monte Carlo replicates")
+            raise ValueError("replicates must be >= 100")
+        if self.true_run < 1000:
+            raise ValueError("true_run must be >= 1000")
         if not self.estimands:
-            raise ValueError("scenario needs at least one estimand")
-        if not 0.0 < self.ci_alpha <= 0.5:
-            raise ValueError("ci_alpha must be in (0, 0.5]")
-        if self.second_stage == "CENSUS":
-            if self.n0 is not None:
-                raise ValueError("a census second stage takes no n0")
-        else:
-            if self.n0 is None or self.n0 < 1:
-                raise ValueError(f"second stage {self.second_stage} needs n0 >= 1")
-            if np.any(frame.sizes < self.n0):
-                raise ValueError("n0 exceeds the smallest PSU size")
+            raise ValueError("estimands must be nonempty")
+        check_alpha(self.ci_alpha, "ci_alpha")
+        if self.second_stage not in SECOND_STAGE_METHODS:
+            raise ValueError(f"second_stage must be one of {list(SECOND_STAGE_METHODS)}, "
+                             f"got {self.second_stage!r}")
+        if self.second_stage == "CENSUS" and self.n0 is not None:
+            raise ValueError("n0 must not be given for a census second stage")
+        if self.second_stage != "CENSUS" and (self.n0 is None or self.n0 < 1):
+            raise ValueError(f"n0 must be >= 1 under {self.second_stage} subsampling, "
+                             f"got {self.n0}")
         kind = self.first_stage.kind
         if kind == "SI":
-            self.first_stage.validate_for(frame.n_psus)
-            bad = set(self.variance_methods) - set(_SI_VARIANCE_METHODS)
-            if bad:
-                raise ValueError(f"variance methods {sorted(bad)} unavailable under SI")
-            if "UNBIASED" in self.variance_methods and self.second_stage == "SYSTEMATIC":
-                raise ValueError(
-                    "UNBIASED variance needs within-PSU variance estimates, "
-                    "which systematic subsampling does not provide"
-                )
+            check_variance_methods(self.variance_methods, self.second_stage, _SI_VARIANCE_METHODS)
+            sampled = {"first_stage.n_I": self.first_stage.n_I}
         elif kind == "STRAT_SI":
-            self.first_stage.validate_for(
-                frame.n_psus, {k: v.size for k, v in frame.stratum_psu_indices().items()})
-            if set(self.variance_methods) - {STRAT_WR}:
-                raise ValueError("stratified scenarios support the STRAT_WR method only")
             if self.second_stage != "CENSUS":
-                raise ValueError("stratified cluster scenarios use a census second stage")
-            if not all(isinstance(e, ProportionEstimand) for e in self.estimands):
-                raise ValueError("stratified scenarios estimate proportions")
+                raise ValueError("second_stage must be CENSUS under a STRAT_SI first stage")
+            if len(self.estimands) != 1 or not isinstance(self.estimands[0], ProportionEstimand):
+                raise ValueError("estimands must be proportions, one at a time, under STRAT_SI")
+            check_variance_methods(self.variance_methods, self.second_stage, (STRAT_WR,))
+            sampled = {f"first_stage.allocations[{k}]": n
+                       for k, n in self.first_stage.allocations.items()}
         else:
-            raise ValueError(f"scenario first stage must be SI or STRAT_SI, got {kind}")
+            raise ValueError(f"first_stage must be SI or STRAT_SI, got {kind}")
         # a variance estimate or a bootstrap needs two sampled PSUs in every stratum
         if self.variance_methods or self.bootstrap is not None:
-            sampled = (
-                {"n_I": self.first_stage.n_I} if kind == "SI"
-                else {f"stratum {k!r}": n for k, n in self.first_stage.allocations.items()}
-            )
             for where, n in sampled.items():
                 if n < 2:
-                    raise ValueError(
-                        "variance methods and the bootstrap need at least 2 sampled PSUs; "
-                        f"{where} samples {n}"
-                    )
-        if self.studentized:
-            if self.bootstrap is None:
-                raise ValueError("Studentized intervals need a bootstrap configuration")
-            base = "SIMPLIFIED" if kind == "SI" else STRAT_WR
-            if base not in self.variance_methods:
-                raise ValueError(
-                    f"Studentized intervals use the {base} variance as base standard error"
-                )
+                    raise ValueError(f"{where} must be >= 2: variance methods and the "
+                                     f"bootstrap need at least 2 sampled PSUs, got {n}")
+        base = "SIMPLIFIED" if kind == "SI" else STRAT_WR
+        if self.studentized and self.bootstrap is None:
+            raise ValueError("studentized needs a bootstrap configuration")
+        if self.studentized and base not in self.variance_methods:
+            raise ValueError(f"studentized needs the {base} variance as base standard error")
+
+    def validate(self, frame: Frame) -> None:
+        """``check``, then the rules that need the frame."""
+        self.check()
+        strata = (None if self.first_stage.kind == "SI"
+                  else {k: v.size for k, v in frame.stratum_psu_indices().items()})
+        self.first_stage.validate_for(frame.n_psus, strata)
+        if self.n0 is not None and np.any(frame.sizes < self.n0):
+            raise ValueError("n0 exceeds the smallest PSU size")
 
 
 @dataclass
@@ -245,12 +242,7 @@ def _build_context(frame: Frame, scenario: Scenario, seed: int, tag: tuple) -> _
 
     # variance methods (and the Studentized base) apply to totals under SI
     # and to the proportion under STRAT_SI; other estimands are bootstrap-only
-    if scenario.first_stage.kind == "SI":
-        vm_kind: tuple = (TotalEstimand,)
-    else:
-        vm_kind = (ProportionEstimand,)
-        if len(est) != 1:
-            raise ValueError("stratified scenarios run one proportion estimand at a time")
+    vm_kind = TotalEstimand if scenario.first_stage.kind == "SI" else ProportionEstimand
     for e in est:
         add(("point", e.label))
     for e in est:
@@ -498,8 +490,6 @@ def approximate_true_variance(
 def _reference_run(ctx: _Context, threads: int) -> tuple[dict[str, float], dict[str, float]]:
     """``approximate_true_variance`` on a built context."""
     scenario = ctx.scenario
-    if scenario.true_run < 1000:
-        raise ValueError("the reference run needs at least 1000 samples")
     theta = _parallel(_point_rows, scenario.true_run, threads, ctx)
     v_true = {e.label: float(np.var(theta[:, j], ddof=1)) for j, e in enumerate(scenario.estimands)}
     means = {e.label: float(theta[:, j].mean()) for j, e in enumerate(scenario.estimands)}

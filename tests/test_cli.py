@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from twostage import (
+    DesignSpec,
+    ProportionEstimand,
+    Scenario,
     frame_to_csv,
     ingest_frame,
     population_summary,
@@ -13,6 +16,7 @@ from twostage import (
     verify_hajek_bound,
     verify_sir_si_bound,
 )
+import twostage.cli as cli
 from twostage.cli import ConfigError, main, parse_config
 from conftest import multi_ssu_frame
 
@@ -35,6 +39,48 @@ def _write_config(tmp_path, name, payload):
 
 def _run(args):
     return main([str(a) for a in args])
+
+
+def _config_error(tmp_path, capsys, command, payload):
+    """Run ``command`` on ``payload``, expect exit 2 with a config error, return its message."""
+    cfg = _write_config(tmp_path, f"{command}.json", payload)
+    rc = _run([command, "--config", cfg, "--seed", 1, "--out", tmp_path / "o"])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "config"
+    return err["error"]["message"]
+
+
+MC_SCENARIO = {"first_stage": {"kind": "SI", "n_I": [8]}, "second_stage": {"method": "CENSUS"},
+               "estimands": [{"kind": "total", "var": 1}], "replicates": 100, "true_run": 1000}
+PROPORTION = {"kind": "proportion", "var": 1, "category": 1.0}
+# faults of an mc scenario that need no frame: (scenario config changes, the same changes
+# to a library Scenario, the config key the CLI names)
+FRAME_FREE_FAULTS = {
+    "systematic-unbiased": (
+        {"second_stage": {"method": "SYSTEMATIC", "n0": [2]}, "variance_methods": ["UNBIASED"]},
+        {"second_stage": "SYSTEMATIC", "n0": 2, "variance_methods": ("UNBIASED",)},
+        "variance_methods[0]"),
+    "strat-wr-under-si": ({"variance_methods": ["STRAT_WR"]},
+                          {"variance_methods": ("STRAT_WR",)}, "variance_methods[0]"),
+    "studentized-without-bootstrap": (
+        {"variance_methods": ["SIMPLIFIED"], "studentized": True},
+        {"variance_methods": ("SIMPLIFIED",), "studentized": True}, "studentized"),
+    "two-strat-si-proportions": (
+        {"first_stage": {"kind": "STRAT_SI", "allocations": {"s0": 2}},
+         "estimands": [PROPORTION, PROPORTION]},
+        {"first_stage": DesignSpec("STRAT_SI", allocations={"s0": 2}),
+         "estimands": (ProportionEstimand(0, 1.0),) * 2}, "estimands"),
+    "replicates-99": ({"replicates": 99}, {"replicates": 99}, "replicates"),
+    "true-run-999": ({"true_run": 999}, {"true_run": 999}, "true_run"),
+    "alpha-0.5": ({"alpha": 0.5}, {"ci_alpha": 0.5}, "alpha"),
+    "census-with-n0": ({"second_stage": {"method": "CENSUS", "n0": [2]}}, {"n0": 2},
+                       "second_stage.n0"),
+    "one-sampled-psu": (
+        {"first_stage": {"kind": "SI", "n_I": [1]}, "variance_methods": ["SIMPLIFIED"]},
+        {"first_stage": DesignSpec("SI", n_I=1), "variance_methods": ("SIMPLIFIED",)},
+        "first_stage.n_I"),
+}
 
 
 class TestParseConfig:
@@ -482,12 +528,8 @@ class TestMcCommand:
 
 class TestErrorReporting:
     def test_config_error_exit_code(self, tmp_path, capsys):
-        path = _write_config(tmp_path, "bad.json", {"population": POP, "oops": 1})
-        rc = _run(["gen-pop", "--config", path, "--seed", 1, "--out", tmp_path / "o"])
-        assert rc == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"]["type"] == "config"
-        assert "oops" in err["error"]["message"]
+        message = _config_error(tmp_path, capsys, "gen-pop", {"population": POP, "oops": 1})
+        assert "oops" in message
 
     def test_stratified_non_census_is_a_config_error(self, tmp_path, capsys):
         payload = {
@@ -498,12 +540,8 @@ class TestErrorReporting:
                 "estimands": [{"kind": "proportion", "var": 1, "category": 1.0}],
             },
         }
-        cfg = _write_config(tmp_path, "strat.json", payload)
-        rc = _run(["mc", "--config", cfg, "--seed", 1, "--out", tmp_path / "o"])
-        assert rc == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"]["type"] == "config"
-        assert "config.scenario.second_stage.method" in err["error"]["message"]
+        message = _config_error(tmp_path, capsys, "mc", payload)
+        assert "config.scenario.second_stage.method" in message
 
     @pytest.mark.parametrize("design, stray", [
         ({"kind": "BE", "expected_n_I": 10, "n_I": 5}, "n_I"),
@@ -512,19 +550,15 @@ class TestErrorReporting:
     ])
     def test_size_key_of_another_design_is_a_config_error(self, tmp_path, capsys, design, stray):
         # a BE point divided by a stray n_I instead of expected_n_I
-        cfg = _write_config(tmp_path, "est.json", {
+        message = _config_error(tmp_path, capsys, "estimate", {
             "frame": "f.csv", "design": design, "second_stage": {"method": "CENSUS"},
             "estimands": [{"kind": "total", "var": 1}],
         })
-        rc = _run(["estimate", "--config", cfg, "--seed", 1, "--out", tmp_path / "o"])
-        assert rc == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"]["type"] == "config"
-        assert f"config.design.{stray}" in err["error"]["message"]
+        assert f"config.design.{stray}" in message
 
     @pytest.mark.parametrize("alpha", [0.7, 0.5, 0.0])
     def test_mc_alpha_out_of_range_is_a_config_error(self, tmp_path, capsys, alpha):
-        cfg = _write_config(tmp_path, "mc.json", {
+        message = _config_error(tmp_path, capsys, "mc", {
             "population": POP,
             "scenario": {
                 "first_stage": {"kind": "SI", "n_I": [8]},
@@ -534,11 +568,7 @@ class TestErrorReporting:
                 "alpha": alpha, "replicates": 100, "true_run": 1000,
             },
         })
-        rc = _run(["mc", "--config", cfg, "--seed", 1, "--out", tmp_path / "o"])
-        assert rc == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == {"type": "config",
-                                "message": "config.scenario.alpha: must be in (0, 0.5)"}
+        assert message == "config.scenario.alpha: must be in (0, 0.5)"
 
     @pytest.mark.parametrize("command", ["estimate", "bootstrap"])
     @pytest.mark.parametrize("method", ["UNBIASED", "BERNOULLI"])
@@ -546,17 +576,72 @@ class TestErrorReporting:
         self, tmp_path, capsys, command, method
     ):
         # settled by the config alone: no frame is read, no sample drawn
-        cfg = _write_config(tmp_path, "est.json", {
+        message = _config_error(tmp_path, capsys, command, {
             "frame": str(tmp_path / "missing.csv"), "design": {"kind": "SI", "n_I": 4},
             "second_stage": {"method": "SYSTEMATIC", "n0": 2},
             "estimands": [{"kind": "total", "var": 1}],
             "variance_methods": ["SIMPLIFIED", method],
         })
-        rc = _run([command, "--config", cfg, "--seed", 1, "--out", tmp_path / "o"])
-        assert rc == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"]["type"] == "config"
-        assert err["error"]["message"].startswith(f"config.variance_methods[1]: {method} ")
+        assert message.startswith(f"config.variance_methods[1]: {method} ")
+
+    @pytest.mark.parametrize("config, changes, key", FRAME_FREE_FAULTS.values(),
+                             ids=list(FRAME_FREE_FAULTS))
+    def test_frame_free_mc_fault_fails_before_the_population(
+        self, tmp_path, capsys, monkeypatch, config, changes, key
+    ):
+        """The library refuses the scenario, and the CLI does so before generating a frame."""
+        scenario = Scenario(**{"first_stage": DesignSpec("SI", n_I=8), "replicates": 100,
+                               "true_run": 1000, **changes})
+        with pytest.raises(ValueError):
+            scenario.check()
+        calls = []
+        monkeypatch.setattr(cli, "generate_population", lambda *a, **k: calls.append(a))
+        message = _config_error(tmp_path, capsys, "mc",
+                                {"population": POP, "scenario": {**MC_SCENARIO, **config}})
+        assert message.startswith(f"config.scenario.{key}: ")
+        assert calls == []
+
+    @pytest.mark.parametrize("command, changes, message", [
+        # an integer path would be read as an open file descriptor
+        ("mc", {"frame": 3, "scenario": MC_SCENARIO}, "config.frame: expected a string"),
+        ("mc", {"population": POP,
+                "scenario": {**MC_SCENARIO, "variance_methods": {"SIMPLIFIED": 1}}},
+         "config.scenario.variance_methods: expected a list"),
+        ("estimate", {"variance_methods": "SIMPLIFIED"}, "config.variance_methods: expected a list"),
+    ])
+    def test_mistyped_path_or_method_list_is_a_config_error(
+        self, tmp_path, capsys, command, changes, message
+    ):
+        payload = ({"frame": str(tmp_path / "missing.csv"), "design": {"kind": "SI", "n_I": 4},
+                    "second_stage": {"method": "CENSUS"},
+                    "estimands": [{"kind": "total", "var": 1}]} if command == "estimate" else {})
+        assert _config_error(tmp_path, capsys, command, {**payload, **changes}) == message
+
+    @pytest.mark.parametrize("expected_n_I", [0, -2.5])
+    def test_be_size_is_a_config_error_before_the_frame_is_read(
+        self, tmp_path, capsys, expected_n_I
+    ):
+        message = _config_error(tmp_path, capsys, "estimate", {
+            "frame": str(tmp_path / "missing.csv"),
+            "design": {"kind": "BE", "expected_n_I": expected_n_I},
+            "second_stage": {"method": "CENSUS"}, "estimands": [{"kind": "total", "var": 1}],
+        })
+        assert message.startswith("config.design.expected_n_I: ")
+
+    @pytest.mark.parametrize("command", ["bootstrap", "mc"])
+    def test_bootstrap_refusal_names_its_key_once(self, tmp_path, capsys, command):
+        boot = {"replicates": 49}
+        if command == "bootstrap":
+            payload, path = {"frame": str(tmp_path / "missing.csv"),
+                             "design": {"kind": "SI", "n_I": 4},
+                             "second_stage": {"method": "CENSUS"},
+                             "estimands": [{"kind": "total", "var": 1}],
+                             "bootstrap": boot}, "config.bootstrap"
+        else:
+            payload = {"population": POP, "scenario": {**MC_SCENARIO, "bootstrap": boot}}
+            path = "config.scenario.bootstrap"
+        message = _config_error(tmp_path, capsys, command, payload)
+        assert message == f"{path}.replicates: must be >= 50"
 
     def test_invalid_mc_grid_fails_before_the_first_cell(self, tmp_path, capsys, monkeypatch):
         import twostage.montecarlo as montecarlo

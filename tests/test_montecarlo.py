@@ -131,7 +131,7 @@ class TestScenarioValidation:
             scaling_study(frame, [({}, scn)], seed=5)
         assert calls == []
 
-    @pytest.mark.parametrize("ci_alpha", [0.7, 0.0, float("nan")])
+    @pytest.mark.parametrize("ci_alpha", [0.7, 0.5, 0.0, float("nan")])
     def test_ci_alpha_out_of_range_rejected_before_the_reference_run(
         self, monkeypatch, frame_1to5, ci_alpha
     ):
@@ -140,9 +140,15 @@ class TestScenarioValidation:
         calls = []
         monkeypatch.setattr(montecarlo, "_reference_run",
                             lambda *args, **kwargs: calls.append(args) or ({}, {}))
-        with pytest.raises(ValueError, match=r"^ci_alpha must be in \(0, 0.5\]$"):
+        with pytest.raises(ValueError, match=r"^ci_alpha must be in \(0, 0.5\)$"):
             run_scenario(frame_1to5, scn, seed=5)
         assert calls == []
+
+
+    def test_reference_run_size_is_checked_when_v_true_is_supplied(self, frame_1to5):
+        scn = Scenario(DesignSpec("SI", n_I=5), "CENSUS", replicates=100, true_run=999)
+        with pytest.raises(ValueError, match="^true_run must be >= 1000$"):
+            run_scenario(frame_1to5, scn, seed=1, v_true={"total[y1]": 1.0})
 
 
 class TestRunScenario:
