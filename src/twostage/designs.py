@@ -5,6 +5,12 @@ re-running with the same stream state reproduces the draw.  Simple random
 sampling without replacement (SI) is drawn sequentially (sparse Fisher-Yates
 prefix) so that the draw order is well defined; the j-th entry of ``order``
 is the unit selected at the j-th draw.
+
+:class:`SystematicTable` is an exact memo of the SYSTEMATIC second stage:
+``Generator.random`` draws starts on the grid k * 2^-53, each distinct
+systematic sample of a PSU owns one interval of that grid, and a row per
+interval holds :func:`psu_subtotal_estimates` of its sample, so a lookup
+gives the bits of placing and gathering the sample at any start.
 """
 from __future__ import annotations
 
@@ -27,6 +33,8 @@ __all__ = [
     "resolve_si_orders",
     "si_order_excluding",
     "systematic_positions",
+    "SystematicTable",
+    "systematic_table",
     "psu_subtotal_estimates",
     "second_stage_estimates",
 ]
@@ -288,14 +296,26 @@ def draw_stratified_si(
     groups = frame.stratum_psu_indices()
     design = DesignSpec("STRAT_SI", allocations=dict(allocations))
     design.validate_for(frame.n_psus, {k: v.size for k, v in groups.items()})
-    out: dict[str, FirstStageDraw] = {}
-    for label, psu_idx in groups.items():
-        n_l = allocations[label]
-        local = si_order(psu_idx.size, n_l, rng)
-        out[label] = FirstStageDraw(
-            DesignSpec("SI", n_I=n_l), psu_idx[local], psu_idx.size
-        )
-    return out
+    orders = _stratified_si_orders(groups, allocations, [rng])
+    return {label: FirstStageDraw(DesignSpec("SI", n_I=allocations[label]), order[0], psus.size)
+            for (label, psus), order in zip(groups.items(), orders)}
+
+
+def _stratified_si_orders(
+    groups: Mapping[str, np.ndarray],
+    allocations: Mapping[str, int],
+    rngs: Sequence[np.random.Generator],
+) -> list[np.ndarray]:
+    """Each stratum's (B, n_l) SI samples (global PSU indices) of a block of stratified draws.
+
+    Row b draws every stratum's Fisher-Yates draws from ``rngs[b]``, the
+    strata in the order of ``groups``; one :func:`resolve_si_orders` per
+    stratum then resolves the block's rows, each as :func:`si_order` would.
+    """
+    draws = [[si_draws(psus.size, allocations[label], rng) for label, psus in groups.items()]
+             for rng in rngs]
+    return [psus[resolve_si_orders(np.stack([row[s] for row in draws]))]
+            for s, psus in enumerate(groups.values())]
 
 
 def _si_positions(
@@ -329,6 +349,19 @@ def _check_n0(frame: Frame, psu_indices: np.ndarray, n0: int) -> np.ndarray:
     return sizes
 
 
+def _systematic_offsets(a, j, u, top):
+    """Within-PSU positions min(floor(fl(a*j) + fl(u*a)), top) of systematic coordinates j.
+
+    ``a`` is the interval N_i/n0 and ``u`` the U(0, 1) start; the arguments
+    broadcast.  Each step is elementwise and monotone in ``u``.
+    """
+    pos = a * j
+    pos += u * a  # floating-point addition and multiplication commute exactly
+    np.floor(pos, out=pos)
+    np.minimum(pos, top, out=pos)
+    return pos
+
+
 def systematic_positions(
     frame: Frame, psu_indices: np.ndarray, starts: np.ndarray, n0: int
 ) -> np.ndarray:
@@ -342,14 +375,224 @@ def systematic_positions(
     """
     psu_indices = np.asarray(psu_indices, dtype=np.int64)
     sizes = _check_n0(frame, psu_indices, n0)[..., None]
-    a = sizes / n0
-    pos = a * np.arange(n0)
-    pos += starts[..., None] * a  # floating-point addition commutes exactly
-    np.floor(pos, out=pos)
-    np.minimum(pos, sizes - 1, out=pos)
+    pos = _systematic_offsets(sizes / n0, np.arange(n0), starts[..., None], sizes - 1)
     rows = pos.astype(np.int64)
     rows += frame.offsets[psu_indices][..., None]
     return rows
+
+
+# rng.random draws a start k * 2^-53 for an integer 0 <= k < 2^53: the grid
+_GRID = 2.0 ** -53
+_GRID_POINTS = 1 << 53
+_CHANGE_POINTS = 1 << 15  # change points found at a time
+_KEY_PSUS = 1 << 10  # PSUs whose change points are sorted at a time, as (PSU << 53) | k keys
+_TABLE_SSUS = 2048  # SSUs of the PSUs whose table rows are filled at a time
+_TABLE_CELLS = 1 << 14  # sample positions placed at a time while the table is filled
+
+
+@dataclass(frozen=True)
+class SystematicTable:
+    """Every distinct systematic sample of size n0 of every PSU, with its subtotal estimates.
+
+    A start drawn by ``Generator.random`` is u = k * 2^-53 for an integer
+    0 <= k < 2^53.  Each coordinate of :func:`systematic_positions` is a
+    monotone step function of k, so each distinct sample of PSU i owns one
+    interval of k; the intervals partition [0, 2^53).  Row r is one such
+    interval, in PSU order and then in order of k: ``ends[r]`` is the first
+    grid point past it (2^53 for a PSU's last row), and ``estimates[r]`` is
+    :func:`psu_subtotal_estimates` of the sample placed at its first grid
+    point, the gather path's own call, so it has that path's bits at any
+    start in the interval.
+
+    In exact arithmetic PSU i has N_i / gcd(N_i, n0) equal intervals;
+    rounding moves their ends by a few grid points or adds intervals of a
+    few points.  So the lookup cuts each PSU's grid into that many equal
+    buckets, and ``first`` holds the row from which a start in a bucket is
+    found after a step or two.  The (R, p) ``estimates``, with R about the
+    PSUs' total size, take about the room of the (N, p) column matrix they
+    replace; ``ends`` and ``first`` hold at most R integers each.
+    """
+
+    psu_rows: np.ndarray  # (N_I + 1,) each PSU's first row
+    ends: np.ndarray  # (R,) first grid point past each row's interval
+    estimates: np.ndarray  # (R, p) subtotal estimates of each row's sample
+    buckets: np.ndarray  # (N_I,) float bucket count N_i / gcd(N_i, n0) of each PSU
+    bucket_base: np.ndarray  # (N_I,) offset of PSU i's buckets in ``first``
+    first: np.ndarray  # (sum of bucket counts,) the row each bucket's search starts at
+
+    def rows_at(self, psu_indices: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        """The row of the sample that each start draws in its PSU (``psu_indices``'s shape).
+
+        Raises for a start that is not a grid point of [0, 1).
+        """
+        psu_indices = np.asarray(psu_indices, dtype=np.int64)
+        k = starts * _GRID_POINTS  # exact: a power-of-two scaling
+        grid = k.astype(np.int64)
+        if not (np.all(grid == k) and np.all((0 <= grid) & (grid < _GRID_POINTS))):
+            raise ValueError("starts must be k * 2**-53 for integers 0 <= k < 2**53")
+        row = self.first[self.bucket_base[psu_indices] + _bucket(starts, self.buckets[psu_indices])]
+        while True:
+            step = self.ends[row] <= grid
+            if not step.any():
+                return row
+            row += step
+
+    def subtotal_estimates(self, psu_indices: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        """The estimates (*S, p) of the samples that the starts (shape S) draw in their PSUs.
+
+        The same bits as :func:`psu_subtotal_estimates` of
+        :func:`systematic_positions` at those starts.
+        """
+        return np.take(self.estimates, self.rows_at(psu_indices, starts), axis=0)
+
+    def draw(self, psu_indices: np.ndarray, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        """:func:`second_stage_estimates` of a (B, k) block under SYSTEMATIC, looked up.
+
+        Row b's starts are drawn from ``rngs[b]`` as that function draws them.
+        """
+        return self.subtotal_estimates(psu_indices, _systematic_starts(rngs, psu_indices.shape[1]))
+
+
+def _systematic_starts(rngs: Sequence[np.random.Generator], k: int) -> np.ndarray:
+    """(B, k) systematic starts, row b drawn from ``rngs[b]``."""
+    starts = np.empty((len(rngs), k))
+    for b, rng in enumerate(rngs):
+        starts[b] = rng.random(k)
+    return starts
+
+
+def _bucket(starts: np.ndarray, buckets: np.ndarray) -> np.ndarray:
+    """The bucket min(floor(u * L), L - 1) of each start u among its PSU's L equal ones.
+
+    Monotone in u; the table's index and its lookups compute it alike.
+    """
+    t = starts * buckets
+    np.floor(t, out=t)
+    np.minimum(t, buckets - 1, out=t)
+    return t.astype(np.int64)
+
+
+def _first_reaching(a, j, top, target, lo, hi) -> np.ndarray:
+    """The first grid point k in (lo, hi] at which coordinate j reaches ``target``.
+
+    Bisects elementwise where offset(lo) < target <= offset(hi).  Where that
+    bracket fails it bisects the whole grid instead, and where even the
+    whole grid fails it raises: it never places a change point that it has
+    not bracketed.  Writes into ``lo`` and ``hi``.
+    """
+    def reached(k):
+        return _systematic_offsets(a, j, k * _GRID, top) >= target
+
+    miss = np.flatnonzero(reached(lo) | ~reached(hi))
+    if miss.size:
+        if np.any(hi[miss] - lo[miss] == _GRID_POINTS - 1):
+            raise ValueError("a systematic change point lies outside the grid")
+        whole = np.full(miss.size, _GRID_POINTS - 1)
+        hi[miss] = _first_reaching(a[miss], j[miss], top[miss], target[miss],
+                                   np.zeros_like(whole), whole)
+        lo[miss] = hi[miss] - 1
+    for _ in range(int(np.max(hi - lo, initial=1) - 1).bit_length()):
+        mid = (lo + hi) >> 1
+        up = reached(mid)
+        hi = np.where(up, mid, hi)
+        lo = np.where(up, lo, mid)
+    return hi
+
+
+def _interval_starts(sizes: np.ndarray, n0: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first grid point of every distinct systematic sample of up to _KEY_PSUS PSUs.
+
+    Returns the points (in PSU order, increasing within each PSU, 0 first)
+    and each PSU's count of them.  Coordinate j of PSU i moves from its
+    position at k = 0 to its position at k = 2^53 - 1, once per integer m in
+    between, at the first k with fl(fl(a j) + fl(k 2^-53 a)) >= m.  Let X =
+    (m - fl(a j)) 2^53 / a.  Rounding the sum up to m moves that k below X
+    by at most ulp(m) 2^52 / a < n0 grid points and never above it; the
+    product moves it by at most one point and the guess g = ceil(fl(X)) is
+    within about 5 points of X.  So k lies in (g - n0 - 8, g + 8], which
+    :func:`_first_reaching` bisects, _CHANGE_POINTS moves at a time.
+    """
+    n_psus = sizes.size
+    a = sizes / n0
+    top = sizes - 1
+    j = np.arange(n0)
+    at_zero = _systematic_offsets(a[:, None], j, 0.0, top[:, None]).astype(np.int64).ravel()
+    at_last = _systematic_offsets(a[:, None], j, (_GRID_POINTS - 1) * _GRID,
+                                  top[:, None]).astype(np.int64).ravel()
+    moved = np.cumsum(at_last - at_zero)  # the moves of the (PSU, coordinate) cells so far
+    # (PSU, k) keys, k = 0 for every PSU first
+    keys = [np.arange(n_psus, dtype=np.int64) << 53]
+    for lo in range(0, int(moved[-1]), _CHANGE_POINTS):
+        move = np.arange(lo, min(lo + _CHANGE_POINTS, int(moved[-1])))
+        cell = np.searchsorted(moved, move, side="right")
+        target = move - moved[cell] + at_last[cell] + 1
+        psu, coord = np.divmod(cell, n0)
+        a_t = a[psu]
+        guess = np.ceil((target - a_t * coord) * _GRID_POINTS / a_t)
+        np.clip(guess, 0, _GRID_POINTS - 1, out=guess)
+        guess = guess.astype(np.int64)
+        points = _first_reaching(a_t, coord, top[psu], target, np.maximum(guess - (n0 + 8), 0),
+                                 np.minimum(guess + 8, _GRID_POINTS - 1))
+        keys.append((psu << 53) | points)
+    keys = np.concatenate(keys)
+    keys.sort()
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    return keys & (_GRID_POINTS - 1), np.bincount(keys >> 53, minlength=n_psus)
+
+
+def _psu_spans(frame: Frame, ssus: int):
+    """Consecutive spans [lo, hi) of PSUs holding about ``ssus`` SSUs each (at least one PSU)."""
+    cuts = np.searchsorted(frame.offsets, np.arange(ssus, frame.n_ssus, ssus), side="right") - 1
+    cuts = np.unique(np.concatenate(([0], cuts, [frame.n_psus])))
+    return list(zip(cuts[:-1].tolist(), cuts[1:].tolist()))
+
+
+def systematic_table(frame: Frame, n0: int, column_block) -> SystematicTable:
+    """The :class:`SystematicTable` of every PSU of the frame.
+
+    ``column_block(lo, hi)`` returns the (hi - lo, p) SSU columns of frame
+    rows lo..hi-1, with the bits of those rows of the full column matrix.
+    First every interval is found, _KEY_PSUS PSUs at a time; then the rows
+    are filled into the preallocated (R, p) table from the columns of about
+    _TABLE_SSUS SSUs at a time, so no column matrix of the whole frame is
+    built.
+    """
+    _check_n0(frame, np.arange(frame.n_psus), n0)
+    points, counts = zip(*(_interval_starts(frame.sizes[lo:lo + _KEY_PSUS], n0)
+                           for lo in range(0, frame.n_psus, _KEY_PSUS)))
+    lower = np.concatenate(points)
+    del points
+    psu_rows = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
+    of_row = np.repeat(np.arange(frame.n_psus), np.diff(psu_rows))
+    buckets = frame.sizes // np.gcd(frame.sizes, n0)
+    bucket_base = np.cumsum(buckets) - buckets
+    keyed = _bucket(lower * _GRID, buckets[of_row].astype(np.float64)) + bucket_base[of_row]
+    del of_row
+    # the last row below each bucket, or the PSU's first row for its bucket 0
+    first = np.searchsorted(keyed, np.arange(int(buckets.sum())), side="left") - 1
+    del keyed
+    np.maximum(first, np.repeat(psu_rows[:-1], buckets), out=first)
+    ends = np.roll(lower, -1)
+    del lower
+    ends[psu_rows[1:] - 1] = _GRID_POINTS
+
+    # each row's sample is placed at its interval's first grid point: the
+    # previous row's end, or 0 for a PSU's first row
+    estimates = None
+    batch = max(1, _TABLE_CELLS // n0)
+    for lo, hi in _psu_spans(frame, _TABLE_SSUS):
+        columns = column_block(frame.offsets[lo], frame.offsets[hi])
+        if estimates is None:
+            estimates = np.empty((ends.size, columns.shape[1]))
+        for r0 in range(psu_rows[lo], psu_rows[hi], batch):
+            at = np.arange(r0, min(r0 + batch, psu_rows[hi]))
+            psus = np.searchsorted(psu_rows, at, side="right") - 1
+            starts = np.where(at == psu_rows[psus], 0, ends[at - 1]) * _GRID
+            rows = systematic_positions(frame, psus, starts, n0)
+            rows -= frame.offsets[lo]
+            estimates[at] = psu_subtotal_estimates(frame, columns, psus, rows, n0)[0]
+    return SystematicTable(psu_rows, ends, estimates, buckets.astype(np.float64), bucket_base,
+                           first)
 
 
 def psu_subtotal_estimates(
@@ -432,10 +675,7 @@ def second_stage_estimates(
         y_hat = subtotals[psu_indices]
         return y_hat, (np.zeros_like(y_hat) if with_vhat else None)
     if method == "SYSTEMATIC":
-        starts = np.empty((n_rows, k))
-        for b, rng in enumerate(rngs):
-            starts[b] = rng.random(k)
-        rows = systematic_positions(frame, psu_indices, starts, n0)
+        rows = systematic_positions(frame, psu_indices, _systematic_starts(rngs, k), n0)
     else:
         rows = np.empty((n_rows, k, n0), dtype=np.int64)
         for b, rng in enumerate(rngs):

@@ -46,6 +46,8 @@ __all__ = [
     "CorrelationEstimand",
     "ProportionEstimand",
     "population_value",
+    "column_layout",
+    "column_matrix",
     "estimand_columns",
     "StratifiedClusterSample",
     "linearized_values",
@@ -350,7 +352,7 @@ class ProportionEstimand:
 SmoothEstimand = TotalEstimand | RatioEstimand | CorrelationEstimand | ProportionEstimand
 
 
-def _column_matrix(values: np.ndarray, keys: Sequence[tuple]) -> np.ndarray:
+def column_matrix(values: np.ndarray, keys: Sequence[tuple]) -> np.ndarray:
     """The C-contiguous (N, len(keys)) matrix of the SSU columns named by ``keys``.
 
     ("y", a) is y_a, ("sq", a) is y_a^2, ("prod", a, b) is y_a * y_b, ("one",)
@@ -382,22 +384,21 @@ def population_value(frame: Frame, estimand: SmoothEstimand) -> float:
     if all(kind == "y" for kind, *_ in keys):
         totals = np.array([frame.values[:, var].sum() for _, var in keys])
     else:
-        totals = _column_matrix(frame.values, keys).sum(axis=0)
+        totals = column_matrix(frame.values, keys).sum(axis=0)
     return float(estimand.evaluate(totals))
 
 
-def estimand_columns(
-    frame: Frame, estimands: Sequence[SmoothEstimand]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[slice]]:
-    """The distinct SSU columns of all estimands, each built once.
+def column_layout(
+    estimands: Sequence[SmoothEstimand],
+) -> tuple[list[tuple], np.ndarray, list[slice]]:
+    """Which distinct SSU columns the estimands read, and where each estimand reads them.
 
     The estimands' column keys are kept once each, in order of first
-    appearance.  Returns the C-contiguous (N, p) matrix of those columns,
-    its (N_I, p) PSU subtotals, ``index``, the (p_total,) column of the
-    matrix that each estimand column reads (every estimand's columns side by
-    side), and each estimand's slice of ``index``.  When fewer than two
-    distinct keys remain, every column is kept: the second stage sums a lone
-    column pairwise, not one row after another as it sums two or more.
+    appearance.  Returns those keys, ``index``, the (p_total,) key that each
+    estimand column reads (every estimand's columns side by side), and each
+    estimand's slice of ``index``.  When fewer than two distinct keys remain,
+    every column is kept: the second stage sums a lone column pairwise, not
+    one row after another as it sums two or more.
     """
     keys = [key for e in estimands for key in e.column_keys()]
     first = {key: j for j, key in enumerate(dict.fromkeys(keys))}
@@ -405,9 +406,22 @@ def estimand_columns(
         distinct, index = keys, np.arange(len(keys))
     else:
         distinct, index = list(first), np.array([first[key] for key in keys])
-    columns = _column_matrix(frame.values, distinct)
     starts = np.concatenate(([0], np.cumsum([len(e.column_keys()) for e in estimands])))
     slices = [slice(int(starts[i]), int(starts[i + 1])) for i in range(len(estimands))]
+    return distinct, index, slices
+
+
+def estimand_columns(
+    frame: Frame, estimands: Sequence[SmoothEstimand]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[slice]]:
+    """The distinct SSU columns of all estimands, each built once.
+
+    Returns the C-contiguous (N, p) :func:`column_matrix` of the
+    :func:`column_layout` keys, its (N_I, p) PSU subtotals, and the layout's
+    ``index`` and slices.
+    """
+    keys, index, slices = column_layout(estimands)
+    columns = column_matrix(frame.values, keys)
     return columns, np.add.reduceat(columns, frame.offsets[:-1], axis=0), index, slices
 
 

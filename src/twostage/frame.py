@@ -16,6 +16,7 @@ import csv
 import io
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from functools import partial
 from typing import Mapping, NamedTuple, Sequence
@@ -377,6 +378,12 @@ def empirical_pair_correlation(frame: Frame, var_a: int, var_b: int) -> float:
 _DEFAULT_SCHEMA = {"psu_id": "psu_id", "ssu_id": "ssu_id", "stratum": "stratum", "y_prefix": "y"}
 
 
+def _check_path(path) -> None:
+    """Refuse what is not a path: ``open`` would take an int or a bool for a file descriptor."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise TypeError(f"path must be a str or os.PathLike, got {type(path).__name__}")
+
+
 def _delimiter_for(path: str, delimiter: str | None) -> str:
     if delimiter is not None:
         return delimiter
@@ -565,6 +572,7 @@ def ingest_frame(
     number.  Rows are read in blocks and parsed a column at a time; an
     error names the first bad line.
     """
+    _check_path(path)
     sch = dict(_DEFAULT_SCHEMA)
     if schema:
         unknown = set(schema) - set(sch)
@@ -663,6 +671,7 @@ def frame_to_csv(frame: Frame, path, delimiter: str | None = None) -> None:
     The bytes are those of ``csv.writer`` (QUOTE_MINIMAL) writing one row
     per SSU; rows are written in blocks, formatted a column at a time.
     """
+    _check_path(path)
     delim = _delimiter_for(path, delimiter)
     field = _csv_field(delim)
     psu_text = np.array(list(map(str, frame.psu_ids.tolist())), dtype=object)

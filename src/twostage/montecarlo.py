@@ -15,6 +15,15 @@ approximated from a separate run of C independent samples unless supplied
 in closed form.  Replicate b derives all of its randomness from the
 substream (seed, ..., "mc", b), so reports are bit-identical for any number
 of worker processes.
+
+Under SYSTEMATIC subsampling a run builds one exact table of every PSU's
+distinct systematic samples and their estimates
+(:func:`~twostage.designs.systematic_table`), once and before any worker
+forks, and keeps no column matrix; each replicate draws its starts from its
+own stream and looks its samples up instead of placing and gathering them.
+A row of the table is the gather path's own call at one start of its
+interval, so the outputs keep their bits, and the table takes about the
+memory of the column matrix it replaces.
 """
 from __future__ import annotations
 
@@ -40,11 +49,13 @@ from .designs import (  # noqa: F401 - si_order stays importable here for perfbe
     SECOND_STAGE_METHODS,
     DesignSpec,
     FirstStageDraw,
-    draw_stratified_si,
+    SystematicTable,
+    _stratified_si_orders,
     resolve_si_orders,
     second_stage_estimates,
     si_draws,
     si_order,
+    systematic_table,
 )
 from .estimators import (
     ProportionEstimand,
@@ -53,6 +64,8 @@ from .estimators import (
     TotalEstimand,
     check_alpha,
     check_variance_methods,
+    column_layout,
+    column_matrix,
     estimand_columns,
     linearized_values,
     mean_total,
@@ -217,9 +230,13 @@ class _Context:
     scenario: Scenario
     seed: int
     tag: tuple
-    columns: np.ndarray  # (N, p_distinct) distinct columns of the derived SSU matrix
-    col_subtotals: np.ndarray  # (N_I, p_distinct) their exact subtotals
-    expand: np.ndarray  # (p_total,) index of each estimand column in ``columns``
+    # under SI and CENSUS subsampling the (N, p_distinct) distinct columns of
+    # the derived SSU matrix and their (N_I, p_distinct) exact subtotals;
+    # under SYSTEMATIC only the table of every sample's estimates
+    columns: np.ndarray | None
+    col_subtotals: np.ndarray | None
+    table: SystematicTable | None
+    expand: np.ndarray  # (p_total,) index of each estimand column among the distinct ones
     slices: list[slice]  # each estimand's slice of the p_total columns
     slots: dict[tuple, int]
     n_slots: int
@@ -260,10 +277,18 @@ def _build_context(frame: Frame, scenario: Scenario, seed: int, tag: tuple) -> _
                 add(("ci", e.label, "ci_studentized", "lo"))
                 add(("ci", e.label, "ci_studentized", "hi"))
 
-    columns, col_subtotals, expand, slices = estimand_columns(frame, est)
+    # built before any worker forks, so every worker shares it
+    if scenario.second_stage == "SYSTEMATIC":
+        keys, expand, slices = column_layout(est)
+        columns = col_subtotals = None
+        table = systematic_table(frame, scenario.n0,
+                                 lambda lo, hi: column_matrix(frame.values[lo:hi], keys))
+    else:
+        columns, col_subtotals, expand, slices = estimand_columns(frame, est)
+        table = None
     return _Context(
-        frame, scenario, seed, tag, columns, col_subtotals, expand, slices, slots, len(slots),
-        need_vhat="UNBIASED" in scenario.variance_methods,
+        frame, scenario, seed, tag, columns, col_subtotals, table, expand, slices, slots,
+        len(slots), need_vhat="UNBIASED" in scenario.variance_methods,
     )
 
 
@@ -300,10 +325,12 @@ def _block(ctx: _Context, keys: np.ndarray) -> _Block:
     stream is the context's i-th pooled generator, reset to keys[i], so it
     stays the replicate's own until the next block.  Each replicate makes
     the draws of a lone replicate in the same order (its first stage, then
-    its second stage); the block resolves the SI orders at once and makes
-    one ``second_stage_estimates`` call, both elementwise per row, and
-    every reduction runs over axis 1 of a C-contiguous array, so each row
-    has the bits that the replicate computed on its own would have.
+    its second stage); the block resolves the SI orders at once (each
+    stratum's under STRAT_SI) and makes one ``second_stage_estimates`` call
+    or, under SYSTEMATIC, one lookup in the context's table, all elementwise
+    per row, and every reduction runs over axis 1 of a C-contiguous array,
+    so each row has the bits that the replicate computed on its own would
+    have.
     """
     sc, design = ctx.scenario, ctx.scenario.first_stage
     N = ctx.frame.n_psus
@@ -314,10 +341,14 @@ def _block(ctx: _Context, keys: np.ndarray) -> _Block:
     if design.kind == "SI":
         orders = resolve_si_orders(np.stack([si_draws(N, design.n_I, rng) for rng in rngs]))
     else:
-        orders = np.stack([np.concatenate([d.order for d in draw_stratified_si(
-            ctx.frame, design.allocations, rng).values()]) for rng in rngs])
-    yhat, vhat = second_stage_estimates(ctx.frame, ctx.columns, ctx.col_subtotals, orders,
-                                        sc.second_stage, sc.n0, rngs, with_vhat=ctx.need_vhat)
+        orders = np.concatenate(_stratified_si_orders(ctx.frame.stratum_psu_indices(),
+                                                      design.allocations, rngs), axis=1)
+    if ctx.table is not None:
+        yhat, vhat = ctx.table.draw(orders, rngs), None
+    else:
+        yhat, vhat = second_stage_estimates(ctx.frame, ctx.columns, ctx.col_subtotals, orders,
+                                            sc.second_stage, sc.n0, rngs,
+                                            with_vhat=ctx.need_vhat)
     totals = (N * yhat.mean(axis=1) if design.kind == "SI"
               else np.stack([_stratified_sample(ctx, y).totals for y in yhat]))[:, ctx.expand]
     theta = np.column_stack([e.evaluate(totals[:, sl])

@@ -5,6 +5,9 @@
 must build the same ``Frame`` arrays bit for bit, write the same bytes, or
 raise the same error on the same line.
 """
+import contextlib
+import os
+
 import numpy as np
 import pytest
 
@@ -282,3 +285,52 @@ class TestFrameConstructor:
         frame = Frame(np.ones((6, 1)), np.array([3, 1, 2]))
         assert frame.ssu_ids.tolist() == [0, 1, 2, 0, 0, 1]
         assert frame.ssu_ids.dtype == np.int64
+
+
+class TestPathArguments:
+    """An int is not a path: ``open`` would take it for a file descriptor and read or write it."""
+
+    def test_ingest_refuses_a_file_descriptor(self, tmp_path):
+        path = tmp_path / "frame.csv"
+        path.write_text(_rows_text(20))
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            with pytest.raises(TypeError, match="^path must be a str or os.PathLike, got int$"):
+                ingest_frame(fd)
+        finally:
+            with contextlib.suppress(OSError):
+                os.close(fd)
+
+    def test_write_refuses_a_file_descriptor(self, tmp_path):
+        path = tmp_path / "frame.csv"
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT)
+        frame = generate_population(SyntheticConfig(3, 4, 0.0, 20.0, 2.0, (0.2,), 0.5, seed=1))
+        try:
+            with pytest.raises(TypeError, match="^path must be a str or os.PathLike, got int$"):
+                frame_to_csv(frame, fd)
+        finally:
+            with contextlib.suppress(OSError):
+                os.close(fd)
+        assert path.read_bytes() == b""
+
+    @pytest.mark.parametrize("path", [None, 2.5, b"frame.csv"])
+    def test_neither_opens_what_is_not_a_path(self, path):
+        frame = generate_population(SyntheticConfig(3, 4, 0.0, 20.0, 2.0, (0.2,), 0.5, seed=1))
+        kind = type(path).__name__
+        with pytest.raises(TypeError, match=f"^path must be a str or os.PathLike, got {kind}$"):
+            ingest_frame(path)
+        with pytest.raises(TypeError, match=f"^path must be a str or os.PathLike, got {kind}$"):
+            frame_to_csv(frame, path)
+
+    @pytest.mark.parametrize("path", [True, False])
+    def test_a_bool_is_refused_first(self, path):
+        """True and False are the descriptors 1 and 0 to ``open``.
+
+        A bad schema or delimiter makes a reader or writer that does not
+        check the path first fail before it opens standard input or output.
+        """
+        frame = generate_population(SyntheticConfig(3, 4, 0.0, 20.0, 2.0, (0.2,), 0.5, seed=1))
+        with pytest.raises(TypeError, match="^path must be a str or os.PathLike, got bool$"):
+            ingest_frame(path, schema={"unknown": "x"})
+        with pytest.raises(TypeError, match="^path must be a str or os.PathLike, got bool$"):
+            frame_to_csv(frame, path, delimiter=5)

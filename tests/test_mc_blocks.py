@@ -246,7 +246,11 @@ def test_estimand_columns_hold_each_definition_once(estimands, n_columns):
 
 
 def test_build_context_peaks_at_the_distinct_columns():
-    """A pop3-shaped cell holds its 11 distinct columns and their subtotals, little more."""
+    """A pop3-shaped cell holds its table of 11 distinct columns, in about the room of the columns.
+
+    A SYSTEMATIC context keeps no column matrix; its table and lookup index,
+    built in chunks, must fit where the 11 columns and their subtotals did.
+    """
     frame = generate_population(SyntheticConfig(2000, 40, 0.06, 20.0, 2.0, (0.1, 0.2, 0.3), 0.6,
                                                 seed=3))
     scenario = Scenario(DesignSpec("SI", n_I=200), "SYSTEMATIC", n0=10, estimands=(
@@ -259,6 +263,7 @@ def test_build_context_peaks_at_the_distinct_columns():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    p = ctx.columns.shape[1]
+    assert ctx.columns is None and ctx.col_subtotals is None
+    p = ctx.table.estimates.shape[1]
     assert p == 11
     assert peak <= (frame.n_ssus + frame.n_psus) * p * 8 + (1 << 20)

@@ -215,9 +215,10 @@ class TestRunScenario:
         )
         v_true, _ = approximate_true_variance(frame, scn, seed=78)
         supplied = run_scenario(frame, scn, seed=78, v_true=v_true)
+        # a SYSTEMATIC context's one costly part is its table of every sample
         calls = []
-        build = montecarlo.estimand_columns
-        monkeypatch.setattr(montecarlo, "estimand_columns",
+        build = montecarlo.systematic_table
+        monkeypatch.setattr(montecarlo, "systematic_table",
                             lambda *args: calls.append(args) or build(*args))
         assert run_scenario(frame, scn, seed=78) == supplied
         assert len(calls) == 1
