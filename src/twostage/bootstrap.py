@@ -151,8 +151,7 @@ def bootstrap_variance(reps: ReplicateSet) -> float:
 
 def percentile_ci(reps: ReplicateSet, alpha: float) -> tuple[float, float]:
     """Percentile bootstrap interval from the replicate distribution."""
-    if not 0.0 < alpha < 0.5:
-        raise ValueError("alpha must be in (0, 0.5)")
+    check_alpha(alpha, "alpha")
     lo, hi = np.quantile(reps.theta_star, [alpha, 1.0 - alpha])  # type-7 interpolation
     return float(lo), float(hi)
 
@@ -168,8 +167,7 @@ def studentized_ci(reps: ReplicateSet, base_se: float, alpha: float) -> tuple[fl
         raise ValueError("replicates carry no within-replicate standard errors")
     if not base_se >= 0:
         raise ValueError("base_se must be nonnegative")
-    if not 0.0 < alpha < 0.5:
-        raise ValueError("alpha must be in (0, 0.5)")
+    check_alpha(alpha, "alpha")
     theta_star, se_star = reps.theta_star, reps.se_star
     valid = reps.pivotal
     if not np.all(valid):

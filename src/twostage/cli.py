@@ -28,10 +28,11 @@ import numpy as np
 
 from . import __version__
 from .bootstrap import BootstrapConfig, bootstrap_variance, percentile_ci, resample_wr, studentized_ci
-from .coupling import verify_decay, verify_hajek_bound, verify_sir_si_bound
+from .coupling import (check_bound, check_decay, verify_decay, verify_hajek_bound,
+                       verify_sir_si_bound)
 from .designs import (
-    SECOND_STAGE_METHODS,
     DesignSpec,
+    check_second_stage,
     draw_be,
     draw_si,
     draw_sir,
@@ -58,6 +59,8 @@ from .rng import GENERATOR_ID, substream
 __all__ = ["parse_config", "execute", "main", "RunConfig", "ConfigError"]
 
 COMMANDS = ("gen-pop", "estimate", "bootstrap", "mc", "verify")
+# the config keys of the library's second-stage attributes
+_SECOND_STAGE_KEYS = {"second_stage": "second_stage.method", "n0": "second_stage.n0"}
 
 
 class ConfigError(ValueError):
@@ -230,15 +233,11 @@ def _validate_genpop(payload: dict, seed: int) -> None:
         _as_str(payload["format"], "config.format", ["csv", "tsv"])
 
 
-def _parse_second_stage(obj: Any, path: str, methods: Sequence[str]) -> tuple[str, int | None]:
-    """(method, n0) of a ``{"method", "n0"}`` second stage; a census takes no n0."""
+def _parse_second_stage(obj: Any, path: str) -> tuple[str, int | None]:
+    """(method, n0) of a ``{"method", "n0"}`` second stage, typed but not yet checked."""
     _check_keys(obj, ["method", "n0"], path)
-    method = _as_str(_require(obj, "method", path), f"{path}.method", methods)
-    if method != "CENSUS":
-        return method, _as_int(_require(obj, "n0", path), f"{path}.n0", 1)
-    if obj.get("n0") is not None:
-        raise ConfigError(f"{path}.n0: a census takes no n0")
-    return method, None
+    method = _as_str(_require(obj, "method", path), f"{path}.method")
+    return method, None if obj.get("n0") is None else _as_int(obj["n0"], f"{path}.n0")
 
 
 def _validate_estimate(payload: dict, seed: int, bootstrap: bool = False) -> None:
@@ -253,8 +252,9 @@ def _validate_estimate(payload: dict, seed: int, bootstrap: bool = False) -> Non
     value = (_as_num if kind == "BE" else _as_int)(_require(design, size, "config.design"),
                                                    f"config.design.{size}")
     payload["_design"] = _spec(lambda: DesignSpec(kind, **{size: value}), "config.design")
-    method, _ = _parse_second_stage(_require(payload, "second_stage", "config"),
-                                    "config.second_stage", SECOND_STAGE_METHODS)
+    method, n0 = payload["_second_stage"] = _parse_second_stage(
+        _require(payload, "second_stage", "config"), "config.second_stage")
+    _spec(lambda: check_second_stage(method, n0), "config", _SECOND_STAGE_KEYS)
     ests = _as_list(_require(payload, "estimands", "config"), "config.estimands")
     payload["_estimands"] = [_parse_estimand(e, f"config.estimands[{i}]")
                              for i, e in enumerate(ests)]
@@ -325,7 +325,7 @@ def _validate_mc(payload: dict, seed: int) -> None:
         true_run=_as_int(scn.get("true_run", 20000), f"{path}.true_run"),
     )
     # the Scenario attributes whose config keys have other names
-    keys = {"ci_alpha": "alpha", "second_stage": "second_stage.method", "n0": "second_stage.n0"}
+    keys = {"ci_alpha": "alpha", **_SECOND_STAGE_KEYS}
     payload["_cells"] = []
     for n0 in n0s:
         for design in designs:
@@ -349,43 +349,38 @@ def _parse_verify_frame(obj: Any, path: str) -> dict:
     return dict(obj)
 
 
-def _validate_verify_second_stage(spec: dict, path: str, methods: Sequence[str],
-                                  frames: Sequence[dict]) -> None:
-    """The optional second stage of a check; the default is a census."""
-    if "second_stage" not in spec:
-        return
-    _, n0 = _parse_second_stage(spec["second_stage"], f"{path}.second_stage", methods)
-    if n0 is not None and n0 > 1 and any(f["kind"] != "path" for f in frames):
+def _verify_args(spec: dict, path: str, frames: Sequence[dict], check: Callable,
+                 **args: Any) -> dict:
+    """The library arguments of a bound or the decay (a census by default), checked by ``check``."""
+    args["n_I"] = _as_int(_require(spec, "n_I", path), f"{path}.n_I")
+    args["replicates"] = _as_int(spec.get("replicates", 100000), f"{path}.replicates")
+    args["second_stage"], args["n0"] = _parse_second_stage(
+        spec.get("second_stage", {"method": "CENSUS"}), f"{path}.second_stage")
+    _spec(lambda: check(**args), path, _SECOND_STAGE_KEYS)
+    if (args["n0"] or 0) > 1 and any(f["kind"] != "path" for f in frames):
         raise ConfigError(f"{path}.second_stage.n0: the PSUs of a generated frame "
                           "hold one SSU each, so n0 must be 1")
+    return args
 
 
 def _validate_verify(payload: dict, seed: int) -> None:
+    """Type each check and its frames, then check it: its library arguments go to _args."""
     if not payload.get("bounds") and not payload.get("decay"):
         raise ConfigError("config: verify needs 'bounds' and/or 'decay'")
     for i, spec in enumerate(payload.get("bounds", [])):
         path = f"config.bounds[{i}]"
         _check_keys(spec, ["check", "n_I", "replicates", "frame", "second_stage"], path)
         _as_str(_require(spec, "check", path), f"{path}.check", ["be_si", "sir_si"])
-        _as_int(_require(spec, "n_I", path), f"{path}.n_I", 1)
-        _as_int(spec.get("replicates", 100000), f"{path}.replicates", 1000)
         frame = _parse_verify_frame(_require(spec, "frame", path), f"{path}.frame")
-        # the bounds' denominators need the exact within-PSU variances
-        _validate_verify_second_stage(spec, path, ["CENSUS", "SI"], [frame])
+        spec["_args"] = _verify_args(spec, path, [frame], check_bound)
     decay = payload.get("decay")
     if decay is not None:
         path = "config.decay"
         _check_keys(decay, ["n_I", "m", "replicates", "frames", "second_stage"], path)
-        _as_int(_require(decay, "n_I", path), f"{path}.n_I", 2)
-        if decay.get("m") is not None:
-            _as_int(decay["m"], f"{path}.m", 2)
-        _as_int(decay.get("replicates", 100000), f"{path}.replicates", 1000)
-        frames = _as_list(_require(decay, "frames", path), f"{path}.frames")
-        if len(frames) < 3:
-            raise ConfigError(f"{path}.frames: need at least 3 frames")
-        frames = [_parse_verify_frame(spec, f"{path}.frames[{i}]")
-                  for i, spec in enumerate(frames)]
-        _validate_verify_second_stage(decay, path, SECOND_STAGE_METHODS, frames)
+        frames = [_parse_verify_frame(spec, f"{path}.frames[{i}]") for i, spec in
+                  enumerate(_as_list(_require(decay, "frames", path), f"{path}.frames"))]
+        m = None if decay.get("m") is None else _as_int(decay["m"], f"{path}.m")
+        decay["_args"] = _verify_args(decay, path, frames, partial(check_decay, len(frames)), m=m)
 
 
 _VALIDATORS = {
@@ -500,9 +495,7 @@ def _one_draw_estimates(cfg: RunConfig, frame: Frame):
     """One two-stage draw; returns (draw, yhat, vhat, [(estimand, slice, point entry)])."""
     payload = cfg.payload
     design = payload["_design"]
-    second = payload["second_stage"]
-    method = second["method"]
-    n0 = second.get("n0")
+    method, n0 = payload["_second_stage"]
     estimands = payload["_estimands"]
     rng = substream(cfg.seed, "estimate")
 
@@ -679,12 +672,6 @@ def _write_records(out: str, name: str, records: list[dict], doc: Any) -> list[s
     return [csv_path, json_path]
 
 
-def _second_stage_args(spec: dict) -> dict:
-    """The ``second_stage`` and ``n0`` arguments of a verify check (a census by default)."""
-    second = spec.get("second_stage", {"method": "CENSUS"})
-    return {"second_stage": second["method"], "n0": second.get("n0")}
-
-
 def _run_verify(cfg: RunConfig, out: str, notes: dict, phase: Callable) -> list[str]:
     payload = cfg.payload
     written = []
@@ -694,8 +681,7 @@ def _run_verify(cfg: RunConfig, out: str, notes: dict, phase: Callable) -> list[
         frame = _verify_frame(spec["frame"], cfg.seed, i)
         phase("compute")
         fn = verify_hajek_bound if spec["check"] == "be_si" else verify_sir_si_bound
-        bounds.append(fn(frame, spec["n_I"], spec.get("replicates", 100000), cfg.seed,
-                         **_second_stage_args(spec)).to_dict())
+        bounds.append(fn(frame, seed=cfg.seed, **spec["_args"]).to_dict())
     if bounds:
         phase("write")
         written += _write_records(out, "bounds", bounds, bounds)
@@ -707,10 +693,7 @@ def _run_verify(cfg: RunConfig, out: str, notes: dict, phase: Callable) -> list[
             _verify_frame(spec, cfg.seed, 1000 + i) for i, spec in enumerate(decay["frames"])
         ]
         phase("compute")
-        report = verify_decay(
-            frames, decay["n_I"], decay.get("replicates", 100000), cfg.seed, m=decay.get("m"),
-            **_second_stage_args(decay),
-        )
+        report = verify_decay(frames, seed=cfg.seed, **decay["_args"])
         rows = [r.to_dict() for r in report.rows]
         phase("write")
         written += _write_records(out, "decay", rows, {

@@ -32,7 +32,9 @@ import numpy as np
 
 from .bootstrap import multinomial_weights
 from .designs import (
+    SECOND_STAGE_METHODS,
     DesignSpec,
+    check_second_stage,
     second_stage_estimates,
     si_order,
     si_order_excluding,
@@ -52,6 +54,8 @@ __all__ = [
     "verify_hajek_bound",
     "verify_sir_si_bound",
     "verify_decay",
+    "check_bound",
+    "check_decay",
 ]
 
 
@@ -59,6 +63,39 @@ __all__ = [
 # most this many (replicates x n_I) cells, so memory never grows with the
 # replicate count
 _BLOCK_CELLS = 1 << 13
+_MIN_REPLICATES = 1000  # per bound, and per decay frame
+
+
+def _check_verify(n_I: int, least_n_I: int, replicates: int, second_stage: str, n0: int | None,
+                  methods: Sequence[str]) -> None:
+    """The rules that bounds and decay share; each message starts with the argument at fault."""
+    if n_I < least_n_I:
+        raise ValueError(f"n_I must be >= {least_n_I}")
+    if replicates < _MIN_REPLICATES:
+        raise ValueError(f"replicates must be >= {_MIN_REPLICATES}")
+    check_second_stage(second_stage, n0, methods)
+
+
+def check_bound(n_I: int, replicates: int, second_stage: str = "CENSUS",
+                n0: int | None = None) -> None:
+    """Every frame-free rule of a bound; its denominator needs exact V_i (a CENSUS or SI)."""
+    _check_verify(n_I, 1, replicates, second_stage, n0, ("CENSUS", "SI"))
+
+
+def check_decay(n_frames: int, n_I: int, replicates: int, m: int | None = None,
+                second_stage: str = "CENSUS", n0: int | None = None) -> None:
+    """Every frame-free rule of the decay: s_Z^2 needs n_I >= 2 draws, a resample m >= 2."""
+    if n_frames < 3:
+        raise ValueError(f"frames must be a scaling family of at least 3 frames, got {n_frames}")
+    if m is not None and m < 2:
+        raise ValueError("m must be >= 2")
+    _check_verify(n_I, 2, replicates, second_stage, n0, SECOND_STAGE_METHODS)
+
+
+def _check_n_I(n_I: int, n_psus: int, op: str = "<") -> None:
+    """Refuse n_I outside 1 <= n_I < N_I, or 1 <= n_I <= N_I with op "<=" (the SIR/SI draw)."""
+    if not 1 <= n_I < n_psus + (op == "<="):
+        raise ValueError(f"n_I must satisfy 1 <= n_I {op} N_I, got n_I={n_I}, N_I={n_psus}")
 
 
 def _second_stage(frame: Frame, method: str, n0: int | None, cols) -> Callable:
@@ -70,6 +107,7 @@ def _second_stage(frame: Frame, method: str, n0: int | None, cols) -> Callable:
     :func:`second_stage_estimates` on every variable of the frame, before
     keeping ``cols``.
     """
+    check_second_stage(method, n0)
     if method == "CENSUS":
         sub = frame.subtotals[:, cols]
         return lambda psus, rng: sub[psus]
@@ -84,8 +122,6 @@ def _second_stage(frame: Frame, method: str, n0: int | None, cols) -> Callable:
 
 def _draw_be_si(n_psus: int, n_I: int, rng: np.random.Generator, values: Callable):
     """One BE/SI coupled draw, in stream order: (be, si, be_vals, si_vals)."""
-    if not 1 <= n_I < n_psus:
-        raise ValueError(f"need 1 <= n_I < N_I, got n_I={n_I}, N_I={n_psus}")
     be = np.flatnonzero(rng.random(n_psus) < n_I / n_psus).astype(np.int64)
     n_b = be.size
     if n_b < n_I:
@@ -122,8 +158,6 @@ def _draw_sir_si(n_psus: int, n_I: int, rng: np.random.Generator):
     ``np.unique`` returns them), and ``complement`` is the SI completion
     from the PSUs never drawn, one per repeat draw.
     """
-    if not 1 <= n_I <= n_psus:
-        raise ValueError(f"need 1 <= n_I <= N_I, got n_I={n_I}, N_I={n_psus}")
     wr = rng.integers(0, n_psus, size=n_I)
     order = wr.argsort(kind="stable")
     ranked = wr[order]
@@ -178,6 +212,7 @@ def coupled_be_si(
     are shared on the intersection.
     """
     N = frame.n_psus
+    _check_n_I(n_I, N)
     cols = np.arange(frame.n_vars) if var_indices is None else np.asarray(var_indices)
     values = _second_stage(frame, second_stage, n0, cols)
     be, si, be_vals, si_vals = _draw_be_si(N, n_I, rng, values)
@@ -227,7 +262,9 @@ def coupled_sir_si(
     first occurrence's.
     """
     N = frame.n_psus
+    _check_n_I(n_I, N, "<=")
     cols = np.arange(frame.n_vars) if var_indices is None else np.asarray(var_indices)
+    values = _second_stage(frame, second_stage, n0, cols)
 
     wr, uniq, first_pos, complement = _draw_sir_si(N, n_I, rng)
     by_first = np.argsort(first_pos, kind="stable")
@@ -235,7 +272,6 @@ def coupled_sir_si(
     multiplicity = np.unique(wr, return_counts=True)[1][by_first]
     si = np.concatenate([distinct, complement])
 
-    values = _second_stage(frame, second_stage, n0, cols)
     x_vals = values(wr, rng)
     z_vals = x_vals.copy()
     if complement.size:
@@ -265,26 +301,13 @@ class BoundReport:
         return self.lhs_estimate <= self.rhs_bound + 3.0 * self.lhs_se
 
     def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "n_psus": self.n_psus,
-            "n_I": self.n_I,
-            "replicates": self.replicates,
-            "lhs_estimate": self.lhs_estimate,
-            "lhs_se": self.lhs_se,
-            "rhs_bound": self.rhs_bound,
-            "passed": self.passed,
-        }
+        return {**self.__dict__, "passed": self.passed}
 
 
 def _exact_second_stage(frame: Frame, second_stage: str, n0: int | None, var: int):
     if second_stage == "CENSUS":
         return np.zeros(frame.n_psus)
-    if second_stage == "SI":
-        return si_second_stage_variances(frame, n0, var)
-    raise ValueError(
-        "bound verification needs a second stage with known variance (CENSUS or SI)"
-    )
+    return si_second_stage_variances(frame, n0, var)
 
 
 def _bound_report(
@@ -301,8 +324,6 @@ def _bound_report(
     ``squares`` draws the (replicates,) squared statistics; the denominator
     and the bound are closed forms, evaluated only when needed.
     """
-    if replicates < 1000:
-        raise ValueError("need at least 1000 replicates")
     denom = denominator()
     if denom == 0.0:
         raise ValueError("degenerate denominator: all subtotals equal and V_i = 0")
@@ -328,7 +349,9 @@ def verify_hajek_bound(
     numerator is averaged over coupled replicates, replicate b drawn from
     substream (seed, "be-si", b).
     """
+    check_bound(n_I, replicates, second_stage, n0)
     N = frame.n_psus
+    _check_n_I(n_I, N)
     sub = frame.subtotals[:, var_index]
     mu = float(sub.mean())
 
@@ -414,7 +437,9 @@ def verify_sir_si_bound(
 
     Replicate b draws from substream (seed, "sir-si", b).
     """
+    check_bound(n_I, replicates, second_stage, n0)
     N = frame.n_psus
+    _check_n_I(n_I, N, "<=")
 
     def denominator() -> float:
         v_i = _exact_second_stage(frame, second_stage, n0, var_index)
@@ -487,11 +512,9 @@ def verify_decay(
     m*E(Zbar*_m-Xbar*_m)^2 with the same multinomial weights applied to the
     coupled z/x vectors.
     """
-    if len(frames) < 3:
-        raise ValueError("need a scaling family of at least 3 frames")
+    check_decay(len(frames), n_I, replicates, m, second_stage, n0)
     for fr in frames:
-        if not n_I < fr.n_psus:
-            raise ValueError("decay study needs n_I < N_I for every frame")
+        _check_n_I(n_I, fr.n_psus)
     m = n_I if m is None else m
 
     rows = []
@@ -507,17 +530,6 @@ def verify_decay(
             stats[lo:hi, 2] = [((di @ zi - di @ xi) / m) ** 2 for di, zi, xi in zip(d, z, x)]
         means = stats.mean(axis=0)
         ses = stats.std(axis=0, ddof=1) / math.sqrt(replicates)
-        rows.append(
-            DecayRow(
-                fr.n_psus,
-                n_I,
-                m,
-                n_I * means[0],
-                n_I * ses[0],
-                means[1],
-                ses[1],
-                m * means[2],
-                m * ses[2],
-            )
-        )
+        rows.append(DecayRow(fr.n_psus, n_I, m, n_I * means[0], n_I * ses[0], means[1], ses[1],
+                             m * means[2], m * ses[2]))
     return DecayReport(rows)

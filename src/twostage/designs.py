@@ -35,6 +35,7 @@ __all__ = [
     "systematic_positions",
     "SystematicTable",
     "systematic_table",
+    "check_second_stage",
     "psu_subtotal_estimates",
     "second_stage_estimates",
 ]
@@ -93,6 +94,17 @@ class DesignSpec:
             for label in stratum_sizes:
                 if label not in self.allocations:
                     raise ValueError(f"missing allocation for stratum {label!r}")
+
+
+def check_second_stage(method: str, n0: int | None,
+                       methods: Sequence[str] = SECOND_STAGE_METHODS) -> None:
+    """Refuse a method outside ``methods``, an n0 with a census and one below 1 without."""
+    if method not in methods:
+        raise ValueError(f"second_stage must be one of {list(methods)}, got {method!r}")
+    if method == "CENSUS" and n0 is not None:
+        raise ValueError("n0 must not be given for a census second stage")
+    if method != "CENSUS" and (n0 is None or n0 < 1):
+        raise ValueError(f"n0 must be >= 1 under {method} subsampling, got {n0}")
 
 
 @dataclass
@@ -665,10 +677,9 @@ def second_stage_estimates(
     exact subtotals (zero variance estimates) and, like k = 0, draws
     nothing.
     """
+    check_second_stage(method, n0)
     psu_indices = np.asarray(psu_indices, dtype=np.int64)
     n_rows, k = psu_indices.shape
-    if method not in SECOND_STAGE_METHODS:
-        raise ValueError(f"unknown second-stage method: {method!r}")
     if with_vhat and method == "SYSTEMATIC":
         raise ValueError("no unbiased within-PSU variance under systematic sampling")
     if method == "CENSUS" or k == 0:

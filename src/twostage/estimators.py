@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .designs import DesignSpec, FirstStageDraw
+from .designs import DesignSpec, FirstStageDraw, _check_n0
 from .frame import Frame
 
 __all__ = [
@@ -236,9 +236,7 @@ def theoretical_variance(
 
 def si_second_stage_variances(frame: Frame, n0: int, var_index: int) -> np.ndarray:
     """Exact V_i of one variable for an SI second stage of size n0: (N_i^2/n0)(1 - n0/N_i) S_i^2."""
-    sizes = frame.sizes.astype(np.float64)
-    if np.any(frame.sizes < n0):
-        raise ValueError("n0 exceeds the size of some PSU")
+    sizes = _check_n0(frame, np.arange(frame.n_psus), n0).astype(np.float64)
     return sizes**2 / n0 * (1.0 - n0 / sizes) * frame.within_psu_variances[:, var_index]
 
 

@@ -46,11 +46,12 @@ from .bootstrap import (
     studentized_ci,
 )
 from .designs import (  # noqa: F401 - si_order stays importable here for perfbench's tracer test
-    SECOND_STAGE_METHODS,
     DesignSpec,
     FirstStageDraw,
     SystematicTable,
+    _check_n0,
     _stratified_si_orders,
+    check_second_stage,
     resolve_si_orders,
     second_stage_estimates,
     si_draws,
@@ -125,14 +126,7 @@ class Scenario:
         if not self.estimands:
             raise ValueError("estimands must be nonempty")
         check_alpha(self.ci_alpha, "ci_alpha")
-        if self.second_stage not in SECOND_STAGE_METHODS:
-            raise ValueError(f"second_stage must be one of {list(SECOND_STAGE_METHODS)}, "
-                             f"got {self.second_stage!r}")
-        if self.second_stage == "CENSUS" and self.n0 is not None:
-            raise ValueError("n0 must not be given for a census second stage")
-        if self.second_stage != "CENSUS" and (self.n0 is None or self.n0 < 1):
-            raise ValueError(f"n0 must be >= 1 under {self.second_stage} subsampling, "
-                             f"got {self.n0}")
+        check_second_stage(self.second_stage, self.n0)
         kind = self.first_stage.kind
         if kind == "SI":
             check_variance_methods(self.variance_methods, self.second_stage, _SI_VARIANCE_METHODS)
@@ -165,8 +159,8 @@ class Scenario:
         strata = (None if self.first_stage.kind == "SI"
                   else {k: v.size for k, v in frame.stratum_psu_indices().items()})
         self.first_stage.validate_for(frame.n_psus, strata)
-        if self.n0 is not None and np.any(frame.sizes < self.n0):
-            raise ValueError("n0 exceeds the smallest PSU size")
+        if self.n0 is not None:
+            _check_n0(frame, np.arange(frame.n_psus), self.n0)
 
 
 @dataclass

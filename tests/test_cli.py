@@ -17,6 +17,7 @@ from twostage import (
     verify_sir_si_bound,
 )
 import twostage.cli as cli
+import twostage.coupling as coupling
 from twostage.cli import ConfigError, main, parse_config
 from conftest import multi_ssu_frame
 
@@ -80,6 +81,33 @@ FRAME_FREE_FAULTS = {
         {"first_stage": {"kind": "SI", "n_I": [1]}, "variance_methods": ["SIMPLIFIED"]},
         {"first_stage": DesignSpec("SI", n_I=1), "variance_methods": ("SIMPLIFIED",)},
         "first_stage.n_I"),
+}
+# faults of a verify check that need no frame: (check, config changes, the same changes to
+# the library call, the config key the CLI names, the attribute the library names); a decay
+# "frames" change is the number of frames
+VERIFY_FAULTS = {
+    "be-si-n_I-0": ("be_si", {"n_I": 0}, {"n_I": 0}, "bounds[0].n_I", "n_I"),
+    "sir-si-replicates-999": ("sir_si", {"replicates": 999}, {"replicates": 999},
+                              "bounds[0].replicates", "replicates"),
+    "be-si-systematic": ("be_si", {"second_stage": {"method": "SYSTEMATIC", "n0": 1}},
+                         {"second_stage": "SYSTEMATIC", "n0": 1},
+                         "bounds[0].second_stage.method", "second_stage"),
+    "sir-si-si-without-n0": ("sir_si", {"second_stage": {"method": "SI"}},
+                             {"second_stage": "SI"}, "bounds[0].second_stage.n0", "n0"),
+    "be-si-census-with-n0": ("be_si", {"second_stage": {"method": "CENSUS", "n0": 1}},
+                             {"n0": 1}, "bounds[0].second_stage.n0", "n0"),
+    "decay-two-frames": ("decay", {"frames": 2}, {"frames": 2}, "decay.frames", "frames"),
+    "decay-n_I-1": ("decay", {"n_I": 1}, {"n_I": 1}, "decay.n_I", "n_I"),
+    "decay-m-0": ("decay", {"m": 0}, {"m": 0}, "decay.m", "m"),
+    "decay-m-1": ("decay", {"m": 1}, {"m": 1}, "decay.m", "m"),
+    "decay-replicates-1": ("decay", {"replicates": 1}, {"replicates": 1}, "decay.replicates",
+                           "replicates"),
+    "decay-unknown-method": ("decay", {"second_stage": {"method": "PPS", "n0": 2}},
+                             {"second_stage": "PPS", "n0": 2}, "decay.second_stage.method",
+                             "second_stage"),
+    "decay-systematic-n0-0": ("decay", {"second_stage": {"method": "SYSTEMATIC", "n0": 0}},
+                              {"second_stage": "SYSTEMATIC", "n0": 0}, "decay.second_stage.n0",
+                              "n0"),
 }
 
 
@@ -430,8 +458,8 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("spec, message", [
         ({"method": "SYSTEMATIC", "n0": 1}, "bounds[0].second_stage.method"),
-        ({"method": "SI"}, "bounds[0].second_stage.n0: missing required key"),
-        ({"method": "CENSUS", "n0": 2}, "a census takes no n0"),
+        ({"method": "SI"}, "bounds[0].second_stage.n0: must be >= 1 under SI subsampling"),
+        ({"method": "CENSUS", "n0": 2}, "n0: must not be given for a census second stage"),
         ({"method": "SI", "n0": 2}, "n0 must be 1"),
         ({"method": "SI", "n0": 1, "n1": 2}, "n1"),
     ])
@@ -600,6 +628,35 @@ class TestErrorReporting:
                                 {"population": POP, "scenario": {**MC_SCENARIO, **config}})
         assert message.startswith(f"config.scenario.{key}: ")
         assert calls == []
+
+    @pytest.mark.parametrize("check, config, changes, key, attribute", VERIFY_FAULTS.values(),
+                             ids=list(VERIFY_FAULTS))
+    def test_frame_free_verify_fault_fails_before_any_frame(
+        self, tmp_path, capsys, monkeypatch, check, config, changes, key, attribute
+    ):
+        """The library refuses the check before it draws, and the CLI before it reads a frame."""
+        draws = []
+        monkeypatch.setattr(coupling, "substreams", lambda *a, **k: draws.append(a) or iter(()))
+        changes = {"n_I": 5, "replicates": 1000, "seed": 1, **changes}
+        frames = [multi_ssu_frame(n, 8) for n in (20, 40, 80, 160)[:changes.pop("frames", 3)]]
+        with pytest.raises(ValueError) as refusal:
+            if check == "decay":
+                verify_decay(frames, **changes)
+            else:
+                fn = verify_hajek_bound if check == "be_si" else verify_sir_si_bound
+                fn(frames[0], **changes)
+        assert str(refusal.value).startswith(f"{attribute} ")
+        assert draws == []
+        # a frame that does not exist: exit 2 shows that no frame was read
+        missing = {"kind": "path", "path": str(tmp_path / "missing.csv")}
+        if check == "decay":
+            config = {**config, "frames": [missing] * config.get("frames", 3)}
+            payload = {"decay": {"n_I": 5, "replicates": 1000, **config}}
+        else:
+            payload = {"bounds": [{"check": check, "n_I": 5, "replicates": 1000,
+                                   "frame": missing, **config}]}
+        message = _config_error(tmp_path, capsys, "verify", payload)
+        assert message.startswith(f"config.{key}: ")
 
     @pytest.mark.parametrize("command, changes, message", [
         # an integer path would be read as an open file descriptor

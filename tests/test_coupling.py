@@ -16,6 +16,7 @@ from twostage import (
     verify_hajek_bound,
     verify_sir_si_bound,
 )
+import twostage.coupling as coupling
 from twostage.bootstrap import multinomial_weights
 from twostage.estimators import expansion_totals, si_second_stage_variances
 from conftest import multi_ssu_frame, scalar_frame
@@ -245,6 +246,71 @@ class TestDecay:
         report = verify_decay(frames, 5, 1000, seed=63)
         with pytest.raises(ValueError):
             report.strictly_decreasing("nope")
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"n_I": 1}, r"^n_I must be >= 2$"),  # s^2 of one draw is NaN
+        ({"m": 0}, r"^m must be >= 2$"),
+        ({"m": 1}, r"^m must be >= 2$"),
+        ({"replicates": 1}, r"^replicates must be >= 1000$"),
+    ])
+    def test_frame_free_faults_rejected(self, changes, message):
+        frames = self._family([100, 400, 1600])
+        with pytest.raises(ValueError, match=message):
+            verify_decay(frames, **{"n_I": 5, "replicates": 1000, "seed": 64, **changes})
+
+
+class TestLibraryRules:
+    """The coupled draws and the verify checks refuse an input before they draw."""
+
+    @pytest.mark.parametrize("method, n0, message", [
+        ("SI", None, r"^n0 must be >= 1 under SI subsampling, got None$"),
+        ("SI", 0, r"^n0 must be >= 1 under SI subsampling, got 0$"),
+        ("SYSTEMATIC", None, r"^n0 must be >= 1 under SYSTEMATIC subsampling, got None$"),
+        ("CENSUS", 3, r"^n0 must not be given for a census second stage$"),
+    ])
+    @pytest.mark.parametrize("draw", [coupled_be_si, coupled_sir_si])
+    def test_coupled_draws_check_the_second_stage(self, draw, method, n0, message):
+        frame = multi_ssu_frame(20, 3)
+        with pytest.raises(ValueError, match=message):
+            draw(frame, 4, substream(65, "t"), method, n0)
+
+    @pytest.mark.parametrize("method, n0, message", [
+        ("SI", None, r"^n0 must be >= 1 under SI subsampling, got None$"),
+        ("SI", 0, r"^n0 must be >= 1 under SI subsampling, got 0$"),
+        ("CENSUS", 3, r"^n0 must not be given for a census second stage$"),
+        ("SYSTEMATIC", 2, r"^second_stage must be one of \['CENSUS', 'SI'\], got 'SYSTEMATIC'$"),
+    ])
+    @pytest.mark.parametrize("verify", [verify_hajek_bound, verify_sir_si_bound])
+    def test_bounds_check_the_second_stage(self, verify, method, n0, message):
+        with pytest.raises(ValueError, match=message):
+            verify(multi_ssu_frame(20, 3), 4, 1000, 66, second_stage=method, n0=n0)
+
+    @pytest.mark.parametrize("method, n0", [("SI", 0), ("SYSTEMATIC", None), ("CENSUS", 2)])
+    def test_decay_checks_the_second_stage(self, method, n0):
+        frames = [multi_ssu_frame(n, 4) for n in (20, 40, 80)]
+        with pytest.raises(ValueError, match=r"^n0 must"):
+            verify_decay(frames, 4, 1000, 67, second_stage=method, n0=n0)
+
+    @pytest.mark.parametrize("verify, n_I, message", [
+        # subtotals that differ: the sample size, not the frame, is at fault
+        (verify_hajek_bound, 10, r"^n_I must satisfy 1 <= n_I < N_I, got n_I=10, N_I=10$"),
+        (verify_sir_si_bound, 11, r"^n_I must satisfy 1 <= n_I <= N_I, got n_I=11, N_I=10$"),
+    ])
+    def test_sample_size_above_the_frame_rejected_before_the_denominator(
+        self, monkeypatch, verify, n_I, message
+    ):
+        calls = []
+        monkeypatch.setattr(coupling, "_exact_second_stage", lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match=message):
+            verify(scalar_frame(np.arange(1.0, 11.0)), n_I, 1000, 68)
+        assert calls == []
+
+    @pytest.mark.parametrize("draw, n_I, op", [
+        (coupled_be_si, 5, "<"), (coupled_be_si, 0, "<"), (coupled_sir_si, 6, "<="),
+    ])
+    def test_coupled_draws_check_the_sample_size(self, draw, n_I, op):
+        with pytest.raises(ValueError, match=rf"^n_I must satisfy 1 <= n_I {op} N_I, "):
+            draw(scalar_frame(np.arange(1.0, 6.0)), n_I, substream(69, "t"))
 
 
 def _sir_si_ratio_exact(y, n):

@@ -88,7 +88,7 @@ def test_sir_si_bound_matches_the_replicate_loop(case, block_cells):
     make, n_I, var, method, n0 = SIR_SI[case]
     frame = make()
     if method == "SYSTEMATIC":  # no closed-form V_i: the bound itself refuses
-        with pytest.raises(ValueError, match="known variance"):
+        with pytest.raises(ValueError, match=r"^second_stage must be one of \['CENSUS', 'SI'\]"):
             verify_sir_si_bound(frame, n_I, 1000, 72, var, method, n0)
         return
     got = verify_sir_si_bound(frame, n_I, 1000, 72, var, method, n0).to_dict()
@@ -99,8 +99,8 @@ def test_sir_si_bound_matches_the_replicate_loop(case, block_cells):
 def test_decay_matches_the_replicate_loop(case, block_cells):
     make, n_I, var, method, n0, m = DECAY[case]
     frames = make()
-    got = verify_decay(frames, n_I, 301, 73, m=m, var_index=var, second_stage=method, n0=n0)
-    want = oracles.decay_loop(frames, n_I, 301, 73, m=m, var=var, method=method, n0=n0)
+    got = verify_decay(frames, n_I, 1001, 73, m=m, var_index=var, second_stage=method, n0=n0)
+    want = oracles.decay_loop(frames, n_I, 1001, 73, m=m, var=var, method=method, n0=n0)
     assert [r.to_dict() for r in got.rows] == want
 
 

@@ -276,6 +276,19 @@ class TestSecondStage:
         with pytest.raises(ValueError, match="n0 exceeds"):
             _subsample(frame, np.array([0]), "SI", 5, substream(26, "ss"))
 
+    @pytest.mark.parametrize("method, n0, message", [
+        ("SI", None, r"^n0 must be >= 1 under SI subsampling, got None$"),
+        ("SI", 0, r"^n0 must be >= 1 under SI subsampling, got 0$"),
+        ("SYSTEMATIC", None, r"^n0 must be >= 1 under SYSTEMATIC subsampling, got None$"),
+        ("SYSTEMATIC", 0, r"^n0 must be >= 1 under SYSTEMATIC subsampling, got 0$"),
+        ("CENSUS", 3, r"^n0 must not be given for a census second stage$"),
+        ("PPS", 2, r"^second_stage must be one of \['SI', 'SYSTEMATIC', 'CENSUS'\], got 'PPS'$"),
+    ])
+    def test_invalid_second_stage_rejected(self, method, n0, message):
+        frame = _one_hot_psu(6)
+        with pytest.raises(ValueError, match=message):
+            _subsample(frame, np.array([0]), method, n0, substream(26, "ss"))
+
 
 class TestVectorizedSubsampling:
     def test_si_estimates_unbiased(self):

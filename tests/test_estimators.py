@@ -186,6 +186,12 @@ class TestSecondStageVariances:
             expected = 16 / 2 * (1 - 0.5) * np.var(y, ddof=1)
             assert v[i] == pytest.approx(expected)
 
+    def test_n0_above_a_psu_rejected(self):
+        # the message of every second stage that checks n0 against the PSU sizes
+        frame = Frame(np.arange(7.0)[:, None], np.array([4, 3]))
+        with pytest.raises(ValueError, match="^n0 exceeds the size of a selected PSU$"):
+            si_second_stage_variances(frame, 4, 0)
+
 
 class TestPluginEstimands:
     def test_ratio_trivials(self):

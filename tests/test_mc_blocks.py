@@ -173,15 +173,16 @@ def test_second_stage_matches_the_one_gather_engine(method, with_vhat, p, n0, k)
     columns = np.random.default_rng(p).normal(size=(frame.n_ssus, p)) * 1e3
     subtotals = np.add.reduceat(columns, frame.offsets[:-1], axis=0)
     with_vhat = with_vhat and n0 > 1
+    size = None if method == "CENSUS" else n0  # a census takes no n0
     for rows in (1, 3):
         psus = np.stack([np.resize(np.roll([39, 3, 3, 17, 0, 39, 25], b), k)
                          for b in range(rows)])
         new_rngs = [substream(4, method, p, n0, b) for b in range(rows)]
         old_rngs = [substream(4, method, p, n0, b) for b in range(rows)]
         before = [_state(rng) for rng in new_rngs]
-        new = second_stage_estimates(frame, columns, subtotals, psus, method, n0, new_rngs,
+        new = second_stage_estimates(frame, columns, subtotals, psus, method, size, new_rngs,
                                      with_vhat=with_vhat)
-        old = [oracles.row_estimates(frame, columns, subtotals, row, method, n0, rng,
+        old = [oracles.row_estimates(frame, columns, subtotals, row, method, size, rng,
                                      with_vhat=with_vhat) for row, rng in zip(psus, old_rngs)]
         _same(new[0], np.stack([y for y, _ in old]).reshape(rows, k, p))
         if with_vhat:

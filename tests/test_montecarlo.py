@@ -145,6 +145,13 @@ class TestScenarioValidation:
         assert calls == []
 
 
+    def test_n0_above_a_psu_is_refused_by_validation(self):
+        scn = Scenario(DesignSpec("SI", n_I=2), "SI", 4, replicates=100, true_run=1000)
+        frame = multi_ssu_frame(20, 5)  # PSUs of 3-6 SSUs
+        with pytest.raises(ValueError, match="^n0 exceeds the size of a selected PSU$"):
+            scn.validate(frame)
+        Scenario(DesignSpec("SI", n_I=2), "SI", 3, replicates=100, true_run=1000).validate(frame)
+
     def test_reference_run_size_is_checked_when_v_true_is_supplied(self, frame_1to5):
         scn = Scenario(DesignSpec("SI", n_I=5), "CENSUS", replicates=100, true_run=999)
         with pytest.raises(ValueError, match="^true_run must be >= 1000$"):
