@@ -64,6 +64,8 @@ __all__ = [
 # replicate count
 _BLOCK_CELLS = 1 << 13
 _MIN_REPLICATES = 1000  # per bound, and per decay frame
+# a check's largest array, the decay's (replicates, 3) statistics, takes 240 MB at this ceiling
+_MAX_REPLICATES = 10**7
 
 
 def _check_verify(n_I: int, least_n_I: int, replicates: int, second_stage: str, n0: int | None,
@@ -73,6 +75,8 @@ def _check_verify(n_I: int, least_n_I: int, replicates: int, second_stage: str, 
         raise ValueError(f"n_I must be >= {least_n_I}")
     if replicates < _MIN_REPLICATES:
         raise ValueError(f"replicates must be >= {_MIN_REPLICATES}")
+    if replicates > _MAX_REPLICATES:
+        raise ValueError(f"replicates must be <= {_MAX_REPLICATES}")
     check_second_stage(second_stage, n0, methods)
 
 
@@ -310,27 +314,21 @@ def _exact_second_stage(frame: Frame, second_stage: str, n0: int | None, var: in
     return si_second_stage_variances(frame, n0, var)
 
 
-def _bound_report(
-    check: str,
-    frame: Frame,
-    n_I: int,
-    replicates: int,
-    denominator: Callable[[], float],
-    squares: Callable[[], np.ndarray],
-    rhs: Callable[[], float],
-) -> BoundReport:
-    """Monte Carlo ratio E(statistic^2) / denominator against its bound ``rhs``.
-
-    ``squares`` draws the (replicates,) squared statistics; the denominator
-    and the bound are closed forms, evaluated only when needed.
-    """
-    denom = denominator()
+def _check_denominator(denom: float) -> float:
+    """The closed-form denominator of a bound, refused at zero before any draw."""
     if denom == 0.0:
         raise ValueError("degenerate denominator: all subtotals equal and V_i = 0")
-    d2 = squares()
+    return denom
+
+
+def _bound_report(
+    check: str, frame: Frame, n_I: int, denom: float, d2: np.ndarray, rhs: float
+) -> BoundReport:
+    """Monte Carlo ratio E(statistic^2) / denom of the (replicates,) squared statistics d2
+    against its bound ``rhs``."""
     lhs = float(d2.mean()) / denom
-    se = float(d2.std(ddof=1)) / math.sqrt(replicates) / denom
-    return BoundReport(check, frame.n_psus, n_I, replicates, lhs, se, rhs())
+    se = float(d2.std(ddof=1)) / math.sqrt(d2.size) / denom
+    return BoundReport(check, frame.n_psus, n_I, d2.size, lhs, se, rhs)
 
 
 def verify_hajek_bound(
@@ -354,23 +352,18 @@ def verify_hajek_bound(
     _check_n_I(n_I, N)
     sub = frame.subtotals[:, var_index]
     mu = float(sub.mean())
-
-    def denominator() -> float:
-        f = n_I / N
-        v_i = _exact_second_stage(frame, second_stage, n0, var_index)
-        return f * float(v_i.sum()) + f * (1.0 - f) * float(np.sum((sub - mu) ** 2))
-
-    def squares() -> np.ndarray:
-        # the sums run over ragged samples, so each replicate sums its own
-        values = _second_stage(frame, second_stage, n0, [var_index])
-        d2 = np.empty(replicates)
-        for b, rng in enumerate(substreams(seed, "be-si", indices=range(replicates))):
-            _, _, be_vals, si_vals = _draw_be_si(N, n_I, rng, values)
-            d2[b] = _delta2(be_vals[:, 0], si_vals[:, 0], mu) ** 2
-        return d2
-
-    return _bound_report("be_si", frame, n_I, replicates, denominator, squares,
-                         lambda: math.sqrt(1.0 / n_I + 1.0 / (N - n_I)))
+    f = n_I / N
+    v_i = _exact_second_stage(frame, second_stage, n0, var_index)
+    denom = _check_denominator(
+        f * float(v_i.sum()) + f * (1.0 - f) * float(np.sum((sub - mu) ** 2)))
+    # the sums run over ragged samples, so each replicate sums its own
+    values = _second_stage(frame, second_stage, n0, [var_index])
+    d2 = np.empty(replicates)
+    for b, rng in enumerate(substreams(seed, "be-si", indices=range(replicates))):
+        _, _, be_vals, si_vals = _draw_be_si(N, n_I, rng, values)
+        d2[b] = _delta2(be_vals[:, 0], si_vals[:, 0], mu) ** 2
+    return _bound_report("be_si", frame, n_I, denom, d2,
+                         math.sqrt(1.0 / n_I + 1.0 / (N - n_I)))
 
 
 def _sir_si_blocks(
@@ -440,22 +433,16 @@ def verify_sir_si_bound(
     check_bound(n_I, replicates, second_stage, n0)
     N = frame.n_psus
     _check_n_I(n_I, N, "<=")
-
-    def denominator() -> float:
-        v_i = _exact_second_stage(frame, second_stage, n0, var_index)
-        return theoretical_variance(frame, DesignSpec("SIR", n_I=n_I), v_i, var_index)
-
-    def squares() -> np.ndarray:
-        d2 = np.empty(replicates)
-        for lo, x, z, _ in _sir_si_blocks(frame, n_I, replicates, (seed, "sir-si"),
-                                          second_stage, n0, var_index):
-            # squared as Python floats, as each replicate's statistic was
-            wr_minus_si = N * x.mean(axis=1) - N * z.mean(axis=1)
-            d2[lo:lo + len(x)] = [v ** 2 for v in wr_minus_si.tolist()]
-        return d2
-
-    return _bound_report("sir_si", frame, n_I, replicates, denominator, squares,
-                         lambda: (n_I - 1.0) / (N - 1.0))
+    v_i = _exact_second_stage(frame, second_stage, n0, var_index)
+    denom = _check_denominator(
+        theoretical_variance(frame, DesignSpec("SIR", n_I=n_I), v_i, var_index))
+    d2 = np.empty(replicates)
+    for lo, x, z, _ in _sir_si_blocks(frame, n_I, replicates, (seed, "sir-si"),
+                                      second_stage, n0, var_index):
+        # squared as Python floats, as each replicate's statistic was
+        wr_minus_si = N * x.mean(axis=1) - N * z.mean(axis=1)
+        d2[lo:lo + len(x)] = [v ** 2 for v in wr_minus_si.tolist()]
+    return _bound_report("sir_si", frame, n_I, denom, d2, (n_I - 1.0) / (N - 1.0))
 
 
 @dataclass

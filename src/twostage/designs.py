@@ -98,12 +98,16 @@ class DesignSpec:
 
 def check_second_stage(method: str, n0: int | None,
                        methods: Sequence[str] = SECOND_STAGE_METHODS) -> None:
-    """Refuse a method outside ``methods``, an n0 with a census and one below 1 without."""
+    """Refuse a method outside ``methods``, an n0 with a census and, without one, an n0
+    that is not an integer >= 1 (a bool is not an integer here)."""
     if method not in methods:
         raise ValueError(f"second_stage must be one of {list(methods)}, got {method!r}")
-    if method == "CENSUS" and n0 is not None:
-        raise ValueError("n0 must not be given for a census second stage")
-    if method != "CENSUS" and (n0 is None or n0 < 1):
+    if method == "CENSUS":
+        if n0 is not None:
+            raise ValueError("n0 must not be given for a census second stage")
+    elif isinstance(n0, bool) or not isinstance(n0, (int, np.integer, type(None))):
+        raise ValueError(f"n0 must be an integer under {method} subsampling, got {n0!r}")
+    elif n0 is None or n0 < 1:
         raise ValueError(f"n0 must be >= 1 under {method} subsampling, got {n0}")
 
 

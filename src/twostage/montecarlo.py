@@ -94,11 +94,11 @@ _BLOCK = 64
 
 _SI_VARIANCE_METHODS = ("UNBIASED", "SIMPLIFIED", "WITH_REPLACEMENT")
 
-_FAMILY = {
-    "UNBIASED": "v_unb",
-    "SIMPLIFIED": "v_simp",
-    "WITH_REPLACEMENT": "v_wr",
-    STRAT_WR: "v_stwr",
+# each variance method's two report families: its variance and its normality-based interval
+_FAMILIES = {
+    method: (f"v_{short}", f"ci_normal_{short}")
+    for method, short in (("UNBIASED", "unb"), ("SIMPLIFIED", "simp"),
+                          ("WITH_REPLACEMENT", "wr"), (STRAT_WR, "stwr"))
 }
 
 
@@ -125,6 +125,9 @@ class Scenario:
             raise ValueError("true_run must be >= 1000")
         if not self.estimands:
             raise ValueError("estimands must be nonempty")
+        labels = [e.label for e in self.estimands]
+        if len(set(labels)) < len(labels):  # a label names its estimand's report rows
+            raise ValueError(f"estimands must have distinct labels, got {labels}")
         check_alpha(self.ci_alpha, "ci_alpha")
         check_second_stage(self.second_stage, self.n0)
         kind = self.first_stage.kind
@@ -232,8 +235,10 @@ class _Context:
     table: SystematicTable | None
     expand: np.ndarray  # (p_total,) index of each estimand column among the distinct ones
     slices: list[slice]  # each estimand's slice of the p_total columns
-    slots: dict[tuple, int]
-    n_slots: int
+    # (estimand label, family) -> column of an MC row, in report order; a
+    # ci_* family owns its column (the lower limit) and the next (the upper)
+    layout: dict[tuple[str, str], int]
+    width: int  # columns of an MC row
     need_vhat: bool = False
     # _BLOCK generators that _block resets to its replicates' streams
     pool: list[np.random.Generator] = field(default_factory=list)
@@ -246,30 +251,22 @@ class _Context:
 def _build_context(frame: Frame, scenario: Scenario, seed: int, tag: tuple) -> _Context:
     scenario.validate(frame)
     est = scenario.estimands
-    slots: dict[tuple, int] = {}
-
-    def add(key: tuple) -> None:
-        slots[key] = len(slots)
-
     # variance methods (and the Studentized base) apply to totals under SI
     # and to the proportion under STRAT_SI; other estimands are bootstrap-only
     vm_kind = TotalEstimand if scenario.first_stage.kind == "SI" else ProportionEstimand
+    layout: dict[tuple[str, str], int] = {}
+    width = 0
     for e in est:
-        add(("point", e.label))
-    for e in est:
+        families = ["point"]
         if isinstance(e, vm_kind):
-            for vm in scenario.variance_methods:
-                add(("var", e.label, vm))
-                add(("ci", e.label, f"ci_normal_{_FAMILY[vm][2:]}", "lo"))
-                add(("ci", e.label, f"ci_normal_{_FAMILY[vm][2:]}", "hi"))
-    if scenario.bootstrap is not None:
-        for e in est:
-            add(("bootvar", e.label))
-            add(("ci", e.label, "ci_percentile", "lo"))
-            add(("ci", e.label, "ci_percentile", "hi"))
+            families += [f for vm in scenario.variance_methods for f in _FAMILIES[vm]]
+        if scenario.bootstrap is not None:
+            families += ["boot_var", "ci_percentile"]
             if scenario.studentized and isinstance(e, vm_kind):
-                add(("ci", e.label, "ci_studentized", "lo"))
-                add(("ci", e.label, "ci_studentized", "hi"))
+                families.append("ci_studentized")
+        for family in families:
+            layout[e.label, family] = width
+            width += 2 if family.startswith("ci_") else 1
 
     # built before any worker forks, so every worker shares it
     if scenario.second_stage == "SYSTEMATIC":
@@ -281,8 +278,8 @@ def _build_context(frame: Frame, scenario: Scenario, seed: int, tag: tuple) -> _
         columns, col_subtotals, expand, slices = estimand_columns(frame, est)
         table = None
     return _Context(
-        frame, scenario, seed, tag, columns, col_subtotals, table, expand, slices, slots,
-        len(slots), need_vhat="UNBIASED" in scenario.variance_methods,
+        frame, scenario, seed, tag, columns, col_subtotals, table, expand, slices, layout,
+        width, need_vhat="UNBIASED" in scenario.variance_methods,
     )
 
 
@@ -373,7 +370,7 @@ def _si_replicate_row(ctx: _Context, block: _Block, i: int, row: np.ndarray) -> 
 
     for j, (e, sl) in enumerate(zip(sc.estimands, ctx.slices)):
         theta = float(block.theta[i, j])
-        row[ctx.slots[("point", e.label)]] = theta
+        _store(ctx, row, e.label, "point", theta)
         if isinstance(e, TotalEstimand) and sc.variance_methods:
             total = mean_total(draw, (yhat[:, sl], None if vhat is None else vhat[:, sl]))
             for vm in sc.variance_methods:
@@ -386,10 +383,10 @@ def _si_replicate_row(ctx: _Context, block: _Block, i: int, row: np.ndarray) -> 
     d_mat = multinomial_weights(block.rngs[i], cfg.replicates, n, m)
     totals_star = (d_mat @ yhat) * (N / m)  # (R, p_total)
     for e, sl in zip(sc.estimands, ctx.slices):
-        studentized = sc.studentized and ("ci", e.label, "ci_studentized", "lo") in ctx.slots
+        studentized = (e.label, "ci_studentized") in ctx.layout
         reps = ReplicateSet(
             np.asarray(e.evaluate(totals_star[:, sl]), dtype=np.float64),
-            row[ctx.slots[("point", e.label)]],
+            row[ctx.layout[e.label, "point"]],
             replicate_se(d_mat, yhat[:, sl], totals_star[:, sl], N, m, e) if studentized else None,
         )
         _write_bootstrap(ctx, row, e.label, reps, "SIMPLIFIED" if studentized else None)
@@ -401,7 +398,7 @@ def _strat_replicate_row(ctx: _Context, block: _Block, i: int, row: np.ndarray) 
     e = sc.estimands[0]
     sample = _stratified_sample(ctx, block.yhat[i])
     p_hat = float(block.theta[i, 0])
-    row[ctx.slots[("point", e.label)]] = p_hat
+    _store(ctx, row, e.label, "point", p_hat)
     if STRAT_WR in sc.variance_methods:
         v_stwr = float(linearized_values(sample, p_hat, sample.totals[1])[0])
         _write_normal(ctx, row, e.label, STRAT_WR, p_hat, v_stwr)
@@ -413,15 +410,19 @@ def _strat_replicate_row(ctx: _Context, block: _Block, i: int, row: np.ndarray) 
     _write_bootstrap(ctx, row, e.label, reps, STRAT_WR if sc.studentized else None)
 
 
+def _store(ctx: _Context, row: np.ndarray, label: str, family: str, *values: float) -> None:
+    """Store the family's value, or an interval's two limits, in its columns of the row."""
+    col = ctx.layout[label, family]
+    row[col:col + len(values)] = values
+
+
 def _write_normal(
     ctx: _Context, row: np.ndarray, label: str, method: str, theta: float, v: float
 ) -> None:
     """Store the method's variance estimate and its normality-based interval."""
-    row[ctx.slots[("var", label, method)]] = v
-    lo, hi = normal_ci(theta, v, ctx.scenario.ci_alpha)
-    family = f"ci_normal_{_FAMILY[method][2:]}"
-    row[ctx.slots[("ci", label, family, "lo")]] = lo
-    row[ctx.slots[("ci", label, family, "hi")]] = hi
+    v_family, ci_family = _FAMILIES[method]
+    _store(ctx, row, label, v_family, v)
+    _store(ctx, row, label, ci_family, *normal_ci(theta, v, ctx.scenario.ci_alpha))
 
 
 def _write_bootstrap(
@@ -429,19 +430,15 @@ def _write_bootstrap(
 ) -> None:
     """Store the bootstrap variance and intervals; Studentized with the base_method variance."""
     alpha = ctx.scenario.bootstrap.alpha
-    row[ctx.slots[("bootvar", label)]] = bootstrap_variance(reps)
-    lo, hi = percentile_ci(reps, alpha)
-    row[ctx.slots[("ci", label, "ci_percentile", "lo")]] = lo
-    row[ctx.slots[("ci", label, "ci_percentile", "hi")]] = hi
+    _store(ctx, row, label, "boot_var", bootstrap_variance(reps))
+    _store(ctx, row, label, "ci_percentile", *percentile_ci(reps, alpha))
     if base_method is not None:
-        base_se = math.sqrt(row[ctx.slots[("var", label, base_method)]])
-        lo, hi = studentized_ci(reps, base_se, alpha)
-        row[ctx.slots[("ci", label, "ci_studentized", "lo")]] = lo
-        row[ctx.slots[("ci", label, "ci_studentized", "hi")]] = hi
+        base_se = math.sqrt(row[ctx.layout[label, _FAMILIES[base_method][0]]])
+        _store(ctx, row, label, "ci_studentized", *studentized_ci(reps, base_se, alpha))
 
 
 def _replicate_rows(ctx: _Context, start: int, end: int) -> np.ndarray:
-    out = np.full((end - start, ctx.n_slots), np.nan)
+    out = np.full((end - start, ctx.width), np.nan)
     write = _si_replicate_row if ctx.scenario.first_stage.kind == "SI" else _strat_replicate_row
     keys = ctx.keys("mc", start, end)
     for lo, hi in _blocks(start, end):
@@ -547,61 +544,28 @@ def run_scenario(
     rows = _parallel(_replicate_rows, scenario.replicates, threads, ctx)
     b = scenario.replicates
     reports: list[MCReport] = []
-
-    def rb_rs(values: np.ndarray, ref: float) -> tuple[float, float, float, float, float, float]:
+    for (label, family), col in ctx.layout.items():
+        theta_ref = theta_true[label]
+        if family.startswith("ci_"):
+            l_pct, u_pct = coverage_stats(rows[:, col], rows[:, col + 1], theta_ref)
+            two = (l_pct + u_pct) / 100.0
+            tail_se = 100.0 * math.sqrt(max(two / 2 * (1 - two / 2), 1e-12) / b)
+            reports.append(MCReport(label, family, "ci", theta_ref, b,
+                                    lower_pct=l_pct, upper_pct=u_pct, tail_se=tail_se))
+            continue
+        kind, ref = ("point", theta_ref) if family == "point" else ("variance", v_true[label])
         if ref == 0:
             raise ValueError("relative bias/stability need a nonzero reference value")
+        values = rows[:, col]
         mean = float(values.mean())
         mean_se = float(values.std(ddof=1)) / math.sqrt(b)
         msq = float(np.mean((values - ref) ** 2))
         msq_se = float(np.std((values - ref) ** 2, ddof=1)) / math.sqrt(b)
-        rb = 100.0 * (mean - ref) / ref
-        rb_se = 100.0 * mean_se / abs(ref)
         rs = 100.0 * math.sqrt(msq) / abs(ref)
         rs_se = 100.0 * msq_se / (2.0 * math.sqrt(msq) * abs(ref)) if msq > 0 else 0.0
-        return rb, rb_se, rs, rs_se, mean, mean_se
-
-    for e, sl in zip(scenario.estimands, ctx.slices):
-        theta_ref = theta_true[e.label]
-        values = rows[:, ctx.slots[("point", e.label)]]
-        rb, rb_se, rs, rs_se, mean, mean_se = rb_rs(values, theta_ref)
-        reports.append(
-            MCReport(e.label, "point", "point", theta_ref, b, rb, rb_se, rs, rs_se,
-                     mean_estimate=mean, mean_se=mean_se)
-        )
-
-        def ci_report(family: str) -> MCReport:
-            lo = rows[:, ctx.slots[("ci", e.label, family, "lo")]]
-            hi = rows[:, ctx.slots[("ci", e.label, family, "hi")]]
-            l_pct, u_pct = coverage_stats(lo, hi, theta_ref)
-            two = (l_pct + u_pct) / 100.0
-            tail_se = 100.0 * math.sqrt(max(two / 2 * (1 - two / 2), 1e-12) / b)
-            return MCReport(e.label, family, "ci", theta_ref, b,
-                            lower_pct=l_pct, upper_pct=u_pct, tail_se=tail_se)
-
-        for vm in scenario.variance_methods:
-            key = ("var", e.label, vm)
-            if key not in ctx.slots:
-                continue
-            ref = v_true[e.label]
-            vals = rows[:, ctx.slots[key]]
-            rb, rb_se, rs, rs_se, mean, mean_se = rb_rs(vals, ref)
-            reports.append(
-                MCReport(e.label, _FAMILY[vm], "variance", ref, b, rb, rb_se, rs, rs_se,
-                         mean_estimate=mean, mean_se=mean_se)
-            )
-            reports.append(ci_report(f"ci_normal_{_FAMILY[vm][2:]}"))
-        if scenario.bootstrap is not None:
-            ref = v_true[e.label]
-            vals = rows[:, ctx.slots[("bootvar", e.label)]]
-            rb, rb_se, rs, rs_se, mean, mean_se = rb_rs(vals, ref)
-            reports.append(
-                MCReport(e.label, "boot_var", "variance", ref, b, rb, rb_se, rs, rs_se,
-                         mean_estimate=mean, mean_se=mean_se)
-            )
-            reports.append(ci_report("ci_percentile"))
-            if scenario.studentized and ("ci", e.label, "ci_studentized", "lo") in ctx.slots:
-                reports.append(ci_report("ci_studentized"))
+        reports.append(MCReport(label, family, kind, ref, b, 100.0 * (mean - ref) / ref,
+                                100.0 * mean_se / abs(ref), rs, rs_se,
+                                mean_estimate=mean, mean_se=mean_se))
     return reports
 
 

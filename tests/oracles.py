@@ -327,26 +327,25 @@ def _si_replicate_row(ctx, est_columns, rng, row):
     totals = N * yhat.mean(axis=0)
     for e, sl in zip(sc.estimands, ctx.slices):
         theta = float(e.evaluate(totals[None, sl])[0])
-        row[ctx.slots[("point", e.label)]] = theta
+        row[ctx.layout[e.label, "point"]] = theta
         if isinstance(e, TotalEstimand) and sc.variance_methods:
             total = mean_total(draw, (yhat[:, sl], None if vhat is None else vhat[:, sl]))
             for vm in sc.variance_methods:
                 v = variance_estimate(total, vm)
-                row[ctx.slots[("var", e.label, vm)]] = v
-                lo, hi = normal_ci(theta, v, sc.ci_alpha)
-                fam = f"ci_normal_{mc._FAMILY[vm][2:]}"
-                row[ctx.slots[("ci", e.label, fam, "lo")]] = lo
-                row[ctx.slots[("ci", e.label, fam, "hi")]] = hi
+                v_family, ci_family = mc._FAMILIES[vm]
+                row[ctx.layout[e.label, v_family]] = v
+                col = ctx.layout[e.label, ci_family]
+                row[col], row[col + 1] = normal_ci(theta, v, sc.ci_alpha)
     if sc.bootstrap is None:
         return
     m = sc.bootstrap.resolve_m(n)
     d_mat = multinomial_weights(rng, sc.bootstrap.replicates, n, m)
     totals_star = (d_mat @ yhat) * (N / m)
     for e, sl in zip(sc.estimands, ctx.slices):
-        studentized = sc.studentized and ("ci", e.label, "ci_studentized", "lo") in ctx.slots
+        studentized = (e.label, "ci_studentized") in ctx.layout
         reps = ReplicateSet(
             np.asarray(e.evaluate(totals_star[:, sl]), dtype=np.float64),
-            row[ctx.slots[("point", e.label)]],
+            row[ctx.layout[e.label, "point"]],
             replicate_se(d_mat, yhat[:, sl], totals_star[:, sl], N, m, e) if studentized else None,
         )
         mc._write_bootstrap(ctx, row, e.label, reps, "SIMPLIFIED" if studentized else None)
@@ -379,13 +378,12 @@ def _strat_replicate_row(ctx, est_columns, rng, row):
     (e,) = sc.estimands
     sample, totals = _strat_draw(ctx, est_columns, rng)
     p_hat = float(totals[0] / totals[1])
-    row[ctx.slots[("point", e.label)]] = p_hat
+    row[ctx.layout[e.label, "point"]] = p_hat
     if mc.STRAT_WR in sc.variance_methods:
         v = float(linearized_values(sample, p_hat, totals[1])[0])
-        row[ctx.slots[("var", e.label, mc.STRAT_WR)]] = v
-        lo, hi = normal_ci(p_hat, v, sc.ci_alpha)
-        row[ctx.slots[("ci", e.label, "ci_normal_stwr", "lo")]] = lo
-        row[ctx.slots[("ci", e.label, "ci_normal_stwr", "hi")]] = hi
+        row[ctx.layout[e.label, "v_stwr"]] = v
+        col = ctx.layout[e.label, "ci_normal_stwr"]
+        row[col], row[col + 1] = normal_ci(p_hat, v, sc.ci_alpha)
     if sc.bootstrap is None:
         return
     reps = stratified_proportion_resample(sample, e, sc.bootstrap, rng=rng,
@@ -399,7 +397,7 @@ def replicate_rows(ctx, start, end):
 
     est_columns = stacked_columns(ctx.frame, ctx.scenario.estimands)
     write = _si_replicate_row if ctx.scenario.first_stage.kind == "SI" else _strat_replicate_row
-    out = np.full((end - start, ctx.n_slots), np.nan)
+    out = np.full((end - start, ctx.width), np.nan)
     for b in range(start, end):
         write(ctx, est_columns, substream(ctx.seed, *ctx.tag, "mc", b), out[b - start])
     return out

@@ -102,6 +102,13 @@ VERIFY_FAULTS = {
     "decay-m-1": ("decay", {"m": 1}, {"m": 1}, "decay.m", "m"),
     "decay-replicates-1": ("decay", {"replicates": 1}, {"replicates": 1}, "decay.replicates",
                            "replicates"),
+    # one above the 10,000,000-replicate ceiling
+    "sir-si-replicates-above-the-ceiling": ("sir_si", {"replicates": 10**7 + 1},
+                                            {"replicates": 10**7 + 1},
+                                            "bounds[0].replicates", "replicates"),
+    "decay-replicates-above-the-ceiling": ("decay", {"replicates": 10**7 + 1},
+                                           {"replicates": 10**7 + 1}, "decay.replicates",
+                                           "replicates"),
     "decay-unknown-method": ("decay", {"second_stage": {"method": "PPS", "n0": 2}},
                              {"second_stage": "PPS", "n0": 2}, "decay.second_stage.method",
                              "second_stage"),

@@ -262,6 +262,17 @@ class TestDecay:
 class TestLibraryRules:
     """The coupled draws and the verify checks refuse an input before they draw."""
 
+    @pytest.mark.parametrize("check", [
+        lambda replicates: coupling.check_bound(5, replicates),
+        lambda replicates: coupling.check_decay(3, 5, replicates),
+    ], ids=["bound", "decay"])
+    def test_replicates_above_the_ceiling_rejected(self, check):
+        # 10^12 decay replicates would ask for a 24 TB statistics array
+        for replicates in (10**7 + 1, 10**12):
+            with pytest.raises(ValueError, match=r"^replicates must be <= 10000000$"):
+                check(replicates)
+        check(10**7)
+
     @pytest.mark.parametrize("method, n0, message", [
         ("SI", None, r"^n0 must be >= 1 under SI subsampling, got None$"),
         ("SI", 0, r"^n0 must be >= 1 under SI subsampling, got 0$"),

@@ -14,7 +14,12 @@ from twostage import (
     draw_stratified_si,
     substream,
 )
-from twostage.designs import second_stage_estimates, si_order, si_order_excluding
+from twostage.designs import (
+    check_second_stage,
+    second_stage_estimates,
+    si_order,
+    si_order_excluding,
+)
 from conftest import scalar_frame
 
 CHI2_LEVEL = 0.001
@@ -288,6 +293,19 @@ class TestSecondStage:
         frame = _one_hot_psu(6)
         with pytest.raises(ValueError, match=message):
             _subsample(frame, np.array([0]), method, n0, substream(26, "ss"))
+
+    @pytest.mark.parametrize("method", ["SI", "SYSTEMATIC"])
+    @pytest.mark.parametrize("n0", [2.5, 3.0, True])
+    def test_non_integer_n0_rejected(self, method, n0):
+        message = rf"^n0 must be an integer under {method} subsampling, got {n0!r}$"
+        with pytest.raises(ValueError, match=message):
+            check_second_stage(method, n0)
+        with pytest.raises(ValueError, match=message):
+            _subsample(_one_hot_psu(6), np.array([0]), method, n0, substream(26, "ss"))
+
+    def test_numpy_integer_n0_accepted(self):
+        y, _ = _subsample(_one_hot_psu(6), np.array([0]), "SI", np.int64(3), substream(26, "ss"))
+        assert y.sum() == 6.0
 
 
 class TestVectorizedSubsampling:

@@ -110,6 +110,11 @@ CASES = {
         DesignSpec("STRAT_SI", allocations={"s0": 4, "s1": 5, "s2": 3}), "CENSUS",
         estimands=(ProportionEstimand(0, 1.0),), variance_methods=(montecarlo.STRAT_WR,),
         bootstrap=BOOT, studentized=True)),
+    # allocations listed out of frame order: rows still hold the strata in frame order
+    "stratified-allocations-out-of-order": (_stratified, Scenario(
+        DesignSpec("STRAT_SI", allocations={"s2": 3, "s0": 4, "s1": 6}), "CENSUS",
+        estimands=(ProportionEstimand(0, 1.0),), variance_methods=(montecarlo.STRAT_WR,),
+        bootstrap=BOOT, studentized=True)),
     # stratum s1 is sampled whole (n_l = N_l = 15)
     "stratified-whole-stratum": (_stratified, Scenario(
         DesignSpec("STRAT_SI", allocations={"s0": 3, "s1": 15, "s2": 2}), "CENSUS",

@@ -62,6 +62,18 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="census"):
             scn.validate(frame_1to5)
 
+    @pytest.mark.parametrize("n0", [2.5, 3.0, True])
+    def test_non_integer_n0_rejected(self, n0):
+        scn = Scenario(DesignSpec("SI", n_I=2), "SI", n0=n0, replicates=100)
+        with pytest.raises(ValueError, match=r"^n0 must be an integer under SI subsampling"):
+            scn.check()
+
+    def test_repeated_estimand_rejected(self):
+        scn = Scenario(DesignSpec("SI", n_I=2), estimands=(TotalEstimand(0), TotalEstimand(0)),
+                       variance_methods=("SIMPLIFIED",), replicates=100)
+        with pytest.raises(ValueError, match=r"^estimands must have distinct labels"):
+            scn.check()
+
     def test_unbiased_with_systematic_rejected(self):
         frame = Frame(np.arange(40.0)[:, None], np.full(4, 10))
         scn = Scenario(
