@@ -18,18 +18,29 @@ of worker processes.
 
 Under SYSTEMATIC subsampling a run builds one exact table of every PSU's
 distinct systematic samples and their estimates
-(:func:`~twostage.designs.systematic_table`), once and before any worker
-forks, and keeps no column matrix; each replicate draws its starts from its
-own stream and looks its samples up instead of placing and gathering them.
-A row of the table is the gather path's own call at one start of its
-interval, so the outputs keep their bits, and the table takes about the
-memory of the column matrix it replaces.
+(:func:`~twostage.designs.systematic_table`), before any worker forks, and
+keeps no column matrix; each replicate draws its starts from its own stream
+and looks its samples up instead of placing and gathering them.  A row of
+the table is the gather path's own call at one start of its interval, so
+the outputs keep their bits, and the table takes about the memory of the
+column matrix it replaces.
+
+The frame-derived arrays of a run (the table, or under SI and CENSUS the
+estimand columns and their subtotals) depend only on the frame, the
+estimands' column keys and, under SYSTEMATIC, n0.  Each frame keeps one
+slot of them, the last ones built, until the frame is collected: runs that
+repeat a frame's key reuse them, and a new key drops the old arrays before
+it builds, so a frame never holds two.  Like the frame's own cached
+subtotals, they go stale if the caller writes, after the frame was built,
+through its own reference to the array it passed in as ``values`` (the
+frame shares that memory and does not copy it).
 """
 from __future__ import annotations
 
 import math
 import multiprocessing
 import os
+import weakref
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -229,7 +240,8 @@ class _Context:
     tag: tuple
     # under SI and CENSUS subsampling the (N, p_distinct) distinct columns of
     # the derived SSU matrix and their (N_I, p_distinct) exact subtotals;
-    # under SYSTEMATIC only the table of every sample's estimates
+    # under SYSTEMATIC only the table of every sample's estimates; all three
+    # come from the frame's slot, shared with the frame's other contexts
     columns: np.ndarray | None
     col_subtotals: np.ndarray | None
     table: SystematicTable | None
@@ -246,6 +258,29 @@ class _Context:
     def keys(self, purpose: str, start: int, end: int) -> np.ndarray:
         """Philox keys of replicates start..end-1's substreams (seed, *tag, purpose, b)."""
         return substream_keys(self.seed, *self.tag, purpose, indices=range(start, end))
+
+
+# each frame's one slot: (key, the arrays built for it), where the key is
+# (SYSTEMATIC or not, n0 under SYSTEMATIC, the column keys); a slot goes
+# with its frame
+_FRAME_ARRAYS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _frame_arrays(frame: Frame, key: tuple, build):
+    """The frame's arrays for ``key``: its slot's when the key matches, else ``build()``'s.
+
+    A miss empties the slot before it builds, so no two of a frame's tables
+    or column sets are held at once.  Runs build here, before any worker
+    forks, so every worker shares the arrays.
+    """
+    slot = _FRAME_ARRAYS.pop(frame, None)
+    if slot is not None and slot[0] == key:
+        value = slot[1]
+    else:
+        del slot  # the old arrays go before the new ones are built
+        value = build()
+    _FRAME_ARRAYS[frame] = key, value
+    return value
 
 
 def _build_context(frame: Frame, scenario: Scenario, seed: int, tag: tuple) -> _Context:
@@ -268,14 +303,14 @@ def _build_context(frame: Frame, scenario: Scenario, seed: int, tag: tuple) -> _
             layout[e.label, family] = width
             width += 2 if family.startswith("ci_") else 1
 
-    # built before any worker forks, so every worker shares it
+    keys, expand, slices = column_layout(est)
     if scenario.second_stage == "SYSTEMATIC":
-        keys, expand, slices = column_layout(est)
         columns = col_subtotals = None
-        table = systematic_table(frame, scenario.n0,
-                                 lambda lo, hi: column_matrix(frame.values[lo:hi], keys))
+        table = _frame_arrays(frame, (True, scenario.n0, tuple(keys)), lambda: systematic_table(
+            frame, scenario.n0, lambda lo, hi: column_matrix(frame.values[lo:hi], keys)))
     else:
-        columns, col_subtotals, expand, slices = estimand_columns(frame, est)
+        columns, col_subtotals = _frame_arrays(frame, (False, None, tuple(keys)),
+                                               lambda: estimand_columns(frame, est)[:2])
         table = None
     return _Context(
         frame, scenario, seed, tag, columns, col_subtotals, table, expand, slices, layout,
@@ -341,10 +376,25 @@ def _block(ctx: _Context, keys: np.ndarray) -> _Block:
                                             sc.second_stage, sc.n0, rngs,
                                             with_vhat=ctx.need_vhat)
     totals = (N * yhat.mean(axis=1) if design.kind == "SI"
-              else np.stack([_stratified_sample(ctx, y).totals for y in yhat]))[:, ctx.expand]
+              else _stratified_totals(ctx, yhat))[:, ctx.expand]
     theta = np.column_stack([e.evaluate(totals[:, sl])
                              for e, sl in zip(sc.estimands, ctx.slices)])
     return _Block(rngs, orders, yhat, vhat, theta)
+
+
+def _stratified_totals(ctx: _Context, yhat: np.ndarray) -> np.ndarray:
+    """The (B, p) stratified totals of a block's (B, n_I, p) estimates.
+
+    Row b has the bits of ``_stratified_sample(ctx, yhat[b]).totals``: the
+    same stratum sums, in the same order, each over axis 1 of a C-contiguous
+    block as the row's is over axis 0, added to 0 one stratum after another.
+    """
+    alloc = ctx.scenario.first_stage.allocations
+    totals, lo = 0, 0
+    for label, psus in ctx.frame.stratum_psu_indices().items():
+        totals = totals + psus.size / alloc[label] * yhat[:, lo:lo + alloc[label]].sum(axis=1)
+        lo += alloc[label]
+    return totals
 
 
 def _stratified_sample(ctx: _Context, yhat: np.ndarray) -> StratifiedClusterSample:
