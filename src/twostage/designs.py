@@ -20,6 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .frame import Frame
+from .rng import reset_stream
 
 __all__ = [
     "DesignSpec",
@@ -29,6 +30,7 @@ __all__ = [
     "draw_be",
     "draw_stratified_si",
     "si_draws",
+    "fresh_si_draws",
     "si_order",
     "resolve_si_orders",
     "si_order_excluding",
@@ -44,6 +46,7 @@ FIRST_STAGE_KINDS = ("SI", "SIR", "BE", "STRAT_SI")
 _GATHER_ROWS = 2048  # second-stage samples summed at a time by psu_subtotal_estimates
 _KEY_CELLS = 1 << 20  # SI subsampling keys drawn and partitioned at a time
 SECOND_STAGE_METHODS = ("SI", "SYSTEMATIC", "CENSUS")
+_U32 = 1 << 32
 
 
 @dataclass
@@ -161,6 +164,49 @@ def si_draws(n_population: int, n: int, rng: np.random.Generator) -> np.ndarray:
     if not 1 <= n <= n_population:
         raise ValueError(f"need 1 <= n <= N, got n={n}, N={n_population}")
     return rng.integers(np.arange(n, dtype=np.int64), n_population)
+
+
+def fresh_si_draws(
+    n_population: int, n: int, rngs: Sequence[np.random.Generator], keys: Sequence
+) -> np.ndarray:
+    """The (B, n) :func:`si_draws` rows of Philox streams just reset to ``keys``, drawn at once.
+
+    Stream b must be ``rngs[b]`` fresh from :func:`~twostage.rng.reset_stream`
+    to ``keys[b]``, and is left where ``si_draws`` leaves it.  numpy draws j
+    uniform on j..N-1 as j + (x r >> 32), r = N - j, for the stream's next
+    32-bit word x (its raw 64-bit words split low half first), and draws
+    again while the low 32 bits of x r fall below 2^32 mod r; a range of
+    one unit (j = N - 1) takes no word.  So the rows' raw words are drawn
+    first, one call per row, and turned into draws as one block; an odd
+    last draw goes through numpy, which keeps the other half of its word
+    as it always does, and a row that would redraw (about n N / 2^32 of
+    them) is reset and drawn again by ``si_draws``.
+    """
+    if not 1 <= n <= n_population:
+        raise ValueError(f"need 1 <= n <= N, got n={n}, N={n_population}")
+    if n_population > _U32:
+        return np.stack([si_draws(n_population, n, rng) for rng in rngs])
+    worded = min(n, n_population - 1)
+    paired = worded - worded % 2
+    words = np.empty((len(rngs), paired // 2), dtype=np.uint64)
+    for row, rng in zip(words, rngs):
+        row[:] = rng.bit_generator.random_raw(paired // 2)
+    x = np.empty((len(rngs), paired), dtype=np.uint64)
+    x[:, 0::2] = words & (_U32 - 1)
+    x[:, 1::2] = words >> 32
+    r = n_population - np.arange(paired, dtype=np.uint64)
+    x *= r  # exact: both factors are at most 2^32
+    out = np.empty((len(rngs), n), dtype=np.int64)
+    out[:, :paired] = x >> 32
+    out[:, :paired] += np.arange(paired)
+    redraw = np.flatnonzero(((x & (_U32 - 1)) < _U32 % r).any(axis=1))
+    if worded > paired:
+        for b, rng in enumerate(rngs):
+            out[b, paired] = rng.integers(paired, n_population)
+    out[:, worded:] = n_population - 1
+    for b in redraw.tolist():
+        out[b] = si_draws(n_population, n, reset_stream(rngs[b], keys[b]))
+    return out
 
 
 def si_order(n_population: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -403,7 +449,7 @@ _GRID_POINTS = 1 << 53
 _CHANGE_POINTS = 1 << 15  # change points found at a time
 _KEY_PSUS = 1 << 10  # PSUs whose change points are sorted at a time, as (PSU << 53) | k keys
 _TABLE_SSUS = 2048  # SSUs of the PSUs whose table rows are filled at a time
-_TABLE_CELLS = 1 << 14  # sample positions placed at a time while the table is filled
+_TABLE_CELLS = 1 << 15  # sample positions placed at a time while the table is filled
 
 
 @dataclass(frozen=True)
@@ -465,8 +511,16 @@ class SystematicTable:
         """:func:`second_stage_estimates` of a (B, k) block under SYSTEMATIC, looked up.
 
         Row b's starts are drawn from ``rngs[b]`` as that function draws them.
+        With p > 1 columns the (B, k, p) result is a view of a C-contiguous
+        (k, B, p) array: numpy adds the k estimates of a row one after
+        another in either layout, and a sum over axis 1 of this one adds
+        whole (B, p) slices at a time.  A lone column stays C-contiguous,
+        since numpy sums a contiguous row pairwise.
         """
-        return self.subtotal_estimates(psu_indices, _systematic_starts(rngs, psu_indices.shape[1]))
+        rows = self.rows_at(psu_indices, _systematic_starts(rngs, psu_indices.shape[1]))
+        if self.estimates.shape[1] == 1:
+            return np.take(self.estimates, rows, axis=0)
+        return np.take(self.estimates, rows.T, axis=0).transpose(1, 0, 2)
 
 
 def _systematic_starts(rngs: Sequence[np.random.Generator], k: int) -> np.ndarray:
@@ -495,9 +549,19 @@ def _first_reaching(a, j, top, target, lo, hi) -> np.ndarray:
     bracket fails it bisects the whole grid instead, and where even the
     whole grid fails it raises: it never places a change point that it has
     not bracketed.  Writes into ``lo`` and ``hi``.
+
+    The coordinate sits at min(floor(x), top) for x = fl(fl(a j) + fl(u a)),
+    so it reaches an integer target exactly where x >= target <= top; each
+    step compares x itself (an unreachable target with infinity).
     """
+    base = a * j
+    goal = np.where(target <= top, target, np.inf)
+
     def reached(k):
-        return _systematic_offsets(a, j, k * _GRID, top) >= target
+        x = k * _GRID
+        x *= a  # the products and the sum commute exactly, as in _systematic_offsets
+        x += base
+        return x >= goal
 
     miss = np.flatnonzero(reached(lo) | ~reached(hi))
     if miss.size:
@@ -508,10 +572,11 @@ def _first_reaching(a, j, top, target, lo, hi) -> np.ndarray:
                                    np.zeros_like(whole), whole)
         lo[miss] = hi[miss] - 1
     for _ in range(int(np.max(hi - lo, initial=1) - 1).bit_length()):
-        mid = (lo + hi) >> 1
+        mid = lo + hi
+        mid >>= 1
         up = reached(mid)
-        hi = np.where(up, mid, hi)
-        lo = np.where(up, lo, mid)
+        np.copyto(hi, mid, where=up)
+        np.copyto(lo, mid, where=~up)
     return hi
 
 
@@ -584,29 +649,36 @@ def systematic_table(frame: Frame, n0: int, column_block) -> SystematicTable:
     bucket_base = np.cumsum(buckets) - buckets
     keyed = _bucket(lower * _GRID, buckets[of_row].astype(np.float64)) + bucket_base[of_row]
     del of_row
-    # the last row below each bucket, or the PSU's first row for its bucket 0
-    first = np.searchsorted(keyed, np.arange(int(buckets.sum())), side="left") - 1
+    # the last row below each bucket (the rows keyed below it, less one), or
+    # the PSU's first row for its bucket 0
+    first = np.bincount(keyed, minlength=int(buckets.sum()))
     del keyed
+    np.cumsum(first, out=first)
+    first = np.roll(first, 1)
+    first[0] = 0
+    first -= 1
     np.maximum(first, np.repeat(psu_rows[:-1], buckets), out=first)
     ends = np.roll(lower, -1)
     del lower
     ends[psu_rows[1:] - 1] = _GRID_POINTS
 
     # each row's sample is placed at its interval's first grid point: the
-    # previous row's end, or 0 for a PSU's first row
+    # previous row's end, or 0 for a PSU's first row (whose previous row
+    # ends at 2^53)
     estimates = None
     batch = max(1, _TABLE_CELLS // n0)
     for lo, hi in _psu_spans(frame, _TABLE_SSUS):
         columns = column_block(frame.offsets[lo], frame.offsets[hi])
         if estimates is None:
             estimates = np.empty((ends.size, columns.shape[1]))
-        for r0 in range(psu_rows[lo], psu_rows[hi], batch):
-            at = np.arange(r0, min(r0 + batch, psu_rows[hi]))
-            psus = np.searchsorted(psu_rows, at, side="right") - 1
-            starts = np.where(at == psu_rows[psus], 0, ends[at - 1]) * _GRID
-            rows = systematic_positions(frame, psus, starts, n0)
+        span_rows = psu_rows[lo:hi + 1]
+        for r0 in range(span_rows[0], span_rows[-1], batch):
+            r1 = min(r0 + batch, span_rows[-1])
+            psus = np.searchsorted(span_rows, np.arange(r0, r1), side="right") + (lo - 1)
+            prev = ends[r0 - 1:r1 - 1] if r0 else np.append(_GRID_POINTS, ends[:r1 - 1])
+            rows = systematic_positions(frame, psus, (prev & (_GRID_POINTS - 1)) * _GRID, n0)
             rows -= frame.offsets[lo]
-            estimates[at] = psu_subtotal_estimates(frame, columns, psus, rows, n0)[0]
+            estimates[r0:r1] = psu_subtotal_estimates(frame, columns, psus, rows, n0)[0]
     return SystematicTable(psu_rows, ends, estimates, buckets.astype(np.float64), bucket_base,
                            first)
 

@@ -131,13 +131,16 @@ def mean_total(draw: FirstStageDraw, est: tuple[np.ndarray, np.ndarray | None]) 
     )
 
 
-def expansion_totals(y_hat: np.ndarray, n_population: int, n: float) -> np.ndarray:
+def expansion_totals(
+    y_hat: np.ndarray, n_population: int, n: float, axis: int = 0
+) -> np.ndarray:
     """Horvitz-Thompson totals (N_I / n) * sum_S Yhat_i of the selected PSUs' estimates.
 
     ``n`` is the fixed first-stage size, or the expected size under
-    Bernoulli sampling; the sum runs over axis 0, so an empty sample gives 0.
+    Bernoulli sampling; the sum runs over ``axis`` (the PSUs' axis), so an
+    empty sample gives 0.
     """
-    return n_population / n * y_hat.sum(axis=0)
+    return n_population / n * y_hat.sum(axis=axis)
 
 
 def ht_total_be(draw: FirstStageDraw, est: tuple[np.ndarray, np.ndarray | None]) -> TotalEstimate:

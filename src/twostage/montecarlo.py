@@ -18,29 +18,24 @@ of worker processes.
 
 Under SYSTEMATIC subsampling a run builds one exact table of every PSU's
 distinct systematic samples and their estimates
-(:func:`~twostage.designs.systematic_table`), before any worker forks, and
-keeps no column matrix; each replicate draws its starts from its own stream
-and looks its samples up instead of placing and gathering them.  A row of
-the table is the gather path's own call at one start of its interval, so
-the outputs keep their bits, and the table takes about the memory of the
-column matrix it replaces.
+(:func:`~twostage.designs.systematic_table`), once and before any worker
+forks, and keeps no column matrix; each replicate draws its starts from its
+own stream and looks its samples up instead of placing and gathering them.
+A row of the table is the gather path's own call at one start of its
+interval, so the outputs keep their bits, and the table takes about the
+memory of the column matrix it replaces.
 
-The frame-derived arrays of a run (the table, or under SI and CENSUS the
-estimand columns and their subtotals) depend only on the frame, the
-estimands' column keys and, under SYSTEMATIC, n0.  Each frame keeps one
-slot of them, the last ones built, until the frame is collected: runs that
-repeat a frame's key reuse them, and a new key drops the old arrays before
-it builds, so a frame never holds two.  Like the frame's own cached
-subtotals, they go stale if the caller writes, after the frame was built,
-through its own reference to the array it passed in as ``values`` (the
-frame shares that memory and does not copy it).
+A run builds its table or columns from the frame's values as they are when
+it starts, and reads the frame's cached subtotals; the frame shares the
+arrays it was built from, so a caller that writes through its own
+reference to them afterwards leaves those subtotals stale (see
+:class:`~twostage.frame.Frame`).
 """
 from __future__ import annotations
 
 import math
 import multiprocessing
 import os
-import weakref
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -63,9 +58,9 @@ from .designs import (  # noqa: F401 - si_order stays importable here for perfbe
     _check_n0,
     _stratified_si_orders,
     check_second_stage,
+    fresh_si_draws,
     resolve_si_orders,
     second_stage_estimates,
-    si_draws,
     si_order,
     systematic_table,
 )
@@ -79,6 +74,7 @@ from .estimators import (
     column_layout,
     column_matrix,
     estimand_columns,
+    expansion_totals,
     linearized_values,
     mean_total,
     normal_ci,
@@ -240,8 +236,7 @@ class _Context:
     tag: tuple
     # under SI and CENSUS subsampling the (N, p_distinct) distinct columns of
     # the derived SSU matrix and their (N_I, p_distinct) exact subtotals;
-    # under SYSTEMATIC only the table of every sample's estimates; all three
-    # come from the frame's slot, shared with the frame's other contexts
+    # under SYSTEMATIC only the table of every sample's estimates
     columns: np.ndarray | None
     col_subtotals: np.ndarray | None
     table: SystematicTable | None
@@ -258,29 +253,6 @@ class _Context:
     def keys(self, purpose: str, start: int, end: int) -> np.ndarray:
         """Philox keys of replicates start..end-1's substreams (seed, *tag, purpose, b)."""
         return substream_keys(self.seed, *self.tag, purpose, indices=range(start, end))
-
-
-# each frame's one slot: (key, the arrays built for it), where the key is
-# (SYSTEMATIC or not, n0 under SYSTEMATIC, the column keys); a slot goes
-# with its frame
-_FRAME_ARRAYS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _frame_arrays(frame: Frame, key: tuple, build):
-    """The frame's arrays for ``key``: its slot's when the key matches, else ``build()``'s.
-
-    A miss empties the slot before it builds, so no two of a frame's tables
-    or column sets are held at once.  Runs build here, before any worker
-    forks, so every worker shares the arrays.
-    """
-    slot = _FRAME_ARRAYS.pop(frame, None)
-    if slot is not None and slot[0] == key:
-        value = slot[1]
-    else:
-        del slot  # the old arrays go before the new ones are built
-        value = build()
-    _FRAME_ARRAYS[frame] = key, value
-    return value
 
 
 def _build_context(frame: Frame, scenario: Scenario, seed: int, tag: tuple) -> _Context:
@@ -303,14 +275,14 @@ def _build_context(frame: Frame, scenario: Scenario, seed: int, tag: tuple) -> _
             layout[e.label, family] = width
             width += 2 if family.startswith("ci_") else 1
 
-    keys, expand, slices = column_layout(est)
+    # built before any worker forks, so every worker shares it
     if scenario.second_stage == "SYSTEMATIC":
+        keys, expand, slices = column_layout(est)
         columns = col_subtotals = None
-        table = _frame_arrays(frame, (True, scenario.n0, tuple(keys)), lambda: systematic_table(
-            frame, scenario.n0, lambda lo, hi: column_matrix(frame.values[lo:hi], keys)))
+        table = systematic_table(frame, scenario.n0,
+                                 lambda lo, hi: column_matrix(frame.values[lo:hi], keys))
     else:
-        columns, col_subtotals = _frame_arrays(frame, (False, None, tuple(keys)),
-                                               lambda: estimand_columns(frame, est)[:2])
+        columns, col_subtotals, expand, slices = estimand_columns(frame, est)
         table = None
     return _Context(
         frame, scenario, seed, tag, columns, col_subtotals, table, expand, slices, layout,
@@ -330,7 +302,9 @@ class _Block:
 
     rngs: list[np.random.Generator]
     orders: np.ndarray  # (B, n_I) first-stage draws
-    yhat: np.ndarray  # (B, n_I, p_distinct) estimated subtotals, C-contiguous
+    # (B, n_I, p_distinct) estimated subtotals: C-contiguous, or a table
+    # lookup's view (see SystematicTable.draw) that sums over axis 1 alike
+    yhat: np.ndarray
     vhat: np.ndarray | None  # (B, n_I, p_distinct) within-PSU variance estimates
     theta: np.ndarray  # (B, n_estimands) point estimates
 
@@ -354,18 +328,19 @@ def _block(ctx: _Context, keys: np.ndarray) -> _Block:
     its second stage); the block resolves the SI orders at once (each
     stratum's under STRAT_SI) and makes one ``second_stage_estimates`` call
     or, under SYSTEMATIC, one lookup in the context's table, all elementwise
-    per row, and every reduction runs over axis 1 of a C-contiguous array,
-    so each row has the bits that the replicate computed on its own would
-    have.
+    per row, and every reduction runs over axis 1 of a C-contiguous array
+    (or of the table's view, which numpy sums in the same order), so each
+    row has the bits that the replicate computed on its own would have.
     """
     sc, design = ctx.scenario, ctx.scenario.first_stage
     N = ctx.frame.n_psus
     if not ctx.pool:
         ctx.pool = [new_stream() for _ in range(_BLOCK)]
-    rngs = [reset_stream(rng, key) for rng, key in zip(ctx.pool, keys.tolist())]
+    keys = keys.tolist()
+    rngs = [reset_stream(rng, key) for rng, key in zip(ctx.pool, keys)]
     # the second stage follows each replicate's first stage in its stream
     if design.kind == "SI":
-        orders = resolve_si_orders(np.stack([si_draws(N, design.n_I, rng) for rng in rngs]))
+        orders = resolve_si_orders(fresh_si_draws(N, design.n_I, rngs, keys))
     else:
         orders = np.concatenate(_stratified_si_orders(ctx.frame.stratum_psu_indices(),
                                                       design.allocations, rngs), axis=1)
@@ -386,15 +361,15 @@ def _stratified_totals(ctx: _Context, yhat: np.ndarray) -> np.ndarray:
     """The (B, p) stratified totals of a block's (B, n_I, p) estimates.
 
     Row b has the bits of ``_stratified_sample(ctx, yhat[b]).totals``: the
-    same stratum sums, in the same order, each over axis 1 of a C-contiguous
-    block as the row's is over axis 0, added to 0 one stratum after another.
+    same :func:`expansion_totals` per stratum, each summed over axis 1 of a
+    C-contiguous block as the row's is over axis 0, added to 0 in the same
+    stratum order.
     """
     alloc = ctx.scenario.first_stage.allocations
-    totals, lo = 0, 0
-    for label, psus in ctx.frame.stratum_psu_indices().items():
-        totals = totals + psus.size / alloc[label] * yhat[:, lo:lo + alloc[label]].sum(axis=1)
-        lo += alloc[label]
-    return totals
+    strata = ctx.frame.stratum_psu_indices()
+    starts = np.cumsum([0, *(alloc[label] for label in strata)]).tolist()
+    return sum(expansion_totals(yhat[:, lo:lo + alloc[label]], psus.size, alloc[label], axis=1)
+               for (label, psus), lo in zip(strata.items(), starts))
 
 
 def _stratified_sample(ctx: _Context, yhat: np.ndarray) -> StratifiedClusterSample:

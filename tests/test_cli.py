@@ -18,7 +18,6 @@ from twostage import (
 )
 import twostage.cli as cli
 import twostage.coupling as coupling
-import twostage.montecarlo as montecarlo
 from twostage.cli import ConfigError, main, parse_config
 from conftest import multi_ssu_frame
 
@@ -480,12 +479,12 @@ class TestVerifyCommand:
 
 
 class TestMcCommand:
-    def _mc_config(self, tmp_path, threads=None, n_I=(8,)):
+    def _mc_config(self, tmp_path, threads=None):
         payload = {
             "population": dict(POP, n_psus=80),
             "population_label": "toy",
             "scenario": {
-                "first_stage": {"kind": "SI", "n_I": list(n_I)},
+                "first_stage": {"kind": "SI", "n_I": [8]},
                 "second_stage": {"method": "SYSTEMATIC", "n0": [3]},
                 "estimands": [
                     {"kind": "total", "var": 1, "rho": 0.1},
@@ -560,36 +559,6 @@ class TestMcCommand:
         out = tmp_path / "mc1b"
         assert _run(["mc", "--config", cfg, "--seed", 42, "--out", out]) == 0
         assert (out / "mc_total.csv").read_bytes() == outputs[1]
-
-
-    def test_a_warm_cache_keeps_every_byte_at_any_thread_count(self, tmp_path, monkeypatch):
-        # two cells under one n0: the second reuses the first cell's table
-        cfg = self._mc_config(tmp_path, n_I=(8, 10))
-        built = []
-        build = montecarlo.systematic_table
-        monkeypatch.setattr(montecarlo, "systematic_table",
-                            lambda *args: built.append(args[1]) or build(*args))
-        outputs = {}
-        for threads in (1, 2):
-            out = tmp_path / f"mc{threads}"
-            assert _run(["mc", "--config", cfg, "--seed", 44, "--out", out,
-                         "--threads", threads]) == 0
-            outputs[threads] = {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
-        assert built == [3, 3]
-
-        build_context = montecarlo._build_context
-
-        def cold(frame, *args):
-            montecarlo._FRAME_ARRAYS.pop(frame, None)
-            return build_context(frame, *args)
-
-        monkeypatch.setattr(montecarlo, "_build_context", cold)
-        out = tmp_path / "mc-cold"
-        assert _run(["mc", "--config", cfg, "--seed", 44, "--out", out]) == 0
-        assert built == [3, 3, 3, 3]
-        assert outputs[1] == outputs[2] == {p.name: p.read_bytes()
-                                            for p in sorted(out.glob("*.csv"))}
-        assert set(outputs[1]) == {"mc_ratio.csv", "mc_total.csv"}
 
 
 class TestErrorReporting:

@@ -1,6 +1,7 @@
 """Differential tests of the block draw kernels against the scalar loops.
 
-``designs.resolve_si_orders`` resolves a block of Fisher-Yates draw rows at
+``designs.fresh_si_draws`` draws a block of Fisher-Yates rows from the raw
+words of fresh streams, ``designs.resolve_si_orders`` resolves such rows at
 once and ``designs.systematic_positions`` places a block of systematic
 samples; both must give every row the bits that ``si_order`` and the
 one-sample placement of ``oracles.second_stage_rows`` give it on its own.
@@ -15,7 +16,9 @@ import pytest
 
 import twostage.designs as designs
 from twostage import Frame, substream
+from twostage.rng import new_stream, reset_stream, substream_keys
 from twostage.designs import (
+    fresh_si_draws,
     resolve_si_orders,
     second_stage_estimates,
     si_draws,
@@ -37,6 +40,55 @@ def _block(n_population: int, n: int, rows: int, tag) -> tuple[np.ndarray, np.nd
 def _same(a: np.ndarray, b: np.ndarray) -> None:
     assert a.shape == b.shape and a.dtype == b.dtype
     assert a.tobytes() == b.tobytes()
+
+
+def _live_state(rng: np.random.Generator) -> str:
+    """The stream's state, less the 32-bit half that a cleared flag leaves unread."""
+    state = rng.bit_generator.state
+    if not state["has_uint32"]:
+        state["uinteger"] = 0
+    return repr(state)
+
+
+class TestFreshSiDraws:
+    """Rows drawn from raw words at once equal si_draws row by row, and leave each stream alike."""
+
+    @pytest.mark.parametrize("n_population, n", [
+        (2000, 200), (2000, 199), (7, 7), (8, 8), (2, 1), (2, 2), (1, 1), (50, 49),
+        # ranges near 2^31 reject about half their words, so rows redraw
+        ((1 << 31) + 1, 6), ((1 << 31) + 3, 7), (1 << 32, 5), ((1 << 32) + 1, 4),
+    ])
+    def test_matches_si_draws_row_by_row(self, n_population, n):
+        keys = substream_keys(12, "fresh", n_population, indices=range(40)).tolist()
+        block = [reset_stream(new_stream(), key) for key in keys]
+        alone = [reset_stream(new_stream(), key) for key in keys]
+        got = fresh_si_draws(n_population, n, block, keys)
+        _same(got, np.stack([si_draws(n_population, n, rng) for rng in alone]))
+        assert [_live_state(r) for r in block] == [_live_state(r) for r in alone]
+        # a 32-bit draw and a double next read the same words
+        for a, b in zip(block, alone):
+            assert a.integers(0, 1000, size=3).tolist() == b.integers(0, 1000, size=3).tolist()
+            assert a.random() == b.random()
+
+    def test_rows_that_redraw_are_replayed(self, monkeypatch):
+        n_population = (1 << 31) + 1  # 2^32 mod r is about r: half the words are rejected
+        keys = substream_keys(13, "fresh", indices=range(16)).tolist()
+        rngs = [reset_stream(new_stream(), key) for key in keys]
+        replayed = []
+        monkeypatch.setattr(designs, "si_draws",
+                            lambda *args: replayed.append(args) or si_draws(*args))
+        got = fresh_si_draws(n_population, 3, rngs, keys)
+        assert 0 < len(replayed) < len(keys)
+        want = np.stack([si_draws(n_population, 3, reset_stream(new_stream(), key))
+                         for key in keys])
+        _same(got, want)
+
+    def test_refuses_what_si_draws_refuses(self):
+        keys = substream_keys(14, "fresh", indices=range(2)).tolist()
+        rngs = [reset_stream(new_stream(), key) for key in keys]
+        for n_population, n in ((5, 6), (5, 0)):
+            with pytest.raises(ValueError, match="need 1 <= n <= N"):
+                fresh_si_draws(n_population, n, rngs, keys)
 
 
 class TestResolveSiOrders:

@@ -8,7 +8,6 @@ scenario below both must produce the same rows bit for bit, for any span
 and any split of it into worker chunks.
 """
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -252,55 +251,28 @@ def test_estimand_columns_hold_each_definition_once(estimands, n_columns):
               np.add.reduceat(want, frame.offsets[:-1], axis=0))
 
 
-def _table_build_peak(*n0s):
-    """Build the pop3-shaped cell's context at each n0 in turn, from an empty slot.
+def test_build_context_peaks_at_the_distinct_columns():
+    """A pop3-shaped cell holds its table of 11 distinct columns, in about the room of the columns.
 
-    Returns the frame's slot key, the distinct column count and the
-    tracemalloc peak of the last build, measured from what is traced before
-    it (the slot's earlier table included).  The frame's own caches are
-    filled first, so only the context's arrays are measured.
+    A SYSTEMATIC context keeps no column matrix; its table and lookup index,
+    built in chunks, must fit where the 11 columns and their subtotals did.
     """
     frame = generate_population(SyntheticConfig(2000, 40, 0.06, 20.0, 2.0, (0.1, 0.2, 0.3), 0.6,
                                                 seed=3))
     scenario = Scenario(DesignSpec("SI", n_I=200), "SYSTEMATIC", n0=10, estimands=(
         TotalEstimand(0), TotalEstimand(4), RatioEstimand(0, 1), RatioEstimand(4, 5),
         CorrelationEstimand(0, 1), CorrelationEstimand(4, 5)), variance_methods=("SIMPLIFIED",))
-    montecarlo._build_context(frame, scenario, 1, ())
-    montecarlo._FRAME_ARRAYS.pop(frame)
+    montecarlo._build_context(frame, scenario, 1, ())  # the frame's own caches fill here
     tracemalloc.start()
     try:
-        for n0 in n0s:
-            tracemalloc.reset_peak()
-            ctx = montecarlo._build_context(frame, replace(scenario, n0=n0), 1, ())
-            assert ctx.columns is None and ctx.col_subtotals is None
-            p = ctx.table.estimates.shape[1]
-            del ctx  # only the frame's slot holds the table now
+        ctx = montecarlo._build_context(frame, scenario, 1, ())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return montecarlo._FRAME_ARRAYS[frame][0], p, peak, (frame.n_ssus + frame.n_psus) * p * 8
-
-
-def test_build_context_peaks_at_the_distinct_columns():
-    """A pop3-shaped cell holds its table of 11 distinct columns, in about the room of the columns.
-
-    A SYSTEMATIC context keeps no column matrix; its table and lookup index,
-    built in chunks, must fit where the 11 columns and their subtotals did.
-    The slot starts empty, so the build is measured, not a reuse.
-    """
-    key, p, peak, columns_bytes = _table_build_peak(10)
-    assert key[:2] == (True, 10) and p == 11
-    assert peak <= columns_bytes + (1 << 20)
-
-
-def test_a_rebuild_under_a_new_n0_peaks_within_the_same_bound():
-    """The slot drops its n0 = 5 table before the n0 = 10 build (the criteria 5-6 grid's order).
-
-    Held together, the two tables would overrun the bound.
-    """
-    key, p, peak, columns_bytes = _table_build_peak(5, 10)
-    assert key[:2] == (True, 10) and p == 11
-    assert peak <= columns_bytes + (1 << 20)
+    assert ctx.columns is None and ctx.col_subtotals is None
+    p = ctx.table.estimates.shape[1]
+    assert p == 11
+    assert peak <= (frame.n_ssus + frame.n_psus) * p * 8 + (1 << 20)
 
 
 @pytest.mark.parametrize("case", sorted(c for c in CASES if c.startswith("stratified")))

@@ -1,8 +1,4 @@
 """Scenario runner: report summaries, coverage orientation, determinism."""
-import gc
-import weakref
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -23,16 +19,6 @@ from twostage import (
 import twostage.montecarlo as montecarlo
 from conftest import multi_ssu_frame, scalar_frame
 from normality import anderson_darling_normal, normality_screen
-
-
-@pytest.fixture
-def table_builds(monkeypatch):
-    """The n0 of each systematic_table build, a SYSTEMATIC context's one costly part."""
-    built = []
-    build = montecarlo.systematic_table
-    monkeypatch.setattr(montecarlo, "systematic_table",
-                        lambda *args: built.append(args[1]) or build(*args))
-    return built
 
 
 def _report(reports, estimand, family):
@@ -239,7 +225,7 @@ class TestRunScenario:
         assert abs(point.rb) < 5.0  # percent
         assert _report(reports, "ratio[y1/y2]", "boot_var").mean_estimate > 0
 
-    def test_the_reference_run_reuses_the_built_context(self, table_builds):
+    def test_the_reference_run_reuses_the_built_context(self, monkeypatch):
         frame = multi_ssu_frame(30, 78)
         scn = Scenario(
             DesignSpec("SI", n_I=6), "SYSTEMATIC", n0=3,
@@ -248,13 +234,13 @@ class TestRunScenario:
         )
         v_true, _ = approximate_true_variance(frame, scn, seed=78)
         supplied = run_scenario(frame, scn, seed=78, v_true=v_true)
+        # a SYSTEMATIC context's one costly part is its table of every sample
+        calls = []
+        build = montecarlo.systematic_table
+        monkeypatch.setattr(montecarlo, "systematic_table",
+                            lambda *args: calls.append(args) or build(*args))
         assert run_scenario(frame, scn, seed=78) == supplied
-        assert table_builds == [3]  # one table for the frame, n0 and estimands
-        approximate_true_variance(frame, replace(scn, n0=2), seed=78)
-        assert table_builds == [3, 2]
-        approximate_true_variance(frame, replace(scn, n0=2, estimands=(TotalEstimand(1),)),
-                                  seed=78)
-        assert table_builds == [3, 2, 2]
+        assert len(calls) == 1
 
     def test_supplied_v_true_used_for_variance_rows(self, frame_1to5):
         scn = Scenario(
@@ -366,54 +352,6 @@ class TestDeterminismAndParallel:
         a = run_scenario(frame_1to5, scn, seed=81, v_true={"total[y1]": 18.75})
         b = run_scenario(frame_1to5, scn, seed=81, v_true={"total[y1]": 18.75})
         assert a == b
-
-
-class TestFrameArrays:
-    """Each frame holds the arrays of its last run's key, and only those."""
-
-    SCENARIOS = {
-        "SYSTEMATIC": Scenario(
-            DesignSpec("SI", n_I=6), "SYSTEMATIC", n0=3,
-            estimands=(TotalEstimand(0), RatioEstimand(0, 1)), variance_methods=("SIMPLIFIED",),
-            bootstrap=BootstrapConfig(replicates=100, seed=0), replicates=100, true_run=1000),
-        "SI": Scenario(
-            DesignSpec("SI", n_I=6), "SI", n0=2,
-            estimands=(TotalEstimand(0), RatioEstimand(0, 1)),
-            variance_methods=("UNBIASED", "SIMPLIFIED"),
-            bootstrap=BootstrapConfig(replicates=100, seed=0), replicates=100, true_run=1000),
-        "CENSUS": Scenario(
-            DesignSpec("SI", n_I=6), "CENSUS", estimands=(TotalEstimand(1),),
-            variance_methods=("WITH_REPLACEMENT",), replicates=100, true_run=1000),
-    }
-
-    @pytest.mark.parametrize("method", sorted(SCENARIOS))
-    def test_a_warm_run_reports_what_a_cold_run_does(self, method):
-        frame = multi_ssu_frame(30, 79)
-        scn = self.SCENARIOS[method]
-        assert frame not in montecarlo._FRAME_ARRAYS
-        cold = run_scenario(frame, scn, seed=79)
-        held = montecarlo._FRAME_ARRAYS[frame][1]
-        assert run_scenario(frame, scn, seed=79) == cold
-        assert montecarlo._FRAME_ARRAYS[frame][1] is held  # the warm run built nothing
-
-    def test_switching_second_stage_rebuilds(self, table_builds):
-        frame = multi_ssu_frame(30, 80)
-        systematic = self.SCENARIOS["SYSTEMATIC"]
-        first = approximate_true_variance(frame, systematic, seed=80)
-        assert montecarlo._FRAME_ARRAYS[frame][0][:2] == (True, 3)
-        approximate_true_variance(frame, replace(systematic, second_stage="SI", n0=2), seed=80)
-        assert montecarlo._FRAME_ARRAYS[frame][0][:2] == (False, None)
-        assert approximate_true_variance(frame, systematic, seed=80) == first
-        assert table_builds == [3, 3]
-
-    def test_the_slot_goes_with_its_frame(self):
-        frame = multi_ssu_frame(30, 81)
-        approximate_true_variance(frame, self.SCENARIOS["SYSTEMATIC"], seed=81)
-        frame_alive = weakref.ref(frame)
-        table_alive = weakref.ref(montecarlo._FRAME_ARRAYS[frame][1])
-        del frame
-        gc.collect()
-        assert frame_alive() is None and table_alive() is None
 
 
 class TestTrueVariance:
