@@ -662,25 +662,34 @@ def systematic_table(frame: Frame, n0: int, column_block) -> SystematicTable:
     del lower
     ends[psu_rows[1:] - 1] = _GRID_POINTS
 
-    # each row's sample is placed at its interval's first grid point: the
-    # previous row's end, or 0 for a PSU's first row (whose previous row
-    # ends at 2^53)
     estimates = None
-    batch = max(1, _TABLE_CELLS // n0)
     for lo, hi in _psu_spans(frame, _TABLE_SSUS):
         columns = column_block(frame.offsets[lo], frame.offsets[hi])
         if estimates is None:
             estimates = np.empty((ends.size, columns.shape[1]))
-        span_rows = psu_rows[lo:hi + 1]
-        for r0 in range(span_rows[0], span_rows[-1], batch):
-            r1 = min(r0 + batch, span_rows[-1])
-            psus = np.searchsorted(span_rows, np.arange(r0, r1), side="right") + (lo - 1)
-            prev = ends[r0 - 1:r1 - 1] if r0 else np.append(_GRID_POINTS, ends[:r1 - 1])
-            rows = systematic_positions(frame, psus, (prev & (_GRID_POINTS - 1)) * _GRID, n0)
-            rows -= frame.offsets[lo]
-            estimates[r0:r1] = psu_subtotal_estimates(frame, columns, psus, rows, n0)[0]
+        _fill_span(frame, n0, lo, psu_rows[lo:hi + 1], ends, columns, estimates)
+        del columns  # so that two spans' columns are never held at once
     return SystematicTable(psu_rows, ends, estimates, buckets.astype(np.float64), bucket_base,
                            first)
+
+
+def _fill_span(frame: Frame, n0: int, lo: int, span_rows: np.ndarray, ends: np.ndarray,
+               columns: np.ndarray, estimates: np.ndarray) -> None:
+    """Fill the table rows of the PSUs from ``lo`` on whose row bounds are ``span_rows``.
+
+    ``columns`` holds the span's SSU columns.  Each row's sample is placed at
+    its interval's first grid point: the previous row's end, or 0 for a
+    PSU's first row (whose previous row ends at 2^53).  Rows go
+    _TABLE_CELLS // n0 at a time, and their estimates straight into the table.
+    """
+    batch = max(1, _TABLE_CELLS // n0)
+    for r0 in range(span_rows[0], span_rows[-1], batch):
+        r1 = min(r0 + batch, span_rows[-1])
+        psus = np.searchsorted(span_rows, np.arange(r0, r1), side="right") + (lo - 1)
+        prev = ends[r0 - 1:r1 - 1] if r0 else np.append(_GRID_POINTS, ends[:r1 - 1])
+        rows = systematic_positions(frame, psus, (prev & (_GRID_POINTS - 1)) * _GRID, n0)
+        rows -= frame.offsets[lo]
+        psu_subtotal_estimates(frame, columns, psus, rows, n0, out=estimates[r0:r1])
 
 
 def psu_subtotal_estimates(
@@ -690,6 +699,7 @@ def psu_subtotal_estimates(
     rows: np.ndarray,
     n0: int,
     with_vhat: bool = False,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Expansion estimates of the PSU subtotals from drawn second-stage samples.
 
@@ -697,26 +707,29 @@ def psu_subtotal_estimates(
     of ``psu_indices``, as :func:`second_stage_estimates` draws them; the
     samples of many first-stage draws may be stacked along k.  Returns the
     estimates ``(N_i/n0) * sum`` of the ``(N, p)`` SSU matrix ``columns``,
-    shape (k, p).  With ``with_vhat`` also returns the unbiased within-PSU
+    shape (k, p), written into ``out`` (a C-contiguous (k, p) array) when it
+    is given.  With ``with_vhat`` also returns the unbiased within-PSU
     variance estimates ``(N_i^2/n0)(1 - n0/N_i) s_i^2`` of SI subsampling.
     """
     psu_indices = np.asarray(psu_indices, dtype=np.int64)
     k, p = psu_indices.size, columns.shape[1]
     if rows.shape != (k, n0):
         raise ValueError(f"rows must have shape ({k}, {n0}), got {rows.shape}")
+    if out is not None and (out.shape != (k, p) or not out.flags.c_contiguous):
+        raise ValueError(f"out must be a C-contiguous ({k}, {p}) array")
     if k == 0:
-        return np.empty((0, p)), (np.empty((0, p)) if with_vhat else None)
+        return (np.empty((0, p)) if out is None else out), (np.empty((0, p)) if with_vhat else None)
     sizes = frame.sizes[psu_indices].astype(np.float64)
     scale = (sizes / n0)[:, None]
     if with_vhat or p == 1:
         sel = np.take(columns, rows, axis=0)  # (k, n0, p)
-        y_hat = scale * sel.sum(axis=1)
+        y_hat = np.multiply(scale, sel.sum(axis=1), out=out)
     else:
         # numpy sums (k, n0, p) over axis 1 one j after another when p > 1 (a
         # contiguous p == 1 row is summed pairwise), so this running sum has
         # the same bits; it runs on _GATHER_ROWS samples at a time, so that
         # neither the (k, n0, p) gather nor a (k, p) temporary is held
-        y_hat = np.empty((k, p))
+        y_hat = np.empty((k, p)) if out is None else out
         for lo in range(0, k, _GATHER_ROWS):
             acc, sub = y_hat[lo:lo + _GATHER_ROWS], rows[lo:lo + _GATHER_ROWS]
             np.take(columns, sub[:, 0], axis=0, out=acc)

@@ -197,3 +197,21 @@ def test_draw_matches_the_second_stage_engine(p):
     want, _ = second_stage_estimates(frame, frame.values, None, psus, "SYSTEMATIC", 5, old)
     _same(table.draw(psus, new), want)
     assert [repr(r.bit_generator.state) for r in new] == [repr(r.bit_generator.state) for r in old]
+
+
+@pytest.mark.parametrize("p, with_vhat", [(1, False), (3, False), (3, True)])
+def test_estimates_written_into_out_keep_their_bits(p, with_vhat):
+    """``out`` receives what a fresh array would hold; a wrong shape or layout is refused."""
+    frame = _frame([9, 14, 23, 40, 5], p)
+    psus = np.array([0, 3, 3, 1, 4, 2])
+    rows = systematic_positions(frame, psus, np.linspace(0.0, 0.9, psus.size), 5)
+    want, want_v = psu_subtotal_estimates(frame, frame.values, psus, rows, 5, with_vhat)
+    out = np.full((psus.size, p), np.nan)
+    got, got_v = psu_subtotal_estimates(frame, frame.values, psus, rows, 5, with_vhat, out=out)
+    assert got is out
+    _same(out, want)
+    if with_vhat:
+        _same(got_v, want_v)
+    for bad in (np.empty((psus.size + 1, p)), np.empty((psus.size, p + 1))[:, :p]):
+        with pytest.raises(ValueError, match="out must be a C-contiguous"):
+            psu_subtotal_estimates(frame, frame.values, psus, rows, 5, out=bad)
