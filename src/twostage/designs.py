@@ -503,24 +503,24 @@ class SystematicTable:
         """The estimates (*S, p) of the samples that the starts (shape S) draw in their PSUs.
 
         The same bits as :func:`psu_subtotal_estimates` of
-        :func:`systematic_positions` at those starts.
+        :func:`systematic_positions` at those starts.  With p > 1 columns
+        the result is a view of a C-contiguous (*reversed S, p) array: for a
+        (B, k) block numpy adds a row's k estimates one after another in
+        either layout, and a sum over axis 1 of this one adds whole (B, p)
+        slices at a time.  A lone column stays C-contiguous, since numpy
+        sums a contiguous row pairwise.
         """
-        return np.take(self.estimates, self.rows_at(psu_indices, starts), axis=0)
+        rows = self.rows_at(psu_indices, starts)
+        if self.estimates.shape[1] == 1:
+            return np.take(self.estimates, rows, axis=0)
+        return np.take(self.estimates, rows.T, axis=0).transpose(*range(rows.ndim)[::-1], rows.ndim)
 
     def draw(self, psu_indices: np.ndarray, rngs: Sequence[np.random.Generator]) -> np.ndarray:
         """:func:`second_stage_estimates` of a (B, k) block under SYSTEMATIC, looked up.
 
         Row b's starts are drawn from ``rngs[b]`` as that function draws them.
-        With p > 1 columns the (B, k, p) result is a view of a C-contiguous
-        (k, B, p) array: numpy adds the k estimates of a row one after
-        another in either layout, and a sum over axis 1 of this one adds
-        whole (B, p) slices at a time.  A lone column stays C-contiguous,
-        since numpy sums a contiguous row pairwise.
         """
-        rows = self.rows_at(psu_indices, _systematic_starts(rngs, psu_indices.shape[1]))
-        if self.estimates.shape[1] == 1:
-            return np.take(self.estimates, rows, axis=0)
-        return np.take(self.estimates, rows.T, axis=0).transpose(1, 0, 2)
+        return self.subtotal_estimates(psu_indices, _systematic_starts(rngs, psu_indices.shape[1]))
 
 
 def _systematic_starts(rngs: Sequence[np.random.Generator], k: int) -> np.ndarray:

@@ -302,8 +302,8 @@ class _Block:
 
     rngs: list[np.random.Generator]
     orders: np.ndarray  # (B, n_I) first-stage draws
-    # (B, n_I, p_distinct) estimated subtotals: C-contiguous, or a table
-    # lookup's view (see SystematicTable.draw) that sums over axis 1 alike
+    # (B, n_I, p_distinct) estimated subtotals: C-contiguous, or a table lookup's
+    # view (see SystematicTable.subtotal_estimates) that sums over axis 1 alike
     yhat: np.ndarray
     vhat: np.ndarray | None  # (B, n_I, p_distinct) within-PSU variance estimates
     theta: np.ndarray  # (B, n_estimands) point estimates
