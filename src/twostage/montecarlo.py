@@ -325,8 +325,9 @@ def _block(ctx: _Context, keys: np.ndarray) -> _Block:
     stream is the context's i-th pooled generator, reset to keys[i], so it
     stays the replicate's own until the next block.  Each replicate makes
     the draws of a lone replicate in the same order (its first stage, then
-    its second stage); the block resolves the SI orders at once (each
-    stratum's under STRAT_SI) and makes one ``second_stage_estimates`` call
+    its second stage); the block draws the SI rows from the fresh streams'
+    raw words at once (``fresh_si_draws``), resolves the SI orders at once
+    (each stratum's under STRAT_SI) and makes one ``second_stage_estimates`` call
     or, under SYSTEMATIC, one lookup in the context's table, all elementwise
     per row, and every reduction runs over axis 1 of a C-contiguous array
     (or of the table's view, which numpy sums in the same order), so each
