@@ -17,6 +17,7 @@ and for the stratified proportion (its linearized variance per replicate).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .estimators import (
     StratifiedClusterSample,
     TotalEstimand,
     check_alpha,
+    column_layout,
     linearized_values,
 )
 from .rng import substream
@@ -91,16 +93,18 @@ def resample_wr(
     z_values: np.ndarray,
     n_population: int,
     cfg: BootstrapConfig,
-    estimand: SmoothEstimand | None = None,
+    estimands: Sequence[SmoothEstimand] = (TotalEstimand(0),),
     rng: np.random.Generator | None = None,
     compute_se: bool = False,
-) -> ReplicateSet:
-    """With-replacement bootstrap of the per-draw PSU estimates.
+) -> list[ReplicateSet]:
+    """With-replacement bootstrap of the per-draw PSU estimates: one ReplicateSet per estimand.
 
-    ``z_values`` has one row per first-stage draw; its columns must match
-    the estimand's totals convention (a single column for a total).  All
-    replicates are generated from one substream of ``cfg.seed``, so the
-    result is a pure function of (z_values, cfg).
+    ``z_values`` has one row per first-stage draw and the estimands' columns
+    side by side, each reading ``len(column_keys())`` of them (the slices of
+    :func:`column_layout`).  One multinomial weight matrix, drawn from
+    ``rng`` (by default a substream of ``cfg.seed``), resamples every
+    column at once.  With ``compute_se`` the totals carry se*; the other
+    estimands have none.
     """
     z = np.asarray(z_values, dtype=np.float64)
     if z.ndim == 1:
@@ -108,17 +112,24 @@ def resample_wr(
     n = z.shape[0]
     if n < 2:
         raise ValueError("bootstrap needs at least 2 first-stage draws")
+    slices = column_layout(estimands)[2]
+    if slices[-1].stop != z.shape[1]:
+        raise ValueError(f"the estimands read {slices[-1].stop} columns, got {z.shape[1]}")
     m = cfg.resolve_m(n)
-    estimand = estimand if estimand is not None else TotalEstimand(0)
     rng = rng if rng is not None else substream(cfg.seed, "bootstrap")
 
     d_mat = multinomial_weights(rng, cfg.replicates, n, m)
     totals_star = (d_mat @ z) * (n_population / m)  # (R, p)
-    theta_star = np.asarray(estimand.evaluate(totals_star), dtype=np.float64)
-    base = float(estimand.evaluate(n_population * z.mean(axis=0)[None, :])[0])
-
-    se_star = replicate_se(d_mat, z, totals_star, n_population, m, estimand) if compute_se else None
-    return ReplicateSet(theta_star, base, se_star)
+    base = n_population * z.mean(axis=0)
+    return [
+        ReplicateSet(
+            np.asarray(e.evaluate(totals_star[:, sl]), dtype=np.float64),
+            float(e.evaluate(base[None, sl])[0]),
+            (replicate_se(d_mat, z[:, sl], totals_star[:, sl], n_population, m, e)
+             if compute_se and isinstance(e, TotalEstimand) else None),
+        )
+        for e, sl in zip(estimands, slices)
+    ]
 
 
 def replicate_se(

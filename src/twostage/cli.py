@@ -530,19 +530,28 @@ def _one_draw_estimates(cfg: RunConfig, frame: Frame):
 
 
 def _run_estimate(cfg: RunConfig, out: str, notes: dict, phase: Callable) -> list[str]:
+    """``estimate``, and ``bootstrap``: the same draw and report plus each estimand's bootstrap."""
     payload = cfg.payload
     phase("frame")
     frame = ingest_frame(payload["frame"])
     phase("compute")
     alpha = payload.get("alpha", 0.025)
     kind = payload["_design"].kind
+    boot_cfg: BootstrapConfig | None = payload.get("_bootstrap")
     draw, yhat, vhat, points = _one_draw_estimates(cfg, frame)
     skipped = notes["skipped_variance_methods"] = []
+    if boot_cfg is not None:
+        dropped = notes["studentized_dropped_replicates"] = {}  # replicates without a pivot
+        labels: list[str] = []
+        theta_star: list[np.ndarray] = []
+        se_star: list = []
 
     for est, sl, entry in points:
-        if isinstance(est, TotalEstimand) and payload.get("variance_methods"):
+        total = None
+        if isinstance(est, TotalEstimand):
             total_fn = ht_total_be if kind == "BE" else mean_total
             total = total_fn(draw, (yhat[:, sl], None if vhat is None else vhat[:, sl]))
+        if total is not None and payload.get("variance_methods"):
             variances = {}
             cis = {}
             for vm in payload["variance_methods"]:
@@ -556,50 +565,17 @@ def _run_estimate(cfg: RunConfig, out: str, notes: dict, phase: Callable) -> lis
                 cis[vm] = [lo, hi]
             entry["variance_by_method"] = variances
             entry["ci_by_method"] = cis
-
-    report = {
-        "design": draw.to_dict(),
-        "second_stage": payload["second_stage"],
-        "alpha": alpha,
-        "seeds": {"master": cfg.seed, "stream": "estimate"},
-        "estimates": [entry for _, _, entry in points],
-    }
-    phase("write")
-    report_path = os.path.join(out, "estimate.json")
-    _write_json(report_path, report)
-    draw_path = os.path.join(out, "draw.json")
-    _write_json(draw_path, draw.to_dict())
-    return [report_path, draw_path]
-
-
-def _run_bootstrap(cfg: RunConfig, out: str, notes: dict, phase: Callable) -> list[str]:
-    payload = cfg.payload
-    phase("frame")
-    frame = ingest_frame(payload["frame"])
-    phase("compute")
-    alpha = payload.get("alpha", 0.025)
-    boot_cfg: BootstrapConfig = payload["_bootstrap"]
-    studentized = payload.get("studentized", False)
-    draw, yhat, vhat, points = _one_draw_estimates(cfg, frame)
-    dropped = notes["studentized_dropped_replicates"] = {}  # replicates without a pivot
-
-    labels: list[str] = []
-    theta_star: list[np.ndarray] = []
-    se_star: list = []
-    for est, sl, entry in points:
-        want_se = studentized and isinstance(est, TotalEstimand)
-        reps = resample_wr(
-            yhat[:, sl], frame.n_psus, boot_cfg, estimand=est,
-            rng=substream(cfg.seed, "bootstrap", est.label),
-            compute_se=want_se,
-        )
+        if boot_cfg is None:
+            continue
+        # each estimand resamples on its own stream; only the totals get se*
+        (reps,) = resample_wr(yhat[:, sl], frame.n_psus, boot_cfg, (est,),
+                              substream(cfg.seed, "bootstrap", est.label),
+                              compute_se=payload.get("studentized", False))
         entry["bootstrap_variance"] = bootstrap_variance(reps)
         entry["ci_percentile"] = list(percentile_ci(reps, boot_cfg.alpha))
-        if want_se:
-            base_v = variance_estimate(mean_total(draw, (yhat[:, sl], None)), "SIMPLIFIED")
-            entry["ci_studentized"] = list(
-                studentized_ci(reps, float(np.sqrt(base_v)), boot_cfg.alpha)
-            )
+        if reps.se_star is not None:
+            base_se = float(np.sqrt(variance_estimate(total, "SIMPLIFIED")))
+            entry["ci_studentized"] = list(studentized_ci(reps, base_se, boot_cfg.alpha))
             dropped[est.label] = int(np.count_nonzero(~reps.pivotal))
         labels += [est.label] * reps.theta_star.size
         theta_star.append(reps.theta_star)
@@ -609,10 +585,21 @@ def _run_bootstrap(cfg: RunConfig, out: str, notes: dict, phase: Callable) -> li
         "design": draw.to_dict(),
         "second_stage": payload["second_stage"],
         "alpha": alpha,
-        "bootstrap": {"replicates": boot_cfg.replicates, "m": boot_cfg.m, "alpha": boot_cfg.alpha},
-        "seeds": {"master": cfg.seed},
+        "seeds": {"master": cfg.seed, "stream": "estimate"},
         "estimates": [entry for _, _, entry in points],
     }
+    if boot_cfg is None:
+        phase("write")
+        report_path = os.path.join(out, "estimate.json")
+        _write_json(report_path, report)
+        draw_path = os.path.join(out, "draw.json")
+        _write_json(draw_path, draw.to_dict())
+        return [report_path, draw_path]
+
+    # the bootstrap also draws on each estimand's ("bootstrap", label) stream
+    report["seeds"] = {"master": cfg.seed}
+    report["bootstrap"] = {"replicates": boot_cfg.replicates, "m": boot_cfg.m,
+                           "alpha": boot_cfg.alpha}
     phase("write")
     report_path = os.path.join(out, "bootstrap.json")
     _write_json(report_path, report)
@@ -709,7 +696,7 @@ def _run_verify(cfg: RunConfig, out: str, notes: dict, phase: Callable) -> list[
 _RUNNERS = {
     "gen-pop": _run_genpop,
     "estimate": _run_estimate,
-    "bootstrap": _run_bootstrap,
+    "bootstrap": _run_estimate,
     "mc": _run_mc,
     "verify": _run_verify,
 }

@@ -180,6 +180,21 @@ def _repeats(n_I: int, first_pos: np.ndarray) -> np.ndarray:
     return repeat
 
 
+def _sir_si_values(values: Callable, wr: np.ndarray, first_pos: np.ndarray,
+                   complement: np.ndarray, rng: np.random.Generator):
+    """Second stage of one SIR/SI coupled draw: (x, z), drawn from ``rng`` in this order.
+
+    x holds the with-replacement draws' estimates; z is x with the
+    complement's estimates in the repeat draws' slots, so the z-multiset is
+    the SI sample's.
+    """
+    x = values(wr, rng)
+    z = x.copy()
+    if complement.size:
+        z[_repeats(wr.size, first_pos)] = values(complement, rng)
+    return x, z
+
+
 @dataclass
 class CoupledBeSiDraw:
     """Jointly drawn Bernoulli and SI first-stage samples with shared second stage.
@@ -276,10 +291,7 @@ def coupled_sir_si(
     multiplicity = np.unique(wr, return_counts=True)[1][by_first]
     si = np.concatenate([distinct, complement])
 
-    x_vals = values(wr, rng)
-    z_vals = x_vals.copy()
-    if complement.size:
-        z_vals[_repeats(n_I, first_pos)] = values(complement, rng)
+    x_vals, z_vals = _sir_si_values(values, wr, first_pos, complement, rng)
     return CoupledSirSiDraw(N, n_I, wr, distinct, multiplicity, si, x_vals, z_vals)
 
 
@@ -400,16 +412,13 @@ def _sir_si_blocks(
         d = None if m is None else np.empty((hi - lo, n_I))
         for i, rng in enumerate(substreams(*stream, indices=range(lo, hi))):
             wr, _, first_pos, complement = _draw_sir_si(N, n_I, rng)
-            repeat = _repeats(n_I, first_pos)
             if census:
                 x[i] = wr
                 z[i] = wr
-                z[i, repeat] = complement
+                z[i, _repeats(n_I, first_pos)] = complement
             else:
-                x[i] = values(wr, rng)[:, 0]
-                z[i] = x[i]
-                if complement.size:
-                    z[i, repeat] = values(complement, rng)[:, 0]
+                x_vals, z_vals = _sir_si_values(values, wr, first_pos, complement, rng)
+                x[i], z[i] = x_vals[:, 0], z_vals[:, 0]
             if d is not None:
                 d[i] = multinomial_weights(rng, 1, n_I, m)[0]
         if census:

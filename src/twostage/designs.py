@@ -480,7 +480,7 @@ class SystematicTable:
     estimates: np.ndarray  # (R, p) subtotal estimates of each row's sample
     buckets: np.ndarray  # (N_I,) float bucket count N_i / gcd(N_i, n0) of each PSU
     bucket_base: np.ndarray  # (N_I,) offset of PSU i's buckets in ``first``
-    first: np.ndarray  # (sum of bucket counts,) the row each bucket's search starts at
+    first: np.ndarray  # (sum of bucket counts,) int32 row each bucket's search starts at
 
     def rows_at(self, psu_indices: np.ndarray, starts: np.ndarray) -> np.ndarray:
         """The row of the sample that each start draws in its PSU (``psu_indices``'s shape).
@@ -492,7 +492,8 @@ class SystematicTable:
         grid = k.astype(np.int64)
         if not (np.all(grid == k) and np.all((0 <= grid) & (grid < _GRID_POINTS))):
             raise ValueError("starts must be k * 2**-53 for integers 0 <= k < 2**53")
-        row = self.first[self.bucket_base[psu_indices] + _bucket(starts, self.buckets[psu_indices])]
+        row = self.first[self.bucket_base[psu_indices]
+                         + _bucket(starts, self.buckets[psu_indices])].astype(np.int64)
         while True:
             step = self.ends[row] <= grid
             if not step.any():
@@ -658,6 +659,9 @@ def systematic_table(frame: Frame, n0: int, column_block) -> SystematicTable:
     first[0] = 0
     first -= 1
     np.maximum(first, np.repeat(psu_rows[:-1], buckets), out=first)
+    if lower.size > np.iinfo(np.int32).max:
+        raise ValueError(f"the table's {lower.size} rows overflow its int32 bucket index")
+    first = first.astype(np.int32)  # half the room of the index, which fits the build's bound
     ends = np.roll(lower, -1)
     del lower
     ends[psu_rows[1:] - 1] = _GRID_POINTS

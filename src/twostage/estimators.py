@@ -446,9 +446,13 @@ class StratifiedClusterSample:
 
     @cached_property
     def totals(self) -> np.ndarray:
-        """Stratified HT totals sum_l (N_Il / n_l) sum_S (Y_ic, N_i) of count and size."""
+        """Stratified HT totals sum_l (N_Il / n_l) sum_S (Y_ic, N_i) of count and size.
+
+        The sums run over the PSU axis, the second to last: (B, n_l, 2)
+        subtotals, a block of B samples, give their (B, 2) totals.
+        """
         return sum(
-            expansion_totals(y, self.n_psus_population[label], y.shape[0])
+            expansion_totals(y, self.n_psus_population[label], y.shape[-2], axis=-2)
             for label, y in self.subtotals.items()
         )
 

@@ -45,9 +45,8 @@ from .bootstrap import (
     BootstrapConfig,
     ReplicateSet,
     bootstrap_variance,
-    multinomial_weights,
     percentile_ci,
-    replicate_se,
+    resample_wr,
     stratified_proportion_resample,
     studentized_ci,
 )
@@ -74,7 +73,6 @@ from .estimators import (
     column_layout,
     column_matrix,
     estimand_columns,
-    expansion_totals,
     linearized_values,
     mean_total,
     normal_ci,
@@ -352,34 +350,23 @@ def _block(ctx: _Context, keys: np.ndarray) -> _Block:
                                             sc.second_stage, sc.n0, rngs,
                                             with_vhat=ctx.need_vhat)
     totals = (N * yhat.mean(axis=1) if design.kind == "SI"
-              else _stratified_totals(ctx, yhat))[:, ctx.expand]
+              else _stratified_sample(ctx, yhat).totals)[:, ctx.expand]
     theta = np.column_stack([e.evaluate(totals[:, sl])
                              for e, sl in zip(sc.estimands, ctx.slices)])
     return _Block(rngs, orders, yhat, vhat, theta)
 
 
-def _stratified_totals(ctx: _Context, yhat: np.ndarray) -> np.ndarray:
-    """The (B, p) stratified totals of a block's (B, n_I, p) estimates.
-
-    Row b has the bits of ``_stratified_sample(ctx, yhat[b]).totals``: the
-    same :func:`expansion_totals` per stratum, each summed over axis 1 of a
-    C-contiguous block as the row's is over axis 0, added to 0 in the same
-    stratum order.
-    """
-    alloc = ctx.scenario.first_stage.allocations
-    strata = ctx.frame.stratum_psu_indices()
-    starts = np.cumsum([0, *(alloc[label] for label in strata)]).tolist()
-    return sum(expansion_totals(yhat[:, lo:lo + alloc[label]], psus.size, alloc[label], axis=1)
-               for (label, psus), lo in zip(strata.items(), starts))
-
-
 def _stratified_sample(ctx: _Context, yhat: np.ndarray) -> StratifiedClusterSample:
-    """The stratified sample of a block row's (n_I, p) estimates, cut into its strata."""
+    """The stratified sample of a block row's (n_I, p) estimates, cut into its strata.
+
+    Given the whole (B, n_I, p) block, its totals are the (B, p) totals of
+    the rows, each with the bits of the row's own.
+    """
     alloc = ctx.scenario.first_stage.allocations
     n_population, subtotals, lo = {}, {}, 0
     for label, psus in ctx.frame.stratum_psu_indices().items():
         n_population[label] = psus.size
-        subtotals[label] = yhat[lo:lo + alloc[label]]
+        subtotals[label] = yhat[..., lo:lo + alloc[label], :]
         lo += alloc[label]
     return StratifiedClusterSample(n_population, subtotals)
 
@@ -387,7 +374,6 @@ def _stratified_sample(ctx: _Context, yhat: np.ndarray) -> StratifiedClusterSamp
 def _si_replicate_row(ctx: _Context, block: _Block, i: int, row: np.ndarray) -> None:
     """Variance estimates and the bootstrap of SI replicate i of the block."""
     sc = ctx.scenario
-    n = sc.first_stage.n_I
     N = ctx.frame.n_psus
     # fresh C-contiguous (n_I, p_total) arrays, as a lone replicate would have
     yhat = np.take(block.yhat[i], ctx.expand, axis=1)
@@ -404,18 +390,10 @@ def _si_replicate_row(ctx: _Context, block: _Block, i: int, row: np.ndarray) -> 
 
     if sc.bootstrap is None:
         return
-    cfg = sc.bootstrap
-    m = cfg.resolve_m(n)
-    d_mat = multinomial_weights(block.rngs[i], cfg.replicates, n, m)
-    totals_star = (d_mat @ yhat) * (N / m)  # (R, p_total)
-    for e, sl in zip(sc.estimands, ctx.slices):
-        studentized = (e.label, "ci_studentized") in ctx.layout
-        reps = ReplicateSet(
-            np.asarray(e.evaluate(totals_star[:, sl]), dtype=np.float64),
-            row[ctx.layout[e.label, "point"]],
-            replicate_se(d_mat, yhat[:, sl], totals_star[:, sl], N, m, e) if studentized else None,
-        )
-        _write_bootstrap(ctx, row, e.label, reps, "SIMPLIFIED" if studentized else None)
+    # the Studentized interval is in the layout of the totals, and only they get se*
+    for e, reps in zip(sc.estimands, resample_wr(yhat, N, sc.bootstrap, sc.estimands,
+                                                  block.rngs[i], compute_se=sc.studentized)):
+        _write_bootstrap(ctx, row, e.label, reps, None if reps.se_star is None else "SIMPLIFIED")
 
 
 def _strat_replicate_row(ctx: _Context, block: _Block, i: int, row: np.ndarray) -> None:

@@ -405,7 +405,7 @@ def test_criterion_7_pivot_normality_and_stratified_coverage():
     )
     draw = draw_si(10000, 100, substream(431, "pivot-draw"))
     z = frame.subtotals[draw.order, 0]
-    reps = resample_wr(
+    (reps,) = resample_wr(
         z, 10000, BootstrapConfig(replicates=10000, seed=431), compute_se=True
     )
     pivot = (reps.theta_star - reps.base) / reps.se_star

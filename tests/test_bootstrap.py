@@ -7,6 +7,7 @@ import pytest
 from twostage import (
     BootstrapConfig,
     RatioEstimand,
+    TotalEstimand,
     bootstrap_variance,
     percentile_ci,
     resample_wr,
@@ -14,14 +15,14 @@ from twostage import (
     studentized_ci,
     substream,
 )
-from twostage.bootstrap import ReplicateSet, multinomial_weights
+from twostage.bootstrap import ReplicateSet, multinomial_weights, replicate_se
 from twostage.estimators import ProportionEstimand, StratifiedClusterSample, linearized_values
 
 
 class TestResampleWr:
     def test_constant_values_degenerate(self):
         z = np.full(8, 3.0)
-        reps = resample_wr(z, 100, BootstrapConfig(replicates=200, seed=1), compute_se=True)
+        (reps,) = resample_wr(z, 100, BootstrapConfig(replicates=200, seed=1), compute_se=True)
         assert np.all(reps.theta_star == 300.0)
         assert bootstrap_variance(reps) == 0.0
         assert np.all(reps.se_star == 0.0)
@@ -30,7 +31,7 @@ class TestResampleWr:
         # E(Zbar*_m | Z) = Zbar, checked by MC within 3 standard errors
         rng = np.random.default_rng(2)
         z = rng.normal(10.0, 2.0, size=25)
-        reps = resample_wr(z, 1, BootstrapConfig(replicates=10000, seed=3))
+        (reps,) = resample_wr(z, 1, BootstrapConfig(replicates=10000, seed=3))
         se = reps.theta_star.std(ddof=1) / math.sqrt(reps.theta_star.size)
         assert abs(reps.theta_star.mean() - z.mean()) < 3 * se
 
@@ -39,7 +40,7 @@ class TestResampleWr:
         rng = np.random.default_rng(4)
         z = rng.normal(0.0, 3.0, size=20)
         m = 20
-        reps = resample_wr(z, 1, BootstrapConfig(replicates=100000, seed=5, m=m))
+        (reps,) = resample_wr(z, 1, BootstrapConfig(replicates=100000, seed=5, m=m))
         target = np.sum((z - z.mean()) ** 2) / (m * z.size)
         observed = reps.theta_star.var(ddof=1)
         assert observed == pytest.approx(target, rel=0.03)
@@ -52,28 +53,45 @@ class TestResampleWr:
         z = rng.normal(50.0, 8.0, size=n)
         v_wr = n_pop**2 / n * np.var(z, ddof=1)
         cfg = BootstrapConfig(replicates=40000, seed=7)
-        reps = resample_wr(z, n_pop, cfg)
+        (reps,) = resample_wr(z, n_pop, cfg)
         assert cfg.resolve_m(n) == n - 1
         assert bootstrap_variance(reps) == pytest.approx(v_wr, rel=0.05)
 
     def test_se_star_matches_replicate_spread_for_totals(self):
         rng = np.random.default_rng(8)
         z = rng.normal(50.0, 8.0, size=50)
-        reps = resample_wr(z, 200, BootstrapConfig(replicates=5000, seed=9), compute_se=True)
+        (reps,) = resample_wr(z, 200, BootstrapConfig(replicates=5000, seed=9), compute_se=True)
         assert np.median(reps.se_star) == pytest.approx(reps.theta_star.std(ddof=1), rel=0.10)
 
     def test_ratio_se_star_raises(self):
         # within-replicate standard errors exist for totals only
         z = np.column_stack([np.arange(1.0, 11.0), np.arange(2.0, 12.0)])
+        d_mat = multinomial_weights(substream(11, "bootstrap"), 100, 10, 9)
         with pytest.raises(ValueError, match="totals only"):
-            resample_wr(z, 500, BootstrapConfig(replicates=100, seed=11),
-                        estimand=RatioEstimand(0, 1), compute_se=True)
+            replicate_se(d_mat, z, (d_mat @ z) * (500 / 9), 500, 9, RatioEstimand(0, 1))
+
+    def test_se_star_for_the_totals_only(self):
+        # side by side, a total and a ratio share one weight matrix; only the total gets se*
+        z = np.column_stack([np.arange(1.0, 11.0), np.arange(2.0, 12.0), np.arange(3.0, 13.0)])
+        cfg = BootstrapConfig(replicates=100, seed=11)
+        total, ratio = resample_wr(z, 500, cfg, (TotalEstimand(0), RatioEstimand(0, 1)),
+                                   compute_se=True)
+        (alone,) = resample_wr(z[:, :1], 500, cfg, compute_se=True)
+        assert ratio.se_star is None and total.se_star is not None
+        assert np.array_equal(total.se_star, alone.se_star)
+        assert total.base == 500 * z[:, 0].mean() and ratio.base == pytest.approx(z[:, 1].sum()
+                                                                                   / z[:, 2].sum())
+
+    def test_refuses_columns_the_estimands_do_not_read(self):
+        z = np.column_stack([np.arange(1.0, 11.0), np.arange(2.0, 12.0)])
+        with pytest.raises(ValueError, match="read 1 columns, got 2"):
+            resample_wr(z, 500, BootstrapConfig(replicates=100, seed=11))
 
     def test_determinism_and_m_default(self):
         z = np.arange(1.0, 11.0)
         cfg = BootstrapConfig(replicates=100, seed=12)
-        a = resample_wr(z, 10, cfg)
-        b = resample_wr(z, 10, cfg)
+        (a,) = resample_wr(z, 10, cfg)
+        (b,) = resample_wr(z, 10, cfg)
         assert np.array_equal(a.theta_star, b.theta_star)
         assert cfg.resolve_m(z.size) == 9  # defaults to n - 1
 

@@ -368,6 +368,37 @@ class TestEstimateAndBootstrapCommands:
         assert lines[0] == "r,estimand,theta_star,se_star"
         assert len(lines) == 201
 
+    def test_bootstrap_is_estimate_plus_the_bootstrap(self, tmp_path, frame_path):
+        """Same config and seed: the same variances and normal intervals, at the top-level
+        alpha, and the same skipped methods in the manifest."""
+        payload = {
+            "frame": frame_path,
+            "design": {"kind": "SI", "n_I": 10},
+            "second_stage": {"method": "SI", "n0": 2},
+            "estimands": [{"kind": "total", "var": 1}, {"kind": "ratio", "num": 1, "den": 2},
+                          {"kind": "total", "var": 2}],
+            # BERNOULLI is skipped under an SI design, by both commands
+            "variance_methods": ["UNBIASED", "BERNOULLI", "SIMPLIFIED"],
+            "alpha": 0.05,
+        }
+        est_out, boot_out = tmp_path / "est", tmp_path / "boot"
+        cfg = _write_config(tmp_path, "est.json", payload)
+        assert _run(["estimate", "--config", cfg, "--seed", 25, "--out", est_out]) == 0
+        cfg = _write_config(tmp_path, "boot.json", dict(
+            payload, bootstrap={"replicates": 100, "alpha": 0.1}, studentized=True))
+        assert _run(["bootstrap", "--config", cfg, "--seed", 25, "--out", boot_out]) == 0
+        estimate = json.loads((est_out / "estimate.json").read_text())
+        boot = json.loads((boot_out / "bootstrap.json").read_text())
+        assert boot["alpha"] == 0.05 and boot["bootstrap"]["alpha"] == 0.1
+        keys = ("estimand", "point", "variance_by_method", "ci_by_method")
+        for want, got in zip(estimate["estimates"], boot["estimates"], strict=True):
+            assert {k: want[k] for k in keys if k in want} == {k: got[k] for k in keys if k in got}
+        assert [("variance_by_method" in e) for e in boot["estimates"]] == [True, False, True]
+        assert set(boot["estimates"][0]["ci_by_method"]) == {"UNBIASED", "SIMPLIFIED"}
+        skipped = [json.loads((out / "manifest.json").read_text())["skipped_variance_methods"]
+                   for out in (est_out, boot_out)]
+        assert skipped[0] == skipped[1] and len(skipped[0]) == 2
+
     def test_studentized_drops_degenerate_replicates(self, tmp_path, frame_path):
         # with n_I = 2 about half the replicates resample one PSU twice (se* = 0)
         cfg = _write_config(

@@ -170,7 +170,7 @@ def run_golden_configs(root: str) -> dict[str, str]:
 
 GOLDEN: dict[str, str] = {
     "bootstrap-SI-SYSTEMATIC/bootstrap.json":
-        "3488af12cc62200d1c2db6c7f69aa3599d6459828a4ee469e222dea0ce5e2b6d",
+        "8b826abdb047474d9e819c0379e777e8c43f2f13b6c6ce3811c433f4bf1bf560",
     "bootstrap-SI-SYSTEMATIC/replicates.csv":
         "494b00e24d45ecca00b9144f88280f26fae5905d6725928467a41b226ce3939b",
     "estimate-BE-CENSUS/draw.json":

@@ -7,6 +7,7 @@ Fisher-Yates loop, stratum by stratum under STRAT_SI) that
 scenario below both must produce the same rows bit for bit, for any span
 and any split of it into worker chunks.
 """
+import math
 import tracemalloc
 
 import numpy as np
@@ -27,8 +28,9 @@ from twostage import (
     generate_population,
     substream,
 )
+from twostage.bootstrap import bootstrap_variance, percentile_ci, resample_wr, studentized_ci
 from twostage.designs import second_stage_estimates, si_order, si_order_excluding
-from twostage.estimators import estimand_columns
+from twostage.estimators import estimand_columns, mean_total, variance_estimate
 
 import oracles
 
@@ -251,15 +253,23 @@ def test_estimand_columns_hold_each_definition_once(estimands, n_columns):
               np.add.reduceat(want, frame.offsets[:-1], axis=0))
 
 
-def test_build_context_peaks_at_the_distinct_columns():
+@pytest.fixture(scope="module")
+def pop3():
+    return generate_population(SyntheticConfig(2000, 40, 0.06, 20.0, 2.0, (0.1, 0.2, 0.3), 0.6,
+                                               seed=3))
+
+
+@pytest.mark.parametrize("n0", [3, 5, 10])
+def test_build_context_peaks_at_the_distinct_columns(pop3, n0):
     """A pop3-shaped cell holds its table of 11 distinct columns, in about the room of the columns.
 
     A SYSTEMATIC context keeps no column matrix; its table and lookup index,
-    built in chunks, must fit where the 11 columns and their subtotals did.
+    built in chunks, must fit where the 11 columns and their subtotals did,
+    at each n0 of the criteria grid and below (R and the index grow with
+    N_i / gcd(N_i, n0)).
     """
-    frame = generate_population(SyntheticConfig(2000, 40, 0.06, 20.0, 2.0, (0.1, 0.2, 0.3), 0.6,
-                                                seed=3))
-    scenario = Scenario(DesignSpec("SI", n_I=200), "SYSTEMATIC", n0=10, estimands=(
+    frame = pop3
+    scenario = Scenario(DesignSpec("SI", n_I=200), "SYSTEMATIC", n0=n0, estimands=(
         TotalEstimand(0), TotalEstimand(4), RatioEstimand(0, 1), RatioEstimand(4, 5),
         CorrelationEstimand(0, 1), CorrelationEstimand(4, 5)), variance_methods=("SIMPLIFIED",))
     montecarlo._build_context(frame, scenario, 1, ())  # the frame's own caches fill here
@@ -286,5 +296,50 @@ def test_stratified_block_totals_have_each_rows_bits(case):
         # mixed signs and magnitudes, so any other order of the additions shows
         yhat = rng.standard_normal((BLOCK, n_sampled, 2)) * 10.0 ** rng.integers(-8, 9, (1, 1, 2))
         want = np.stack([montecarlo._stratified_sample(ctx, y).totals for y in yhat])
-        got = montecarlo._stratified_totals(ctx, yhat)
+        got = montecarlo._stratified_sample(ctx, yhat).totals
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+# the six estimands of the criteria 5-6 cell, and a lone total: numpy sums one column of
+# n_I >= 8 values pairwise, so the engine's base must sum as the block's point does
+ENGINE_CASES = {
+    "systematic-six-estimands": Scenario(
+        DesignSpec("SI", n_I=10), "SYSTEMATIC", n0=3, estimands=(
+            TotalEstimand(0), TotalEstimand(2), RatioEstimand(0, 1), RatioEstimand(2, 3),
+            CorrelationEstimand(0, 1), CorrelationEstimand(2, 3)),
+        variance_methods=("SIMPLIFIED",), bootstrap=BOOT, studentized=True),
+    "census-lone-total": Scenario(
+        DesignSpec("SI", n_I=12), "CENSUS", estimands=(TotalEstimand(1),),
+        variance_methods=("SIMPLIFIED",), bootstrap=BOOT, studentized=True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENGINE_CASES))
+def test_mc_bootstrap_is_resample_wr_on_each_row(case):
+    """Every MC row's boot_var and bootstrap intervals are those of resample_wr on the row.
+
+    The row's estimates and stream come from the one-replicate oracle, and
+    the Studentized base from its own v_SIMP, so only the engine is shared.
+    """
+    scenario = ENGINE_CASES[case]
+    ctx = montecarlo._build_context(_population(), scenario, 20261018, ("cell", 3))
+    end = BLOCK + 9
+    rows = montecarlo._replicate_rows(ctx, 0, end)
+    est_columns = oracles.stacked_columns(ctx.frame, scenario.estimands)
+    cfg = scenario.bootstrap
+    for b in range(end):
+        rng = substream(ctx.seed, *ctx.tag, "mc", b)
+        draw, yhat, _ = oracles._si_draw(ctx, est_columns, rng)
+        sets = resample_wr(yhat, ctx.frame.n_psus, cfg, scenario.estimands, rng, compute_se=True)
+        for e, sl, reps in zip(scenario.estimands, ctx.slices, sets):
+            want = [bootstrap_variance(reps), *percentile_ci(reps, cfg.alpha)]
+            cols = [ctx.layout[e.label, "boot_var"], ctx.layout[e.label, "ci_percentile"]]
+            cols.append(cols[-1] + 1)
+            if isinstance(e, TotalEstimand):
+                v_simp = variance_estimate(mean_total(draw, (yhat[:, sl], None)), "SIMPLIFIED")
+                want += studentized_ci(reps, math.sqrt(v_simp), cfg.alpha)
+                cols += [ctx.layout[e.label, "ci_studentized"] + j for j in (0, 1)]
+            else:
+                assert reps.se_star is None and (e.label, "ci_studentized") not in ctx.layout
+            assert np.array_equal(rows[b, cols].view(np.uint64),
+                                  np.array(want).view(np.uint64)), (b, e.label)
