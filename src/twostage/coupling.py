@@ -21,6 +21,14 @@ closed-form denominators and check them against the ratio bounds
 
 and tabulate the decay of n_I*E(Zbar-Xbar)^2, E|s_Z^2 - s_X^2| and
 m*E(Zbar*_m - Xbar*_m)^2 along a scaling sequence of frames.
+
+They draw replicates in blocks: each one's raw Philox words in one call, and
+numpy's rules decode a block's words at once.  A BE/SI row's Bernoulli draw
+reads words 0..N-1 and its repair the 32-bit halves after them, low half
+first; an SIR/SI row's n_I draws read halves 0..n_I-1 and its completion the
+next ones.  A row that numpy would draw otherwise (a redraw, a second
+rejection round, more halves than it drew) takes the scalar path; a stream
+that goes on (second stage, resampling weights) is moved on by :func:`_seek`.
 """
 from __future__ import annotations
 
@@ -30,18 +38,21 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bootstrap import multinomial_weights
 from .designs import (
+    _U32,
     SECOND_STAGE_METHODS,
     DesignSpec,
+    _bounded_draws,
+    _uniform_below,
     check_second_stage,
+    resolve_si_orders,
     second_stage_estimates,
     si_order,
     si_order_excluding,
 )
 from .estimators import si_second_stage_variances, theoretical_variance
 from .frame import Frame
-from .rng import substreams
+from .rng import new_stream, reset_stream, substream_keys
 
 __all__ = [
     "CoupledBeSiDraw",
@@ -59,10 +70,13 @@ __all__ = [
 ]
 
 
-# The verification helpers draw their SIR/SI replicates in blocks of at
-# most this many (replicates x n_I) cells, so memory never grows with the
+# The verification helpers draw their replicates in blocks of at most this
+# many (replicates x raw words) cells, so memory never grows with the
 # replicate count
 _BLOCK_CELLS = 1 << 13
+# a row draws n_I + _SPARE_WORDS raw words for its 32-bit draws (past its
+# Bernoulli draw): 2 n_I + 16 halves, which all but the rarest rows fit in
+_SPARE_WORDS = 8
 _MIN_REPLICATES = 1000  # per bound, and per decay frame
 # a check's largest array, the decay's (replicates, 3) statistics, takes 240 MB at this ceiling
 _MAX_REPLICATES = 10**7
@@ -157,17 +171,11 @@ def _delta2(be_vals: np.ndarray, si_vals: np.ndarray, mu: float) -> float:
 def _draw_sir_si(n_psus: int, n_I: int, rng: np.random.Generator):
     """First stage of one SIR/SI coupled draw: (wr, uniq, first_pos, complement).
 
-    ``wr`` are the with-replacement draws, ``uniq`` their distinct PSUs in
-    sorted order and ``first_pos`` the draw at which each first occurs (as
-    ``np.unique`` returns them), and ``complement`` is the SI completion
-    from the PSUs never drawn, one per repeat draw.
+    ``uniq`` are the distinct draws sorted, ``first_pos`` where each first
+    occurs, and ``complement`` the SI completion, one unit per repeat draw.
     """
     wr = rng.integers(0, n_psus, size=n_I)
-    order = wr.argsort(kind="stable")
-    ranked = wr[order]
-    starts = np.empty(n_I, dtype=bool)
-    starts[0] = True
-    np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
+    order, ranked, starts = (v[0] for v in _runs(wr[None]))
     uniq, first_pos = ranked[starts], order[starts]
     complement = (si_order_excluding(n_psus, n_I - uniq.size, uniq, rng) if uniq.size < n_I
                   else np.empty(0, dtype=np.int64))
@@ -180,18 +188,18 @@ def _repeats(n_I: int, first_pos: np.ndarray) -> np.ndarray:
     return repeat
 
 
-def _sir_si_values(values: Callable, wr: np.ndarray, first_pos: np.ndarray,
+def _sir_si_values(values: Callable, wr: np.ndarray, repeat: np.ndarray,
                    complement: np.ndarray, rng: np.random.Generator):
     """Second stage of one SIR/SI coupled draw: (x, z), drawn from ``rng`` in this order.
 
     x holds the with-replacement draws' estimates; z is x with the
-    complement's estimates in the repeat draws' slots, so the z-multiset is
-    the SI sample's.
+    complement's estimates in the ``repeat`` draws' slots, so the z-multiset
+    is the SI sample's.
     """
     x = values(wr, rng)
     z = x.copy()
     if complement.size:
-        z[_repeats(wr.size, first_pos)] = values(complement, rng)
+        z[repeat] = values(complement, rng)
     return x, z
 
 
@@ -291,7 +299,7 @@ def coupled_sir_si(
     multiplicity = np.unique(wr, return_counts=True)[1][by_first]
     si = np.concatenate([distinct, complement])
 
-    x_vals, z_vals = _sir_si_values(values, wr, first_pos, complement, rng)
+    x_vals, z_vals = _sir_si_values(values, wr, _repeats(n_I, first_pos), complement, rng)
     return CoupledSirSiDraw(N, n_I, wr, distinct, multiplicity, si, x_vals, z_vals)
 
 
@@ -343,6 +351,129 @@ def _bound_report(
     return BoundReport(check, frame.n_psus, n_I, d2.size, lhs, se, rhs)
 
 
+def _raw_words(rng: np.random.Generator, keys: list, w: int) -> np.ndarray:
+    """(len(keys), w) raw words from the start of each key's stream, ``rng`` reset to each."""
+    words = np.empty((len(keys), w), dtype=np.uint64)
+    for row, key in zip(words, keys):
+        row[:] = reset_stream(rng, key).bit_generator.random_raw(w)
+    return words
+
+
+def _seek(rng: np.random.Generator, key: list, halves: int) -> np.random.Generator:
+    """``rng`` at key's stream after ``halves`` 32-bit draws, the last word's other half cached."""
+    reset_stream(rng, key).bit_generator.random_raw(halves // 2)
+    if halves % 2:
+        rng.integers(1 << 32)  # reads one half of a word as a range of 2^32 does
+    return rng
+
+
+def _runs(a: np.ndarray):
+    """(order, ranked, starts): a (B, L) array's rows sorted stably, and where each value starts."""
+    order = np.argsort(a, axis=1, kind="stable")
+    ranked = np.take_along_axis(a, order, axis=1)
+    starts = np.ones(a.shape, dtype=bool)
+    np.not_equal(ranked[:, 1:], ranked[:, :-1], out=starts[:, 1:])
+    return order, ranked, starts
+
+
+def _bernoulli_words(rng: np.random.Generator, keys: list, N: int, f: float, w: int):
+    """(rows, units) of each key's ``rng.random(N) < f``, and its raw words N..w-1."""
+    hits, tails = [], []
+    step = max(1, _BLOCK_CELLS // w)
+    for lo in range(0, len(keys), step):
+        words = _raw_words(rng, keys[lo:lo + step], w)
+        below = _uniform_below(words, f)
+        below[:, N:] = False
+        hits.append(np.flatnonzero(below) + lo * w)  # faster than a 2-D nonzero
+        tails.append(words[:, N:].copy())  # not a view that keeps all the words
+    return (*np.divmod(np.concatenate(hits), w), np.concatenate(tails))
+
+
+def _fisher_yates_block(pop, k, words, start):
+    """Row b's ``si_order(pop[b], k[b])`` from halves ``start`` on: (samples, used, scalar).
+
+    Self-draws r_j = j pad the (B, max k) samples; ``used`` counts halves.
+    """
+    j = np.arange(k.max(initial=0))
+    ranges = pop[:, None] - j
+    live = (j < k[:, None]) & (ranges > 1)  # a range of one unit takes no half
+    draws, redraw = _bounded_draws(words, np.where(live, ranges, _U32), start)
+    used = live.sum(axis=1)
+    return (resolve_si_orders(np.where(live, draws, 0) + j), used,
+            redraw | (start + used > 2 * words.shape[1]))
+
+
+def _excluding_block(N, n_I, units, row, k, words, start):
+    """Row b's ``si_order_excluding(N, k[b], units of the row, rng)``, as above.
+
+    The c-th candidate is c + #{i: s_i - i <= c} over the row's sorted
+    excluded units s_i; a row that needs a second rejection round is scalar.
+    """
+    key = (N + 1) * np.arange(k.size)[:, None]  # row-major keys (N + 1) b + unit
+    if N < 2048 or 2 * n_I > N:
+        size = np.bincount(row, minlength=k.size)
+        pos, used, scalar = _fisher_yates_block(N - size, k, words, start)
+        first = np.cumsum(size) - size
+        below = key[row, 0] + units - (np.arange(units.size) - first[row])
+        return pos + np.searchsorted(below, key + pos, side="right") - first[:, None], used, scalar
+    used = np.where(k > 0, np.maximum(16, 2 * k), 0)
+    live = np.arange(used.max(initial=0)) < used[:, None]
+    cand, scalar = _bounded_draws(words, np.where(live, N, _U32), start)
+    cand = np.where(live, cand, N) + key
+    taken = key[row, 0] + units  # sorted
+    hit = np.searchsorted(taken, cand).clip(max=max(taken.size - 1, 0))
+    order, _, starts = _runs(cand)
+    accept = np.zeros(cand.shape, dtype=bool)
+    accept[np.nonzero(starts)[0], order[starts]] = True  # first in its row
+    accept &= live & (taken[hit] != cand if taken.size else True)
+    rank = np.cumsum(accept, axis=1)
+    scalar |= ((rank[:, -1] if rank.size else 0) < k) | (start + used > 2 * words.shape[1])
+    take = accept & (rank <= k[:, None])
+    out = np.zeros((k.size, k.max(initial=0)), dtype=np.int64)
+    out[np.arange(out.shape[1]) < take.sum(axis=1)[:, None]] = (cand - key)[take]
+    return out, used, scalar
+
+
+def _be_si_block(N: int, n_I: int, row: np.ndarray, be: np.ndarray, words: np.ndarray):
+    """(n_b, si, scalar): the BE/SI repairs of Bernoulli samples, in :func:`_draw_be_si`'s order."""
+    n_b = np.bincount(row, minlength=len(words))
+    short, extra = np.maximum(n_I - n_b, 0), np.maximum(n_b - n_I, 0)
+    plus, _, scalar = _excluding_block(N, n_I, be, row, short, words, 0)
+    drop, _, redraw = _fisher_yates_block(n_b, extra, words, 0)
+    scalar |= redraw
+    drop += (np.cumsum(n_b) - n_b)[:, None]  # positions in ``be``
+    keep = np.ones(be.size, dtype=bool)
+    keep[drop[np.arange(drop.shape[1]) < extra[:, None]]] = False
+    live = np.arange(plus.shape[1]) < short[:, None]
+    # each row's kept units, then its shortfall: n_I units per row, stably sorted by row
+    order = np.argsort(np.concatenate([row[keep], np.nonzero(live)[0]]), kind="stable")
+    return n_b, np.concatenate([be[keep], plus[live]])[order].reshape(-1, n_I), scalar
+
+
+def _sir_si_block(N: int, n_I: int, words: np.ndarray):
+    """(wr, si, repeat, halves, scalar): ``si`` holds the completion in the repeats' slots."""
+    wr, scalar = _bounded_draws(words, np.full(n_I, N))
+    scalar |= not 2 <= N <= _U32  # numpy draws nothing for one unit, 64 bits past 2^32
+    order, ranked, starts = _runs(wr)
+    row = np.nonzero(starts)[0]
+    repeat = np.ones(wr.shape, dtype=bool)
+    repeat[row, order[starts]] = False
+    k = n_I - np.bincount(row, minlength=len(wr))
+    plus, used, failed = _excluding_block(N, n_I, ranked[starts], row, k, words, n_I)
+    si = wr.copy()
+    si[repeat] = plus[np.arange(plus.shape[1]) < k[:, None]]  # a scalar row's are not read
+    return wr, si, repeat, n_I + used, scalar | failed
+
+
+def _row_sums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Sums of consecutive rows of these sizes; numpy's pairwise sum depends on a row's length."""
+    sums, first = np.empty(sizes.size), np.cumsum(sizes) - sizes
+    for size in np.flatnonzero(np.bincount(sizes)).tolist():
+        rows = np.flatnonzero(sizes == size)
+        sums[rows] = values[first[rows, None] + np.arange(size)].sum(axis=1)
+    return sums
+
+
 def verify_hajek_bound(
     frame: Frame,
     n_I: int,
@@ -357,7 +488,9 @@ def verify_hajek_bound(
     The denominator is computed in closed form, f*sum(V_i) +
     f(1-f)*sum((Y_i-mu)^2), to avoid ratio-of-noisy-estimates bias; the
     numerator is averaged over coupled replicates, replicate b drawn from
-    substream (seed, "be-si", b).
+    substream (seed, "be-si", b).  A census draws and sums a block of
+    replicates at once (:func:`_row_sums`); under an SI second stage, which
+    draws over two ragged samples, each replicate takes the scalar path.
     """
     check_bound(n_I, replicates, second_stage, n0)
     N = frame.n_psus
@@ -368,12 +501,22 @@ def verify_hajek_bound(
     v_i = _exact_second_stage(frame, second_stage, n0, var_index)
     denom = _check_denominator(
         f * float(v_i.sum()) + f * (1.0 - f) * float(np.sum((sub - mu) ** 2)))
-    # the sums run over ragged samples, so each replicate sums its own
     values = _second_stage(frame, second_stage, n0, [var_index])
-    d2 = np.empty(replicates)
-    for b, rng in enumerate(substreams(seed, "be-si", indices=range(replicates))):
-        _, _, be_vals, si_vals = _draw_be_si(N, n_I, rng, values)
-        d2[b] = _delta2(be_vals[:, 0], si_vals[:, 0], mu) ** 2
+    census = second_stage == "CENSUS"
+    rows = max(1, _BLOCK_CELLS // (n_I + _SPARE_WORDS))
+    rng, d2 = new_stream(), np.empty(replicates)
+    for lo in range(0, replicates, rows):
+        keys = substream_keys(seed, "be-si", indices=range(lo, min(lo + rows, replicates))).tolist()
+        if census:
+            row, be, words = _bernoulli_words(rng, keys, N, f, N + n_I + _SPARE_WORDS)
+            n_b, si, scalar = _be_si_block(N, n_I, row, be, words)
+            delta = sub[si].sum(axis=1) - _row_sums(sub[be], n_b) - mu * (n_I - n_b)
+        else:
+            delta, scalar = np.empty(len(keys)), np.ones(len(keys), dtype=bool)
+        for b in np.flatnonzero(scalar).tolist():
+            _, _, be_vals, si_vals = _draw_be_si(N, n_I, reset_stream(rng, keys[b]), values)
+            delta[b] = _delta2(be_vals[:, 0], si_vals[:, 0], mu)
+        d2[lo:lo + len(keys)] = np.float_power(delta, 2)
     return _bound_report("be_si", frame, n_I, denom, d2,
                          math.sqrt(1.0 / n_I + 1.0 / (N - n_I)))
 
@@ -397,32 +540,40 @@ def _sir_si_blocks(
     estimates on the WR and SI side (the z-multiset is the SI sample's) and
     d[i] its weights (None without ``m``), all (B, n_I) and C-contiguous, so
     a reduction over axis 1 gives each replicate the bits it would have on
-    its own.  A census gathers the block's subtotals at once.
+    its own.
+
+    A census gathers the block's estimates at once; a second stage and the
+    weights are drawn row by row, each stream moved past its first stage.
     """
     N = frame.n_psus
     census = second_stage == "CENSUS"
     values = None if census else _second_stage(frame, second_stage, n0, [var])
     sub = frame.subtotals[:, var]
-    rows = max(1, _BLOCK_CELLS // n_I)
+    w = n_I + _SPARE_WORDS
+    rows = max(1, _BLOCK_CELLS // w)
+    rng, p = new_stream(), np.full(n_I, 1.0 / n_I)
     for lo in range(0, replicates, rows):
-        hi = min(lo + rows, replicates)
-        # census: the PSU behind each estimate, gathered once per block
-        x = np.empty((hi - lo, n_I), dtype=np.int64 if census else np.float64)
-        z = np.empty_like(x)
-        d = None if m is None else np.empty((hi - lo, n_I))
-        for i, rng in enumerate(substreams(*stream, indices=range(lo, hi))):
-            wr, _, first_pos, complement = _draw_sir_si(N, n_I, rng)
-            if census:
-                x[i] = wr
-                z[i] = wr
-                z[i, _repeats(n_I, first_pos)] = complement
+        keys = substream_keys(*stream, indices=range(lo, min(lo + rows, replicates))).tolist()
+        words = _raw_words(rng, keys, w)
+        wr, si, repeat, halves, scalar = _sir_si_block(N, n_I, words)
+        x, z = np.empty(wr.shape), np.empty(wr.shape)
+        d = None if m is None else np.empty(wr.shape)
+        scalar, halves = scalar.tolist(), halves.tolist()
+        for b in (np.flatnonzero(scalar).tolist() if census and m is None else range(len(keys))):
+            if scalar[b]:
+                wr[b], _, first_pos, complement = _draw_sir_si(N, n_I, reset_stream(rng, keys[b]))
+                repeat[b] = _repeats(n_I, first_pos)
+                si[b] = wr[b]
+                si[b, repeat[b]] = complement
             else:
-                x_vals, z_vals = _sir_si_values(values, wr, first_pos, complement, rng)
-                x[i], z[i] = x_vals[:, 0], z_vals[:, 0]
-            if d is not None:
-                d[i] = multinomial_weights(rng, 1, n_I, m)[0]
+                _seek(rng, keys[b], halves[b])
+            if not census:
+                x_vals, z_vals = _sir_si_values(values, wr[b], repeat[b], si[b, repeat[b]], rng)
+                x[b], z[b] = x_vals[:, 0], z_vals[:, 0]
+            if d is not None:  # the one row of multinomial_weights(rng, 1, n_I, m)
+                d[b] = rng.multinomial(m, p)
         if census:
-            x, z = sub[x], sub[z]
+            x, z = sub[wr], sub[si]
         yield lo, x, z, d
 
 
@@ -448,9 +599,8 @@ def verify_sir_si_bound(
     d2 = np.empty(replicates)
     for lo, x, z, _ in _sir_si_blocks(frame, n_I, replicates, (seed, "sir-si"),
                                       second_stage, n0, var_index):
-        # squared as Python floats, as each replicate's statistic was
-        wr_minus_si = N * x.mean(axis=1) - N * z.mean(axis=1)
-        d2[lo:lo + len(x)] = [v ** 2 for v in wr_minus_si.tolist()]
+        # squared by libm's pow, as a lone replicate's statistic is
+        d2[lo:lo + len(x)] = np.float_power(N * x.mean(axis=1) - N * z.mean(axis=1), 2)
     return _bound_report("sir_si", frame, n_I, denom, d2, (n_I - 1.0) / (N - 1.0))
 
 
@@ -519,11 +669,11 @@ def verify_decay(
         for lo, x, z, d in _sir_si_blocks(fr, n_I, replicates, (seed, "decay", fi),
                                           second_stage, n0, var_index, m):
             hi = lo + len(x)
-            # numpy scalars squared and one dot product per replicate, as a
-            # lone replicate computed them
-            stats[lo:hi, 0] = [v ** 2 for v in z.mean(axis=1) - x.mean(axis=1)]
+            # libm's pow and a dot product per row, as a lone replicate computes them
+            stats[lo:hi, 0] = np.float_power(z.mean(axis=1) - x.mean(axis=1), 2)
             stats[lo:hi, 1] = np.abs(np.var(z, axis=1, ddof=1) - np.var(x, axis=1, ddof=1))
-            stats[lo:hi, 2] = [((di @ zi - di @ xi) / m) ** 2 for di, zi, xi in zip(d, z, x)]
+            dz, dx = (np.matmul(d[:, None], v[:, :, None])[:, 0, 0] for v in (z, x))
+            stats[lo:hi, 2] = np.float_power((dz - dx) / m, 2)
         means = stats.mean(axis=0)
         ses = stats.std(axis=0, ddof=1) / math.sqrt(replicates)
         rows.append(DecayRow(fr.n_psus, n_I, m, n_I * means[0], n_I * ses[0], means[1], ses[1],

@@ -14,6 +14,7 @@ gives the bits of placing and gathering the sample at any start.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -166,46 +167,64 @@ def si_draws(n_population: int, n: int, rng: np.random.Generator) -> np.ndarray:
     return rng.integers(np.arange(n, dtype=np.int64), n_population)
 
 
+def _bounded_draws(words: np.ndarray, ranges, start=0) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's draws uniform on 0..r-1 from rows of raw Philox words, and the rows it redraws.
+
+    numpy draws one (2 <= r <= 2^32) as (x r) >> 32 from the stream's next
+    32-bit half x (low half first), again while x r mod 2^32 < 2^32 mod r
+    (Lemire, ACM TOMACS 2019).  Row b reads a half per entry of ``ranges``,
+    (k,) or (B, k), from half ``start`` (int or (B,)) on; a 2^32 range pads.
+    """
+    halves = np.ascontiguousarray(words, dtype="<u8").view("<u4")
+    ranges, k = np.asarray(ranges, dtype=np.uint64), np.shape(ranges)[-1]
+    if np.ndim(start) or start + k > halves.shape[1]:  # gather, clipped to the row's words
+        at = np.minimum(np.asarray(start)[..., None] + np.arange(k), halves.shape[1] - 1)
+        halves, start = np.take_along_axis(halves, np.broadcast_to(at, (len(halves), k)), 1), 0
+    x = halves[:, start:start + k].astype(np.uint64)
+    x *= ranges  # exact: both factors are at most 2^32
+    redraw = ((x & (_U32 - 1)) < _U32 % ranges).any(axis=1)
+    x >>= 32
+    return x.view(np.int64), redraw
+
+
+def _uniform_below(words: np.ndarray, f: float) -> np.ndarray:
+    """``rng.random() < f`` of each raw word: numpy's double is (word >> 11) 2^-53."""
+    return words < math.ceil(f * 2.0**53) << 11
+
+
 def fresh_si_draws(
-    n_population: int, n: int, rngs: Sequence[np.random.Generator], keys: Sequence
+    n_population, n, rngs: Sequence[np.random.Generator], keys: Sequence
 ) -> np.ndarray:
     """The (B, n) :func:`si_draws` rows of Philox streams just reset to ``keys``, drawn at once.
 
-    Stream b must be ``rngs[b]`` fresh from :func:`~twostage.rng.reset_stream`
-    to ``keys[b]``, and is left where ``si_draws`` leaves it.  numpy draws j
-    uniform on j..N-1 as j + (x r >> 32), r = N - j, for the stream's next
-    32-bit word x (its raw 64-bit words split low half first), and draws
-    again while the low 32 bits of x r fall below 2^32 mod r; a range of
-    one unit (j = N - 1) takes no word.  So the rows' raw words are drawn
-    first, one call per row, and turned into draws as one block; an odd
-    last draw goes through numpy, which keeps the other half of its word
-    as it always does, and a row that would redraw (about n N / 2^32 of
-    them) is reset and drawn again by ``si_draws``.
+    Stream b must be ``rngs[b]`` just reset to ``keys[b]``, and is left where
+    ``si_draws`` leaves it; sequences ``n_population`` and ``n`` give a row one
+    ``si_draws`` per pair (a stratified draw).  The raw words are drawn one call
+    per row and decoded at once (:func:`_bounded_draws`; a one-unit range takes
+    none); numpy draws an odd last draw, and a row that would redraw is drawn again.
     """
-    if not 1 <= n <= n_population:
-        raise ValueError(f"need 1 <= n <= N, got n={n}, N={n_population}")
-    if n_population > _U32:
-        return np.stack([si_draws(n_population, n, rng) for rng in rngs])
-    worded = min(n, n_population - 1)
-    paired = worded - worded % 2
-    words = np.empty((len(rngs), paired // 2), dtype=np.uint64)
-    for row, rng in zip(words, rngs):
-        row[:] = rng.bit_generator.random_raw(paired // 2)
-    x = np.empty((len(rngs), paired), dtype=np.uint64)
-    x[:, 0::2] = words & (_U32 - 1)
-    x[:, 1::2] = words >> 32
-    r = n_population - np.arange(paired, dtype=np.uint64)
-    x *= r  # exact: both factors are at most 2^32
-    out = np.empty((len(rngs), n), dtype=np.int64)
-    out[:, :paired] = x >> 32
-    out[:, :paired] += np.arange(paired)
-    redraw = np.flatnonzero(((x & (_U32 - 1)) < _U32 % r).any(axis=1))
-    if worded > paired:
-        for b, rng in enumerate(rngs):
-            out[b, paired] = rng.integers(paired, n_population)
-    out[:, worded:] = n_population - 1
-    for b in redraw.tolist():
-        out[b] = si_draws(n_population, n, reset_stream(rngs[b], keys[b]))
+    pairs = list(zip(np.atleast_1d(n_population).tolist(), np.atleast_1d(n).tolist()))
+    for N, k in pairs:
+        if not 1 <= k <= N:
+            raise ValueError(f"need 1 <= n <= N, got n={k}, N={N}")
+    offsets = np.concatenate([np.arange(k, dtype=np.int64) for _, k in pairs])
+    ranges = np.concatenate([N - np.arange(k) for N, k in pairs])
+    out, redraw = np.tile(offsets, (len(rngs), 1)), np.ones(len(rngs), dtype=bool)
+    if ranges.max() <= _U32:
+        worded = np.flatnonzero(ranges > 1)
+        paired = worded[:worded.size - worded.size % 2]
+        words = np.empty((len(rngs), paired.size // 2), dtype=np.uint64)
+        for row, rng in zip(words, rngs):
+            row[:] = rng.bit_generator.random_raw(paired.size // 2)
+        draws, redraw = _bounded_draws(words, ranges[paired])
+        # a slice where every draw takes a word, as fancy indexing is slower
+        out[:, slice(paired.size) if np.all(worded == np.arange(worded.size)) else paired] += draws
+        if worded.size > paired.size:
+            for b, rng in enumerate(rngs):
+                out[b, worded[-1]] += rng.integers(ranges[worded[-1]])
+    for b in np.flatnonzero(redraw).tolist():
+        rng = reset_stream(rngs[b], keys[b])
+        out[b] = np.concatenate([si_draws(N, k, rng) for N, k in pairs])
     return out
 
 
@@ -358,26 +377,21 @@ def draw_stratified_si(
     groups = frame.stratum_psu_indices()
     design = DesignSpec("STRAT_SI", allocations=dict(allocations))
     design.validate_for(frame.n_psus, {k: v.size for k, v in groups.items()})
-    orders = _stratified_si_orders(groups, allocations, [rng])
+    orders = _stratified_si_orders(groups, allocations, np.concatenate(
+        [si_draws(psus.size, allocations[label], rng) for label, psus in groups.items()])[None])
     return {label: FirstStageDraw(DesignSpec("SI", n_I=allocations[label]), order[0], psus.size)
             for (label, psus), order in zip(groups.items(), orders)}
 
 
-def _stratified_si_orders(
-    groups: Mapping[str, np.ndarray],
-    allocations: Mapping[str, int],
-    rngs: Sequence[np.random.Generator],
-) -> list[np.ndarray]:
-    """Each stratum's (B, n_l) SI samples (global PSU indices) of a block of stratified draws.
+def _stratified_si_orders(groups: Mapping[str, np.ndarray], allocations: Mapping[str, int],
+                          draws: np.ndarray) -> list[np.ndarray]:
+    """Each stratum's (B, n_l) SI samples (global PSU indices), resolved at once.
 
-    Row b draws every stratum's Fisher-Yates draws from ``rngs[b]``, the
-    strata in the order of ``groups``; one :func:`resolve_si_orders` per
-    stratum then resolves the block's rows, each as :func:`si_order` would.
+    Row b of ``draws`` holds every stratum's Fisher-Yates draws, in the order of ``groups``.
     """
-    draws = [[si_draws(psus.size, allocations[label], rng) for label, psus in groups.items()]
-             for rng in rngs]
-    return [psus[resolve_si_orders(np.stack([row[s] for row in draws]))]
-            for s, psus in enumerate(groups.values())]
+    cuts = np.cumsum([allocations[label] for label in groups])[:-1]
+    return [psus[resolve_si_orders(part)]
+            for psus, part in zip(groups.values(), np.split(draws, cuts, axis=1))]
 
 
 def _si_positions(

@@ -341,8 +341,10 @@ def _block(ctx: _Context, keys: np.ndarray) -> _Block:
     if design.kind == "SI":
         orders = resolve_si_orders(fresh_si_draws(N, design.n_I, rngs, keys))
     else:
-        orders = np.concatenate(_stratified_si_orders(ctx.frame.stratum_psu_indices(),
-                                                      design.allocations, rngs), axis=1)
+        groups, alloc = ctx.frame.stratum_psu_indices(), design.allocations
+        draws = fresh_si_draws([p.size for p in groups.values()], [alloc[s] for s in groups],
+                               rngs, keys)
+        orders = np.concatenate(_stratified_si_orders(groups, alloc, draws), axis=1)
     if ctx.table is not None:
         yhat, vhat = ctx.table.draw(orders, rngs), None
     else:

@@ -7,14 +7,14 @@ replicate 1234.  Substreams with distinct paths are statistically independent,
 and a replicate's stream does not depend on which worker executes it, so
 results are identical for any thread count or scheduling order.
 
-Replicate loops take their streams from :func:`substreams`, which yields the
-same streams as :func:`substream` for a run of replicate indices: it derives
-all of their Philox keys at once and resets one reused generator per index.
+Replicate loops derive a run of replicates' Philox keys at once
+(:func:`substream_keys`) and reset one reused generator to each
+(:func:`reset_stream`), which gives the streams :func:`substream` gives.
 """
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -24,7 +24,6 @@ __all__ = [
     "substream_keys",
     "new_stream",
     "reset_stream",
-    "substreams",
 ]
 
 # Algorithm identifier recorded in output manifests/sidecars.
@@ -39,8 +38,6 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4
-
-_KEY_BLOCK = 1024  # indices whose keys substreams derives at a time
 
 
 def _tag_word(tag: int | str) -> int:
@@ -160,17 +157,3 @@ def reset_stream(rng: np.random.Generator, key: Sequence[int]) -> np.random.Gene
     }
     return rng
 
-
-def substreams(
-    seed: int, *path: int | str, indices: Sequence[int]
-) -> Iterator[np.random.Generator]:
-    """Yield ``substream(seed, *path, b)`` for every b in ``indices``.
-
-    One generator is reset for each index, so a yielded stream must not be
-    used once the next one has been asked for.  Keys are derived
-    _KEY_BLOCK indices at a time, so memory does not grow with the run.
-    """
-    rng = new_stream()
-    for lo in range(0, len(indices), _KEY_BLOCK):
-        for key in substream_keys(seed, *path, indices=indices[lo:lo + _KEY_BLOCK]).tolist():
-            yield reset_stream(rng, key)

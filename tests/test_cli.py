@@ -674,7 +674,8 @@ class TestErrorReporting:
     ):
         """The library refuses the check before it draws, and the CLI before it reads a frame."""
         draws = []
-        monkeypatch.setattr(coupling, "substreams", lambda *a, **k: draws.append(a) or iter(()))
+        monkeypatch.setattr(coupling, "substream_keys",
+                            lambda *a, **k: draws.append(a) or np.empty((0, 2), np.uint64))
         changes = {"n_I": 5, "replicates": 1000, "seed": 1, **changes}
         frames = [multi_ssu_frame(n, 8) for n in (20, 40, 80, 160)[:changes.pop("frames", 3)]]
         with pytest.raises(ValueError) as refusal:

@@ -4,7 +4,8 @@
 ``substream`` per replicate, the public second-stage engine per draw) that
 ``verify_hajek_bound``, ``verify_sir_si_bound`` and ``verify_decay`` ran
 before their replicates were drawn in blocks.  Every report must equal the
-loop's bit for bit, for any block size.
+loop's bit for bit, for any block size, and also when rows are left to the
+scalar path: rows that run out of raw words, and rows that numpy redraws.
 """
 import numpy as np
 import pytest
@@ -33,6 +34,9 @@ BE_SI = {
     "census-100": (lambda: _normal(100, 1), 10, 0, "CENSUS", None),
     "census-3000": (lambda: _normal(3000, 2), 40, 0, "CENSUS", None),
     "census-5-of-6": (lambda: scalar_frame(np.arange(1.0, 7.0)), 5, 0, "CENSUS", None),
+    # the coupling benchmark's shapes
+    "census-1000-100": (lambda: _normal(1000, 3), 100, 0, "CENSUS", None),
+    "census-2000-20": (lambda: _normal(2000, 4), 20, 0, "CENSUS", None),
     "si-40": (lambda: multi_ssu_frame(40, 3), 6, 1, "SI", 3),
     "si-2500": (lambda: multi_ssu_frame(2500, 4), 30, 1, "SI", 2),
 }
@@ -41,6 +45,7 @@ SIR_SI = {
     "census-n-equals-N": (lambda: _normal(12, 5), 12, 0, "CENSUS", None),
     "census-500": (lambda: _normal(500, 6), 50, 0, "CENSUS", None),
     "census-3000": (lambda: _normal(3000, 7), 60, 0, "CENSUS", None),
+    "census-2000-20": (lambda: _normal(2000, 14), 20, 0, "CENSUS", None),
     "census-one-draw": (lambda: _normal(30, 8), 1, 0, "CENSUS", None),
     "si-40": (lambda: multi_ssu_frame(40, 9), 8, 1, "SI", 3),
     "si-40-n-equals-N": (lambda: multi_ssu_frame(40, 10), 40, 0, "SI", 2),
@@ -52,6 +57,8 @@ DECAY = {
     "census-pairwise": (lambda: [_normal(n, 30 + n) for n in (300, 1000, 2500)], 150, 0,
                         "CENSUS", None, None),
     "si": (lambda: [multi_ssu_frame(n, 40 + n) for n in (30, 300, 2500)], 12, 1, "SI", 3, 9),
+    "census-benchmark": (lambda: [_normal(n, 60 + n) for n in (500, 5000, 50000)], 50, 0,
+                         "CENSUS", None, 50),
     "systematic": (lambda: [multi_ssu_frame(n, 50 + n) for n in (30, 300, 2500)], 12, 1,
                    "SYSTEMATIC", 2, None),
 }
@@ -116,3 +123,77 @@ def test_one_replicate_functions_draw_what_the_loop_drew():
         be_si = coupled_be_si(frame, 6, substream(74, "be-si", b), "SI", 3, [1])
         assert be_si.delta2(mu) == oracles.be_si_delta2(frame, 6, substream(74, "be-si", b),
                                                          "SI", 3, 1, mu)
+
+
+def _counting(monkeypatch, name):
+    """Count the calls of coupling's scalar draw ``name``."""
+    calls = []
+    draw = getattr(coupling, name)
+    monkeypatch.setattr(coupling, name, lambda *args: calls.append(args) or draw(*args))
+    return calls
+
+
+@pytest.mark.parametrize("words", [lambda n_I: 1, lambda n_I: n_I // 2 + 1], ids=["1", "half"])
+def test_rows_short_of_words_take_the_scalar_path(words, monkeypatch):
+    """A row budget of a word, or of n_I + 2 halves, leaves many rows short of words."""
+    def budget(n_I):  # the rows' words past the Bernoulli draw
+        monkeypatch.setattr(coupling, "_SPARE_WORDS", words(n_I) - n_I)
+
+    be_rows = _counting(monkeypatch, "_draw_be_si")
+    sir_rows = _counting(monkeypatch, "_draw_sir_si")
+    for case in ("census-100", "census-3000", "si-40"):
+        make, n_I, var, method, n0 = BE_SI[case]
+        frame = make()
+        budget(n_I)
+        got = verify_hajek_bound(frame, n_I, 1001, 71, var, method, n0).to_dict()
+        assert got == oracles.hajek_bound_loop(frame, n_I, 1001, 71, var, method, n0)
+    for case in ("census-500", "census-3000", "census-n-equals-N", "si-40"):
+        make, n_I, var, method, n0 = SIR_SI[case]
+        frame = make()
+        budget(n_I)
+        got = verify_sir_si_bound(frame, n_I, 1000, 72, var, method, n0).to_dict()
+        assert got == oracles.sir_si_bound_loop(frame, n_I, 1000, 72, var, method, n0)
+    make, n_I, var, method, n0, m = DECAY["si"]
+    frames = make()
+    budget(n_I)
+    got = verify_decay(frames, n_I, 1001, 73, m=m, var_index=var, second_stage=method, n0=n0)
+    want = oracles.decay_loop(frames, n_I, 1001, 73, m=m, var=var, method=method, n0=n0)
+    assert [r.to_dict() for r in got.rows] == want
+    assert 0 < len(be_rows) < 3 * 1001 and 0 < len(sir_rows)
+
+
+def test_rows_that_numpy_redraws_take_the_scalar_path(monkeypatch):
+    """At N_I = 2^20 + 1, 2^32 mod N_I = 2^20 - 4095: about one draw in 4,100 is redrawn.
+
+    Searching replicate indices 0..999 of these streams finds rows where
+    numpy's n_I with-replacement draws read more than n_I halves; those
+    rows, and no others, are drawn by the scalar path.
+    """
+    N, n_I = (1 << 20) + 1, 20
+
+    def halves_read(b):
+        rng = substream(75, "sir-si", b)
+        rng.integers(0, N, size=n_I)
+        state = rng.bit_generator.state
+        words = 4 * (int(state["state"]["counter"][0]) - 1) + state["buffer_pos"]
+        return 2 * words - state["has_uint32"]
+
+    redraws = [b for b in range(1000) if halves_read(b) > n_I]
+    assert redraws
+    frame = _normal(N, 15)
+    sir_rows = _counting(monkeypatch, "_draw_sir_si")
+    got = verify_sir_si_bound(frame, n_I, 1000, 75).to_dict()
+    assert got == oracles.sir_si_bound_loop(frame, n_I, 1000, 75)
+    assert len(sir_rows) == len(redraws)
+
+
+def test_seek_leaves_the_stream_where_its_draws_do():
+    """An odd count of 32-bit draws leaves the last word's other half cached."""
+    rng, ref = coupling.new_stream(), coupling.new_stream()
+    for key in coupling.substream_keys(6, "seek", indices=range(4)).tolist():
+        for halves in range(1, 40):
+            coupling.reset_stream(ref, key).integers(0, 1000, size=halves)
+            coupling._seek(rng, key, halves)
+            for draw in (lambda g: g.integers(0, 2**31, size=3, dtype=np.uint32),
+                         lambda g: g.random(2), lambda g: g.integers(0, 7, size=5)):
+                assert draw(rng).tolist() == draw(ref).tolist(), halves

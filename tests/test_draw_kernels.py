@@ -1,6 +1,9 @@
 """Differential tests of the block draw kernels against the scalar loops.
 
-``designs.fresh_si_draws`` draws a block of Fisher-Yates rows from the raw
+``designs._bounded_draws`` and ``designs._uniform_below`` decode numpy's
+bounded integers and its doubles' comparisons from raw Philox words; they
+are checked against numpy itself, so a numpy that changes either rule fails
+here.  ``designs.fresh_si_draws`` draws a block of Fisher-Yates rows from the raw
 words of fresh streams, ``designs.resolve_si_orders`` resolves such rows at
 once and ``designs.systematic_positions`` places a block of systematic
 samples; both must give every row the bits that ``si_order`` and the
@@ -8,6 +11,7 @@ one-sample placement of ``oracles.second_stage_rows`` give it on its own.
 The chunked SI key matrix and the mask of ``si_order_excluding`` must not
 move a bit either.
 """
+import math
 import re
 import tracemalloc
 
@@ -18,6 +22,8 @@ import twostage.designs as designs
 from twostage import Frame, substream
 from twostage.rng import new_stream, reset_stream, substream_keys
 from twostage.designs import (
+    _bounded_draws,
+    _uniform_below,
     fresh_si_draws,
     resolve_si_orders,
     second_stage_estimates,
@@ -70,6 +76,20 @@ class TestFreshSiDraws:
             assert a.integers(0, 1000, size=3).tolist() == b.integers(0, 1000, size=3).tolist()
             assert a.random() == b.random()
 
+    @pytest.mark.parametrize("pairs", [
+        [(5, 5), (7, 3), (2000, 199)],  # a one-unit range in the middle, an odd total
+        [(3, 1), (3, 3), (1, 1), (4, 2)],
+        [(1500, 20)] * 11,  # criterion 7's strata
+    ])
+    def test_pairs_match_consecutive_si_draws(self, pairs):
+        keys = substream_keys(15, "pairs", len(pairs), indices=range(40)).tolist()
+        block = [reset_stream(new_stream(), key) for key in keys]
+        alone = [reset_stream(new_stream(), key) for key in keys]
+        got = fresh_si_draws([N for N, _ in pairs], [n for _, n in pairs], block, keys)
+        _same(got, np.stack([np.concatenate([si_draws(N, n, rng) for N, n in pairs])
+                             for rng in alone]))
+        assert [_live_state(r) for r in block] == [_live_state(r) for r in alone]
+
     def test_rows_that_redraw_are_replayed(self, monkeypatch):
         n_population = (1 << 31) + 1  # 2^32 mod r is about r: half the words are rejected
         keys = substream_keys(13, "fresh", indices=range(16)).tolist()
@@ -89,6 +109,75 @@ class TestFreshSiDraws:
         for n_population, n in ((5, 6), (5, 0)):
             with pytest.raises(ValueError, match="need 1 <= n <= N"):
                 fresh_si_draws(n_population, n, rngs, keys)
+
+
+def _fresh(key) -> np.random.Generator:
+    return reset_stream(new_stream(), key)
+
+
+def _reading(words) -> np.random.Generator:
+    """A generator whose next raw words are ``words`` (at most 4): its Philox buffer."""
+    rng = new_stream()
+    state = rng.bit_generator.state
+    state["buffer"][4 - len(words):] = words
+    state["buffer_pos"] = 4 - len(words)
+    rng.bit_generator.state = state
+    return rng
+
+
+class TestBoundedDraws:
+    """The raw-word decode against numpy's own draws from the same streams."""
+
+    KEYS = substream_keys(21, "decode", indices=range(64)).tolist()
+
+    def _words(self, halves: int) -> np.ndarray:
+        return np.stack([_fresh(key).bit_generator.random_raw(-(-halves // 2))
+                         for key in self.KEYS])
+
+    @pytest.mark.parametrize("N, n", [(2, 7), (5, 2), (500, 50), (2000, 20), (50000, 50),
+                                      (1 << 32, 9)])
+    def test_a_fixed_range_fill(self, N, n):
+        draws, redraw = _bounded_draws(self._words(n), np.full(n, N))
+        assert not redraw.any()
+        _same(draws, np.stack([_fresh(key).integers(0, N, size=n) for key in self.KEYS]))
+
+    @pytest.mark.parametrize("N, n", [(3, 2), (7, 6), (2000, 199), (50000, 50)])
+    def test_the_array_low_path(self, N, n):
+        draws, redraw = _bounded_draws(self._words(n), N - np.arange(n))
+        assert not redraw.any()
+        _same(draws + np.arange(n),
+              np.stack([_fresh(key).integers(np.arange(n), N) for key in self.KEYS]))
+
+    def test_an_odd_count_leaves_its_other_half_for_the_next_draw(self):
+        for key in self.KEYS[:16]:
+            rng = _fresh(key)
+            first = rng.integers(0, 500, size=3)
+            assert rng.bit_generator.state["has_uint32"] == 1
+            following = rng.integers(np.arange(2), 700)
+            words = _fresh(key).bit_generator.random_raw(3)[None]
+            draws, _ = _bounded_draws(words, [500, 500, 500, 700, 699])
+            _same(draws[0], np.concatenate([first, following - np.arange(2)]))
+            # a read that starts at the cached half (per row) gives the same draws
+            _same(_bounded_draws(words, [700, 699], np.array([3]))[0][0], following - [0, 1])
+
+    @pytest.mark.parametrize("n_I, N", [(10, 100), (100, 1000), (20, 2000), (50, 500), (5, 6),
+                                        (1, 3), (50, 50000)])
+    def test_the_bernoulli_threshold_at_its_boundary_words(self, n_I, N):
+        f = n_I / N
+        t = math.ceil(f * 2.0**53) << 11
+        words = np.array([t - 1, t, t - 2048, t + 2047], dtype=np.uint64)
+        assert _uniform_below(words, f).tolist() == [True, False, True, False]
+        _same(_uniform_below(words, f), _reading(words).random(4) < f)
+
+    def test_a_row_that_numpy_redraws(self):
+        r = (1 << 31) + 1  # 2^32 mod r = 2^31 - 1: a low half x redraws when x r mod 2^32 is below
+        words = np.array([[0 | 5 << 32], [1 | 5 << 32]], dtype=np.uint64)  # x = 0, then x = 1
+        draws, redraw = _bounded_draws(words, [r])
+        assert redraw.tolist() == [True, False]
+        # numpy reads the next half where the decode flags a redraw, and agrees elsewhere
+        assert _reading(words[0]).integers(0, r) == _bounded_draws(words[:1], [r], 1)[0][0, 0]
+        assert _reading(words[1]).integers(0, r) == draws[1, 0]
+        assert draws[0, 0] != _reading(words[0]).integers(0, r)
 
 
 class TestResolveSiOrders:

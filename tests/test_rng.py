@@ -3,18 +3,16 @@ import numpy as np
 import pytest
 
 from twostage.rng import (
-    _KEY_BLOCK,
     _tag_word,
     new_stream,
     reset_stream,
     substream,
     substream_keys,
-    substreams,
 )
 
 SEEDS = (0, 2**32 - 1, 2**32, 2**64 - 1, 20261018)
-# indices at the edges of substreams' key blocks and of the uint32 range
-EDGES = (0, 1, _KEY_BLOCK - 1, _KEY_BLOCK, _KEY_BLOCK + 1, 2 * _KEY_BLOCK, 2**31, 2**32 - 1)
+# indices about a power of two and at the edges of the uint32 range
+EDGES = (0, 1, 1023, 1024, 1025, 2048, 2**31, 2**32 - 1)
 
 
 def _reference_key(seed, path, b):
@@ -53,8 +51,8 @@ def test_keys_equal_seed_sequence(seed):
 
 
 def test_keys_of_a_range_and_of_no_index():
-    keys = substream_keys(7, "mc", indices=range(_KEY_BLOCK - 3, _KEY_BLOCK + 3))
-    for b, key in zip(range(_KEY_BLOCK - 3, _KEY_BLOCK + 3), keys):
+    keys = substream_keys(7, "mc", indices=range(1021, 1027))
+    for b, key in zip(range(1021, 1027), keys):
         assert np.array_equal(key, _reference_key(7, ["mc"], b))
     assert substream_keys(7, "mc", indices=[]).shape == (0, 2)
 
@@ -83,11 +81,12 @@ def _draws(rng):
 
 
 def test_streams_draw_what_substream_draws():
-    # a span that crosses a key block; the one reused generator must forget
-    # its buffered 32-bit half and binomial set-up between replicates
-    indices = range(_KEY_BLOCK - 500, _KEY_BLOCK + 500)
-    for b, rng in zip(indices, substreams(91, "decay", 2, indices=indices)):
-        for got, want in zip(_draws(rng), _draws(substream(91, "decay", 2, b))):
+    # the one reused generator must forget its buffered 32-bit half and
+    # binomial set-up between replicates
+    indices = range(524, 1524)
+    rng = new_stream()
+    for b, key in zip(indices, substream_keys(91, "decay", 2, indices=indices).tolist()):
+        for got, want in zip(_draws(reset_stream(rng, key)), _draws(substream(91, "decay", 2, b))):
             assert np.array_equal(got, want), b
 
 
@@ -98,3 +97,4 @@ def test_reset_stream_restarts_a_used_generator():
     key = substream_keys(5, "x", indices=[3]).tolist()[0]
     for got, want in zip(_draws(reset_stream(rng, key)), _draws(substream(5, "x", 3))):
         assert np.array_equal(got, want)
+
