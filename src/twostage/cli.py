@@ -28,8 +28,8 @@ import numpy as np
 
 from . import __version__
 from .bootstrap import BootstrapConfig, bootstrap_variance, percentile_ci, resample_wr, studentized_ci
-from .coupling import (check_bound, check_decay, verify_decay, verify_hajek_bound,
-                       verify_sir_si_bound)
+from .coupling import (_DECAY_METRICS, check_bound, check_decay, verify_decay,
+                       verify_hajek_bound, verify_sir_si_bound)
 from .designs import (
     DesignSpec,
     check_second_stage,
@@ -685,10 +685,7 @@ def _run_verify(cfg: RunConfig, out: str, notes: dict, phase: Callable) -> list[
         phase("write")
         written += _write_records(out, "decay", rows, {
             "rows": rows,
-            "strictly_decreasing": {
-                m: report.strictly_decreasing(m)
-                for m in ("mean_sq_diff", "abs_s2_diff", "boot_sq_diff")
-            },
+            "strictly_decreasing": {m: report.strictly_decreasing(m) for m in _DECAY_METRICS},
         })
     return written
 

@@ -22,13 +22,10 @@ closed-form denominators and check them against the ratio bounds
 and tabulate the decay of n_I*E(Zbar-Xbar)^2, E|s_Z^2 - s_X^2| and
 m*E(Zbar*_m - Xbar*_m)^2 along a scaling sequence of frames.
 
-They draw replicates in blocks: each one's raw Philox words in one call, and
-numpy's rules decode a block's words at once.  A BE/SI row's Bernoulli draw
-reads words 0..N-1 and its repair the 32-bit halves after them, low half
-first; an SIR/SI row's n_I draws read halves 0..n_I-1 and its completion the
-next ones.  A row that numpy would draw otherwise (a redraw, a second
-rejection round, more halves than it drew) takes the scalar path; a stream
-that goes on (second stage, resampling weights) is moved on by :func:`_seek`.
+A block of verification replicates is decoded from their raw Philox words:
+a BE/SI row's Bernoulli draw reads words 0..N-1 and its repair the 32-bit
+halves after them, low half first; an SIR/SI row's n_I draws read the first
+halves and its completion the next ones.
 """
 from __future__ import annotations
 
@@ -39,11 +36,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .designs import (
-    _U32,
     SECOND_STAGE_METHODS,
     DesignSpec,
-    _bounded_draws,
-    _uniform_below,
+    _from_candidates,
     check_second_stage,
     resolve_si_orders,
     second_stage_estimates,
@@ -52,7 +47,8 @@ from .designs import (
 )
 from .estimators import si_second_stage_variances, theoretical_variance
 from .frame import Frame
-from .rng import new_stream, reset_stream, substream_keys
+from .rng import (_bounded_draws, _raw_words, _seek, _uniform_below, new_stream, reset_stream,
+                  substream_keys)
 
 __all__ = [
     "CoupledBeSiDraw",
@@ -351,22 +347,6 @@ def _bound_report(
     return BoundReport(check, frame.n_psus, n_I, d2.size, lhs, se, rhs)
 
 
-def _raw_words(rng: np.random.Generator, keys: list, w: int) -> np.ndarray:
-    """(len(keys), w) raw words from the start of each key's stream, ``rng`` reset to each."""
-    words = np.empty((len(keys), w), dtype=np.uint64)
-    for row, key in zip(words, keys):
-        row[:] = reset_stream(rng, key).bit_generator.random_raw(w)
-    return words
-
-
-def _seek(rng: np.random.Generator, key: list, halves: int) -> np.random.Generator:
-    """``rng`` at key's stream after ``halves`` 32-bit draws, the last word's other half cached."""
-    reset_stream(rng, key).bit_generator.random_raw(halves // 2)
-    if halves % 2:
-        rng.integers(1 << 32)  # reads one half of a word as a range of 2^32 does
-    return rng
-
-
 def _runs(a: np.ndarray):
     """(order, ranked, starts): a (B, L) array's rows sorted stably, and where each value starts."""
     order = np.argsort(a, axis=1, kind="stable")
@@ -381,26 +361,19 @@ def _bernoulli_words(rng: np.random.Generator, keys: list, N: int, f: float, w: 
     hits, tails = [], []
     step = max(1, _BLOCK_CELLS // w)
     for lo in range(0, len(keys), step):
-        words = _raw_words(rng, keys[lo:lo + step], w)
-        below = _uniform_below(words, f)
-        below[:, N:] = False
-        hits.append(np.flatnonzero(below) + lo * w)  # faster than a 2-D nonzero
+        words = _raw_words([rng] * step, keys[lo:lo + step], w)
+        hits.append(np.flatnonzero(_uniform_below(words[:, :N], f)) + lo * N)  # not a 2-D nonzero
         tails.append(words[:, N:].copy())  # not a view that keeps all the words
-    return (*np.divmod(np.concatenate(hits), w), np.concatenate(tails))
+    return (*np.divmod(np.concatenate(hits), N), np.concatenate(tails))
 
 
 def _fisher_yates_block(pop, k, words, start):
-    """Row b's ``si_order(pop[b], k[b])`` from halves ``start`` on: (samples, used, scalar).
-
-    Self-draws r_j = j pad the (B, max k) samples; ``used`` counts halves.
-    """
+    """Row b's ``si_order(pop[b], k[b])`` from halves ``start`` on: (samples, used, scalar);
+    self-draws r_j = j (one-unit ranges) pad the (B, max k) samples."""
     j = np.arange(k.max(initial=0))
-    ranges = pop[:, None] - j
-    live = (j < k[:, None]) & (ranges > 1)  # a range of one unit takes no half
-    draws, redraw = _bounded_draws(words, np.where(live, ranges, _U32), start)
-    used = live.sum(axis=1)
-    return (resolve_si_orders(np.where(live, draws, 0) + j), used,
-            redraw | (start + used > 2 * words.shape[1]))
+    ranges = np.where(j < k[:, None], pop[:, None] - j, 1)
+    draws, used, scalar = _bounded_draws(words, ranges, start)
+    return resolve_si_orders(draws + j), used, scalar
 
 
 def _excluding_block(N, n_I, units, row, k, words, start):
@@ -410,16 +383,16 @@ def _excluding_block(N, n_I, units, row, k, words, start):
     excluded units s_i; a row that needs a second rejection round is scalar.
     """
     key = (N + 1) * np.arange(k.size)[:, None]  # row-major keys (N + 1) b + unit
-    if N < 2048 or 2 * n_I > N:
+    if _from_candidates(N, n_I):  # the row's excluded and drawn units are n_I in all
         size = np.bincount(row, minlength=k.size)
         pos, used, scalar = _fisher_yates_block(N - size, k, words, start)
         first = np.cumsum(size) - size
         below = key[row, 0] + units - (np.arange(units.size) - first[row])
         return pos + np.searchsorted(below, key + pos, side="right") - first[:, None], used, scalar
-    used = np.where(k > 0, np.maximum(16, 2 * k), 0)
-    live = np.arange(used.max(initial=0)) < used[:, None]
-    cand, scalar = _bounded_draws(words, np.where(live, N, _U32), start)
-    cand = np.where(live, cand, N) + key
+    fill = np.where(k > 0, np.maximum(16, 2 * k), 0)  # the one round of draws
+    live = np.arange(fill.max(initial=0)) < fill[:, None]
+    cand, used, scalar = _bounded_draws(words, np.where(live, N, 1), start)
+    cand += key  # the padding draws 0s after the row's own draws, and is never accepted
     taken = key[row, 0] + units  # sorted
     hit = np.searchsorted(taken, cand).clip(max=max(taken.size - 1, 0))
     order, _, starts = _runs(cand)
@@ -427,7 +400,7 @@ def _excluding_block(N, n_I, units, row, k, words, start):
     accept[np.nonzero(starts)[0], order[starts]] = True  # first in its row
     accept &= live & (taken[hit] != cand if taken.size else True)
     rank = np.cumsum(accept, axis=1)
-    scalar |= ((rank[:, -1] if rank.size else 0) < k) | (start + used > 2 * words.shape[1])
+    scalar |= (rank[:, -1] if rank.size else 0) < k
     take = accept & (rank <= k[:, None])
     out = np.zeros((k.size, k.max(initial=0)), dtype=np.int64)
     out[np.arange(out.shape[1]) < take.sum(axis=1)[:, None]] = (cand - key)[take]
@@ -440,29 +413,28 @@ def _be_si_block(N: int, n_I: int, row: np.ndarray, be: np.ndarray, words: np.nd
     short, extra = np.maximum(n_I - n_b, 0), np.maximum(n_b - n_I, 0)
     plus, _, scalar = _excluding_block(N, n_I, be, row, short, words, 0)
     drop, _, redraw = _fisher_yates_block(n_b, extra, words, 0)
-    scalar |= redraw
     drop += (np.cumsum(n_b) - n_b)[:, None]  # positions in ``be``
     keep = np.ones(be.size, dtype=bool)
     keep[drop[np.arange(drop.shape[1]) < extra[:, None]]] = False
     live = np.arange(plus.shape[1]) < short[:, None]
     # each row's kept units, then its shortfall: n_I units per row, stably sorted by row
     order = np.argsort(np.concatenate([row[keep], np.nonzero(live)[0]]), kind="stable")
-    return n_b, np.concatenate([be[keep], plus[live]])[order].reshape(-1, n_I), scalar
+    return n_b, np.concatenate([be[keep], plus[live]])[order].reshape(-1, n_I), scalar | redraw
 
 
 def _sir_si_block(N: int, n_I: int, words: np.ndarray):
     """(wr, si, repeat, halves, scalar): ``si`` holds the completion in the repeats' slots."""
-    wr, scalar = _bounded_draws(words, np.full(n_I, N))
-    scalar |= not 2 <= N <= _U32  # numpy draws nothing for one unit, 64 bits past 2^32
+    wr, used, scalar = _bounded_draws(words, np.full(n_I, N))
     order, ranked, starts = _runs(wr)
     row = np.nonzero(starts)[0]
     repeat = np.ones(wr.shape, dtype=bool)
     repeat[row, order[starts]] = False
     k = n_I - np.bincount(row, minlength=len(wr))
-    plus, used, failed = _excluding_block(N, n_I, ranked[starts], row, k, words, n_I)
+    # the completion's halves follow the n_I draws' (N = 1 draws none, and completes nothing)
+    plus, more, failed = _excluding_block(N, n_I, ranked[starts], row, k, words, n_I)
     si = wr.copy()
     si[repeat] = plus[np.arange(plus.shape[1]) < k[:, None]]  # a scalar row's are not read
-    return wr, si, repeat, n_I + used, scalar | failed
+    return wr, si, repeat, used + more, scalar | failed
 
 
 def _row_sums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -554,7 +526,7 @@ def _sir_si_blocks(
     rng, p = new_stream(), np.full(n_I, 1.0 / n_I)
     for lo in range(0, replicates, rows):
         keys = substream_keys(*stream, indices=range(lo, min(lo + rows, replicates))).tolist()
-        words = _raw_words(rng, keys, w)
+        words = _raw_words([rng] * len(keys), keys, w)
         wr, si, repeat, halves, scalar = _sir_si_block(N, n_I, words)
         x, z = np.empty(wr.shape), np.empty(wr.shape)
         d = None if m is None else np.empty(wr.shape)

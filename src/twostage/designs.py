@@ -14,14 +14,13 @@ gives the bits of placing and gathering the sample at any start.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .frame import Frame
-from .rng import reset_stream
+from .rng import _fresh_integers
 
 __all__ = [
     "DesignSpec",
@@ -47,7 +46,6 @@ FIRST_STAGE_KINDS = ("SI", "SIR", "BE", "STRAT_SI")
 _GATHER_ROWS = 2048  # second-stage samples summed at a time by psu_subtotal_estimates
 _KEY_CELLS = 1 << 20  # SI subsampling keys drawn and partitioned at a time
 SECOND_STAGE_METHODS = ("SI", "SYSTEMATIC", "CENSUS")
-_U32 = 1 << 32
 
 
 @dataclass
@@ -167,65 +165,21 @@ def si_draws(n_population: int, n: int, rng: np.random.Generator) -> np.ndarray:
     return rng.integers(np.arange(n, dtype=np.int64), n_population)
 
 
-def _bounded_draws(words: np.ndarray, ranges, start=0) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's draws uniform on 0..r-1 from rows of raw Philox words, and the rows it redraws.
+def fresh_si_draws(n_population, n, rngs: Sequence[np.random.Generator],
+                   keys: Sequence) -> np.ndarray:
+    """The (B, n) :func:`si_draws` rows of the streams ``rngs[b]`` reset to ``keys[b]``, at once.
 
-    numpy draws one (2 <= r <= 2^32) as (x r) >> 32 from the stream's next
-    32-bit half x (low half first), again while x r mod 2^32 < 2^32 mod r
-    (Lemire, ACM TOMACS 2019).  Row b reads a half per entry of ``ranges``,
-    (k,) or (B, k), from half ``start`` (int or (B,)) on; a 2^32 range pads.
-    """
-    halves = np.ascontiguousarray(words, dtype="<u8").view("<u4")
-    ranges, k = np.asarray(ranges, dtype=np.uint64), np.shape(ranges)[-1]
-    if np.ndim(start) or start + k > halves.shape[1]:  # gather, clipped to the row's words
-        at = np.minimum(np.asarray(start)[..., None] + np.arange(k), halves.shape[1] - 1)
-        halves, start = np.take_along_axis(halves, np.broadcast_to(at, (len(halves), k)), 1), 0
-    x = halves[:, start:start + k].astype(np.uint64)
-    x *= ranges  # exact: both factors are at most 2^32
-    redraw = ((x & (_U32 - 1)) < _U32 % ranges).any(axis=1)
-    x >>= 32
-    return x.view(np.int64), redraw
-
-
-def _uniform_below(words: np.ndarray, f: float) -> np.ndarray:
-    """``rng.random() < f`` of each raw word: numpy's double is (word >> 11) 2^-53."""
-    return words < math.ceil(f * 2.0**53) << 11
-
-
-def fresh_si_draws(
-    n_population, n, rngs: Sequence[np.random.Generator], keys: Sequence
-) -> np.ndarray:
-    """The (B, n) :func:`si_draws` rows of Philox streams just reset to ``keys``, drawn at once.
-
-    Stream b must be ``rngs[b]`` just reset to ``keys[b]``, and is left where
-    ``si_draws`` leaves it; sequences ``n_population`` and ``n`` give a row one
-    ``si_draws`` per pair (a stratified draw).  The raw words are drawn one call
-    per row and decoded at once (:func:`_bounded_draws`; a one-unit range takes
-    none); numpy draws an odd last draw, and a row that would redraw is drawn again.
+    Each stream is left where ``si_draws`` leaves it.  Sequences ``n_population``
+    and ``n`` give a row one ``si_draws`` per pair (a stratified draw), as one
+    ``integers`` call on the pairs' concatenated bounds does.
     """
     pairs = list(zip(np.atleast_1d(n_population).tolist(), np.atleast_1d(n).tolist()))
     for N, k in pairs:
         if not 1 <= k <= N:
             raise ValueError(f"need 1 <= n <= N, got n={k}, N={N}")
-    offsets = np.concatenate([np.arange(k, dtype=np.int64) for _, k in pairs])
-    ranges = np.concatenate([N - np.arange(k) for N, k in pairs])
-    out, redraw = np.tile(offsets, (len(rngs), 1)), np.ones(len(rngs), dtype=bool)
-    if ranges.max() <= _U32:
-        worded = np.flatnonzero(ranges > 1)
-        paired = worded[:worded.size - worded.size % 2]
-        words = np.empty((len(rngs), paired.size // 2), dtype=np.uint64)
-        for row, rng in zip(words, rngs):
-            row[:] = rng.bit_generator.random_raw(paired.size // 2)
-        draws, redraw = _bounded_draws(words, ranges[paired])
-        # a slice where every draw takes a word, as fancy indexing is slower
-        out[:, slice(paired.size) if np.all(worded == np.arange(worded.size)) else paired] += draws
-        if worded.size > paired.size:
-            for b, rng in enumerate(rngs):
-                out[b, worded[-1]] += rng.integers(ranges[worded[-1]])
-    for b in np.flatnonzero(redraw).tolist():
-        rng = reset_stream(rngs[b], keys[b])
-        out[b] = np.concatenate([si_draws(N, k, rng) for N, k in pairs])
-    return out
+    low = np.concatenate([np.arange(k, dtype=np.int64) for _, k in pairs])
+    high = np.repeat(np.array([N for N, _ in pairs], dtype=np.int64), [k for _, k in pairs])
+    return _fresh_integers(rngs, keys, low, high)
 
 
 def si_order(n_population: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -300,15 +254,12 @@ def si_order_excluding(
     exclude = np.asarray(exclude, dtype=np.int64).ravel()
     if n == 0:
         return np.empty(0, dtype=np.int64)
-    # Rejection is O(n) when the excluded fraction is small; otherwise draw
-    # from the candidate list.  ``exclude`` may repeat units, so where its
-    # size alone does not settle the choice the mask's count of them does.
-    if n_population < 2048 or 2 * (exclude.size + n) > n_population:
+    # ``exclude`` may repeat units: where its size does not settle the branch, the mask does
+    if _from_candidates(n_population, exclude.size + n):
         mask = np.ones(n_population, dtype=bool)
         mask[exclude] = False
         candidates = np.flatnonzero(mask)
-        excluded = n_population - candidates.size
-        if n_population < 2048 or 2 * (excluded + n) > n_population:
+        if _from_candidates(n_population, n_population - candidates.size + n):
             _check_available(n, candidates.size)
             return candidates[si_order(candidates.size, n, rng)]
     taken = set(exclude.tolist())
@@ -323,6 +274,12 @@ def si_order_excluding(
             if len(out) == n:
                 break
     return np.array(out, dtype=np.int64)
+
+
+def _from_candidates(n_population: int, taken: int) -> bool:
+    """Whether :func:`si_order_excluding` draws from the candidate list: rejection is O(n) when
+    the excluded and drawn units, ``taken`` in all, are at most half of 2,048 or more units."""
+    return n_population < 2048 or 2 * taken > n_population
 
 
 def _check_available(n: int, available: int) -> None:

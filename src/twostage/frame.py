@@ -54,6 +54,15 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return view
 
 
+def _first_repeat(psu: np.ndarray, ssu: np.ndarray) -> int:
+    """The first row whose (psu, ssu) pair an earlier row holds, or the row count if none does."""
+    # a stable sort keeps equal pairs in row order: all but the first repeat one
+    order = np.lexsort((ssu, psu))
+    psu, ssu = psu[order], ssu[order]
+    repeats = order[1:][(psu[1:] == psu[:-1]) & (ssu[1:] == ssu[:-1])]
+    return int(repeats.min()) if repeats.size else order.size
+
+
 class Frame:
     """Immutable two-level population.
 
@@ -121,18 +130,11 @@ class Frame:
             ssu_ids = np.asarray(ssu_ids, dtype=np.int64)
             if ssu_ids.shape != (values.shape[0],):
                 raise ValueError("ssu_ids must have one entry per SSU row")
-            # rows sorted by (PSU, ssu_id): a repeat sits next to its twin, and
-            # the first one found lies in the first PSU that has one
+            # the rows are in PSU order: the first repeat lies in the first PSU that has one
             psu_of_row = np.repeat(np.arange(n_psus), sizes)
-            order = np.lexsort((ssu_ids, psu_of_row))
-            psu_sorted, ssu_sorted = psu_of_row[order], ssu_ids[order]
-            repeat = np.flatnonzero(
-                (psu_sorted[1:] == psu_sorted[:-1]) & (ssu_sorted[1:] == ssu_sorted[:-1])
-            )
-            if repeat.size:
-                raise ValueError(
-                    f"duplicate ssu_id within PSU {psu_ids[psu_sorted[repeat[0]]]}"
-                )
+            repeat = _first_repeat(psu_of_row, ssu_ids)
+            if repeat < ssu_ids.size:
+                raise ValueError(f"duplicate ssu_id within PSU {psu_ids[psu_of_row[repeat]]}")
         self._ssu_ids = _read_only(ssu_ids)
 
         if strata is not None:
@@ -535,12 +537,8 @@ def _first_row_of_psu(rows: _Rows) -> np.ndarray:
     _, first, inverse = np.unique(rows.psu, return_index=True, return_inverse=True)
     first_row = first[inverse]
     two_strata = np.flatnonzero(rows.codes != rows.codes[first_row])
-    # a stable sort keeps equal pairs in file order: all but the first repeat one
-    order = np.lexsort((rows.ssu, rows.psu))
-    psu, ssu = rows.psu[order], rows.ssu[order]
-    repeats = order[1:][(psu[1:] == psu[:-1]) & (ssu[1:] == ssu[:-1])]
     at_strata = int(two_strata[0]) if two_strata.size else n
-    at_repeat = int(repeats.min()) if repeats.size else n
+    at_repeat = _first_repeat(rows.psu, rows.ssu)
     if at_strata < n and at_strata <= at_repeat:
         raise IngestError(
             f"psu_id {rows.psu[at_strata]} appears under two strata",

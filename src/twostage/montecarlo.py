@@ -80,7 +80,7 @@ from .estimators import (
     variance_estimate,
 )
 from .frame import Frame
-from .rng import new_stream, reset_stream, substream_keys
+from .rng import new_stream, substream_keys
 
 __all__ = [
     "Scenario",
@@ -336,8 +336,8 @@ def _block(ctx: _Context, keys: np.ndarray) -> _Block:
     if not ctx.pool:
         ctx.pool = [new_stream() for _ in range(_BLOCK)]
     keys = keys.tolist()
-    rngs = [reset_stream(rng, key) for rng, key in zip(ctx.pool, keys)]
-    # the second stage follows each replicate's first stage in its stream
+    rngs = ctx.pool[:len(keys)]
+    # fresh_si_draws resets rngs[i] to keys[i]; the second stage follows its first stage
     if design.kind == "SI":
         orders = resolve_si_orders(fresh_si_draws(N, design.n_I, rngs, keys))
     else:

@@ -10,6 +10,9 @@ results are identical for any thread count or scheduling order.
 Replicate loops derive a run of replicates' Philox keys at once
 (:func:`substream_keys`) and reset one reused generator to each
 (:func:`reset_stream`), which gives the streams :func:`substream` gives.
+
+It is also the one module that replays numpy's draws from raw Philox words,
+so that a block of replicates is drawn at once with the bits each has alone.
 """
 from __future__ import annotations
 
@@ -157,3 +160,74 @@ def reset_stream(rng: np.random.Generator, key: Sequence[int]) -> np.random.Gene
     }
     return rng
 
+
+# ---------------------------------------------------------------------------
+# numpy's draws, replayed from raw Philox words
+# ---------------------------------------------------------------------------
+
+
+def _raw_words(rngs: Sequence[np.random.Generator], keys: Sequence, w: int) -> np.ndarray:
+    """(len(keys), w) raw words from the start of each key's stream, ``rngs[b]`` reset to keys[b]
+    as row b is read (``rngs`` may repeat one generator: far cheaper than one per row)."""
+    words = np.empty((len(keys), w), dtype=np.uint64)
+    for row, rng, key in zip(words, rngs, keys):
+        row[:] = reset_stream(rng, key).bit_generator.random_raw(w)
+    return words
+
+
+def _seek(rng: np.random.Generator, key: Sequence[int], halves: int) -> None:
+    """Move ``rng`` to key's stream after ``halves`` 32-bit draws, the last word's half cached."""
+    reset_stream(rng, key).bit_generator.random_raw(halves // 2)
+    if halves % 2:
+        rng.integers(_U32)  # reads one half of a word as a range of 2^32 does
+
+
+def _uniform_below(words: np.ndarray, f: float) -> np.ndarray:
+    """``rng.random() < f`` of each raw word: numpy's double is (word >> 11) 2^-53."""
+    return words < int(np.ceil(f * 2.0**53)) << 11
+
+
+def _bounded_draws(words: np.ndarray, ranges, start: int = 0):
+    """numpy's draws uniform on 0..r-1 from rows of raw Philox words: (draws, used, scalar).
+
+    numpy draws one (2 <= r <= 2^32) as (x r) >> 32 from the stream's next
+    32-bit half x (low half first), again while x r mod 2^32 < 2^32 mod r
+    (Lemire, ACM TOMACS 2019); r = 1 reads no half and draws 0.  Row b draws
+    ``ranges`` ((k,) or (B, k), each >= 1) from half ``start`` on, reading
+    ``used[b]`` halves; ``scalar`` flags a row that redraws or runs out of
+    halves, and every row if a range is past 2^32 (a 64-bit draw).
+    """
+    halves = np.ascontiguousarray(words, dtype="<u8").view("<u4")
+    ranges = np.asarray(ranges, dtype=np.uint64)
+    worded, k = ranges > 1, ranges.shape[-1]
+    used = worded.sum(axis=-1) + np.zeros(len(halves), dtype=np.int64)  # per row, for (k,) too
+    if start + k <= halves.shape[1] and (worded[..., 1:] <= worded[..., :-1]).all():
+        x = halves[:, start:start + k].astype(np.uint64)  # the worded entries come first: a slice
+    else:  # entry j reads the half after those of the worded entries before it, within the row
+        at = np.minimum(start + np.cumsum(worded, axis=-1) - worded, halves.shape[1] - 1)
+        x = np.take_along_axis(halves, np.broadcast_to(at, (len(halves), k)), 1).astype(np.uint64)
+    x *= ranges  # exact up to 2^32: both factors are at most 2^32
+    low = x & (_U32 - 1)  # numpy redraws where low < 2^32 mod r, so only where low < r
+    redraw = (low < _U32 % ranges).any(axis=1) if (low < ranges).any() else False
+    x >>= 32
+    scalar = redraw | (start + used > halves.shape[1]) | (ranges.max(initial=0) > _U32)
+    return x.view(np.int64), used, scalar
+
+
+def _fresh_integers(rngs: Sequence[np.random.Generator], keys: Sequence, low, high) -> np.ndarray:
+    """Each ``rngs[b].integers(low, high)`` ((k,) int64 bounds), reset to keys[b], drawn at once:
+    whole words are decoded at once, numpy draws an odd last half and redraws a row that it would
+    draw another way, so each generator is left where numpy leaves it."""
+    ranges = high - low
+    worded = np.flatnonzero(ranges > 1)
+    paired = worded[:worded.size - worded.size % 2]
+    cut = paired[-1] + 1 if paired.size else 0  # the entries decoded from whole words
+    draws, _, scalar = _bounded_draws(_raw_words(rngs, keys, paired.size // 2), ranges[:cut])
+    out = np.tile(low, (len(keys), 1))
+    out[:, :cut] += draws
+    if worded.size > paired.size:  # the last half, drawn by numpy, leaves its other half cached
+        for row, rng in zip(out, rngs):
+            row[worded[-1]] += rng.integers(ranges[worded[-1]])
+    for b in np.flatnonzero(scalar).tolist():
+        out[b] = reset_stream(rngs[b], keys[b]).integers(low, high)
+    return out

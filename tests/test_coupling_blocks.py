@@ -186,14 +186,3 @@ def test_rows_that_numpy_redraws_take_the_scalar_path(monkeypatch):
     assert got == oracles.sir_si_bound_loop(frame, n_I, 1000, 75)
     assert len(sir_rows) == len(redraws)
 
-
-def test_seek_leaves_the_stream_where_its_draws_do():
-    """An odd count of 32-bit draws leaves the last word's other half cached."""
-    rng, ref = coupling.new_stream(), coupling.new_stream()
-    for key in coupling.substream_keys(6, "seek", indices=range(4)).tolist():
-        for halves in range(1, 40):
-            coupling.reset_stream(ref, key).integers(0, 1000, size=halves)
-            coupling._seek(rng, key, halves)
-            for draw in (lambda g: g.integers(0, 2**31, size=3, dtype=np.uint32),
-                         lambda g: g.random(2), lambda g: g.integers(0, 7, size=5)):
-                assert draw(rng).tolist() == draw(ref).tolist(), halves

@@ -1,9 +1,10 @@
 """Differential tests of the block draw kernels against the scalar loops.
 
-``designs._bounded_draws`` and ``designs._uniform_below`` decode numpy's
-bounded integers and its doubles' comparisons from raw Philox words; they
-are checked against numpy itself, so a numpy that changes either rule fails
-here.  ``designs.fresh_si_draws`` draws a block of Fisher-Yates rows from the raw
+``rng._bounded_draws`` and ``rng._uniform_below`` decode numpy's bounded
+integers and its doubles' comparisons from raw Philox words; they are
+checked against numpy itself, so a numpy that changes either rule fails
+here (``tests/test_rng.py`` checks the rest of the decoder).
+``designs.fresh_si_draws`` draws a block of Fisher-Yates rows from the raw
 words of fresh streams, ``designs.resolve_si_orders`` resolves such rows at
 once and ``designs.systematic_positions`` places a block of systematic
 samples; both must give every row the bits that ``si_order`` and the
@@ -20,10 +21,9 @@ import pytest
 
 import twostage.designs as designs
 from twostage import Frame, substream
-from twostage.rng import new_stream, reset_stream, substream_keys
+import twostage.rng as rng_module
+from twostage.rng import _bounded_draws, _uniform_below, new_stream, reset_stream, substream_keys
 from twostage.designs import (
-    _bounded_draws,
-    _uniform_below,
     fresh_si_draws,
     resolve_si_orders,
     second_stage_estimates,
@@ -94,11 +94,11 @@ class TestFreshSiDraws:
         n_population = (1 << 31) + 1  # 2^32 mod r is about r: half the words are rejected
         keys = substream_keys(13, "fresh", indices=range(16)).tolist()
         rngs = [reset_stream(new_stream(), key) for key in keys]
-        replayed = []
-        monkeypatch.setattr(designs, "si_draws",
-                            lambda *args: replayed.append(args) or si_draws(*args))
+        resets = []  # one per row before its raw words are read, then one per replayed row
+        monkeypatch.setattr(rng_module, "reset_stream",
+                            lambda *args: resets.append(args) or reset_stream(*args))
         got = fresh_si_draws(n_population, 3, rngs, keys)
-        assert 0 < len(replayed) < len(keys)
+        assert len(keys) < len(resets) < 2 * len(keys)
         want = np.stack([si_draws(n_population, 3, reset_stream(new_stream(), key))
                          for key in keys])
         _same(got, want)
@@ -137,14 +137,14 @@ class TestBoundedDraws:
     @pytest.mark.parametrize("N, n", [(2, 7), (5, 2), (500, 50), (2000, 20), (50000, 50),
                                       (1 << 32, 9)])
     def test_a_fixed_range_fill(self, N, n):
-        draws, redraw = _bounded_draws(self._words(n), np.full(n, N))
-        assert not redraw.any()
+        draws, used, scalar = _bounded_draws(self._words(n), np.full(n, N))
+        assert not scalar.any() and (used == n).all()
         _same(draws, np.stack([_fresh(key).integers(0, N, size=n) for key in self.KEYS]))
 
     @pytest.mark.parametrize("N, n", [(3, 2), (7, 6), (2000, 199), (50000, 50)])
     def test_the_array_low_path(self, N, n):
-        draws, redraw = _bounded_draws(self._words(n), N - np.arange(n))
-        assert not redraw.any()
+        draws, _, scalar = _bounded_draws(self._words(n), N - np.arange(n))
+        assert not scalar.any()
         _same(draws + np.arange(n),
               np.stack([_fresh(key).integers(np.arange(n), N) for key in self.KEYS]))
 
@@ -155,10 +155,10 @@ class TestBoundedDraws:
             assert rng.bit_generator.state["has_uint32"] == 1
             following = rng.integers(np.arange(2), 700)
             words = _fresh(key).bit_generator.random_raw(3)[None]
-            draws, _ = _bounded_draws(words, [500, 500, 500, 700, 699])
+            draws, _, _ = _bounded_draws(words, [500, 500, 500, 700, 699])
             _same(draws[0], np.concatenate([first, following - np.arange(2)]))
-            # a read that starts at the cached half (per row) gives the same draws
-            _same(_bounded_draws(words, [700, 699], np.array([3]))[0][0], following - [0, 1])
+            # a read that starts at the cached half gives the same draws
+            _same(_bounded_draws(words, [700, 699], 3)[0][0], following - [0, 1])
 
     @pytest.mark.parametrize("n_I, N", [(10, 100), (100, 1000), (20, 2000), (50, 500), (5, 6),
                                         (1, 3), (50, 50000)])
@@ -172,8 +172,8 @@ class TestBoundedDraws:
     def test_a_row_that_numpy_redraws(self):
         r = (1 << 31) + 1  # 2^32 mod r = 2^31 - 1: a low half x redraws when x r mod 2^32 is below
         words = np.array([[0 | 5 << 32], [1 | 5 << 32]], dtype=np.uint64)  # x = 0, then x = 1
-        draws, redraw = _bounded_draws(words, [r])
-        assert redraw.tolist() == [True, False]
+        draws, _, scalar = _bounded_draws(words, [r])
+        assert scalar.tolist() == [True, False]
         # numpy reads the next half where the decode flags a redraw, and agrees elsewhere
         assert _reading(words[0]).integers(0, r) == _bounded_draws(words[:1], [r], 1)[0][0, 0]
         assert _reading(words[1]).integers(0, r) == draws[1, 0]

@@ -62,3 +62,12 @@ def test_modules_use_what_they_import():
     unused = {(path.stem, name) for path in sorted(package.glob("*.py"))
               if path.name != "__init__.py" for name in _unused_imports(path)}
     assert unused == UNUSED_IMPORT_EXCEPTIONS
+
+
+def test_only_rng_reads_a_generators_bit_generator():
+    """numpy's streams are replayed from raw words in one module, so a stream change edits one."""
+    package = pathlib.Path(twostage.__file__).parent
+    readers = sorted(path.stem for path in package.glob("*.py") if path.name != "rng.py"
+                     and any(isinstance(node, ast.Attribute) and node.attr == "bit_generator"
+                             for node in ast.walk(ast.parse(path.read_text()))))
+    assert readers == []

@@ -1,8 +1,12 @@
-"""Block-derived replicate streams equal numpy's SeedSequence-seeded substreams."""
+"""Block-derived replicate streams equal numpy's SeedSequence-seeded substreams, and the
+raw-word replay of numpy's draws equals numpy's own draws from the same streams."""
 import numpy as np
 import pytest
 
 from twostage.rng import (
+    _bounded_draws,
+    _fresh_integers,
+    _seek,
     _tag_word,
     new_stream,
     reset_stream,
@@ -98,3 +102,110 @@ def test_reset_stream_restarts_a_used_generator():
     for got, want in zip(_draws(reset_stream(rng, key)), _draws(substream(5, "x", 3))):
         assert np.array_equal(got, want)
 
+
+
+def _fresh(key) -> np.random.Generator:
+    return reset_stream(new_stream(), key)
+
+
+def _halves_read(rng: np.random.Generator) -> int:
+    """The 32-bit halves a stream read since its reset: its counter, buffer and cached half."""
+    state = rng.bit_generator.state
+    words = 4 * (int(state["state"]["counter"][0]) - 1) + state["buffer_pos"]
+    return 2 * words - state["has_uint32"]
+
+
+def _live_state(rng: np.random.Generator) -> str:
+    """The stream's state, less the 32-bit half that a cleared flag leaves unread."""
+    state = rng.bit_generator.state
+    if not state["has_uint32"]:
+        state["uinteger"] = 0
+    return repr(state)
+
+
+def _fisher_yates_bounds(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """(low, high) of one ``integers`` call that draws each (N, n) pair's si_draws in turn."""
+    low = np.concatenate([np.arange(n, dtype=np.int64) for _, n in pairs])
+    return low, np.repeat(np.array([N for N, _ in pairs], dtype=np.int64), [n for _, n in pairs])
+
+
+class TestDecoder:
+    """What the decoder settles for its callers, each against numpy's draws from the same words."""
+
+    KEYS = substream_keys(22, "decoder", indices=range(32)).tolist()
+
+    def _words(self, w: int) -> np.ndarray:
+        return np.stack([_fresh(key).bit_generator.random_raw(w) for key in self.KEYS])
+
+    @pytest.mark.parametrize("pairs", [
+        [(5, 5), (7, 3)],  # a stratum with n_l = N_l: a one-unit range in the middle of the row
+        [(1, 1), (3, 3), (1, 1)],
+        [(2, 2), (2000, 199)],
+        [(1, 1)],
+    ])
+    @pytest.mark.parametrize("per_row", [False, True])
+    def test_draws_and_halves_read_equal_numpys(self, pairs, per_row):
+        low, high = _fisher_yates_bounds(pairs)
+        ranges = np.tile(high - low, (len(self.KEYS), 1)) if per_row else high - low
+        draws, used, scalar = _bounded_draws(self._words(low.size), ranges)
+        assert not scalar.any()
+        for b, key in enumerate(self.KEYS):
+            rng = _fresh(key)
+            assert (draws[b] + low).tolist() == rng.integers(low, high).tolist()
+            assert used[b] == _halves_read(rng)
+
+    @pytest.mark.parametrize("r, flagged", [(1 << 32, False), ((1 << 32) + 1, True)])
+    def test_a_range_past_2_32_is_flagged(self, r, flagged):
+        ranges = np.array([3, r, 5], dtype=np.uint64)
+        draws, used, scalar = _bounded_draws(self._words(2), ranges)
+        assert scalar.tolist() == [flagged] * len(self.KEYS)
+        for b, key in enumerate(self.KEYS):
+            rng = _fresh(key)
+            want = [rng.integers(0, int(v)) for v in ranges]
+            # numpy draws a range past 2^32 from a whole word, not from one half
+            assert (_halves_read(rng) == used[b] == 3) != flagged
+            if not flagged:
+                assert draws[b].tolist() == want
+
+    def test_a_row_short_of_halves_is_flagged(self):
+        ranges = np.array([[1000] * 6 + [1], [1000] * 7])  # 6 and 7 halves
+        keys = self.KEYS[:2]
+        words = self._words(3)[:2]
+        draws, used, scalar = _bounded_draws(words, ranges)
+        assert used.tolist() == [6, 7] and scalar.tolist() == [False, True]
+        assert draws[0].tolist() == _fresh(keys[0]).integers(0, 1000, size=6).tolist() + [0]
+        # from half 1 on, the first row is short too
+        assert _bounded_draws(words, ranges, 1)[2].tolist() == [True, True]
+
+
+@pytest.mark.parametrize("pairs", [
+    [(5, 5), (7, 3), (2000, 199)],  # a one-unit range in the middle, an odd total
+    [(1500, 20)] * 11,  # criterion 7's strata
+    [((1 << 31) + 1, 3), (9, 2)],  # half the first stratum's words are redrawn
+    [((1 << 32) + 1, 2), (6, 3)],  # a 64-bit draw
+    [(3, 3)],
+    [(1, 1), (4, 1)],  # one half, after a one-unit range: no whole word is read
+    [(1, 1)],
+])
+def test_fresh_integers_equal_per_stratum_si_draws(pairs):
+    """One integers(low, high) call on the concatenated strata is the strata's si_draws in turn."""
+    keys = substream_keys(23, "fresh", len(pairs), indices=range(300)).tolist()
+    rngs = [new_stream() for _ in keys]
+    got = _fresh_integers(rngs, keys, *_fisher_yates_bounds(pairs))
+    for b, key in enumerate(keys):
+        alone = _fresh(key)
+        want = np.concatenate([alone.integers(np.arange(n), N) for N, n in pairs])
+        assert got[b].tolist() == want.tolist(), b
+        assert _live_state(rngs[b]) == _live_state(alone), b
+
+
+def test_seek_leaves_the_stream_where_its_draws_do():
+    """An odd count of 32-bit draws leaves the last word's other half cached."""
+    rng, ref = new_stream(), new_stream()
+    for key in substream_keys(6, "seek", indices=range(4)).tolist():
+        for halves in range(1, 40):
+            reset_stream(ref, key).integers(0, 1000, size=halves)
+            _seek(rng, key, halves)
+            for draw in (lambda g: g.integers(0, 2**31, size=3, dtype=np.uint32),
+                         lambda g: g.random(2), lambda g: g.integers(0, 7, size=5)):
+                assert draw(rng).tolist() == draw(ref).tolist(), halves
