@@ -8,9 +8,10 @@ is the unit selected at the j-th draw.
 
 :class:`SystematicTable` is an exact memo of the SYSTEMATIC second stage:
 ``Generator.random`` draws starts on the grid k * 2^-53, each distinct
-systematic sample of a PSU owns one interval of that grid, and a row per
-interval holds :func:`psu_subtotal_estimates` of its sample, so a lookup
-gives the bits of placing and gathering the sample at any start.
+systematic sample of a PSU size owns one interval of that grid, and a row
+per interval of each PSU holds :func:`psu_subtotal_estimates` of its
+sample, so a lookup gives the bits of placing and gathering the sample at
+any start.
 """
 from __future__ import annotations
 
@@ -418,7 +419,7 @@ def systematic_positions(
 _GRID = 2.0 ** -53
 _GRID_POINTS = 1 << 53
 _CHANGE_POINTS = 1 << 15  # change points found at a time
-_KEY_PSUS = 1 << 10  # PSUs whose change points are sorted at a time, as (PSU << 53) | k keys
+_KEY_SIZES = 1 << 10  # PSU sizes whose change points are sorted at a time, as (size << 53) | k keys
 _TABLE_SSUS = 2048  # SSUs of the PSUs whose table rows are filled at a time
 _TABLE_CELLS = 1 << 15  # sample positions placed at a time while the table is filled
 
@@ -430,28 +431,35 @@ class SystematicTable:
     A start drawn by ``Generator.random`` is u = k * 2^-53 for an integer
     0 <= k < 2^53.  Each coordinate of :func:`systematic_positions` is a
     monotone step function of k, so each distinct sample of PSU i owns one
-    interval of k; the intervals partition [0, 2^53).  Row r is one such
-    interval, in PSU order and then in order of k: ``ends[r]`` is the first
-    grid point past it (2^53 for a PSU's last row), and ``estimates[r]`` is
-    :func:`psu_subtotal_estimates` of the sample placed at its first grid
-    point, the gather path's own call, so it has that path's bits at any
-    start in the interval.
+    interval of k; the intervals partition [0, 2^53).  The intervals, and
+    the within-PSU positions each one places, depend on N_i and n0 alone, so
+    they are kept once per size class (the PSUs of one size): class row c is
+    one interval, in class order and then in order of k, and ``ends[c]`` is
+    the first grid point past it (2^53 for a class's last row).  The
+    estimates are kept per PSU: PSU i's rows are its class's rows, at
+    ``psu_rows[i]`` on, and ``estimates[r]`` is :func:`psu_subtotal_estimates`
+    of row r's sample placed at its interval's first grid point, the gather
+    path's own call, so it has that path's bits at any start in the interval.
 
-    In exact arithmetic PSU i has N_i / gcd(N_i, n0) equal intervals;
-    rounding moves their ends by a few grid points or adds intervals of a
-    few points.  So the lookup cuts each PSU's grid into that many equal
-    buckets, and ``first`` holds the row from which a start in a bucket is
-    found after a step or two.  The (R, p) ``estimates``, with R about the
-    PSUs' total size, take about the room of the (N, p) column matrix they
-    replace; ``ends`` and ``first`` hold at most R integers each.
+    In exact arithmetic a class of size N has N / gcd(N, n0) equal
+    intervals; rounding moves their ends by a few grid points or adds
+    intervals of a few points.  So the lookup cuts each class's grid into
+    that many equal buckets, and ``first`` holds the class row from which a
+    start in a bucket is found after a step or two.  The (R, p)
+    ``estimates``, with R about the PSUs' total size, take about the room of
+    the (N, p) column matrix they replace; ``ends`` and ``first`` hold at
+    most R_C integers each, R_C the rows of the distinct sizes (643 rows for
+    the 18 sizes of pop3, seed 3, at n0 = 10, against R = 72,593).
     """
 
-    psu_rows: np.ndarray  # (N_I + 1,) each PSU's first row
-    ends: np.ndarray  # (R,) first grid point past each row's interval
-    estimates: np.ndarray  # (R, p) subtotal estimates of each row's sample
-    buckets: np.ndarray  # (N_I,) float bucket count N_i / gcd(N_i, n0) of each PSU
-    bucket_base: np.ndarray  # (N_I,) offset of PSU i's buckets in ``first``
-    first: np.ndarray  # (sum of bucket counts,) int32 row each bucket's search starts at
+    psu_rows: np.ndarray  # (N_I + 1,) each PSU's first row of ``estimates``
+    psu_class: np.ndarray  # (N_I,) each PSU's size class
+    class_rows: np.ndarray  # (C + 1,) each class's first row of ``ends``
+    ends: np.ndarray  # (R_C,) first grid point past each class row's interval
+    estimates: np.ndarray  # (R, p) subtotal estimates of each PSU row's sample
+    buckets: np.ndarray  # (C,) float bucket count N / gcd(N, n0) of each class
+    bucket_base: np.ndarray  # (C,) offset of class c's buckets in ``first``
+    first: np.ndarray  # (sum of bucket counts,) int32 class row each bucket's search starts at
 
     def rows_at(self, psu_indices: np.ndarray, starts: np.ndarray) -> np.ndarray:
         """The row of the sample that each start draws in its PSU (``psu_indices``'s shape).
@@ -463,13 +471,17 @@ class SystematicTable:
         grid = k.astype(np.int64)
         if not (np.all(grid == k) and np.all((0 <= grid) & (grid < _GRID_POINTS))):
             raise ValueError("starts must be k * 2**-53 for integers 0 <= k < 2**53")
-        row = self.first[self.bucket_base[psu_indices]
-                         + _bucket(starts, self.buckets[psu_indices])].astype(np.int64)
+        cls = self.psu_class[psu_indices]
+        row = self.first[self.bucket_base[cls]
+                         + _bucket(starts, self.buckets[cls])].astype(np.int64)
         while True:
             step = self.ends[row] <= grid
             if not step.any():
-                return row
+                break
             row += step
+        row += self.psu_rows[psu_indices]
+        row -= self.class_rows[cls]
+        return row
 
     def subtotal_estimates(self, psu_indices: np.ndarray, starts: np.ndarray) -> np.ndarray:
         """The estimates (*S, p) of the samples that the starts (shape S) draw in their PSUs.
@@ -553,44 +565,44 @@ def _first_reaching(a, j, top, target, lo, hi) -> np.ndarray:
 
 
 def _interval_starts(sizes: np.ndarray, n0: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first grid point of every distinct systematic sample of up to _KEY_PSUS PSUs.
+    """The first grid point of every distinct systematic sample of up to _KEY_SIZES PSU sizes.
 
-    Returns the points (in PSU order, increasing within each PSU, 0 first)
-    and each PSU's count of them.  Coordinate j of PSU i moves from its
+    Returns the points (in size order, increasing within each size, 0 first)
+    and each size's count of them.  Coordinate j of size N moves from its
     position at k = 0 to its position at k = 2^53 - 1, once per integer m in
-    between, at the first k with fl(fl(a j) + fl(k 2^-53 a)) >= m.  Let X =
-    (m - fl(a j)) 2^53 / a.  Rounding the sum up to m moves that k below X
-    by at most ulp(m) 2^52 / a < n0 grid points and never above it; the
-    product moves it by at most one point and the guess g = ceil(fl(X)) is
-    within about 5 points of X.  So k lies in (g - n0 - 8, g + 8], which
+    between, at the first k with fl(fl(a j) + fl(k 2^-53 a)) >= m, a = N/n0.
+    Let X = (m - fl(a j)) 2^53 / a.  Rounding the sum up to m moves that k
+    below X by at most ulp(m) 2^52 / a < n0 grid points and never above it;
+    the product moves it by at most one point and the guess g = ceil(fl(X))
+    is within about 5 points of X.  So k lies in (g - n0 - 8, g + 8], which
     :func:`_first_reaching` bisects, _CHANGE_POINTS moves at a time.
     """
-    n_psus = sizes.size
+    n_sizes = sizes.size
     a = sizes / n0
     top = sizes - 1
     j = np.arange(n0)
     at_zero = _systematic_offsets(a[:, None], j, 0.0, top[:, None]).astype(np.int64).ravel()
     at_last = _systematic_offsets(a[:, None], j, (_GRID_POINTS - 1) * _GRID,
                                   top[:, None]).astype(np.int64).ravel()
-    moved = np.cumsum(at_last - at_zero)  # the moves of the (PSU, coordinate) cells so far
-    # (PSU, k) keys, k = 0 for every PSU first
-    keys = [np.arange(n_psus, dtype=np.int64) << 53]
+    moved = np.cumsum(at_last - at_zero)  # the moves of the (size, coordinate) cells so far
+    # (size, k) keys, k = 0 for every size first
+    keys = [np.arange(n_sizes, dtype=np.int64) << 53]
     for lo in range(0, int(moved[-1]), _CHANGE_POINTS):
         move = np.arange(lo, min(lo + _CHANGE_POINTS, int(moved[-1])))
         cell = np.searchsorted(moved, move, side="right")
         target = move - moved[cell] + at_last[cell] + 1
-        psu, coord = np.divmod(cell, n0)
-        a_t = a[psu]
+        size, coord = np.divmod(cell, n0)
+        a_t = a[size]
         guess = np.ceil((target - a_t * coord) * _GRID_POINTS / a_t)
         np.clip(guess, 0, _GRID_POINTS - 1, out=guess)
         guess = guess.astype(np.int64)
-        points = _first_reaching(a_t, coord, top[psu], target, np.maximum(guess - (n0 + 8), 0),
+        points = _first_reaching(a_t, coord, top[size], target, np.maximum(guess - (n0 + 8), 0),
                                  np.minimum(guess + 8, _GRID_POINTS - 1))
-        keys.append((psu << 53) | points)
+        keys.append((size << 53) | points)
     keys = np.concatenate(keys)
     keys.sort()
     keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-    return keys & (_GRID_POINTS - 1), np.bincount(keys >> 53, minlength=n_psus)
+    return keys & (_GRID_POINTS - 1), np.bincount(keys >> 53, minlength=n_sizes)
 
 
 def _psu_spans(frame: Frame, ssus: int):
@@ -605,63 +617,67 @@ def systematic_table(frame: Frame, n0: int, column_block) -> SystematicTable:
 
     ``column_block(lo, hi)`` returns the (hi - lo, p) SSU columns of frame
     rows lo..hi-1, with the bits of those rows of the full column matrix.
-    First every interval is found, _KEY_PSUS PSUs at a time; then the rows
-    are filled into the preallocated (R, p) table from the columns of about
-    _TABLE_SSUS SSUs at a time, so no column matrix of the whole frame is
-    built.
+    First every interval of every distinct PSU size is found, _KEY_SIZES
+    sizes at a time; then the PSUs' rows are filled into the preallocated
+    (R, p) table from the columns of about _TABLE_SSUS SSUs at a time, so no
+    column matrix of the whole frame is built.
     """
-    _check_n0(frame, np.arange(frame.n_psus), n0)
-    points, counts = zip(*(_interval_starts(frame.sizes[lo:lo + _KEY_PSUS], n0)
-                           for lo in range(0, frame.n_psus, _KEY_PSUS)))
+    sizes, psu_class = np.unique(_check_n0(frame, np.arange(frame.n_psus), n0),
+                                 return_inverse=True)
+    points, counts = zip(*(_interval_starts(sizes[lo:lo + _KEY_SIZES], n0)
+                           for lo in range(0, sizes.size, _KEY_SIZES)))
     lower = np.concatenate(points)
     del points
-    psu_rows = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
-    of_row = np.repeat(np.arange(frame.n_psus), np.diff(psu_rows))
-    buckets = frame.sizes // np.gcd(frame.sizes, n0)
+    counts = np.concatenate(counts)
+    class_rows = np.concatenate(([0], np.cumsum(counts)))
+    buckets = sizes // np.gcd(sizes, n0)
     bucket_base = np.cumsum(buckets) - buckets
-    keyed = _bucket(lower * _GRID, buckets[of_row].astype(np.float64)) + bucket_base[of_row]
-    del of_row
+    keyed = _bucket(lower * _GRID, np.repeat(buckets.astype(np.float64), counts))
+    keyed += np.repeat(bucket_base, counts)
     # the last row below each bucket (the rows keyed below it, less one), or
-    # the PSU's first row for its bucket 0
+    # the class's first row for its bucket 0
     first = np.bincount(keyed, minlength=int(buckets.sum()))
     del keyed
     np.cumsum(first, out=first)
     first = np.roll(first, 1)
     first[0] = 0
     first -= 1
-    np.maximum(first, np.repeat(psu_rows[:-1], buckets), out=first)
+    np.maximum(first, np.repeat(class_rows[:-1], buckets), out=first)
     if lower.size > np.iinfo(np.int32).max:
-        raise ValueError(f"the table's {lower.size} rows overflow its int32 bucket index")
+        raise ValueError(f"the table's {lower.size} class rows overflow its int32 bucket index")
     first = first.astype(np.int32)  # half the room of the index, which fits the build's bound
     ends = np.roll(lower, -1)
     del lower
-    ends[psu_rows[1:] - 1] = _GRID_POINTS
+    ends[class_rows[1:] - 1] = _GRID_POINTS
 
+    psu_rows = np.concatenate(([0], np.cumsum(counts[psu_class])))
+    shift = class_rows[psu_class] - psu_rows[:-1]  # class row less PSU row, per PSU
     estimates = None
     for lo, hi in _psu_spans(frame, _TABLE_SSUS):
         columns = column_block(frame.offsets[lo], frame.offsets[hi])
         if estimates is None:
-            estimates = np.empty((ends.size, columns.shape[1]))
-        _fill_span(frame, n0, lo, psu_rows[lo:hi + 1], ends, columns, estimates)
+            estimates = np.empty((psu_rows[-1], columns.shape[1]))
+        _fill_span(frame, n0, lo, psu_rows[lo:hi + 1], shift, ends, columns, estimates)
         del columns  # so that two spans' columns are never held at once
-    return SystematicTable(psu_rows, ends, estimates, buckets.astype(np.float64), bucket_base,
-                           first)
+    return SystematicTable(psu_rows, psu_class, class_rows, ends, estimates,
+                           buckets.astype(np.float64), bucket_base, first)
 
 
-def _fill_span(frame: Frame, n0: int, lo: int, span_rows: np.ndarray, ends: np.ndarray,
-               columns: np.ndarray, estimates: np.ndarray) -> None:
+def _fill_span(frame: Frame, n0: int, lo: int, span_rows: np.ndarray, shift: np.ndarray,
+               ends: np.ndarray, columns: np.ndarray, estimates: np.ndarray) -> None:
     """Fill the table rows of the PSUs from ``lo`` on whose row bounds are ``span_rows``.
 
-    ``columns`` holds the span's SSU columns.  Each row's sample is placed at
-    its interval's first grid point: the previous row's end, or 0 for a
-    PSU's first row (whose previous row ends at 2^53).  Rows go
+    ``columns`` holds the span's SSU columns.  Row r of PSU i is class row
+    r + shift[i], and its sample is placed at that class row's first grid
+    point: the previous class row's end, or 0 for a class's first row (whose
+    previous row, at index -1 for the first class, ends at 2^53).  Rows go
     _TABLE_CELLS // n0 at a time, and their estimates straight into the table.
     """
     batch = max(1, _TABLE_CELLS // n0)
     for r0 in range(span_rows[0], span_rows[-1], batch):
         r1 = min(r0 + batch, span_rows[-1])
         psus = np.searchsorted(span_rows, np.arange(r0, r1), side="right") + (lo - 1)
-        prev = ends[r0 - 1:r1 - 1] if r0 else np.append(_GRID_POINTS, ends[:r1 - 1])
+        prev = ends[np.arange(r0 - 1, r1 - 1) + shift[psus]]
         rows = systematic_positions(frame, psus, (prev & (_GRID_POINTS - 1)) * _GRID, n0)
         rows -= frame.offsets[lo]
         psu_subtotal_estimates(frame, columns, psus, rows, n0, out=estimates[r0:r1])

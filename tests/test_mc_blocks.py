@@ -259,7 +259,7 @@ def pop3():
                                                seed=3))
 
 
-@pytest.mark.parametrize("n0", [3, 5, 10])
+@pytest.mark.parametrize("n0", [3, 5, 9, 10, 11])
 def test_build_context_peaks_at_the_distinct_columns(pop3, n0):
     """A pop3-shaped cell holds its table of 11 distinct columns, in about the room of the columns.
 

@@ -7,6 +7,8 @@ gather give at every start of its interval, and the intervals must carry the
 design's law: each SSU of PSU i is drawn with probability n0/N_i, up to the
 rounding of the grid.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -48,11 +50,35 @@ def _row_psus(table) -> np.ndarray:
     return np.repeat(np.arange(table.psu_rows.size - 1), np.diff(table.psu_rows))
 
 
+def _class_rows(table) -> np.ndarray:
+    """The size-class row of each PSU row: a PSU's rows are its class's rows, in order."""
+    psus = _row_psus(table)
+    return np.arange(psus.size) - table.psu_rows[psus] + table.class_rows[table.psu_class[psus]]
+
+
+def _ends(table) -> np.ndarray:
+    """The first grid point past each PSU row's interval."""
+    return table.ends[_class_rows(table)]
+
+
 def _lows(table) -> np.ndarray:
-    """The first grid point of each row's interval: the previous row's end, or 0."""
+    """The first grid point of each PSU row's interval: the previous class row's end, or 0."""
     lows = np.roll(table.ends, 1)
-    lows[table.psu_rows[:-1]] = 0
-    return lows
+    lows[table.class_rows[:-1]] = 0
+    return lows[_class_rows(table)]
+
+
+def _same_at_every_interval(frame: Frame, table, n0: int) -> None:
+    """Every row's estimates equal the gather's at its interval's first grid point and below."""
+    lows, psus = _lows(table), _row_psus(table)
+    for lo in range(0, lows.size, 1 << 18):
+        at = slice(lo, lo + (1 << 18))
+        _same(table.subtotal_estimates(psus[at], lows[at] * GRID),
+              _gathered(frame, psus[at], lows[at] * GRID, n0))
+        inner = lows[at] > 0
+        below = (lows[at][inner] - 1) * GRID
+        _same(table.subtotal_estimates(psus[at][inner], below),
+              _gathered(frame, psus[at][inner], below, n0))
 
 
 # (sizes, n0): N_i/n0 integer and fractional, n0 = 1 and n0 = N_i
@@ -62,6 +88,8 @@ CASES = {
     "n0=10": ([10, 20, 40, 11, 13, 25, 37, 44], 10),
     "n0=N_i": ([7, 7, 8, 50], 7),
     "n0=N_i-everywhere": ([12, 12, 12], 12),
+    # repeated sizes in PSUs that are not adjacent, between sizes seen once
+    "n0=4-mixed": ([13, 40, 7, 13, 29, 40, 11, 13, 8, 40], 4),
 }
 
 
@@ -106,17 +134,9 @@ def test_rows_match_the_gather_at_random_starts(case, p):
 def test_one_psu_of_a_million_ssus(n0):
     frame = _frame([10**6, 37], 2)
     table = _table(frame, n0)
-    lows, psus = _lows(table), _row_psus(table)
     # about N_i / gcd(N_i, n0) samples of the large PSU
     assert table.psu_rows[1] >= 10**6 // np.gcd(10**6, n0)
-    for lo in range(0, lows.size, 1 << 18):
-        at = slice(lo, lo + (1 << 18))
-        _same(table.subtotal_estimates(psus[at], lows[at] * GRID),
-              _gathered(frame, psus[at], lows[at] * GRID, n0))
-        inner = lows[at] > 0
-        below = (lows[at][inner] - 1) * GRID
-        _same(table.subtotal_estimates(psus[at][inner], below),
-              _gathered(frame, psus[at][inner], below, n0))
+    _same_at_every_interval(frame, table, n0)
     rng = np.random.default_rng(n0)
     psus = rng.integers(0, 2, size=10**5)
     starts = rng.random(10**5)
@@ -133,7 +153,7 @@ def test_intervals_carry_the_systematic_law(n0):
     """
     frame = generate_population(SyntheticConfig(2000, 40, 0.06, 20.0, 2.0, (0.1,), 0.6, seed=3))
     table = systematic_table(frame, n0, lambda lo, hi: frame.values[lo:hi, :1])
-    lows, ends, psus = _lows(table), table.ends, _row_psus(table)
+    lows, ends, psus = _lows(table), _ends(table), _row_psus(table)
     first, last = table.psu_rows[:-1], table.psu_rows[1:] - 1
     assert (lows[first] == 0).all() and (ends[last] == GRID_POINTS).all()
     assert (lows[1:][np.diff(psus) == 0] == ends[:-1][np.diff(psus) == 0]).all()
@@ -151,6 +171,58 @@ def test_intervals_carry_the_systematic_law(n0):
     sizes = np.repeat(frame.sizes, frame.sizes)
     off = mass * sizes - (n0 << 53)
     assert (np.abs(off) <= 4 * n0 * sizes).all()
+
+
+@pytest.mark.parametrize("n0", [3, 10])
+def test_a_frame_of_distinct_sizes(n0):
+    """With no size shared every PSU is a class of its own, and the build stays in bounds.
+
+    The rows keep the gather's bits, and the build's peak stays within the
+    (N, p) column matrix and four (N,) int64 arrays: 24.6 MB here, where the
+    per-PSU layout that came before size classes peaked at 23.5 MB (n0 = 3)
+    and 22.2 MB (n0 = 10).
+    """
+    frame = _frame(np.arange(12, 1012), 2)
+    _table(frame, n0)
+    tracemalloc.start()
+    try:
+        table = _table(frame, n0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= frame.n_ssus * (2 + 4) * 8
+    assert table.class_rows.size == frame.n_psus + 1
+    _same_at_every_interval(frame, table, n0)
+    rng = np.random.default_rng(n0)
+    psus = rng.integers(0, frame.n_psus, size=10**5)
+    starts = rng.random(10**5)
+    _same(table.subtotal_estimates(psus, starts), _gathered(frame, psus, starts, n0))
+
+
+def test_change_points_are_searched_once_per_size(monkeypatch):
+    """The build bisects the change points of the distinct sizes only, not of every PSU.
+
+    Coordinate j of a size moves once per integer between its positions at
+    the first and the last grid point, and each move is one bisected change
+    point; 60 PSUs of 5 sizes must bisect the 5 sizes' moves.
+    """
+    frame = _frame(np.resize([9, 14, 23, 40, 5], 60), 2)
+    searched = []
+    real = designs._first_reaching
+
+    def counting(a, j, top, target, lo, hi):
+        searched.append(target.size)
+        return real(a, j, top, target, lo, hi)
+
+    monkeypatch.setattr(designs, "_first_reaching", counting)
+    table = _table(frame, 5)
+    once = np.unique(frame.sizes, return_index=True)[1]
+    moves = (systematic_positions(frame, once, np.full(once.size, 1.0 - GRID), 5)
+             - systematic_positions(frame, once, np.zeros(once.size), 5)).sum()
+    assert sum(searched) == moves
+    # and each class keeps its rows once
+    assert table.class_rows.size == once.size + 1
+    assert (np.diff(table.psu_rows) == np.diff(table.class_rows)[table.psu_class]).all()
 
 
 class TestBrackets:
