@@ -178,9 +178,9 @@ def test_a_frame_of_distinct_sizes(n0):
     """With no size shared every PSU is a class of its own, and the build stays in bounds.
 
     The rows keep the gather's bits, and the build's peak stays within the
-    (N, p) column matrix and four (N,) int64 arrays: 24.6 MB here, where the
-    per-PSU layout that came before size classes peaked at 23.5 MB (n0 = 3)
-    and 22.2 MB (n0 = 10).
+    (N, p) column matrix and four (N,) int64 arrays: 24.6 MB for this
+    frame, where a per-PSU layout of the intervals peaked at 23.5 MB
+    (n0 = 3) and 22.2 MB (n0 = 10).
     """
     frame = _frame(np.arange(12, 1012), 2)
     _table(frame, n0)
