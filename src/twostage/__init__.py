@@ -57,7 +57,6 @@ from .frame import (
     frame_to_csv,
     generate_population,
     ingest_frame,
-    population_summary,
 )
 from .montecarlo import (
     MCReport,

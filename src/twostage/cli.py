@@ -4,7 +4,8 @@ Commands: ``gen-pop`` (synthetic population to CSV), ``estimate`` (one
 two-stage draw and its estimates), ``bootstrap`` (adds the PSU bootstrap),
 ``mc`` (Monte Carlo study grids) and ``verify`` (coupling bound/decay
 checks).  Every command reads a JSON config; ``--seed``, ``--threads`` and
-``--out`` override the config file.  Unknown config keys are errors.  All
+``--out`` override the config file.  Unknown config keys are errors, and a key
+the config omits takes the default of the library spec it goes to.  All
 randomness derives from the mandatory seed (never the clock), data outputs
 are written atomically, and re-running a command with the same config and
 seed reproduces them byte for byte at any thread count.
@@ -73,7 +74,8 @@ class RunConfig:
     seed: int
     threads: int
     out: str
-    payload: dict
+    payload: dict  # the command's config keys, as given
+    plan: dict  # what the command's runner reads: library specs and the CLI's own settings
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +125,29 @@ def _as_list(value: Any, path: str) -> list:
     return value
 
 
+def _as_methods(value: Any, path: str) -> tuple:
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}: expected a list")
+    return tuple(value)
+
+
+def _as_bool(value: Any, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{path}: expected a boolean")
+    return value
+
+
+def _or_none(as_type: Callable) -> Callable:
+    """``as_type`` that reads a null as None."""
+    return lambda value, path: None if value is None else as_type(value, path)
+
+
+def _given(obj: Mapping, path: str, **types: Callable) -> dict:
+    """Each key of ``types`` that ``obj`` holds, typed by its function.  A key the config
+    omits is left out, so the library spec it goes to states its default."""
+    return {key: as_type(obj[key], f"{path}.{key}") for key, as_type in types.items() if key in obj}
+
+
 def _spec(build: Callable, path: str, keys: Mapping[str, str] | None = None) -> Any:
     """``build()``; a spec's ValueError "<attribute>[index] <reason>" becomes a ConfigError
     naming the config key under ``path``, which ``keys`` gives where it has another name."""
@@ -157,9 +182,7 @@ def _parse_estimand(obj: Any, path: str):
              "correlation": (CorrelationEstimand, ["a", "b"]),
              "proportion": (ProportionEstimand, ["var", "category"])}
     kind = _as_str(_require(obj, "kind", path), f"{path}.kind", list(kinds))
-    rho = obj.get("rho")
-    if rho is not None:
-        rho = _as_num(rho, f"{path}.rho")
+    rho = _or_none(_as_num)(obj.get("rho"), f"{path}.rho")
     cls, names = kinds[kind]
     _check_keys(obj, ["kind", *names, "rho"], path)
     args = [_as_num(_require(obj, name, path), f"{path}.{name}") if name == "category"
@@ -169,10 +192,8 @@ def _parse_estimand(obj: Any, path: str):
 
 def _parse_bootstrap(obj: Any, path: str, seed: int) -> BootstrapConfig:
     _check_keys(obj, ["replicates", "m", "alpha"], path)
-    m = None if obj.get("m") is None else _as_int(obj["m"], f"{path}.m")
-    replicates = _as_int(obj.get("replicates", 1000), f"{path}.replicates")
-    alpha = _as_num(obj.get("alpha", 0.025), f"{path}.alpha")
-    return _spec(lambda: BootstrapConfig(replicates, m, alpha, seed), path)
+    given = _given(obj, path, replicates=_as_int, m=_or_none(_as_int), alpha=_as_num)
+    return _spec(lambda: BootstrapConfig(**given, seed=seed), path)
 
 
 def parse_config(
@@ -222,26 +243,24 @@ def parse_config(
     out = _as_str(raw["out"], "config.out")
 
     payload = {k: raw[k] for k in payload_keys if k in raw}
-    _VALIDATORS[command](payload, seed)
-    return RunConfig(command, seed, threads, out, payload)
+    return RunConfig(command, seed, threads, out, payload, _VALIDATORS[command](payload, seed))
 
 
-def _validate_genpop(payload: dict, seed: int) -> None:
-    payload["_population"] = _parse_population(
-        _require(payload, "population", "config"), "config.population", seed)
-    if "format" in payload:
-        _as_str(payload["format"], "config.format", ["csv", "tsv"])
+def _validate_genpop(payload: dict, seed: int) -> dict:
+    return {"population": _parse_population(_require(payload, "population", "config"),
+                                            "config.population", seed),
+            "format": _as_str(payload.get("format", "csv"), "config.format", ["csv", "tsv"])}
 
 
-def _parse_second_stage(obj: Any, path: str) -> tuple[str, int | None]:
-    """(method, n0) of a ``{"method", "n0"}`` second stage, typed but not yet checked."""
+def _parse_second_stage(obj: Any, path: str) -> dict:
+    """``second_stage`` and, if given, ``n0`` of a ``{"method", "n0"}`` config, not yet checked."""
     _check_keys(obj, ["method", "n0"], path)
     method = _as_str(_require(obj, "method", path), f"{path}.method")
-    return method, None if obj.get("n0") is None else _as_int(obj["n0"], f"{path}.n0")
+    return {"second_stage": method, **_given(obj, path, n0=_or_none(_as_int))}
 
 
-def _validate_estimate(payload: dict, seed: int, bootstrap: bool = False) -> None:
-    _as_str(_require(payload, "frame", "config"), "config.frame")
+def _validate_estimate(payload: dict, seed: int, bootstrap: bool = False) -> dict:
+    frame = _as_str(_require(payload, "frame", "config"), "config.frame")
     design = _require(payload, "design", "config")
     _check_keys(design, ["kind", "n_I", "expected_n_I"], "config.design")
     kind = _as_str(_require(design, "kind", "config.design"), "config.design.kind",
@@ -251,37 +270,35 @@ def _validate_estimate(payload: dict, seed: int, bootstrap: bool = False) -> Non
         raise ConfigError(f"config.design.{stray}: not a parameter of a {kind} design")
     value = (_as_num if kind == "BE" else _as_int)(_require(design, size, "config.design"),
                                                    f"config.design.{size}")
-    payload["_design"] = _spec(lambda: DesignSpec(kind, **{size: value}), "config.design")
-    method, n0 = payload["_second_stage"] = _parse_second_stage(
-        _require(payload, "second_stage", "config"), "config.second_stage")
+    design = _spec(lambda: DesignSpec(kind, **{size: value}), "config.design")
+    second = _parse_second_stage(_require(payload, "second_stage", "config"),
+                                 "config.second_stage")
+    method, n0 = second["second_stage"], second.get("n0")
     _spec(lambda: check_second_stage(method, n0), "config", _SECOND_STAGE_KEYS)
     ests = _as_list(_require(payload, "estimands", "config"), "config.estimands")
-    payload["_estimands"] = [_parse_estimand(e, f"config.estimands[{i}]")
-                             for i, e in enumerate(ests)]
-    methods = payload.get("variance_methods", [])
-    if not isinstance(methods, list):
-        raise ConfigError("config.variance_methods: expected a list")
+    estimands = [_parse_estimand(e, f"config.estimands[{i}]") for i, e in enumerate(ests)]
+    methods = _as_methods(payload.get("variance_methods", []), "config.variance_methods")
     _spec(lambda: check_variance_methods(methods, method), "config")
     alpha = _as_num(payload.get("alpha", 0.025), "config.alpha")
     _spec(lambda: check_alpha(alpha, "alpha"), "config")
+    plan = dict(frame=frame, design=design, method=method, n0=n0, estimands=estimands,
+                variance_methods=methods, alpha=alpha, bootstrap=None)
     if bootstrap:
         if kind != "SI":
             raise ConfigError("config.design.kind: the PSU bootstrap runs on SI designs")
-        payload["_bootstrap"] = _parse_bootstrap(payload.get("bootstrap", {}),
-                                                 "config.bootstrap", seed)
-        if "studentized" in payload and not isinstance(payload["studentized"], bool):
-            raise ConfigError("config.studentized: expected a boolean")
+        plan["bootstrap"] = _parse_bootstrap(payload.get("bootstrap", {}), "config.bootstrap", seed)
+        plan["studentized"] = _as_bool(payload.get("studentized", False), "config.studentized")
+    return plan
 
 
-def _validate_mc(payload: dict, seed: int) -> None:
-    """Build and check every cell's Scenario: its (row metadata, scenario) pairs go to _cells."""
+def _validate_mc(payload: dict, seed: int) -> dict:
+    """Build and check every cell's Scenario: the plan's cells are (row metadata, scenario)."""
     if ("population" in payload) == ("frame" in payload):
         raise ConfigError("config: provide exactly one of 'population' or 'frame'")
     if "population" in payload:
-        payload["_population"] = _parse_population(
-            payload["population"], "config.population", seed)
+        plan = {"population": _parse_population(payload["population"], "config.population", seed)}
     else:
-        _as_str(payload["frame"], "config.frame")
+        plan = {"frame": _as_str(payload["frame"], "config.frame")}
     label = _as_str(payload.get("population_label", "pop"), "config.population_label")
     path = "config.scenario"
     scn = _require(payload, "scenario", "config")
@@ -305,35 +322,28 @@ def _validate_mc(payload: dict, seed: int) -> None:
     _check_keys(second, ["method", "n0"], f"{path}.second_stage")
     method = _as_str(_require(second, "method", f"{path}.second_stage"),
                      f"{path}.second_stage.method")
-    n0s = [None] if second.get("n0") is None else [
-        _as_int(n0, f"{path}.second_stage.n0[{i}]")
+    n0s = [{}] if second.get("n0") is None else [
+        {"n0": _as_int(n0, f"{path}.second_stage.n0[{i}]")}
         for i, n0 in enumerate(_as_list(second["n0"], f"{path}.second_stage.n0"))]
-    if not isinstance(scn.get("studentized", False), bool):
-        raise ConfigError(f"{path}.studentized: expected a boolean")
-    if not isinstance(scn.get("variance_methods", []), list):
-        raise ConfigError(f"{path}.variance_methods: expected a list")
     ests = _as_list(_require(scn, "estimands", path), f"{path}.estimands")
-    scn["_estimands"] = [_parse_estimand(e, f"{path}.estimands[{i}]") for i, e in enumerate(ests)]
-    common = dict(
-        estimands=tuple(e for e, _, _ in scn["_estimands"]),
-        variance_methods=tuple(scn.get("variance_methods", [])),
-        bootstrap=(None if scn.get("bootstrap") is None
-                   else _parse_bootstrap(scn["bootstrap"], f"{path}.bootstrap", seed)),
-        studentized=scn.get("studentized", False),
-        ci_alpha=_as_num(scn.get("alpha", 0.025), f"{path}.alpha"),
-        replicates=_as_int(scn.get("replicates", 1000), f"{path}.replicates"),
-        true_run=_as_int(scn.get("true_run", 20000), f"{path}.true_run"),
-    )
+    plan["estimands"] = [_parse_estimand(e, f"{path}.estimands[{i}]") for i, e in enumerate(ests)]
+    given = dict(estimands=tuple(e for e, _, _ in plan["estimands"]))
+    given |= _given(scn, path, studentized=_as_bool, variance_methods=_as_methods,
+                    bootstrap=_or_none(partial(_parse_bootstrap, seed=seed)),
+                    alpha=_as_num, replicates=_as_int, true_run=_as_int)
+    if "alpha" in given:
+        given["ci_alpha"] = given.pop("alpha")
     # the Scenario attributes whose config keys have other names
     keys = {"ci_alpha": "alpha", **_SECOND_STAGE_KEYS}
-    payload["_cells"] = []
+    plan["cells"] = []
     for n0 in n0s:
         for design in designs:
-            scenario = Scenario(design, method, n0, **common)
+            scenario = Scenario(design, method, **n0, **given)
             _spec(scenario.check, path, keys)
             n_I = design.n_I if kind == "SI" else sum(design.allocations.values())
-            meta = {"population": label, "n0": "" if n0 is None else n0, "nI": n_I}
-            payload["_cells"].append((meta, scenario))
+            meta = {"population": label, "n0": n0.get("n0", ""), "nI": n_I}
+            plan["cells"].append((meta, scenario))
+    return plan
 
 
 def _parse_verify_frame(obj: Any, path: str) -> dict:
@@ -351,36 +361,39 @@ def _parse_verify_frame(obj: Any, path: str) -> dict:
 
 def _verify_args(spec: dict, path: str, frames: Sequence[dict], check: Callable,
                  **args: Any) -> dict:
-    """The library arguments of a bound or the decay (a census by default), checked by ``check``."""
+    """The library arguments of a bound or the decay, checked by ``check``."""
     args["n_I"] = _as_int(_require(spec, "n_I", path), f"{path}.n_I")
     args["replicates"] = _as_int(spec.get("replicates", 100000), f"{path}.replicates")
-    args["second_stage"], args["n0"] = _parse_second_stage(
-        spec.get("second_stage", {"method": "CENSUS"}), f"{path}.second_stage")
+    if "second_stage" in spec:
+        args.update(_parse_second_stage(spec["second_stage"], f"{path}.second_stage"))
     _spec(lambda: check(**args), path, _SECOND_STAGE_KEYS)
-    if (args["n0"] or 0) > 1 and any(f["kind"] != "path" for f in frames):
+    if (args.get("n0") or 0) > 1 and any(f["kind"] != "path" for f in frames):
         raise ConfigError(f"{path}.second_stage.n0: the PSUs of a generated frame "
                           "hold one SSU each, so n0 must be 1")
     return args
 
 
-def _validate_verify(payload: dict, seed: int) -> None:
-    """Type each check and its frames, then check it: its library arguments go to _args."""
+def _validate_verify(payload: dict, seed: int) -> dict:
+    """Type and check each check and its frames: the plan holds each one's library arguments."""
     if not payload.get("bounds") and not payload.get("decay"):
         raise ConfigError("config: verify needs 'bounds' and/or 'decay'")
+    plan: dict[str, Any] = {"bounds": [], "decay": None}
     for i, spec in enumerate(payload.get("bounds", [])):
         path = f"config.bounds[{i}]"
         _check_keys(spec, ["check", "n_I", "replicates", "frame", "second_stage"], path)
-        _as_str(_require(spec, "check", path), f"{path}.check", ["be_si", "sir_si"])
+        check = _as_str(_require(spec, "check", path), f"{path}.check", ["be_si", "sir_si"])
         frame = _parse_verify_frame(_require(spec, "frame", path), f"{path}.frame")
-        spec["_args"] = _verify_args(spec, path, [frame], check_bound)
+        plan["bounds"].append((check, frame, _verify_args(spec, path, [frame], check_bound)))
     decay = payload.get("decay")
     if decay is not None:
         path = "config.decay"
         _check_keys(decay, ["n_I", "m", "replicates", "frames", "second_stage"], path)
         frames = [_parse_verify_frame(spec, f"{path}.frames[{i}]") for i, spec in
                   enumerate(_as_list(_require(decay, "frames", path), f"{path}.frames"))]
-        m = None if decay.get("m") is None else _as_int(decay["m"], f"{path}.m")
-        decay["_args"] = _verify_args(decay, path, frames, partial(check_decay, len(frames)), m=m)
+        m = _given(decay, path, m=_or_none(_as_int))
+        plan["decay"] = (frames, _verify_args(decay, path, frames,
+                                              partial(check_decay, len(frames)), **m))
+    return plan
 
 
 _VALIDATORS = {
@@ -434,19 +447,10 @@ def _write_csv(path: str, header: Sequence[str], columns: Sequence[Sequence[Any]
     _atomic_write(path, buf.getvalue())
 
 
-def _strip_private(obj: Any) -> Any:
-    if isinstance(obj, Mapping):
-        return {k: _strip_private(v) for k, v in obj.items() if not str(k).startswith("_")}
-    if isinstance(obj, (list, tuple)):
-        return [_strip_private(v) for v in obj]
-    return obj
-
-
 def _manifest(cfg: RunConfig, written: list[str], started: float) -> dict:
-    payload = _strip_private(cfg.payload)
     return {
         "command": cfg.command,
-        "config": payload,
+        "config": cfg.payload,
         "seed": cfg.seed,
         "threads": cfg.threads,
         "rng": GENERATOR_ID,
@@ -468,11 +472,11 @@ def _manifest(cfg: RunConfig, written: list[str], started: float) -> dict:
 
 
 def _run_genpop(cfg: RunConfig, out: str, notes: dict, phase: Callable) -> list[str]:
-    pop_cfg = cfg.payload["_population"]
+    pop_cfg = cfg.plan["population"]
     phase("frame")
     frame = generate_population(pop_cfg)
     phase("write")
-    ext = cfg.payload.get("format", "csv")
+    ext = cfg.plan["format"]
     frame_path = os.path.join(out, f"frame.{ext}")
     # frame_to_csv writes directly; route through a buffer for atomicity
     buf_path = frame_path + f".tmp.{os.getpid()}"
@@ -493,10 +497,9 @@ def _run_genpop(cfg: RunConfig, out: str, notes: dict, phase: Callable) -> list[
 
 def _one_draw_estimates(cfg: RunConfig, frame: Frame):
     """One two-stage draw; returns (draw, yhat, vhat, [(estimand, slice, point entry)])."""
-    payload = cfg.payload
-    design = payload["_design"]
-    method, n0 = payload["_second_stage"]
-    estimands = payload["_estimands"]
+    plan = cfg.plan
+    design = plan["design"]
+    estimands = plan["estimands"]
     rng = substream(cfg.seed, "estimate")
 
     if design.kind == "SI":
@@ -507,10 +510,9 @@ def _one_draw_estimates(cfg: RunConfig, frame: Frame):
         draw = draw_be(frame.n_psus, design.expected_n_I / frame.n_psus, rng)
 
     columns, subtotals, index, slices = estimand_columns(frame, [est for est, _, _ in estimands])
-    need_vhat = any(vm in ("UNBIASED", "BERNOULLI") for vm in payload.get("variance_methods", []))
-    yhat, vhat = second_stage_estimates(
-        frame, columns, subtotals, draw.order[None], method, n0, (rng,), with_vhat=need_vhat
-    )
+    need_vhat = any(vm in ("UNBIASED", "BERNOULLI") for vm in plan["variance_methods"])
+    yhat, vhat = second_stage_estimates(frame, columns, subtotals, draw.order[None],
+                                        plan["method"], plan["n0"], (rng,), with_vhat=need_vhat)
     # np.take keeps the (k, p_total) estimates row-major, as yhat[0][:, index] would not,
     # so the sums over their columns below add in the order they always have
     yhat = np.take(yhat[0], index, axis=1)
@@ -531,13 +533,12 @@ def _one_draw_estimates(cfg: RunConfig, frame: Frame):
 
 def _run_estimate(cfg: RunConfig, out: str, notes: dict, phase: Callable) -> list[str]:
     """``estimate``, and ``bootstrap``: the same draw and report plus each estimand's bootstrap."""
-    payload = cfg.payload
+    plan = cfg.plan
     phase("frame")
-    frame = ingest_frame(payload["frame"])
+    frame = ingest_frame(plan["frame"])
     phase("compute")
-    alpha = payload.get("alpha", 0.025)
-    kind = payload["_design"].kind
-    boot_cfg: BootstrapConfig | None = payload.get("_bootstrap")
+    kind = plan["design"].kind
+    boot_cfg: BootstrapConfig | None = plan["bootstrap"]
     draw, yhat, vhat, points = _one_draw_estimates(cfg, frame)
     skipped = notes["skipped_variance_methods"] = []
     if boot_cfg is not None:
@@ -551,17 +552,17 @@ def _run_estimate(cfg: RunConfig, out: str, notes: dict, phase: Callable) -> lis
         if isinstance(est, TotalEstimand):
             total_fn = ht_total_be if kind == "BE" else mean_total
             total = total_fn(draw, (yhat[:, sl], None if vhat is None else vhat[:, sl]))
-        if total is not None and payload.get("variance_methods"):
+        if total is not None and plan["variance_methods"]:
             variances = {}
             cis = {}
-            for vm in payload["variance_methods"]:
+            for vm in plan["variance_methods"]:
                 try:
                     v = variance_estimate(total, vm)
                 except ValueError as exc:  # method/design mismatch: left out of the report
                     skipped.append({"estimand": est.label, "method": vm, "message": str(exc)})
                     continue
                 variances[vm] = v
-                lo, hi = normal_ci(entry["point"], v, alpha)
+                lo, hi = normal_ci(entry["point"], v, plan["alpha"])
                 cis[vm] = [lo, hi]
             entry["variance_by_method"] = variances
             entry["ci_by_method"] = cis
@@ -570,7 +571,7 @@ def _run_estimate(cfg: RunConfig, out: str, notes: dict, phase: Callable) -> lis
         # each estimand resamples on its own stream; only the totals get se*
         (reps,) = resample_wr(yhat[:, sl], frame.n_psus, boot_cfg, (est,),
                               substream(cfg.seed, "bootstrap", est.label),
-                              compute_se=payload.get("studentized", False))
+                              compute_se=plan["studentized"])
         entry["bootstrap_variance"] = bootstrap_variance(reps)
         entry["ci_percentile"] = list(percentile_ci(reps, boot_cfg.alpha))
         if reps.se_star is not None:
@@ -583,8 +584,8 @@ def _run_estimate(cfg: RunConfig, out: str, notes: dict, phase: Callable) -> lis
 
     report = {
         "design": draw.to_dict(),
-        "second_stage": payload["second_stage"],
-        "alpha": alpha,
+        "second_stage": cfg.payload["second_stage"],
+        "alpha": plan["alpha"],
         "seeds": {"master": cfg.seed, "stream": "estimate"},
         "estimates": [entry for _, _, entry in points],
     }
@@ -611,15 +612,15 @@ def _run_estimate(cfg: RunConfig, out: str, notes: dict, phase: Callable) -> lis
 
 
 def _run_mc(cfg: RunConfig, out: str, notes: dict, phase: Callable) -> list[str]:
-    payload = cfg.payload
+    plan = cfg.plan
     phase("frame")
-    if "_population" in payload:
-        frame = generate_population(payload["_population"])
+    if "population" in plan:
+        frame = generate_population(plan["population"])
     else:
-        frame = ingest_frame(payload["frame"])
+        frame = ingest_frame(plan["frame"])
     phase("compute")
-    rows = scaling_study(frame, payload["_cells"], cfg.seed, threads=cfg.threads)
-    kind_rho = {e.label: (kind, rho) for e, kind, rho in payload["scenario"]["_estimands"]}
+    rows = scaling_study(frame, plan["cells"], cfg.seed, threads=cfg.threads)
+    kind_rho = {e.label: (kind, rho) for e, kind, rho in plan["estimands"]}
 
     by_kind: dict[str, list] = {}
     for row in rows:
@@ -660,27 +661,24 @@ def _write_records(out: str, name: str, records: list[dict], doc: Any) -> list[s
 
 
 def _run_verify(cfg: RunConfig, out: str, notes: dict, phase: Callable) -> list[str]:
-    payload = cfg.payload
     written = []
     bounds = []
-    for i, spec in enumerate(payload.get("bounds", [])):
+    for i, (check, spec, args) in enumerate(cfg.plan["bounds"]):
         phase("frame")
-        frame = _verify_frame(spec["frame"], cfg.seed, i)
+        frame = _verify_frame(spec, cfg.seed, i)
         phase("compute")
-        fn = verify_hajek_bound if spec["check"] == "be_si" else verify_sir_si_bound
-        bounds.append(fn(frame, seed=cfg.seed, **spec["_args"]).to_dict())
+        fn = verify_hajek_bound if check == "be_si" else verify_sir_si_bound
+        bounds.append(fn(frame, seed=cfg.seed, **args).to_dict())
     if bounds:
         phase("write")
         written += _write_records(out, "bounds", bounds, bounds)
 
-    decay = payload.get("decay")
-    if decay is not None:
+    if cfg.plan["decay"] is not None:
+        specs, args = cfg.plan["decay"]
         phase("frame")
-        frames = [
-            _verify_frame(spec, cfg.seed, 1000 + i) for i, spec in enumerate(decay["frames"])
-        ]
+        frames = [_verify_frame(spec, cfg.seed, 1000 + i) for i, spec in enumerate(specs)]
         phase("compute")
-        report = verify_decay(frames, seed=cfg.seed, **decay["_args"])
+        report = verify_decay(frames, seed=cfg.seed, **args)
         rows = [r.to_dict() for r in report.rows]
         phase("write")
         written += _write_records(out, "decay", rows, {

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from statistics import NormalDist
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -498,75 +499,24 @@ def linearized_values(
 # Normal quantiles and normality-based confidence intervals
 # ---------------------------------------------------------------------------
 
-# Wichura's rational approximation of the standard normal inverse CDF
-# (algorithm PPND16); absolute error below 1e-15, well inside the 1e-8
-# contract used by the tests.
-_PPND_A = (
-    3.3871328727963666080e0, 1.3314166789178437745e2, 1.9715909503065514427e3,
-    1.3731693765509461125e4, 4.5921953931549871457e4, 6.7265770927008700853e4,
-    3.3430575583588128105e4, 2.5090809287301226727e3,
-)
-_PPND_B = (
-    1.0, 4.2313330701600911252e1, 6.8718700749205790830e2, 5.3941960214247511077e3,
-    2.1213794301586595867e4, 3.9307895800092710610e4, 2.8729085735721942674e4,
-    5.2264952788528545610e3,
-)
-_PPND_C = (
-    1.42343711074968357734e0, 4.63033784615654529590e0, 5.76949722146069140550e0,
-    3.64784832476320460504e0, 1.27045825245236838258e0, 2.41780725177450611770e-1,
-    2.27238449892691845833e-2, 7.74545014278341407640e-4,
-)
-_PPND_D = (
-    1.0, 2.05319162663775882187e0, 1.67638483018380384940e0, 6.89767334985100004550e-1,
-    1.48103976427480074590e-1, 1.51986665636164571966e-2, 5.47593808499534494600e-4,
-    1.05075007164441684324e-9,
-)
-_PPND_E = (
-    6.65790464350110377720e0, 5.46378491116411436990e0, 1.78482653991729133580e0,
-    2.96560571828504891230e-1, 2.65321895265761230930e-2, 1.24266094738807843860e-3,
-    2.71155556874348757815e-5, 2.01033439929228813265e-7,
-)
-_PPND_F = (
-    1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1, 1.48753612908506148525e-2,
-    7.86869131145613259100e-4, 1.84631831751005468180e-5, 1.42151175831644588870e-7,
-    2.04426310338993978564e-15,
-)
-
-
-def _poly(coef: tuple[float, ...], x: float) -> float:
-    out = coef[-1]
-    for c in reversed(coef[:-1]):
-        out = out * x + c
-    return out
+# inv_cdf is Wichura's AS241 (PPND16), with absolute error below 1e-15
+_STANDARD_NORMAL = NormalDist()
 
 
 def normal_quantile(p: float) -> float:
-    """Standard normal quantile (inverse CDF)."""
+    """Standard normal quantile (inverse CDF): the standard library's AS241.
+
+    ``inv_cdf`` returns nan for a nan ``p``, so the range is checked here.
+    """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0, 1), got {p}")
-    q = p - 0.5
-    if abs(q) <= 0.425:
-        r = 0.180625 - q * q
-        return q * _poly(_PPND_A, r) / _poly(_PPND_B, r)
-    r = p if q < 0 else 1.0 - p
-    r = math.sqrt(-math.log(r))
-    if r <= 5.0:
-        r -= 1.6
-        value = _poly(_PPND_C, r) / _poly(_PPND_D, r)
-    else:
-        r -= 5.0
-        value = _poly(_PPND_E, r) / _poly(_PPND_F, r)
-    return -value if q < 0 else value
+    return _STANDARD_NORMAL.inv_cdf(p)
 
 
 def normal_ci(y_hat: float, v: float, alpha: float) -> tuple[float, float]:
-    """Symmetric normality-based interval with one-tailed error rate alpha.
-
-    alpha = 0.5 is allowed and degenerates to a zero-width interval.
-    """
+    """Symmetric normality-based interval with one-tailed error rate alpha in (0, 0.5)."""
     if v < 0:
         raise ValueError("variance estimate must be nonnegative")
-    if not 0.0 < alpha <= 0.5:
-        raise ValueError("alpha must be in (0, 0.5]")
+    check_alpha(alpha, "alpha")
     half = normal_quantile(1.0 - alpha) * math.sqrt(v)
     return y_hat - half, y_hat + half

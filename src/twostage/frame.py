@@ -33,7 +33,6 @@ __all__ = [
     "generate_population",
     "ingest_frame",
     "frame_to_csv",
-    "population_summary",
     "empirical_icc",
     "empirical_pair_correlation",
 ]
@@ -225,24 +224,6 @@ class Frame:
                 k: _read_only(np.asarray(v, dtype=np.int64)) for k, v in groups.items()
             }
         return dict(self._groups)
-
-
-def population_summary(frame: Frame, var_index: int = 0) -> tuple[float, float, float]:
-    """Exact total Y, PSU-mean mu_Y and dispersion of the PSU subtotals.
-
-    The dispersion is ``S^2 = (N_I - 1)^{-1} sum_i (Y_i - mu_Y)^2`` over the
-    PSU subtotals of variable ``var_index``.  Raises for single-PSU frames,
-    where S^2 is undefined.
-    """
-    if not 0 <= var_index < frame.n_vars:
-        raise IndexError(f"var_index {var_index} out of range for q={frame.n_vars}")
-    if frame.n_psus < 2:
-        raise ValueError("subtotal dispersion is undefined for fewer than 2 PSUs")
-    sub = frame.subtotals[:, var_index]
-    total = float(sub.sum())
-    mu = total / frame.n_psus
-    s2 = float(np.sum((sub - mu) ** 2) / (frame.n_psus - 1))
-    return total, mu, s2
 
 
 # ---------------------------------------------------------------------------

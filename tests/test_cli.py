@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from twostage import (
+    BootstrapConfig,
     DesignSpec,
     ProportionEstimand,
     Scenario,
+    TotalEstimand,
     frame_to_csv,
     ingest_frame,
-    population_summary,
     verify_decay,
     verify_hajek_bound,
     verify_sir_si_bound,
@@ -50,6 +51,29 @@ def _config_error(tmp_path, capsys, command, payload):
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "config"
     return err["error"]["message"]
+
+
+def _command_configs(frame):
+    """One config of each command, on the frame at path ``frame`` (a census SI draw's)."""
+    draw = {"frame": frame, "design": {"kind": "SI", "n_I": 10},
+            "second_stage": {"method": "SI", "n0": 3},
+            "estimands": [{"kind": "total", "var": 1}, {"kind": "correlation", "a": 1, "b": 2}],
+            "variance_methods": ["SIMPLIFIED"]}
+    return {
+        "gen-pop": {"population": POP},
+        "estimate": draw,
+        "bootstrap": dict(draw, bootstrap={"replicates": 100}),
+        "mc": {"frame": frame, "scenario": {
+            "first_stage": {"kind": "SI", "n_I": [8]},
+            "second_stage": {"method": "SYSTEMATIC", "n0": [3]},
+            "estimands": [{"kind": "total", "var": 1}], "variance_methods": ["SIMPLIFIED"],
+            "replicates": 100, "true_run": 1000}},
+        "verify": {"bounds": [{"check": "be_si", "n_I": 5, "replicates": 1000,
+                               "frame": {"kind": "range", "n_psus": 50}}],
+                   "decay": {"n_I": 4, "replicates": 1000, "frames": [
+                       {"kind": "normal", "n_psus": n, "mean": 10.0, "sd": 2.0}
+                       for n in (20, 40, 80)]}},
+    }
 
 
 MC_SCENARIO = {"first_stage": {"kind": "SI", "n_I": [8]}, "second_stage": {"method": "CENSUS"},
@@ -170,7 +194,33 @@ class TestParseConfig:
         }
         path = _write_config(tmp_path, "c.json", payload)
         cfg = parse_config("mc", path, {"seed": 3, "out": "o"})
-        assert len(cfg.payload["scenario"]["_estimands"]) == 2
+        assert len(cfg.plan["estimands"]) == 2
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_the_config_is_left_as_given(self, tmp_path, command):
+        """Validation writes nothing into the payload, so the manifest records it as given."""
+        path = _write_config(tmp_path, "c.json", _command_configs("f.csv")[command])
+        cfg = parse_config(command, path, {"seed": 1, "out": "o"})
+        with open(path) as fh:
+            assert cfg.payload == json.load(fh)
+
+    def test_an_omitted_key_takes_the_library_default(self, tmp_path):
+        """The CLI states none of the defaults of Scenario, BootstrapConfig or the checks."""
+        scenario = {"first_stage": {"kind": "SI", "n_I": [8]},
+                    "second_stage": {"method": "CENSUS"},
+                    "estimands": [{"kind": "total", "var": 1}], "bootstrap": {}}
+        path = _write_config(tmp_path, "mc.json", {"population": POP, "scenario": scenario})
+        ((meta, built),) = parse_config("mc", path, {"seed": 4, "out": "o"}).plan["cells"]
+        assert meta == {"population": "pop", "n0": "", "nI": 8}
+        assert built == Scenario(DesignSpec("SI", n_I=8), estimands=(TotalEstimand(0),),
+                                 bootstrap=BootstrapConfig(seed=4))
+        frame = {"kind": "range", "n_psus": 50}
+        path = _write_config(tmp_path, "verify.json",
+                             {"bounds": [{"check": "be_si", "n_I": 5, "frame": frame}]})
+        # no second stage is passed, so verify_hajek_bound runs its census; the replicate
+        # count is the CLI's own default
+        assert parse_config("verify", path, {"seed": 4, "out": "o"}).plan["bounds"] == [
+            ("be_si", frame, {"n_I": 5, "replicates": 100_000})]
 
     def test_invalid_estimand_kind(self, tmp_path):
         payload = {
@@ -195,7 +245,7 @@ class TestGenPopEstimateRoundTrip:
         assert _run(["gen-pop", "--config", cfg, "--seed", 11, "--out", out_pop]) == 0
         frame_path = out_pop / "frame.csv"
         frame = ingest_frame(frame_path)
-        total, _, _ = population_summary(frame, 0)
+        total = frame.subtotals[:, 0].sum()
 
         est_cfg = _write_config(
             tmp_path,
@@ -240,26 +290,7 @@ class TestGenPopEstimateRoundTrip:
 
     def test_manifest_times_every_phase(self, tmp_path):
         """Frame load or generation, compute and output writing, within the wall time."""
-        frame = str(tmp_path / "gen-pop" / "frame.csv")
-        draw = {"frame": frame, "design": {"kind": "SI", "n_I": 10},
-                "second_stage": {"method": "SI", "n0": 3},
-                "estimands": [{"kind": "total", "var": 1}, {"kind": "correlation", "a": 1, "b": 2}],
-                "variance_methods": ["SIMPLIFIED"]}
-        configs = {
-            "gen-pop": {"population": POP},
-            "estimate": draw,
-            "bootstrap": dict(draw, bootstrap={"replicates": 100}),
-            "mc": {"frame": frame, "scenario": {
-                "first_stage": {"kind": "SI", "n_I": [8]},
-                "second_stage": {"method": "SYSTEMATIC", "n0": [3]},
-                "estimands": [{"kind": "total", "var": 1}], "variance_methods": ["SIMPLIFIED"],
-                "replicates": 100, "true_run": 1000}},
-            "verify": {"bounds": [{"check": "be_si", "n_I": 5, "replicates": 1000,
-                                   "frame": {"kind": "range", "n_psus": 50}}],
-                       "decay": {"n_I": 4, "replicates": 1000, "frames": [
-                           {"kind": "normal", "n_psus": n, "mean": 10.0, "sd": 2.0}
-                           for n in (20, 40, 80)]}},
-        }
+        configs = _command_configs(str(tmp_path / "gen-pop" / "frame.csv"))
         for command, payload in configs.items():
             out = tmp_path / command
             cfg = _write_config(tmp_path, f"{command}.json", payload)

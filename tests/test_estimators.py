@@ -344,13 +344,30 @@ class TestNormalQuantilesAndCi:
         for p in (1e-9, 1e-4, 0.025, 0.31, 0.5, 0.69, 0.975, 0.9999, 1 - 1e-9):
             assert abs(normal_quantile(p) - norm.ppf(p)) < 1e-8
 
+    @pytest.mark.parametrize("p, bits", [
+        (0.975, "0x1.f5c0331eeff82p+0"),
+        (0.95, "0x1.a515209676ab8p+0"),
+        (0.9, "0x1.4813c36e26d34p+0"),
+        (0.995, "0x1.49b4c64d6915fp+1"),
+        (1e-9, "-0x1.7fdc11f44b5a7p+2"),
+    ])
+    def test_quantile_keeps_its_bits(self, p, bits):
+        """The intervals of every recorded output rest on these quantiles, bit for bit."""
+        assert normal_quantile(p).hex() == bits
+
+    def test_quantile_refuses_nan(self):
+        # the standard library's inv_cdf returns nan for a nan p
+        with pytest.raises(ValueError):
+            normal_quantile(float("nan"))
+
     def test_ci_examples(self):
         lo, hi = normal_ci(0.0, 1.0, 0.025)
         assert lo == pytest.approx(-1.95996, abs=1e-4)
         assert hi == pytest.approx(1.95996, abs=1e-4)
         assert normal_ci(5.0, 0.0, 0.1) == (5.0, 5.0)
-        lo, hi = normal_ci(2.0, 4.0, 0.5)  # u_{0.5} = 0: zero-width interval
-        assert lo == hi == 2.0
+        # alpha is a one-tailed error rate in (0, 0.5), as every caller checks it
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 0.5\)"):
+            normal_ci(2.0, 4.0, 0.5)
 
     def test_ci_rejects_negative_variance(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 import ast
 import importlib
 import pathlib
+import sys
 
 import pytest
 
@@ -71,3 +72,21 @@ def test_only_rng_reads_a_generators_bit_generator():
                      and any(isinstance(node, ast.Attribute) and node.attr == "bit_generator"
                              for node in ast.walk(ast.parse(path.read_text()))))
     assert readers == []
+
+
+def test_only_numpy_beyond_the_standard_library():
+    """The one runtime dependency is numpy: every other import is the standard library's or
+    the package's own."""
+    package = pathlib.Path(twostage.__file__).parent
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    outside = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                roots = [a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = [node.module.split(".")[0]]
+            else:
+                continue
+            outside |= {(path.stem, root) for root in roots if root not in allowed}
+    assert outside == set()

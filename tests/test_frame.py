@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from twostage import (
+    DesignSpec,
     Frame,
     SyntheticConfig,
     calibrate_model,
     frame_to_csv,
     generate_population,
     ingest_frame,
-    population_summary,
+    theoretical_variance,
 )
 from twostage.frame import IngestError, empirical_icc, empirical_pair_correlation
 
@@ -70,8 +71,8 @@ class TestGeneratePopulation:
         cfg = SyntheticConfig(50, 10, 0.0, 20.0, 0.0, (0.1,), 0.6, seed=1)
         frame = generate_population(cfg)
         assert np.allclose(frame.values, 20.0)
-        _, _, s2 = population_summary(frame, 0)
-        assert s2 == 0.0
+        # equal subtotals: no first-stage variance
+        assert theoretical_variance(frame, DesignSpec("SI", n_I=10)) == 0.0
 
     def test_size_cv_realized(self):
         cfg = SyntheticConfig(4000, 40, 0.06, 20.0, 2.0, (0.1,), 0.6, seed=9)
@@ -152,33 +153,6 @@ class TestFrameInvariants:
         again = frame.stratum_psu_indices()
         assert set(again) == {"a", "b"}
         assert again["b"] is first["b"]
-
-    def test_population_summary_oracle(self):
-        frame = Frame(np.arange(1.0, 6.0)[:, None], np.ones(5, dtype=np.int64))
-        total, mu, s2 = population_summary(frame, 0)
-        assert (total, mu, s2) == (15.0, 3.0, 2.5)
-
-    def test_population_summary_degenerate_cases(self):
-        const = Frame(np.full((4, 1), 3.0), np.ones(4, dtype=np.int64))
-        assert population_summary(const, 0)[2] == 0.0
-        single = Frame(np.ones((3, 1)), np.array([3]))
-        with pytest.raises(ValueError):
-            population_summary(single, 0)
-        with pytest.raises(IndexError):
-            population_summary(const, 5)
-
-    def test_summary_matches_naive_double_loop(self):
-        rng = np.random.default_rng(2)
-        frame = Frame(rng.normal(size=(30, 2)), np.array([5, 10, 6, 9]))
-        total, mu, s2 = population_summary(frame, 1)
-        subs = []
-        for i in range(frame.n_psus):
-            subs.append(sum(frame.values[k, 1] for k in range(frame.offsets[i], frame.offsets[i + 1])))
-        naive_mu = sum(subs) / len(subs)
-        naive_s2 = sum((v - naive_mu) ** 2 for v in subs) / (len(subs) - 1)
-        assert total == pytest.approx(sum(subs), rel=1e-12)
-        assert mu == pytest.approx(naive_mu, rel=1e-12)
-        assert s2 == pytest.approx(naive_s2, rel=1e-12)
 
 
 class TestIngestion:
