@@ -44,6 +44,7 @@ from .estimators import (
     ProportionEstimand,
     RatioEstimand,
     TotalEstimand,
+    VHAT_METHODS,
     check_alpha,
     check_variance_methods,
     estimand_columns,
@@ -119,10 +120,11 @@ def _as_str(value: Any, path: str, choices: Sequence[str] | None = None) -> str:
     return value
 
 
-def _as_list(value: Any, path: str) -> list:
+def _as_list(value: Any, path: str, as_item: Callable | None = None) -> list:
+    """A nonempty list, each item typed by ``as_item`` if given."""
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{path}: expected a nonempty list")
-    return value
+    return value if as_item is None else [as_item(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
 def _as_methods(value: Any, path: str) -> tuple:
@@ -167,8 +169,7 @@ def _parse_population(obj: Any, path: str, seed: int) -> SyntheticConfig:
         if name == "n_psus":
             pop[name] = _as_int(value, where)
         elif name == "icc_targets":
-            pop[name] = tuple(_as_num(v, f"{where}[{i}]")
-                              for i, v in enumerate(_as_list(value, where)))
+            pop[name] = tuple(_as_list(value, where, _as_num))
         else:
             pop[name] = _as_num(value, where)
     return _spec(lambda: SyntheticConfig(seed=seed, **pop), path)
@@ -196,6 +197,10 @@ def _parse_bootstrap(obj: Any, path: str, seed: int) -> BootstrapConfig:
     return _spec(lambda: BootstrapConfig(**given, seed=seed), path)
 
 
+def _refuse_constant(name: str):  # json.load reads NaN and +-Infinity; JSON defines neither
+    raise ConfigError(f"config is not valid JSON: {name} is not a JSON number")
+
+
 def parse_config(
     command: str,
     config_path: str | None,
@@ -213,7 +218,7 @@ def parse_config(
     if config_path is not None:
         with open(config_path) as fh:
             try:
-                raw = json.load(fh)
+                raw = json.load(fh, parse_constant=_refuse_constant)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config is not valid JSON: {exc}") from None
         if not isinstance(raw, dict):
@@ -252,11 +257,11 @@ def _validate_genpop(payload: dict, seed: int) -> dict:
             "format": _as_str(payload.get("format", "csv"), "config.format", ["csv", "tsv"])}
 
 
-def _parse_second_stage(obj: Any, path: str) -> dict:
-    """``second_stage`` and, if given, ``n0`` of a ``{"method", "n0"}`` config, not yet checked."""
+def _parse_second_stage(obj: Any, path: str, as_n0: Callable = _as_int) -> dict:
+    """``second_stage`` and, if given, ``n0`` (typed by ``as_n0``) of a ``{"method", "n0"}``."""
     _check_keys(obj, ["method", "n0"], path)
     method = _as_str(_require(obj, "method", path), f"{path}.method")
-    return {"second_stage": method, **_given(obj, path, n0=_or_none(_as_int))}
+    return {"second_stage": method, **_given(obj, path, n0=_or_none(as_n0))}
 
 
 def _validate_estimate(payload: dict, seed: int, bootstrap: bool = False) -> dict:
@@ -309,8 +314,8 @@ def _validate_mc(payload: dict, seed: int) -> dict:
     kind = _as_str(_require(first, "kind", f"{path}.first_stage"), f"{path}.first_stage.kind",
                    ["SI", "STRAT_SI"])
     if kind == "SI":
-        grid = _as_list(_require(first, "n_I", f"{path}.first_stage"), f"{path}.first_stage.n_I")
-        sizes = [{"n_I": _as_int(n, f"{path}.first_stage.n_I[{i}]")} for i, n in enumerate(grid)]
+        grid = _require(first, "n_I", f"{path}.first_stage")
+        sizes = [{"n_I": n} for n in _as_list(grid, f"{path}.first_stage.n_I", _as_int)]
     else:
         alloc = _require(first, "allocations", f"{path}.first_stage")
         if not isinstance(alloc, Mapping):
@@ -318,13 +323,9 @@ def _validate_mc(payload: dict, seed: int) -> dict:
         sizes = [{"allocations": {k: _as_int(n, f"{path}.first_stage.allocations[{k}]")
                                   for k, n in alloc.items()}}]
     designs = [_spec(lambda: DesignSpec(kind, **size), f"{path}.first_stage") for size in sizes]
-    second = _require(scn, "second_stage", path)
-    _check_keys(second, ["method", "n0"], f"{path}.second_stage")
-    method = _as_str(_require(second, "method", f"{path}.second_stage"),
-                     f"{path}.second_stage.method")
-    n0s = [{}] if second.get("n0") is None else [
-        {"n0": _as_int(n0, f"{path}.second_stage.n0[{i}]")}
-        for i, n0 in enumerate(_as_list(second["n0"], f"{path}.second_stage.n0"))]
+    second = _parse_second_stage(_require(scn, "second_stage", path), f"{path}.second_stage",
+                                 partial(_as_list, as_item=_as_int))
+    n0s = [{}] if second.get("n0") is None else [{"n0": n0} for n0 in second["n0"]]
     ests = _as_list(_require(scn, "estimands", path), f"{path}.estimands")
     plan["estimands"] = [_parse_estimand(e, f"{path}.estimands[{i}]") for i, e in enumerate(ests)]
     given = dict(estimands=tuple(e for e, _, _ in plan["estimands"]))
@@ -338,7 +339,7 @@ def _validate_mc(payload: dict, seed: int) -> dict:
     plan["cells"] = []
     for n0 in n0s:
         for design in designs:
-            scenario = Scenario(design, method, **n0, **given)
+            scenario = Scenario(design, second["second_stage"], **n0, **given)
             _spec(scenario.check, path, keys)
             n_I = design.n_I if kind == "SI" else sum(design.allocations.values())
             meta = {"population": label, "n0": n0.get("n0", ""), "nI": n_I}
@@ -495,81 +496,60 @@ def _run_genpop(cfg: RunConfig, out: str, notes: dict, phase: Callable) -> list[
     return [frame_path, meta_path]
 
 
-def _one_draw_estimates(cfg: RunConfig, frame: Frame):
-    """One two-stage draw; returns (draw, yhat, vhat, [(estimand, slice, point entry)])."""
+def _run_estimate(cfg: RunConfig, out: str, notes: dict, phase: Callable) -> list[str]:
+    """``estimate``: one two-stage draw and its estimates; ``bootstrap`` adds each estimand's
+    PSU bootstrap and writes its replicates."""
     plan = cfg.plan
-    design = plan["design"]
-    estimands = plan["estimands"]
-    rng = substream(cfg.seed, "estimate")
-
-    if design.kind == "SI":
-        draw = draw_si(frame.n_psus, design.n_I, rng)
-    elif design.kind == "SIR":
-        draw = draw_sir(frame.n_psus, design.n_I, rng)
+    design, estimands, methods = plan["design"], plan["estimands"], plan["variance_methods"]
+    boot_cfg: BootstrapConfig | None = plan["bootstrap"]
+    phase("frame")
+    frame = ingest_frame(plan["frame"])
+    phase("compute")
+    rng, N = substream(cfg.seed, "estimate"), frame.n_psus
+    if design.kind == "BE":
+        draw = draw_be(N, design.expected_n_I / N, rng)
     else:
-        draw = draw_be(frame.n_psus, design.expected_n_I / frame.n_psus, rng)
-
-    columns, subtotals, index, slices = estimand_columns(frame, [est for est, _, _ in estimands])
-    need_vhat = any(vm in ("UNBIASED", "BERNOULLI") for vm in plan["variance_methods"])
-    yhat, vhat = second_stage_estimates(frame, columns, subtotals, draw.order[None],
-                                        plan["method"], plan["n0"], (rng,), with_vhat=need_vhat)
+        draw = (draw_si if design.kind == "SI" else draw_sir)(N, design.n_I, rng)
+    columns, subtotals, index, slices = estimand_columns(frame, [e for e, _, _ in estimands])
+    yhat, vhat = second_stage_estimates(frame, columns, subtotals, draw.order[None], plan["method"],
+                                        plan["n0"], (rng,),
+                                        with_vhat=any(vm in VHAT_METHODS for vm in methods))
+    del columns, subtotals  # the (N, p) column matrix is not held through the bootstrap
     # np.take keeps the (k, p_total) estimates row-major, as yhat[0][:, index] would not,
     # so the sums over their columns below add in the order they always have
     yhat = np.take(yhat[0], index, axis=1)
     vhat = None if vhat is None else np.take(vhat[0], index, axis=1)
-    points = []
+    skipped = notes["skipped_variance_methods"] = []
+    dropped = {}  # each estimand's studentized replicates without a pivot
+    entries, labels, theta_star, se_star = [], [], [], []
     for (est, est_kind, rho), sl in zip(estimands, slices):
         if design.kind == "BE":
-            totals = expansion_totals(yhat[:, sl], frame.n_psus, design.expected_n_I)
+            totals = expansion_totals(yhat[:, sl], N, design.expected_n_I)
         else:
-            totals = frame.n_psus * yhat[:, sl].mean(axis=0)
+            totals = N * yhat[:, sl].mean(axis=0)
         entry = {"estimand": est.label, "kind": est_kind,
                  "point": float(est.evaluate(totals[None, :])[0])}
         if rho is not None:
             entry["rho"] = rho
-        points.append((est, sl, entry))
-    return draw, yhat, vhat, points
-
-
-def _run_estimate(cfg: RunConfig, out: str, notes: dict, phase: Callable) -> list[str]:
-    """``estimate``, and ``bootstrap``: the same draw and report plus each estimand's bootstrap."""
-    plan = cfg.plan
-    phase("frame")
-    frame = ingest_frame(plan["frame"])
-    phase("compute")
-    kind = plan["design"].kind
-    boot_cfg: BootstrapConfig | None = plan["bootstrap"]
-    draw, yhat, vhat, points = _one_draw_estimates(cfg, frame)
-    skipped = notes["skipped_variance_methods"] = []
-    if boot_cfg is not None:
-        dropped = notes["studentized_dropped_replicates"] = {}  # replicates without a pivot
-        labels: list[str] = []
-        theta_star: list[np.ndarray] = []
-        se_star: list = []
-
-    for est, sl, entry in points:
+        entries.append(entry)
         total = None
         if isinstance(est, TotalEstimand):
-            total_fn = ht_total_be if kind == "BE" else mean_total
+            total_fn = ht_total_be if design.kind == "BE" else mean_total
             total = total_fn(draw, (yhat[:, sl], None if vhat is None else vhat[:, sl]))
-        if total is not None and plan["variance_methods"]:
-            variances = {}
-            cis = {}
-            for vm in plan["variance_methods"]:
+        if total is not None and methods:
+            variances = entry["variance_by_method"] = {}
+            cis = entry["ci_by_method"] = {}
+            for vm in methods:
                 try:
-                    v = variance_estimate(total, vm)
+                    variances[vm] = variance_estimate(total, vm)
                 except ValueError as exc:  # method/design mismatch: left out of the report
                     skipped.append({"estimand": est.label, "method": vm, "message": str(exc)})
                     continue
-                variances[vm] = v
-                lo, hi = normal_ci(entry["point"], v, plan["alpha"])
-                cis[vm] = [lo, hi]
-            entry["variance_by_method"] = variances
-            entry["ci_by_method"] = cis
+                cis[vm] = list(normal_ci(entry["point"], variances[vm], plan["alpha"]))
         if boot_cfg is None:
             continue
         # each estimand resamples on its own stream; only the totals get se*
-        (reps,) = resample_wr(yhat[:, sl], frame.n_psus, boot_cfg, (est,),
+        (reps,) = resample_wr(yhat[:, sl], N, boot_cfg, (est,),
                               substream(cfg.seed, "bootstrap", est.label),
                               compute_se=plan["studentized"])
         entry["bootstrap_variance"] = bootstrap_variance(reps)
@@ -582,28 +562,22 @@ def _run_estimate(cfg: RunConfig, out: str, notes: dict, phase: Callable) -> lis
         theta_star.append(reps.theta_star)
         se_star += [""] * reps.theta_star.size if reps.se_star is None else reps.se_star.tolist()
 
-    report = {
-        "design": draw.to_dict(),
-        "second_stage": cfg.payload["second_stage"],
-        "alpha": plan["alpha"],
-        "seeds": {"master": cfg.seed, "stream": "estimate"},
-        "estimates": [entry for _, _, entry in points],
-    }
+    report = {"design": draw.to_dict(), "second_stage": cfg.payload["second_stage"],
+              "alpha": plan["alpha"], "seeds": {"master": cfg.seed, "stream": "estimate"},
+              "estimates": entries}
+    if boot_cfg is not None:
+        notes["studentized_dropped_replicates"] = dropped
+        # the bootstrap also draws on each estimand's ("bootstrap", label) stream
+        report["seeds"] = {"master": cfg.seed}
+        report["bootstrap"] = {"replicates": boot_cfg.replicates, "m": boot_cfg.m,
+                               "alpha": boot_cfg.alpha}
+    phase("write")
+    report_path = os.path.join(out, "estimate.json" if boot_cfg is None else "bootstrap.json")
+    _write_json(report_path, report)
     if boot_cfg is None:
-        phase("write")
-        report_path = os.path.join(out, "estimate.json")
-        _write_json(report_path, report)
         draw_path = os.path.join(out, "draw.json")
         _write_json(draw_path, draw.to_dict())
         return [report_path, draw_path]
-
-    # the bootstrap also draws on each estimand's ("bootstrap", label) stream
-    report["seeds"] = {"master": cfg.seed}
-    report["bootstrap"] = {"replicates": boot_cfg.replicates, "m": boot_cfg.m,
-                           "alpha": boot_cfg.alpha}
-    phase("write")
-    report_path = os.path.join(out, "bootstrap.json")
-    _write_json(report_path, report)
     reps_path = os.path.join(out, "replicates.csv")
     r = np.concatenate([np.arange(t.size) for t in theta_star])
     _write_csv(reps_path, ["r", "estimand", "theta_star", "se_star"],

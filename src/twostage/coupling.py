@@ -112,26 +112,12 @@ def _check_n_I(n_I: int, n_psus: int, op: str = "<") -> None:
         raise ValueError(f"n_I must satisfy 1 <= n_I {op} N_I, got n_I={n_I}, N_I={n_psus}")
 
 
-def _second_stage(frame: Frame, method: str, n0: int | None, cols) -> Callable:
-    """values(psus, rng): estimated subtotals (k, len(cols)) of the listed PSUs.
-
-    A census gathers the exact subtotals (precomputed, since the coupled
-    loops call it once or twice per replicate) and draws nothing; SI and
-    SYSTEMATIC draw one second-stage sample per listed PSU from ``rng`` with
-    :func:`second_stage_estimates` on every variable of the frame, before
-    keeping ``cols``.
-    """
+def _second_stage(frame: Frame, method: str, n0: int | None) -> Callable:
+    """values(psus, rng): the listed PSUs' estimated subtotals (k, q) of every variable, from
+    one :func:`second_stage_estimates` sample drawn from ``rng`` (a census draws nothing)."""
     check_second_stage(method, n0)
-    if method == "CENSUS":
-        sub = frame.subtotals[:, cols]
-        return lambda psus, rng: sub[psus]
-
-    def values(psus: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        y_hat, _ = second_stage_estimates(frame, frame.values, frame.subtotals, psus[None],
-                                          method, n0, (rng,))
-        return y_hat[0][:, cols]
-
-    return values
+    return lambda psus, rng: second_stage_estimates(frame, frame.values, frame.subtotals,
+                                                    psus[None], method, n0, (rng,))[0][0]
 
 
 def _draw_be_si(n_psus: int, n_I: int, rng: np.random.Generator, values: Callable):
@@ -203,9 +189,9 @@ def _sir_si_values(values: Callable, wr: np.ndarray, repeat: np.ndarray,
 class CoupledBeSiDraw:
     """Jointly drawn Bernoulli and SI first-stage samples with shared second stage.
 
-    ``be_values`` / ``si_values`` align with ``be_indices`` / ``si_indices``;
-    PSUs in the intersection carry bitwise-identical estimates because the
-    second-stage sample is drawn once.
+    ``be_values`` / ``si_values`` hold every variable's estimates, one row per
+    PSU of ``be_indices`` / ``si_indices``; PSUs in the intersection carry
+    bitwise-identical estimates because the second-stage sample is drawn once.
     """
 
     n_psus: int
@@ -226,7 +212,6 @@ def coupled_be_si(
     rng: np.random.Generator,
     second_stage: str = "CENSUS",
     n0: int | None = None,
-    var_indices: Sequence[int] | None = None,
 ) -> CoupledBeSiDraw:
     """Draw a BE(f_I) sample and an SI(n_I) sample jointly.
 
@@ -236,9 +221,7 @@ def coupled_be_si(
     """
     N = frame.n_psus
     _check_n_I(n_I, N)
-    cols = np.arange(frame.n_vars) if var_indices is None else np.asarray(var_indices)
-    values = _second_stage(frame, second_stage, n0, cols)
-    be, si, be_vals, si_vals = _draw_be_si(N, n_I, rng, values)
+    be, si, be_vals, si_vals = _draw_be_si(N, n_I, rng, _second_stage(frame, second_stage, n0))
     return CoupledBeSiDraw(N, n_I, be, si, be_vals, si_vals)
 
 
@@ -246,8 +229,8 @@ def coupled_be_si(
 class CoupledSirSiDraw:
     """Jointly drawn SIR and SI first-stage samples with shared second stage.
 
-    ``x_values[j]`` is the estimate of the PSU selected at the j-th
-    with-replacement draw; ``z_values[j]`` equals ``x_values[j]`` at first
+    ``x_values[j]`` holds every variable's estimate of the PSU selected at the
+    j-th with-replacement draw; ``z_values[j]`` equals ``x_values[j]`` at first
     occurrences and holds a complementary PSU's estimate at repeats, so the
     z-multiset is exactly the SI sample's estimates.
     """
@@ -275,7 +258,6 @@ def coupled_sir_si(
     rng: np.random.Generator,
     second_stage: str = "CENSUS",
     n0: int | None = None,
-    var_indices: Sequence[int] | None = None,
 ) -> CoupledSirSiDraw:
     """Draw an SIR(n_I) sample and an SI(n_I) sample jointly.
 
@@ -286,8 +268,7 @@ def coupled_sir_si(
     """
     N = frame.n_psus
     _check_n_I(n_I, N, "<=")
-    cols = np.arange(frame.n_vars) if var_indices is None else np.asarray(var_indices)
-    values = _second_stage(frame, second_stage, n0, cols)
+    values = _second_stage(frame, second_stage, n0)
 
     wr, uniq, first_pos, complement = _draw_sir_si(N, n_I, rng)
     by_first = np.argsort(first_pos, kind="stable")
@@ -473,7 +454,7 @@ def verify_hajek_bound(
     v_i = _exact_second_stage(frame, second_stage, n0, var_index)
     denom = _check_denominator(
         f * float(v_i.sum()) + f * (1.0 - f) * float(np.sum((sub - mu) ** 2)))
-    values = _second_stage(frame, second_stage, n0, [var_index])
+    values = _second_stage(frame, second_stage, n0)
     census = second_stage == "CENSUS"
     rows = max(1, _BLOCK_CELLS // (n_I + _SPARE_WORDS))
     rng, d2 = new_stream(), np.empty(replicates)
@@ -487,7 +468,7 @@ def verify_hajek_bound(
             delta, scalar = np.empty(len(keys)), np.ones(len(keys), dtype=bool)
         for b in np.flatnonzero(scalar).tolist():
             _, _, be_vals, si_vals = _draw_be_si(N, n_I, reset_stream(rng, keys[b]), values)
-            delta[b] = _delta2(be_vals[:, 0], si_vals[:, 0], mu)
+            delta[b] = _delta2(be_vals[:, var_index], si_vals[:, var_index], mu)
         d2[lo:lo + len(keys)] = np.float_power(delta, 2)
     return _bound_report("be_si", frame, n_I, denom, d2,
                          math.sqrt(1.0 / n_I + 1.0 / (N - n_I)))
@@ -519,7 +500,7 @@ def _sir_si_blocks(
     """
     N = frame.n_psus
     census = second_stage == "CENSUS"
-    values = None if census else _second_stage(frame, second_stage, n0, [var])
+    values = _second_stage(frame, second_stage, n0)
     sub = frame.subtotals[:, var]
     w = n_I + _SPARE_WORDS
     rows = max(1, _BLOCK_CELLS // w)
@@ -541,7 +522,7 @@ def _sir_si_blocks(
                 _seek(rng, keys[b], halves[b])
             if not census:
                 x_vals, z_vals = _sir_si_values(values, wr[b], repeat[b], si[b, repeat[b]], rng)
-                x[b], z[b] = x_vals[:, 0], z_vals[:, 0]
+                x[b], z[b] = x_vals[:, var], z_vals[:, var]
             if d is not None:  # the one row of multinomial_weights(rng, 1, n_I, m)
                 d[b] = rng.multinomial(m, p)
         if census:

@@ -34,6 +34,7 @@ from .frame import Frame
 __all__ = [
     "TotalEstimate",
     "VARIANCE_METHODS",
+    "VHAT_METHODS",
     "check_variance_methods",
     "check_alpha",
     "mean_total",
@@ -57,6 +58,7 @@ __all__ = [
 ]
 
 VARIANCE_METHODS = ("UNBIASED", "SIMPLIFIED", "WITH_REPLACEMENT", "BERNOULLI")
+VHAT_METHODS = ("UNBIASED", "BERNOULLI")  # the methods that need the within-PSU V_hat_i
 
 
 def check_variance_methods(methods: Sequence[str], second_stage: str,
@@ -66,7 +68,7 @@ def check_variance_methods(methods: Sequence[str], second_stage: str,
         if method not in allowed:
             raise ValueError(f"variance_methods[{i}] must be one of {list(allowed)}, "
                              f"got {method!r}")
-        if method in ("UNBIASED", "BERNOULLI") and second_stage == "SYSTEMATIC":
+        if method in VHAT_METHODS and second_stage == "SYSTEMATIC":
             raise ValueError(f"variance_methods[{i}] {method} needs within-PSU variance "
                              "estimates, which systematic subsampling does not provide")
 

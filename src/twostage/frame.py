@@ -252,6 +252,9 @@ class SyntheticConfig:
     seed: int
 
     def __post_init__(self):
+        for name in ("mean_size", "size_cv", "lam", "sigma"):  # NaN passes every check below
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.n_psus < 1:
             raise ValueError("n_psus must be >= 1")
         if self.mean_size < 2:

@@ -68,6 +68,7 @@ from .estimators import (
     SmoothEstimand,
     StratifiedClusterSample,
     TotalEstimand,
+    VHAT_METHODS,
     check_alpha,
     check_variance_methods,
     column_layout,
@@ -284,7 +285,7 @@ def _build_context(frame: Frame, scenario: Scenario, seed: int, tag: tuple) -> _
         table = None
     return _Context(
         frame, scenario, seed, tag, columns, col_subtotals, table, expand, slices, layout,
-        width, need_vhat="UNBIASED" in scenario.variance_methods,
+        width, need_vhat=any(m in VHAT_METHODS for m in scenario.variance_methods),
     )
 
 

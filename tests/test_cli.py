@@ -237,6 +237,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="unknown command"):
             parse_config("transmogrify", None, {"seed": 1, "out": "o"})
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_json_number_literals_are_refused(self, tmp_path, literal):
+        """json.load accepts them, but JSON defines no such numbers: a rho of NaN would be
+        echoed into estimate.json."""
+        path = tmp_path / "c.json"
+        path.write_text('{"frame": "f.csv", "design": {"kind": "SI", "n_I": 2}, '
+                        '"second_stage": {"method": "CENSUS"}, '
+                        f'"estimands": [{{"kind": "total", "var": 1, "rho": {literal}}}]}}')
+        with pytest.raises(ConfigError, match=f"^config is not valid JSON: {literal} is not a "
+                                              "JSON number$"):
+            parse_config("estimate", str(path), {"seed": 1, "out": "o"})
+
 
 class TestGenPopEstimateRoundTrip:
     def test_census_estimate_recovers_population_total(self, tmp_path):
@@ -627,6 +639,23 @@ class TestErrorReporting:
     def test_config_error_exit_code(self, tmp_path, capsys):
         message = _config_error(tmp_path, capsys, "gen-pop", {"population": POP, "oops": 1})
         assert "oops" in message
+
+    @pytest.mark.parametrize("field", ["mean_size", "size_cv", "lam", "sigma"])
+    def test_non_finite_population_number_is_a_config_error(self, tmp_path, capsys, field):
+        # 1e999 is a JSON number that parses to inf, which no comparison-based check refuses
+        cfg = tmp_path / "gen-pop.json"
+        cfg.write_text(json.dumps({"population": {**POP, field: "big"}}).replace('"big"', "1e999"))
+        assert _run(["gen-pop", "--config", cfg, "--seed", 1, "--out", tmp_path / "o"]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"type": "config", "message": f"config.population.{field}: must be finite"}
+        assert not (tmp_path / "o").exists()
+
+    def test_nan_population_number_writes_no_frame(self, tmp_path, capsys):
+        """A NaN size_cv would give 2-SSU PSUs and a bare NaN in frame.meta.json."""
+        message = _config_error(tmp_path, capsys, "gen-pop",
+                                {"population": {**POP, "size_cv": float("nan")}})
+        assert message == "config is not valid JSON: NaN is not a JSON number"
+        assert not (tmp_path / "o").exists()
 
     def test_stratified_non_census_is_a_config_error(self, tmp_path, capsys):
         payload = {

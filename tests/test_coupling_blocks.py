@@ -37,6 +37,7 @@ BE_SI = {
     # the coupling benchmark's shapes
     "census-1000-100": (lambda: _normal(1000, 3), 100, 0, "CENSUS", None),
     "census-2000-20": (lambda: _normal(2000, 4), 20, 0, "CENSUS", None),
+    "census-two-vars": (lambda: multi_ssu_frame(60, 16), 8, 1, "CENSUS", None),
     "si-40": (lambda: multi_ssu_frame(40, 3), 6, 1, "SI", 3),
     "si-2500": (lambda: multi_ssu_frame(2500, 4), 30, 1, "SI", 2),
 }
@@ -47,6 +48,7 @@ SIR_SI = {
     "census-3000": (lambda: _normal(3000, 7), 60, 0, "CENSUS", None),
     "census-2000-20": (lambda: _normal(2000, 14), 20, 0, "CENSUS", None),
     "census-one-draw": (lambda: _normal(30, 8), 1, 0, "CENSUS", None),
+    "census-two-vars": (lambda: multi_ssu_frame(60, 17), 8, 1, "CENSUS", None),
     "si-40": (lambda: multi_ssu_frame(40, 9), 8, 1, "SI", 3),
     "si-40-n-equals-N": (lambda: multi_ssu_frame(40, 10), 40, 0, "SI", 2),
     "si-2500": (lambda: multi_ssu_frame(2500, 11), 60, 1, "SI", 2),
@@ -85,8 +87,8 @@ def test_hajek_cases_cover_every_repair():
     """Each BE/SI case draws Bernoulli samples below, at and above n_I."""
     for make, n_I, var, method, n0 in BE_SI.values():
         frame = make()
-        sizes = {np.sign(coupled_be_si(frame, n_I, substream(71, "be-si", b), method, n0,
-                                       [var]).be_indices.size - n_I) for b in range(1001)}
+        sizes = {np.sign(coupled_be_si(frame, n_I, substream(71, "be-si", b), method,
+                                       n0).be_indices.size - n_I) for b in range(1001)}
         assert sizes == {-1, 0, 1}
 
 
@@ -116,13 +118,13 @@ def test_one_replicate_functions_draw_what_the_loop_drew():
     frame = multi_ssu_frame(40, 13)
     mu = float(frame.subtotals[:, 1].mean())
     for b in range(200):
-        draw = coupled_sir_si(frame, 8, substream(74, "sir-si", b), "SI", 3, [1])
+        draw = coupled_sir_si(frame, 8, substream(74, "sir-si", b), "SI", 3)
         x, z = oracles.sir_si_values(frame, 8, substream(74, "sir-si", b), "SI", 3, 1)
-        assert draw.x_values[:, 0].tobytes() == x.tobytes()
-        assert draw.z_values[:, 0].tobytes() == z.tobytes()
-        be_si = coupled_be_si(frame, 6, substream(74, "be-si", b), "SI", 3, [1])
-        assert be_si.delta2(mu) == oracles.be_si_delta2(frame, 6, substream(74, "be-si", b),
-                                                         "SI", 3, 1, mu)
+        assert draw.x_values[:, 1].tobytes() == x.tobytes()
+        assert draw.z_values[:, 1].tobytes() == z.tobytes()
+        be_si = coupled_be_si(frame, 6, substream(74, "be-si", b), "SI", 3)
+        assert be_si.delta2(mu, 1) == oracles.be_si_delta2(frame, 6, substream(74, "be-si", b),
+                                                            "SI", 3, 1, mu)
 
 
 def _counting(monkeypatch, name):
@@ -141,13 +143,13 @@ def test_rows_short_of_words_take_the_scalar_path(words, monkeypatch):
 
     be_rows = _counting(monkeypatch, "_draw_be_si")
     sir_rows = _counting(monkeypatch, "_draw_sir_si")
-    for case in ("census-100", "census-3000", "si-40"):
+    for case in ("census-100", "census-3000", "census-two-vars", "si-40"):
         make, n_I, var, method, n0 = BE_SI[case]
         frame = make()
         budget(n_I)
         got = verify_hajek_bound(frame, n_I, 1001, 71, var, method, n0).to_dict()
         assert got == oracles.hajek_bound_loop(frame, n_I, 1001, 71, var, method, n0)
-    for case in ("census-500", "census-3000", "census-n-equals-N", "si-40"):
+    for case in ("census-500", "census-3000", "census-n-equals-N", "census-two-vars", "si-40"):
         make, n_I, var, method, n0 = SIR_SI[case]
         frame = make()
         budget(n_I)

@@ -74,6 +74,14 @@ class TestGeneratePopulation:
         # equal subtotals: no first-stage variance
         assert theoretical_variance(frame, DesignSpec("SI", n_I=10)) == 0.0
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["mean_size", "size_cv", "lam", "sigma"])
+    def test_non_finite_numbers_are_refused(self, field, value):
+        # a NaN passes every comparison-based check; a NaN size_cv would give 2-SSU PSUs
+        numbers = {"mean_size": 10.0, "size_cv": 0.1, "lam": 20.0, "sigma": 2.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            SyntheticConfig(50, **numbers, icc_targets=(0.1,), pair_corr_target=0.6, seed=1)
+
     def test_size_cv_realized(self):
         cfg = SyntheticConfig(4000, 40, 0.06, 20.0, 2.0, (0.1,), 0.6, seed=9)
         frame = generate_population(cfg)
