@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import platform
 import re
@@ -107,9 +108,16 @@ def _as_int(value: Any, path: str, minimum: int | None = None) -> int:
 
 
 def _as_num(value: Any, path: str) -> float:
+    """A finite float: JSON reads 1e999 as inf, and an integer past 1.8e308 fits no float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{path}: must be finite")
+    return number
 
 
 def _as_str(value: Any, path: str, choices: Sequence[str] | None = None) -> str:

@@ -70,6 +70,9 @@ __all__ = [
 # many (replicates x raw words) cells, so memory never grows with the
 # replicate count
 _BLOCK_CELLS = 1 << 13
+# and derive their Philox keys this many replicates at a time: a derivation's
+# fixed cost is spread over a few blocks, and a chunk of keys takes 64 KB
+_KEY_CHUNK = 1 << 12
 # a row draws n_I + _SPARE_WORDS raw words for its 32-bit draws (past its
 # Bernoulli draw): 2 n_I + 16 halves, which all but the rarest rows fit in
 _SPARE_WORDS = 8
@@ -337,6 +340,20 @@ def _runs(a: np.ndarray):
     return order, ranked, starts
 
 
+def _key_blocks(stream: tuple, replicates: int, rows: int):
+    """Yields (lo, keys) per block of at most ``rows`` replicates: the keys (Python ints) of
+    substreams (*stream, b) for b = lo, lo + 1, ..., derived :data:`_KEY_CHUNK` at a time."""
+    keys = np.empty((0, 2), dtype=np.uint64)  # those of replicates lo.. derived so far
+    for lo in range(0, replicates, rows):
+        size = min(rows, replicates - lo)
+        while len(keys) < size:  # a block may span chunks
+            at = lo + len(keys)
+            chunk = substream_keys(*stream, indices=range(at, min(at + _KEY_CHUNK, replicates)))
+            keys = np.concatenate([keys, chunk])
+        yield lo, keys[:size].tolist()
+        keys = keys[size:]
+
+
 def _bernoulli_words(rng: np.random.Generator, keys: list, N: int, f: float, w: int):
     """(rows, units) of each key's ``rng.random(N) < f``, and its raw words N..w-1."""
     hits, tails = [], []
@@ -458,8 +475,7 @@ def verify_hajek_bound(
     census = second_stage == "CENSUS"
     rows = max(1, _BLOCK_CELLS // (n_I + _SPARE_WORDS))
     rng, d2 = new_stream(), np.empty(replicates)
-    for lo in range(0, replicates, rows):
-        keys = substream_keys(seed, "be-si", indices=range(lo, min(lo + rows, replicates))).tolist()
+    for lo, keys in _key_blocks((seed, "be-si"), replicates, rows):
         if census:
             row, be, words = _bernoulli_words(rng, keys, N, f, N + n_I + _SPARE_WORDS)
             n_b, si, scalar = _be_si_block(N, n_I, row, be, words)
@@ -503,10 +519,8 @@ def _sir_si_blocks(
     values = _second_stage(frame, second_stage, n0)
     sub = frame.subtotals[:, var]
     w = n_I + _SPARE_WORDS
-    rows = max(1, _BLOCK_CELLS // w)
     rng, p = new_stream(), np.full(n_I, 1.0 / n_I)
-    for lo in range(0, replicates, rows):
-        keys = substream_keys(*stream, indices=range(lo, min(lo + rows, replicates))).tolist()
+    for lo, keys in _key_blocks(stream, replicates, max(1, _BLOCK_CELLS // w)):
         words = _raw_words([rng] * len(keys), keys, w)
         wr, si, repeat, halves, scalar = _sir_si_block(N, n_I, words)
         x, z = np.empty(wr.shape), np.empty(wr.shape)

@@ -143,14 +143,9 @@ def new_stream() -> np.random.Generator:
     return np.random.Generator(np.random.Philox(0))
 
 
-def reset_stream(rng: np.random.Generator, key: Sequence[int]) -> np.random.Generator:
-    """Point ``rng`` at the start of the Philox stream with this key; returns ``rng``.
-
-    ``key`` is a row of :func:`substream_keys` as Python ints.  The state is
-    the one a freshly seeded Philox has: counter 0, an empty buffer, no
-    cached 32-bit half, so the draws equal ``substream``'s.
-    """
-    rng.bit_generator.state = {
+def _fresh_state(key: Sequence[int]) -> dict:
+    """The state of a freshly seeded Philox with this key, which is all a stream's start holds."""
+    return {
         "bit_generator": "Philox",
         "state": {"counter": (0, 0, 0, 0), "key": key},
         "buffer": (0, 0, 0, 0),
@@ -158,6 +153,16 @@ def reset_stream(rng: np.random.Generator, key: Sequence[int]) -> np.random.Gene
         "has_uint32": 0,
         "uinteger": 0,
     }
+
+
+def reset_stream(rng: np.random.Generator, key: Sequence[int]) -> np.random.Generator:
+    """Point ``rng`` at the start of the Philox stream with this key; returns ``rng``.
+
+    ``key`` is a row of :func:`substream_keys` as Python ints.  The state is
+    the one a freshly seeded Philox has: counter 0, an empty buffer, no
+    cached 32-bit half, so the draws equal ``substream``'s.
+    """
+    rng.bit_generator.state = _fresh_state(key)
     return rng
 
 
@@ -168,11 +173,18 @@ def reset_stream(rng: np.random.Generator, key: Sequence[int]) -> np.random.Gene
 
 def _raw_words(rngs: Sequence[np.random.Generator], keys: Sequence, w: int) -> np.ndarray:
     """(len(keys), w) raw words from the start of each key's stream, ``rngs[b]`` reset to keys[b]
-    as row b is read (``rngs`` may repeat one generator: far cheaper than one per row)."""
-    words = np.empty((len(keys), w), dtype=np.uint64)
-    for row, rng, key in zip(words, rngs, keys):
-        row[:] = reset_stream(rng, key).bit_generator.random_raw(w)
-    return words
+    as row b is read (``rngs`` may repeat one generator: far cheaper than one per row).
+
+    One fresh-stream state serves every row, only its key rewritten: a Philox stream's start
+    differs in nothing else.  The state is this call's own, so concurrent calls share none."""
+    state = _fresh_state(None)
+    counter_and_key = state["state"]
+    words = []
+    for rng, key in zip(rngs, keys):
+        counter_and_key["key"] = key
+        rng.bit_generator.state = state
+        words.append(rng.bit_generator.random_raw(w))
+    return np.array(words, dtype=np.uint64).reshape(len(keys), w)
 
 
 def _seek(rng: np.random.Generator, key: Sequence[int], halves: int) -> None:

@@ -33,6 +33,11 @@ POP = {
 }
 
 
+# an estimate config whose frame is never read: every test that uses it fails in the config
+DRAW = {"frame": "f.csv", "design": {"kind": "SI", "n_I": 5},
+        "second_stage": {"method": "CENSUS"}, "estimands": [{"kind": "total", "var": 1}]}
+
+
 def _write_config(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -648,6 +653,33 @@ class TestErrorReporting:
         assert _run(["gen-pop", "--config", cfg, "--seed", 1, "--out", tmp_path / "o"]) == 2
         err = json.loads(capsys.readouterr().err)["error"]
         assert err == {"type": "config", "message": f"config.population.{field}: must be finite"}
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, payload, field, literal", [
+        ("estimate", {**DRAW, "estimands": [{"kind": "total", "var": 1, "rho": "big"}]},
+         "estimands[0].rho", "1e999"),
+        ("estimate", {**DRAW, "estimands": [{"kind": "total", "var": 1, "rho": "big"}]},
+         "estimands[0].rho", "1" + "0" * 400),  # an integer that fits no float
+        ("estimate", {**DRAW, "estimands": [{"kind": "proportion", "var": 1, "category": "big"}]},
+         "estimands[0].category", "-1e999"),
+        ("estimate", {**DRAW, "alpha": "big"}, "alpha", "1e999"),
+        ("bootstrap", {**DRAW, "bootstrap": {"alpha": "big"}}, "bootstrap.alpha", "1e999"),
+        ("verify", {"bounds": [{"check": "be_si", "n_I": 5, "frame": {
+            "kind": "normal", "n_psus": 50, "mean": "big", "sd": 2}}]},
+         "bounds[0].frame.mean", "1e999"),
+        ("verify", {"decay": {"n_I": 5, "frames": [{
+            "kind": "normal", "n_psus": n, "mean": 10, "sd": "big"} for n in (20, 40, 80)]}},
+         "decay.frames[0].sd", "-1e999"),
+    ], ids=["rho", "rho-integer", "category", "alpha", "bootstrap-alpha", "verify-mean",
+            "verify-sd"])
+    def test_non_finite_number_is_a_config_error(self, tmp_path, capsys, command, payload,
+                                                 field, literal):
+        """inf would reach the outputs (a rho as Infinity in estimate.json) or fail mid-run."""
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(payload).replace('"big"', literal))
+        assert _run([command, "--config", cfg, "--seed", 1, "--out", tmp_path / "o"]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"type": "config", "message": f"config.{field}: must be finite"}
         assert not (tmp_path / "o").exists()
 
     def test_nan_population_number_writes_no_frame(self, tmp_path, capsys):

@@ -64,14 +64,20 @@ DECAY = {
     "systematic": (lambda: [multi_ssu_frame(n, 50 + n) for n in (30, 300, 2500)], 12, 1,
                    "SYSTEMATIC", 2, None),
 }
-# the default block and blocks of a few replicates, so that 1,000 or 1,001
-# replicates end in a partial block
-BLOCK_CELLS = [coupling._BLOCK_CELLS, 97]
+# (block cells, key chunk): the default block and blocks of a few replicates,
+# so that 1,000 or 1,001 replicates end in a partial block, and default blocks
+# over key chunks of 101 replicates, a prime no case's block rows equal: chunks
+# end inside blocks, and a block spans several chunks or holds part of one
+BLOCK_CELLS = [(coupling._BLOCK_CELLS, coupling._KEY_CHUNK), (97, coupling._KEY_CHUNK),
+               (coupling._BLOCK_CELLS, 101)]
 
 
-@pytest.fixture(params=BLOCK_CELLS, ids=lambda c: f"cells{c}")
+@pytest.fixture(params=BLOCK_CELLS, ids=lambda p: f"cells{p[0]}" + (
+    f"-keys{p[1]}" if p[1] != coupling._KEY_CHUNK else ""))
 def block_cells(request, monkeypatch):
-    monkeypatch.setattr(coupling, "_BLOCK_CELLS", request.param)
+    cells, chunk = request.param
+    monkeypatch.setattr(coupling, "_BLOCK_CELLS", cells)
+    monkeypatch.setattr(coupling, "_KEY_CHUNK", chunk)
     return request.param
 
 

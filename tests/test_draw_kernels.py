@@ -94,11 +94,19 @@ class TestFreshSiDraws:
         n_population = (1 << 31) + 1  # 2^32 mod r is about r: half the words are rejected
         keys = substream_keys(13, "fresh", indices=range(16)).tolist()
         rngs = [reset_stream(new_stream(), key) for key in keys]
-        resets = []  # one per row before its raw words are read, then one per replayed row
+        flagged, replayed = [], []  # rows the decode hands back, and the streams restarted
+
+        def decode(*args):
+            draws, used, scalar = _bounded_draws(*args)
+            flagged.extend(np.flatnonzero(scalar).tolist())
+            return draws, used, scalar
+
+        monkeypatch.setattr(rng_module, "_bounded_draws", decode)
         monkeypatch.setattr(rng_module, "reset_stream",
-                            lambda *args: resets.append(args) or reset_stream(*args))
+                            lambda rng, key: replayed.append(key) or reset_stream(rng, key))
         got = fresh_si_draws(n_population, 3, rngs, keys)
-        assert len(keys) < len(resets) < 2 * len(keys)
+        assert 0 < len(replayed) < len(keys)
+        assert replayed == [keys[b] for b in flagged]
         want = np.stack([si_draws(n_population, 3, reset_stream(new_stream(), key))
                          for key in keys])
         _same(got, want)

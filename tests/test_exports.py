@@ -74,6 +74,20 @@ def test_only_rng_reads_a_generators_bit_generator():
     assert readers == []
 
 
+def test_coupling_derives_keys_in_one_helper():
+    """The verification helpers take their keys from ``_key_blocks``, which derives them a
+    chunk at a time, so no loop pays a derivation's fixed cost per block."""
+    tree = ast.parse((pathlib.Path(twostage.__file__).parent / "coupling.py").read_text())
+
+    def calls(root) -> int:  # by name or as an attribute, anywhere under ``root``
+        return sum(isinstance(node, ast.Call) and "substream_keys" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            for node in ast.walk(root))
+
+    helper = next(fn for fn in tree.body if getattr(fn, "name", None) == "_key_blocks")
+    assert calls(tree) == calls(helper) > 0
+
+
 def test_only_numpy_beyond_the_standard_library():
     """The one runtime dependency is numpy: every other import is the standard library's or
     the package's own."""

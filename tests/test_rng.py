@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from twostage.rng import (
+    _U32,
     _bounded_draws,
     _fresh_integers,
+    _raw_words,
     _seek,
     _tag_word,
     new_stream,
@@ -102,6 +104,29 @@ def test_reset_stream_restarts_a_used_generator():
     for got, want in zip(_draws(reset_stream(rng, key)), _draws(substream(5, "x", 3))):
         assert np.array_equal(got, want)
 
+
+@pytest.mark.parametrize("w", [0, 1, 5, 8])
+def test_raw_words_read_each_stream_from_its_start(w):
+    """Generators left mid-buffer with a cached 32-bit half, and one generator reused for
+    every row (each row leaves it mid-buffer for the next), read each key's words from its
+    stream's start and are left where that stream is after them."""
+    keys = substream_keys(24, "raw", indices=range(6)).tolist()
+    used = []
+    for b in range(len(keys)):
+        rng = substream(99, "used", b)
+        rng.bit_generator.random_raw(b % 2 + 1)
+        rng.integers(_U32)  # one half of a word, the other half cached
+        assert rng.bit_generator.state["buffer_pos"] < 4 and rng.bit_generator.state["has_uint32"]
+        used.append(rng)
+    for rngs in (used, [new_stream()] * len(keys)):
+        words = _raw_words(rngs, keys, w)
+        assert words.shape == (len(keys), w) and words.dtype == np.uint64
+        for b, (rng, key) in enumerate(zip(rngs, keys)):
+            alone = substream(24, "raw", b)
+            assert words[b].tolist() == alone.bit_generator.random_raw(w).tolist(), b
+            if rng is not rngs[-1] or b == len(keys) - 1:  # a reused generator is the last row's
+                for got, want in zip(_draws(rng), _draws(alone)):
+                    assert np.array_equal(got, want), b
 
 
 def _fresh(key) -> np.random.Generator:
