@@ -355,16 +355,22 @@ def _validate_mc(payload: dict, seed: int) -> dict:
     return plan
 
 
+# the keys that each kind of verify frame reads, each with its type
+_VERIFY_FRAME_KEYS = {
+    "range": {"n_psus": partial(_as_int, minimum=2)},
+    "normal": {"n_psus": partial(_as_int, minimum=2), "mean": _as_num, "sd": _as_num},
+    "path": {"path": _as_str},
+}
+
+
 def _parse_verify_frame(obj: Any, path: str) -> dict:
     _check_keys(obj, ["kind", "n_psus", "mean", "sd", "path"], path)
-    kind = _as_str(_require(obj, "kind", path), f"{path}.kind", ["range", "normal", "path"])
-    if kind == "path":
-        _as_str(_require(obj, "path", path), f"{path}.path")
-    else:
-        _as_int(_require(obj, "n_psus", path), f"{path}.n_psus", 2)
-        if kind == "normal":
-            _as_num(_require(obj, "mean", path), f"{path}.mean")
-            _as_num(_require(obj, "sd", path), f"{path}.sd")
+    kind = _as_str(_require(obj, "kind", path), f"{path}.kind", list(_VERIFY_FRAME_KEYS))
+    for key in obj:
+        if key != "kind" and key not in _VERIFY_FRAME_KEYS[kind]:
+            raise ConfigError(f"{path}.{key}: not a parameter of a {kind} frame")
+    for key, as_type in _VERIFY_FRAME_KEYS[kind].items():
+        as_type(_require(obj, key, path), f"{path}.{key}")
     return dict(obj)
 
 
@@ -384,10 +390,13 @@ def _verify_args(spec: dict, path: str, frames: Sequence[dict], check: Callable,
 
 def _validate_verify(payload: dict, seed: int) -> dict:
     """Type and check each check and its frames: the plan holds each one's library arguments."""
-    if not payload.get("bounds") and not payload.get("decay"):
+    bounds = [] if payload.get("bounds") is None else payload["bounds"]  # null: no bounds
+    if not isinstance(bounds, list):
+        raise ConfigError("config.bounds: expected a list")
+    if not bounds and not payload.get("decay"):
         raise ConfigError("config: verify needs 'bounds' and/or 'decay'")
     plan: dict[str, Any] = {"bounds": [], "decay": None}
-    for i, spec in enumerate(payload.get("bounds", [])):
+    for i, spec in enumerate(bounds):
         path = f"config.bounds[{i}]"
         _check_keys(spec, ["check", "n_I", "replicates", "frame", "second_stage"], path)
         check = _as_str(_require(spec, "check", path), f"{path}.check", ["be_si", "sir_si"])

@@ -25,13 +25,14 @@ m*E(Zbar*_m - Xbar*_m)^2 along a scaling sequence of frames.
 A block of verification replicates is decoded from their raw Philox words:
 a BE/SI row's Bernoulli draw reads words 0..N-1 and its repair the 32-bit
 halves after them, low half first; an SIR/SI row's n_I draws read the first
-halves and its completion the next ones.
+halves and its completion the next ones.  A row that the block cannot decode
+is drawn again, alone, by :func:`coupled_be_si` or :func:`coupled_sir_si`.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -47,8 +48,8 @@ from .designs import (
 )
 from .estimators import si_second_stage_variances, theoretical_variance
 from .frame import Frame
-from .rng import (_bounded_draws, _raw_words, _seek, _uniform_below, new_stream, reset_stream,
-                  substream_keys)
+from .rng import (_bounded_draws, _raw_words, _seek, _uniform_below, key_blocks, new_stream,
+                  reset_stream)
 
 __all__ = [
     "CoupledBeSiDraw",
@@ -70,9 +71,6 @@ __all__ = [
 # many (replicates x raw words) cells, so memory never grows with the
 # replicate count
 _BLOCK_CELLS = 1 << 13
-# and derive their Philox keys this many replicates at a time: a derivation's
-# fixed cost is spread over a few blocks, and a chunk of keys takes 64 KB
-_KEY_CHUNK = 1 << 12
 # a row draws n_I + _SPARE_WORDS raw words for its 32-bit draws (past its
 # Bernoulli draw): 2 n_I + 16 halves, which all but the rarest rows fit in
 _SPARE_WORDS = 8
@@ -115,76 +113,26 @@ def _check_n_I(n_I: int, n_psus: int, op: str = "<") -> None:
         raise ValueError(f"n_I must satisfy 1 <= n_I {op} N_I, got n_I={n_I}, N_I={n_psus}")
 
 
-def _second_stage(frame: Frame, method: str, n0: int | None) -> Callable:
-    """values(psus, rng): the listed PSUs' estimated subtotals (k, q) of every variable, from
-    one :func:`second_stage_estimates` sample drawn from ``rng`` (a census draws nothing)."""
-    check_second_stage(method, n0)
-    return lambda psus, rng: second_stage_estimates(frame, frame.values, frame.subtotals,
-                                                    psus[None], method, n0, (rng,))[0][0]
+def _estimates(frame: Frame, psus: np.ndarray, rng: np.random.Generator, method: str,
+               n0: int | None) -> np.ndarray:
+    """The listed PSUs' estimated subtotals (k, q) of every variable, from one
+    :func:`second_stage_estimates` sample drawn from ``rng`` (a census draws nothing)."""
+    return second_stage_estimates(frame, frame.values, frame.subtotals, psus[None], method, n0,
+                                  (rng,))[0][0]
 
 
-def _draw_be_si(n_psus: int, n_I: int, rng: np.random.Generator, values: Callable):
-    """One BE/SI coupled draw, in stream order: (be, si, be_vals, si_vals)."""
-    be = np.flatnonzero(rng.random(n_psus) < n_I / n_psus).astype(np.int64)
-    n_b = be.size
-    if n_b < n_I:
-        si = np.concatenate([be, si_order_excluding(n_psus, n_I - n_b, be, rng)])
-    elif n_b > n_I:
-        keep = np.ones(n_b, dtype=bool)
-        keep[si_order(n_b, n_b - n_I, rng)] = False
-        si = be[keep]
-    else:
-        si = be
-
-    # One second-stage draw per PSU of the union; the SI side reuses the
-    # Bernoulli side's draws on the intersection.
-    be_vals = values(be, rng)
-    if n_b < n_I:
-        si_vals = np.concatenate([be_vals, values(si[n_b:], rng)], axis=0)
-    elif n_b > n_I:
-        si_vals = be_vals[keep]
-    else:
-        si_vals = be_vals
-    return be, si, be_vals, si_vals
-
-
-def _delta2(be_vals: np.ndarray, si_vals: np.ndarray, mu: float) -> float:
-    """sum_SI (Yhat_i - mu) - sum_BE (Yhat_i - mu); shared PSUs cancel exactly."""
-    return float(si_vals.sum() - be_vals.sum()) - mu * (si_vals.size - be_vals.size)
-
-
-def _draw_sir_si(n_psus: int, n_I: int, rng: np.random.Generator):
-    """First stage of one SIR/SI coupled draw: (wr, uniq, first_pos, complement).
-
-    ``uniq`` are the distinct draws sorted, ``first_pos`` where each first
-    occurs, and ``complement`` the SI completion, one unit per repeat draw.
-    """
-    wr = rng.integers(0, n_psus, size=n_I)
-    order, ranked, starts = (v[0] for v in _runs(wr[None]))
-    uniq, first_pos = ranked[starts], order[starts]
-    complement = (si_order_excluding(n_psus, n_I - uniq.size, uniq, rng) if uniq.size < n_I
-                  else np.empty(0, dtype=np.int64))
-    return wr, uniq, first_pos, complement
-
-
-def _repeats(n_I: int, first_pos: np.ndarray) -> np.ndarray:
-    repeat = np.ones(n_I, dtype=bool)
-    repeat[first_pos] = False
-    return repeat
-
-
-def _sir_si_values(values: Callable, wr: np.ndarray, repeat: np.ndarray,
-                   complement: np.ndarray, rng: np.random.Generator):
+def _sir_si_values(frame: Frame, wr: np.ndarray, repeat: np.ndarray, complement: np.ndarray,
+                   rng: np.random.Generator, method: str, n0: int | None):
     """Second stage of one SIR/SI coupled draw: (x, z), drawn from ``rng`` in this order.
 
     x holds the with-replacement draws' estimates; z is x with the
     complement's estimates in the ``repeat`` draws' slots, so the z-multiset
     is the SI sample's.
     """
-    x = values(wr, rng)
+    x = _estimates(frame, wr, rng, method, n0)
     z = x.copy()
-    if complement.size:
-        z[repeat] = values(complement, rng)
+    if complement.size:  # an empty one draws nothing, but the call costs 5 % of an SI decay
+        z[repeat] = _estimates(frame, complement, rng, method, n0)
     return x, z
 
 
@@ -206,7 +154,8 @@ class CoupledBeSiDraw:
 
     def delta2(self, mu: float, var: int = 0) -> float:
         """sum_SI (Yhat_i - mu) - sum_BE (Yhat_i - mu); shared PSUs cancel exactly."""
-        return _delta2(self.be_values[:, var], self.si_values[:, var], mu)
+        si, be = self.si_values[:, var], self.be_values[:, var]
+        return float(si.sum() - be.sum()) - mu * (si.size - be.size)
 
 
 def coupled_be_si(
@@ -224,7 +173,27 @@ def coupled_be_si(
     """
     N = frame.n_psus
     _check_n_I(n_I, N)
-    be, si, be_vals, si_vals = _draw_be_si(N, n_I, rng, _second_stage(frame, second_stage, n0))
+    check_second_stage(second_stage, n0)
+    be = np.flatnonzero(rng.random(N) < n_I / N).astype(np.int64)
+    n_b = be.size
+    if n_b < n_I:
+        si = np.concatenate([be, si_order_excluding(N, n_I - n_b, be, rng)])
+    elif n_b > n_I:
+        keep = np.ones(n_b, dtype=bool)
+        keep[si_order(n_b, n_b - n_I, rng)] = False
+        si = be[keep]
+    else:
+        si = be
+
+    # One second-stage draw per PSU of the union; the SI side reuses the
+    # Bernoulli side's draws on the intersection.
+    be_vals = _estimates(frame, be, rng, second_stage, n0)
+    if n_b < n_I:
+        si_vals = np.concatenate([be_vals, _estimates(frame, si[n_b:], rng, second_stage, n0)])
+    elif n_b > n_I:
+        si_vals = be_vals[keep]
+    else:
+        si_vals = be_vals
     return CoupledBeSiDraw(N, n_I, be, si, be_vals, si_vals)
 
 
@@ -271,15 +240,17 @@ def coupled_sir_si(
     """
     N = frame.n_psus
     _check_n_I(n_I, N, "<=")
-    values = _second_stage(frame, second_stage, n0)
+    check_second_stage(second_stage, n0)
 
-    wr, uniq, first_pos, complement = _draw_sir_si(N, n_I, rng)
-    by_first = np.argsort(first_pos, kind="stable")
-    distinct = uniq[by_first]
-    multiplicity = np.unique(wr, return_counts=True)[1][by_first]
+    wr = rng.integers(0, N, size=n_I)
+    uniq, first_pos, counts = np.unique(wr, return_index=True, return_counts=True)
+    complement = si_order_excluding(N, n_I - uniq.size, uniq, rng)  # one unit per repeat
+    repeat = np.ones(n_I, dtype=bool)
+    repeat[first_pos] = False
+    distinct, multiplicity = wr[~repeat], counts[np.argsort(first_pos)]  # by first occurrence
     si = np.concatenate([distinct, complement])
 
-    x_vals, z_vals = _sir_si_values(values, wr, _repeats(n_I, first_pos), complement, rng)
+    x_vals, z_vals = _sir_si_values(frame, wr, repeat, complement, rng, second_stage, n0)
     return CoupledSirSiDraw(N, n_I, wr, distinct, multiplicity, si, x_vals, z_vals)
 
 
@@ -340,20 +311,6 @@ def _runs(a: np.ndarray):
     return order, ranked, starts
 
 
-def _key_blocks(stream: tuple, replicates: int, rows: int):
-    """Yields (lo, keys) per block of at most ``rows`` replicates: the keys (Python ints) of
-    substreams (*stream, b) for b = lo, lo + 1, ..., derived :data:`_KEY_CHUNK` at a time."""
-    keys = np.empty((0, 2), dtype=np.uint64)  # those of replicates lo.. derived so far
-    for lo in range(0, replicates, rows):
-        size = min(rows, replicates - lo)
-        while len(keys) < size:  # a block may span chunks
-            at = lo + len(keys)
-            chunk = substream_keys(*stream, indices=range(at, min(at + _KEY_CHUNK, replicates)))
-            keys = np.concatenate([keys, chunk])
-        yield lo, keys[:size].tolist()
-        keys = keys[size:]
-
-
 def _bernoulli_words(rng: np.random.Generator, keys: list, N: int, f: float, w: int):
     """(rows, units) of each key's ``rng.random(N) < f``, and its raw words N..w-1."""
     hits, tails = [], []
@@ -406,7 +363,7 @@ def _excluding_block(N, n_I, units, row, k, words, start):
 
 
 def _be_si_block(N: int, n_I: int, row: np.ndarray, be: np.ndarray, words: np.ndarray):
-    """(n_b, si, scalar): the BE/SI repairs of Bernoulli samples, in :func:`_draw_be_si`'s order."""
+    """(n_b, si, scalar): BE/SI repairs of Bernoulli samples, in :func:`coupled_be_si`'s order."""
     n_b = np.bincount(row, minlength=len(words))
     short, extra = np.maximum(n_I - n_b, 0), np.maximum(n_b - n_I, 0)
     plus, _, scalar = _excluding_block(N, n_I, be, row, short, words, 0)
@@ -460,7 +417,7 @@ def verify_hajek_bound(
     numerator is averaged over coupled replicates, replicate b drawn from
     substream (seed, "be-si", b).  A census draws and sums a block of
     replicates at once (:func:`_row_sums`); under an SI second stage, which
-    draws over two ragged samples, each replicate takes the scalar path.
+    draws over two ragged samples, each replicate is a :func:`coupled_be_si`.
     """
     check_bound(n_I, replicates, second_stage, n0)
     N = frame.n_psus
@@ -471,11 +428,10 @@ def verify_hajek_bound(
     v_i = _exact_second_stage(frame, second_stage, n0, var_index)
     denom = _check_denominator(
         f * float(v_i.sum()) + f * (1.0 - f) * float(np.sum((sub - mu) ** 2)))
-    values = _second_stage(frame, second_stage, n0)
     census = second_stage == "CENSUS"
     rows = max(1, _BLOCK_CELLS // (n_I + _SPARE_WORDS))
     rng, d2 = new_stream(), np.empty(replicates)
-    for lo, keys in _key_blocks((seed, "be-si"), replicates, rows):
+    for lo, keys in key_blocks((seed, "be-si"), 0, replicates, rows):
         if census:
             row, be, words = _bernoulli_words(rng, keys, N, f, N + n_I + _SPARE_WORDS)
             n_b, si, scalar = _be_si_block(N, n_I, row, be, words)
@@ -483,8 +439,8 @@ def verify_hajek_bound(
         else:
             delta, scalar = np.empty(len(keys)), np.ones(len(keys), dtype=bool)
         for b in np.flatnonzero(scalar).tolist():
-            _, _, be_vals, si_vals = _draw_be_si(N, n_I, reset_stream(rng, keys[b]), values)
-            delta[b] = _delta2(be_vals[:, var_index], si_vals[:, var_index], mu)
+            draw = coupled_be_si(frame, n_I, reset_stream(rng, keys[b]), second_stage, n0)
+            delta[b] = draw.delta2(mu, var_index)
         d2[lo:lo + len(keys)] = np.float_power(delta, 2)
     return _bound_report("be_si", frame, n_I, denom, d2,
                          math.sqrt(1.0 / n_I + 1.0 / (N - n_I)))
@@ -516,31 +472,28 @@ def _sir_si_blocks(
     """
     N = frame.n_psus
     census = second_stage == "CENSUS"
-    values = _second_stage(frame, second_stage, n0)
     sub = frame.subtotals[:, var]
     w = n_I + _SPARE_WORDS
     rng, p = new_stream(), np.full(n_I, 1.0 / n_I)
-    for lo, keys in _key_blocks(stream, replicates, max(1, _BLOCK_CELLS // w)):
+    for lo, keys in key_blocks(stream, 0, replicates, max(1, _BLOCK_CELLS // w)):
         words = _raw_words([rng] * len(keys), keys, w)
         wr, si, repeat, halves, scalar = _sir_si_block(N, n_I, words)
-        x, z = np.empty(wr.shape), np.empty(wr.shape)
+        # a flagged row's decoded units are in range, and its replay overwrites their estimates
+        x, z = (sub[wr], sub[si]) if census else (np.empty(wr.shape), np.empty(wr.shape))
         d = None if m is None else np.empty(wr.shape)
         scalar, halves = scalar.tolist(), halves.tolist()
         for b in (np.flatnonzero(scalar).tolist() if census and m is None else range(len(keys))):
             if scalar[b]:
-                wr[b], _, first_pos, complement = _draw_sir_si(N, n_I, reset_stream(rng, keys[b]))
-                repeat[b] = _repeats(n_I, first_pos)
-                si[b] = wr[b]
-                si[b, repeat[b]] = complement
+                draw = coupled_sir_si(frame, n_I, reset_stream(rng, keys[b]), second_stage, n0)
+                x[b], z[b] = draw.x_values[:, var], draw.z_values[:, var]
             else:
                 _seek(rng, keys[b], halves[b])
-            if not census:
-                x_vals, z_vals = _sir_si_values(values, wr[b], repeat[b], si[b, repeat[b]], rng)
-                x[b], z[b] = x_vals[:, var], z_vals[:, var]
+                if not census:
+                    x_vals, z_vals = _sir_si_values(frame, wr[b], repeat[b], si[b, repeat[b]],
+                                                    rng, second_stage, n0)
+                    x[b], z[b] = x_vals[:, var], z_vals[:, var]
             if d is not None:  # the one row of multinomial_weights(rng, 1, n_I, m)
                 d[b] = rng.multinomial(m, p)
-        if census:
-            x, z = sub[wr], sub[si]
         yield lo, x, z, d
 
 

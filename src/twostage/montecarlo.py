@@ -81,7 +81,7 @@ from .estimators import (
     variance_estimate,
 )
 from .frame import Frame
-from .rng import new_stream, substream_keys
+from .rng import key_blocks, new_stream
 
 __all__ = [
     "Scenario",
@@ -249,10 +249,6 @@ class _Context:
     # _BLOCK generators that _block resets to its replicates' streams
     pool: list[np.random.Generator] = field(default_factory=list)
 
-    def keys(self, purpose: str, start: int, end: int) -> np.ndarray:
-        """Philox keys of replicates start..end-1's substreams (seed, *tag, purpose, b)."""
-        return substream_keys(self.seed, *self.tag, purpose, indices=range(start, end))
-
 
 def _build_context(frame: Frame, scenario: Scenario, seed: int, tag: tuple) -> _Context:
     scenario.validate(frame)
@@ -308,19 +304,10 @@ class _Block:
     theta: np.ndarray  # (B, n_estimands) point estimates
 
 
-def _blocks(start: int, end: int):
-    """The spans of [start, end) cut at multiples of _BLOCK."""
-    lo = start
-    while lo < end:
-        hi = min(end, (lo // _BLOCK + 1) * _BLOCK)
-        yield lo, hi
-        lo = hi
-
-
-def _block(ctx: _Context, keys: np.ndarray) -> _Block:
+def _block(ctx: _Context, keys: list) -> _Block:
     """One block of replicates: each draws from its own substream, then one estimate for all.
 
-    ``keys`` holds the block's Philox keys (at most _BLOCK); replicate i's
+    ``keys`` holds the block's Philox keys (at most _BLOCK, Python ints); replicate i's
     stream is the context's i-th pooled generator, reset to keys[i], so it
     stays the replicate's own until the next block.  Each replicate makes
     the draws of a lone replicate in the same order (its first stage, then
@@ -336,7 +323,6 @@ def _block(ctx: _Context, keys: np.ndarray) -> _Block:
     N = ctx.frame.n_psus
     if not ctx.pool:
         ctx.pool = [new_stream() for _ in range(_BLOCK)]
-    keys = keys.tolist()
     rngs = ctx.pool[:len(keys)]
     # fresh_si_draws resets rngs[i] to keys[i]; the second stage follows its first stage
     if design.kind == "SI":
@@ -447,18 +433,16 @@ def _write_bootstrap(
 def _replicate_rows(ctx: _Context, start: int, end: int) -> np.ndarray:
     out = np.full((end - start, ctx.width), np.nan)
     write = _si_replicate_row if ctx.scenario.first_stage.kind == "SI" else _strat_replicate_row
-    keys = ctx.keys("mc", start, end)
-    for lo, hi in _blocks(start, end):
-        block = _block(ctx, keys[lo - start:hi - start])
-        for i in range(hi - lo):
+    for lo, keys in key_blocks((ctx.seed, *ctx.tag, "mc"), start, end, _BLOCK):
+        block = _block(ctx, keys)
+        for i in range(len(keys)):
             write(ctx, block, i, out[lo - start + i])
     return out
 
 
 def _point_rows(ctx: _Context, start: int, end: int) -> np.ndarray:
-    keys = ctx.keys("true", start, end)
-    return np.vstack([_block(ctx, keys[lo - start:hi - start]).theta
-                      for lo, hi in _blocks(start, end)])
+    return np.vstack([_block(ctx, keys).theta
+                      for _, keys in key_blocks((ctx.seed, *ctx.tag, "true"), start, end, _BLOCK)])
 
 
 # module-level worker state for fork-based pools

@@ -7,9 +7,10 @@ replicate 1234.  Substreams with distinct paths are statistically independent,
 and a replicate's stream does not depend on which worker executes it, so
 results are identical for any thread count or scheduling order.
 
-Replicate loops derive a run of replicates' Philox keys at once
-(:func:`substream_keys`) and reset one reused generator to each
-(:func:`reset_stream`), which gives the streams :func:`substream` gives.
+Replicate loops walk their replicates in blocks (:func:`key_blocks`), which
+derives a run of replicates' Philox keys at once (:func:`substream_keys`),
+and reset one reused generator to each key (:func:`reset_stream`), which
+gives the streams :func:`substream` gives.
 
 It is also the one module that replays numpy's draws from raw Philox words,
 so that a block of replicates is drawn at once with the bits each has alone.
@@ -25,6 +26,7 @@ __all__ = [
     "GENERATOR_ID",
     "substream",
     "substream_keys",
+    "key_blocks",
     "new_stream",
     "reset_stream",
 ]
@@ -41,6 +43,9 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4
+# key_blocks derives this many replicates' keys at a time: a derivation's fixed
+# cost is spread over a few blocks, and a chunk of keys takes 64 KB
+_KEY_CHUNK = 1 << 12
 
 
 def _tag_word(tag: int | str) -> int:
@@ -136,6 +141,22 @@ def substream_keys(seed: int, *path: int | str, indices: Iterable[int]) -> np.nd
     for j, word in enumerate(pool):
         state[:, j] = readout(word)
     return state.view("<u8").astype(np.uint64)
+
+
+def key_blocks(stream: tuple, start: int, end: int, rows: int):
+    """Yields (lo, keys) per block of replicates [start, end) cut at multiples of ``rows``: the
+    keys (Python ints) of substreams (*stream, b) for b = lo, lo + 1, ..., derived
+    :data:`_KEY_CHUNK` at a time."""
+    keys = np.empty((0, 2), dtype=np.uint64)  # those of replicates lo.. derived so far
+    lo = start
+    while lo < end:
+        size = min(end, (lo // rows + 1) * rows) - lo
+        while len(keys) < size:  # a block may span chunks
+            at = lo + len(keys)
+            chunk = substream_keys(*stream, indices=range(at, min(at + _KEY_CHUNK, end)))
+            keys = np.concatenate([keys, chunk])
+        yield lo, keys[:size].tolist()
+        keys, lo = keys[size:], lo + size
 
 
 def new_stream() -> np.random.Generator:

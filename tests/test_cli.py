@@ -18,7 +18,7 @@ from twostage import (
     verify_sir_si_bound,
 )
 import twostage.cli as cli
-import twostage.coupling as coupling
+import twostage.rng as rng_module
 from twostage.cli import ConfigError, main, parse_config
 from conftest import multi_ssu_frame
 
@@ -766,7 +766,7 @@ class TestErrorReporting:
     ):
         """The library refuses the check before it draws, and the CLI before it reads a frame."""
         draws = []
-        monkeypatch.setattr(coupling, "substream_keys",
+        monkeypatch.setattr(rng_module, "substream_keys",
                             lambda *a, **k: draws.append(a) or np.empty((0, 2), np.uint64))
         changes = {"n_I": 5, "replicates": 1000, "seed": 1, **changes}
         frames = [multi_ssu_frame(n, 8) for n in (20, 40, 80, 160)[:changes.pop("frames", 3)]]
@@ -804,6 +804,43 @@ class TestErrorReporting:
                     "second_stage": {"method": "CENSUS"},
                     "estimands": [{"kind": "total", "var": 1}]} if command == "estimate" else {})
         assert _config_error(tmp_path, capsys, command, {**payload, **changes}) == message
+
+    @pytest.mark.parametrize("bounds", [5, True, False, {"check": "be_si"}, "be_si"],
+                             ids=["int", "true", "false", "object", "string"])
+    def test_verify_bounds_that_are_not_a_list_are_a_config_error(self, tmp_path, capsys,
+                                                                   bounds):
+        assert (_config_error(tmp_path, capsys, "verify", {"bounds": bounds})
+                == "config.bounds: expected a list")
+
+    @pytest.mark.parametrize("bounds", [[], None], ids=["empty", "null"])
+    def test_verify_no_bounds_beside_a_decay_run_the_decay(self, tmp_path, bounds):
+        """An empty or null ``bounds`` is no bounds, as a null ``decay`` is no decay."""
+        frames = [{"kind": "range", "n_psus": n} for n in (20, 40, 80)]
+        cfg = _write_config(tmp_path, "verify.json", {
+            "bounds": bounds, "decay": {"n_I": 4, "replicates": 1000, "frames": frames}})
+        assert _run(["verify", "--config", cfg, "--seed", 1, "--out", tmp_path / "o"]) == 0
+        assert (tmp_path / "o" / "decay.csv").exists()
+        assert not (tmp_path / "o" / "bounds.csv").exists()
+
+    @pytest.mark.parametrize("frame, stray", [
+        ({"kind": "range", "n_psus": 30, "mean": 7.0, "sd": 2.0, "path": "/nonexistent.csv"},
+         "mean: not a parameter of a range frame"),
+        ({"kind": "range", "n_psus": 30, "sd": 2.0}, "sd: not a parameter of a range frame"),
+        ({"kind": "normal", "n_psus": 30, "mean": 7.0, "sd": 2.0, "path": "f.csv"},
+         "path: not a parameter of a normal frame"),
+        ({"kind": "path", "path": "f.csv", "n_psus": 30}, "n_psus: not a parameter of a path frame"),
+    ], ids=["range-with-all", "range-with-sd", "normal-with-path", "path-with-n_psus"])
+    @pytest.mark.parametrize("check", ["bound", "decay"])
+    def test_verify_frame_keys_of_another_kind_are_a_config_error(self, tmp_path, capsys,
+                                                                    check, frame, stray):
+        """A frame key that its kind does not read is refused, as a design's is."""
+        if check == "bound":
+            payload, where = {"bounds": [{"check": "be_si", "n_I": 5, "frame": frame}]}, \
+                "bounds[0].frame"
+        else:
+            frames = [{"kind": "range", "n_psus": n} for n in (20, 40)] + [frame]
+            payload, where = {"decay": {"n_I": 4, "frames": frames}}, "decay.frames[2]"
+        assert _config_error(tmp_path, capsys, "verify", payload) == f"config.{where}.{stray}"
 
     @pytest.mark.parametrize("expected_n_I", [0, -2.5])
     def test_be_size_is_a_config_error_before_the_frame_is_read(

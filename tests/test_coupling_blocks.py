@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import twostage.coupling as coupling
+import twostage.rng as rng_module
 from twostage import (
     coupled_be_si,
     coupled_sir_si,
@@ -68,16 +69,16 @@ DECAY = {
 # so that 1,000 or 1,001 replicates end in a partial block, and default blocks
 # over key chunks of 101 replicates, a prime no case's block rows equal: chunks
 # end inside blocks, and a block spans several chunks or holds part of one
-BLOCK_CELLS = [(coupling._BLOCK_CELLS, coupling._KEY_CHUNK), (97, coupling._KEY_CHUNK),
+BLOCK_CELLS = [(coupling._BLOCK_CELLS, rng_module._KEY_CHUNK), (97, rng_module._KEY_CHUNK),
                (coupling._BLOCK_CELLS, 101)]
 
 
 @pytest.fixture(params=BLOCK_CELLS, ids=lambda p: f"cells{p[0]}" + (
-    f"-keys{p[1]}" if p[1] != coupling._KEY_CHUNK else ""))
+    f"-keys{p[1]}" if p[1] != rng_module._KEY_CHUNK else ""))
 def block_cells(request, monkeypatch):
     cells, chunk = request.param
     monkeypatch.setattr(coupling, "_BLOCK_CELLS", cells)
-    monkeypatch.setattr(coupling, "_KEY_CHUNK", chunk)
+    monkeypatch.setattr(rng_module, "_KEY_CHUNK", chunk)
     return request.param
 
 
@@ -147,8 +148,8 @@ def test_rows_short_of_words_take_the_scalar_path(words, monkeypatch):
     def budget(n_I):  # the rows' words past the Bernoulli draw
         monkeypatch.setattr(coupling, "_SPARE_WORDS", words(n_I) - n_I)
 
-    be_rows = _counting(monkeypatch, "_draw_be_si")
-    sir_rows = _counting(monkeypatch, "_draw_sir_si")
+    be_rows = _counting(monkeypatch, "coupled_be_si")
+    sir_rows = _counting(monkeypatch, "coupled_sir_si")
     for case in ("census-100", "census-3000", "census-two-vars", "si-40"):
         make, n_I, var, method, n0 = BE_SI[case]
         frame = make()
@@ -189,7 +190,7 @@ def test_rows_that_numpy_redraws_take_the_scalar_path(monkeypatch):
     redraws = [b for b in range(1000) if halves_read(b) > n_I]
     assert redraws
     frame = _normal(N, 15)
-    sir_rows = _counting(monkeypatch, "_draw_sir_si")
+    sir_rows = _counting(monkeypatch, "coupled_sir_si")
     got = verify_sir_si_bound(frame, n_I, 1000, 75).to_dict()
     assert got == oracles.sir_si_bound_loop(frame, n_I, 1000, 75)
     assert len(sir_rows) == len(redraws)

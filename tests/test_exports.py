@@ -74,18 +74,41 @@ def test_only_rng_reads_a_generators_bit_generator():
     assert readers == []
 
 
-def test_coupling_derives_keys_in_one_helper():
-    """The verification helpers take their keys from ``_key_blocks``, which derives them a
-    chunk at a time, so no loop pays a derivation's fixed cost per block."""
-    tree = ast.parse((pathlib.Path(twostage.__file__).parent / "coupling.py").read_text())
+def _calls(root, names) -> list[str]:
+    """The names among ``names`` that calls under ``root`` make, by name or as an attribute."""
+    called = [getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+              for node in ast.walk(root) if isinstance(node, ast.Call)]
+    return [name for name in called if name in names]
 
-    def calls(root) -> int:  # by name or as an attribute, anywhere under ``root``
-        return sum(isinstance(node, ast.Call) and "substream_keys" in (
-            getattr(node.func, "id", None), getattr(node.func, "attr", None))
-            for node in ast.walk(root))
 
-    helper = next(fn for fn in tree.body if getattr(fn, "name", None) == "_key_blocks")
-    assert calls(tree) == calls(helper) > 0
+def _package_trees() -> dict:
+    package = pathlib.Path(twostage.__file__).parent
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+
+
+def _function(tree, name):
+    return next(fn for fn in tree.body if getattr(fn, "name", None) == name)
+
+
+def test_replicate_keys_are_derived_in_one_walk():
+    """Every ``substream_keys`` call sits in ``rng.key_blocks``, which derives a chunk of keys
+    at a time, so no replicate loop walks its keys another way."""
+    trees = _package_trees()
+    calls = {name: len(_calls(tree, {"substream_keys"})) for name, tree in trees.items()}
+    walk = len(_calls(_function(trees["rng"], "key_blocks"), {"substream_keys"}))
+    assert walk > 0
+    assert calls == {name: walk if name == "rng" else 0 for name in trees}
+
+
+def test_coupling_draws_from_a_stream_only_in_its_two_scalar_draws():
+    """The block decoders replay numpy's first-stage draws from raw words; only
+    ``coupled_be_si`` and ``coupled_sir_si`` make them on a generator, so no scalar copy of
+    either draw grows back."""
+    tree = _package_trees()["coupling"]
+    draws = {"si_order", "si_order_excluding", "integers", "random"}
+    inside = [call for name in ("coupled_be_si", "coupled_sir_si")
+              for call in _calls(_function(tree, name), draws)]
+    assert inside and sorted(_calls(tree, draws)) == sorted(inside)
 
 
 def test_only_numpy_beyond_the_standard_library():

@@ -3,6 +3,7 @@ raw-word replay of numpy's draws equals numpy's own draws from the same streams.
 import numpy as np
 import pytest
 
+import twostage.rng as rng_module
 from twostage.rng import (
     _U32,
     _bounded_draws,
@@ -10,6 +11,7 @@ from twostage.rng import (
     _raw_words,
     _seek,
     _tag_word,
+    key_blocks,
     new_stream,
     reset_stream,
     substream,
@@ -67,6 +69,27 @@ def test_keys_of_a_range_and_of_no_index():
 def test_indices_outside_one_word_rejected(bad):
     with pytest.raises(ValueError, match="2\\*\\*32"):
         substream_keys(1, "x", indices=bad)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 64])
+@pytest.mark.parametrize("start", [0, 5, 63, 64])
+@pytest.mark.parametrize("chunk", [3, 4096])
+def test_key_blocks_tile_the_span_with_its_keys(monkeypatch, chunk, start, rows):
+    """Blocks tile [start, end), each cut only at a multiple of ``rows`` or at the end, and hold
+    the span's keys row for row as Python ints, whether a block spans key chunks or a chunk
+    spans blocks."""
+    monkeypatch.setattr(rng_module, "_KEY_CHUNK", chunk)
+    end = start + 4096 + 37  # past one default chunk
+    blocks = list(key_blocks((8, "kb", 2), start, end, rows))
+    los = [lo for lo, _ in blocks]
+    his = [lo + len(keys) for lo, keys in blocks]
+    assert los == [start, *his[:-1]] and his[-1] == end
+    assert all(lo < hi and (hi - 1) // rows == lo // rows for lo, hi in zip(los, his))
+    assert all(hi % rows == 0 for hi in his[:-1])
+    keys = [key for _, block in blocks for key in block]
+    assert keys == substream_keys(8, "kb", 2, indices=range(start, end)).tolist()
+    assert type(keys[0][0]) is int
+    assert list(key_blocks((8, "kb", 2), start, start, rows)) == []
 
 
 def _draws(rng):
