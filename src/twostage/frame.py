@@ -17,6 +17,7 @@ import io
 import itertools
 import math
 import os
+import warnings
 from dataclasses import dataclass
 from functools import partial
 from typing import Mapping, NamedTuple, Sequence
@@ -379,17 +380,26 @@ def _delimiter_for(path: str, delimiter: str | None) -> str:
     return "\t" if str(path).endswith(".tsv") else ","
 
 
-
-
-# Rows per block of the reader and the writer.  A block's rows, columns and
-# row strings are Python objects alive at once, so the block size bounds the
-# text layer's memory while amortising the per-block numpy calls; 2048 rows
-# kept peak memory below the row-at-a-time loop's.
+# Rows per block of the block reader and of the writer.  A block's rows,
+# columns and row strings are Python objects alive at once, so the block size
+# bounds the text layer's memory while amortising the per-block numpy calls;
+# 2048 rows kept peak memory below the row-at-a-time loop's.  The reader
+# reads in blocks only the files that np.loadtxt refuses (see ingest_frame).
 _BLOCK_ROWS = 2048
 
 # every character of str(int) and of repr(float) of a finite float: a
 # delimiter among them makes csv.writer quote number fields
 _NUMBER_CHARS = frozenset("0123456789+-.e")
+
+
+class _Columns(NamedTuple):
+    """Where a frame file's header puts each column."""
+
+    width: int  # fields per row
+    psu: int
+    ssu: int
+    stratum: int | None
+    y: list[int]  # study variables, in header order
 
 
 class _Rows(NamedTuple):
@@ -433,15 +443,15 @@ def _ids(fields: Sequence[str]) -> tuple[np.ndarray, ValueError | None]:
                 ValueError(f"{values[first]} is outside the int64 range"))
 
 
+def _codes(strata: Sequence[str], labels: dict[str, int]) -> np.ndarray:
+    """Each label's code; ``labels`` maps label to code and gains the new labels."""
+    for label in dict.fromkeys(strata):
+        labels.setdefault(label, len(labels))
+    return np.fromiter(map(labels.__getitem__, strata), np.int64, len(strata))
+
+
 def _read_block(
-    rows: list[list[str]],
-    first_line: int,
-    width: int,
-    psu_col: int,
-    ssu_col: int,
-    stratum_col: int | None,
-    y_cols: list[int],
-    labels: dict[str, int],
+    rows: list[list[str]], first_line: int, cols: _Columns, labels: dict[str, int]
 ) -> tuple[_Rows, IngestError | None]:
     """Parse one block of reader rows a column at a time.
 
@@ -451,6 +461,7 @@ def _read_block(
     count, psu_id, ssu_id, y values in header order, finiteness.  ``labels``
     maps each stratum label to its code and gains the block's new labels.
     """
+    width = cols.width
     lengths = np.fromiter(map(len, rows), np.int64, len(rows))
     keep = lengths == width
     error = None
@@ -467,7 +478,7 @@ def _read_block(
 
     index = np.flatnonzero(keep)
     fields = columns()
-    psu, exc = _ids(fields[psu_col])
+    psu, exc = _ids(fields[cols.psu])
     if exc is not None:
         # int() rejects a blank row of full width: drop every one and parse again
         blank = np.fromiter(map(_is_blank, itertools.compress(rows, keep.tolist())), bool)
@@ -475,12 +486,12 @@ def _read_block(
             keep[index[blank]] = False
             index = index[~blank]
             fields = columns()
-            psu, exc = _ids(fields[psu_col])
+            psu, exc = _ids(fields[cols.psu])
 
     # each later column is parsed only up to the first bad row found so far
     bad = len(psu)
     parsed = [psu]
-    for j, convert in [(ssu_col, _ids)] + [(j, partial(_convert, float)) for j in y_cols]:
+    for j, convert in [(cols.ssu, _ids)] + [(j, partial(_convert, float)) for j in cols.y]:
         column, column_exc = convert(fields[j][:bad])
         if column_exc is not None:
             bad, exc = len(column), column_exc
@@ -493,13 +504,10 @@ def _read_block(
         bad = int(nonfinite[0])
         error = IngestError("non-finite y value", line=first_line + int(index[bad]))
 
-    if stratum_col is None:
+    if cols.stratum is None:
         codes = np.zeros(bad, dtype=np.int64)
     else:
-        strata = fields[stratum_col][:bad]
-        for label in dict.fromkeys(strata):
-            labels.setdefault(label, len(labels))
-        codes = np.fromiter(map(labels.__getitem__, strata), np.int64, bad)
+        codes = _codes(fields[cols.stratum][:bad], labels)
     block = _Rows(
         first_line + index[:bad],
         parsed[0][:bad],
@@ -540,6 +548,103 @@ def _concat(blocks: list[_Rows]) -> _Rows:
     return _Rows(*(np.concatenate(parts) for parts in zip(*blocks)))
 
 
+# what a file's data rows give: the rows, the stratum labels in code order
+# and each row's _first_row_of_psu
+_Read = tuple[_Rows, list[str], np.ndarray]
+
+# ASCII characters that numpy's number parsers skip as whitespace and int()
+# and float() refuse
+_NOT_PYTHON_SPACE = "\x1c\x1d\x1e\x1f"
+
+
+class _PlainLines:
+    """The lines of ``fh`` for ``np.loadtxt``, read 64 KiB at a time.
+
+    Raises ValueError at the first chunk of lines that numpy could read
+    otherwise than ``csv.reader``, ``int`` and ``float``: one that holds a
+    non-ASCII character (numpy 2.4 parses "-" and some of those as an int),
+    a character of ``_NOT_PYTHON_SPACE``, or a line longer than csv's field
+    limit.  ``count`` is the number of non-blank lines read.
+    """
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.count = 0
+
+    def __iter__(self):
+        limit = csv.field_size_limit()
+        while lines := self.fh.readlines(1 << 16):
+            text = "".join(lines)
+            if (not text.isascii() or any(c in text for c in _NOT_PYTHON_SPACE)
+                    or max(map(len, lines)) > limit):
+                raise ValueError("text that numpy reads otherwise")
+            self.count += len(lines) - sum(map(lines.count, ("\n", "\r\n", "\r")))
+            yield from lines
+
+
+def _loadtxt_rows(fh, delimiter: str, cols: _Columns) -> _Read | None:
+    """The rest of ``fh`` read by one ``np.loadtxt`` call, or None.
+
+    On the text ``_PlainLines`` passes, numpy splits rows, quotes and line
+    ends as ``csv.reader`` does, and it reads every id and y value that it
+    accepts to the same bits as ``int`` and ``float``.  It refuses some
+    spellings that they accept: underscores, Unicode digits, ids outside
+    int64, rows of whitespace and unterminated quotes.  It skips blank lines
+    without counting them, so it cannot name the line of a bad row.  None,
+    and the block reader reads the file, where numpy raises or warns, a row
+    spans lines, a y value is non-finite or the rows break a frame rule.
+    """
+    types = {cols.psu: np.int64, cols.ssu: np.int64, **dict.fromkeys(cols.y, np.float64)}
+    # the stratum and unused columns are text
+    dtype = np.dtype([(f"c{j}", types.get(j, object)) for j in range(cols.width)])
+    lines = _PlainLines(fh)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy only warns on a file with no data rows
+            table = np.loadtxt(lines, dtype, delimiter=delimiter, comments=None, quotechar='"',
+                               ndmin=1)
+    except (TypeError, ValueError, Warning):  # TypeError: numpy refuses the delimiter
+        return None
+    if table.size != lines.count:  # a quoted line end: a field past csv's limit could span lines
+        return None
+    values = np.column_stack([table[f"c{j}"] for j in cols.y])
+    if not np.isfinite(values).all():
+        return None
+    labels: dict[str, int] = {}
+    if cols.stratum is None:
+        codes = np.zeros(table.size, dtype=np.int64)
+    else:
+        codes = _codes(table[f"c{cols.stratum}"].tolist(), labels)
+    # a row's index stands in for its line: an error here goes to the block reader
+    rows = _Rows(np.arange(table.size) + 2, table[f"c{cols.psu}"], table[f"c{cols.ssu}"],
+                 codes, values)
+    try:
+        return rows, list(labels), _first_row_of_psu(rows)
+    except IngestError:
+        return None
+
+
+def _block_rows(reader, cols: _Columns) -> _Read:
+    """Every data row of ``reader``, read ``_BLOCK_ROWS`` at a time.
+
+    Raises the IngestError of the first bad line.
+    """
+    labels: dict[str, int] = {}
+    blocks: list[_Rows] = []
+    first_line = 2
+    while rows := list(itertools.islice(reader, _BLOCK_ROWS)):
+        block, error = _read_block(rows, first_line, cols, labels)
+        blocks.append(block)
+        if error is not None:
+            _first_row_of_psu(_concat(blocks))  # an earlier row's error comes first
+            raise error
+        first_line += len(rows)
+    if not any(block.psu.size for block in blocks):
+        raise IngestError("file contains no data rows", line=2)
+    rows = _concat(blocks)
+    return rows, list(labels), _first_row_of_psu(rows)
+
+
 def ingest_frame(
     path,
     schema: Mapping[str, str] | None = None,
@@ -554,8 +659,12 @@ def ingest_frame(
     :func:`frame_to_csv` writes them.  Rows are grouped by stratum then
     psu_id, preserving file order within groups; duplicate (psu_id, ssu_id)
     pairs and malformed rows are errors that carry the offending line
-    number.  Rows are read in blocks and parsed a column at a time; an
-    error names the first bad line.
+    number.  ``csv.reader`` reads the header and one ``np.loadtxt`` call
+    the data rows.  A file that numpy refuses or could read otherwise
+    (non-ASCII text among them), or whose rows hold an error, is read again
+    in blocks of rows parsed a column at a time by ``int`` and ``float``:
+    that reader takes every spelling they take, and its error names the
+    first bad line.  Both readers give the same frame.
     """
     _check_path(path)
     sch = dict(_DEFAULT_SCHEMA)
@@ -565,8 +674,9 @@ def ingest_frame(
             raise ValueError(f"unknown schema keys: {sorted(unknown)}")
         sch.update(schema)
 
+    delim = _delimiter_for(path, delimiter)
     with open(path, newline="") as fh:
-        reader = csv.reader(fh, delimiter=_delimiter_for(path, delimiter))
+        reader = csv.reader(fh, delimiter=delim)
         try:
             header = next(reader)
         except StopIteration:
@@ -598,31 +708,21 @@ def ingest_frame(
                 f"no study-variable columns with prefix '{sch['y_prefix']}'", line=1
             )
 
-        labels: dict[str, int] = {}
-        blocks: list[_Rows] = []
-        first_line = 2
-        while rows := list(itertools.islice(reader, _BLOCK_ROWS)):
-            block, error = _read_block(
-                rows, first_line, len(header), psu_col, ssu_col, stratum_col, y_cols, labels
-            )
-            blocks.append(block)
-            if error is not None:
-                _first_row_of_psu(_concat(blocks))  # an earlier row's error comes first
-                raise error
-            first_line += len(rows)
+        cols = _Columns(len(header), psu_col, ssu_col, stratum_col, y_cols)
+        read = _loadtxt_rows(fh, delim, cols)
+        if read is None:
+            fh.seek(0)
+            next(reader)  # the header
+            read = _block_rows(reader, cols)
 
-    if not any(block.psu.size for block in blocks):
-        raise IngestError("file contains no data rows", line=2)
-    rows = _concat(blocks)
-    first_row = _first_row_of_psu(rows)
+    rows, labels, first_row = read
     # strata by first appearance, then PSUs by first appearance, then file order
     order = np.lexsort((first_row, rows.codes))
     starts = np.flatnonzero(np.diff(first_row[order], prepend=-1))
     heads = order[starts]
     strata = None
     if stratum_col is not None:
-        names = list(labels)
-        strata = [names[code] for code in rows.codes[heads].tolist()]
+        strata = [labels[code] for code in rows.codes[heads].tolist()]
     return Frame(
         rows.values[order],
         np.diff(starts, append=order.size),

@@ -472,7 +472,8 @@ def _parallel(fn, total: int, threads: int, ctx: _Context) -> np.ndarray:
         mp = multiprocessing.get_context("fork")
     except ValueError:
         return fn(ctx, 0, total)
-    chunk = max(16, -(-total // (threads * 8)))
+    # about 8 spans per thread, each a whole number of _BLOCKs so no block is cut short
+    chunk = _BLOCK * -(-total // (threads * 8 * _BLOCK))
     spans = [(fn, s, min(s + chunk, total)) for s in range(0, total, chunk)]
     # more workers than cores or spans would only add processes
     workers = min(threads, os.cpu_count() or 1, len(spans))

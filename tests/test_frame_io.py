@@ -1,11 +1,17 @@
-"""Differential tests of the block-columnar frame text I/O.
+"""Differential tests of the frame text I/O.
 
 ``tests/oracles.py`` keeps the row-at-a-time reader and writer that
 ``ingest_frame`` and ``frame_to_csv`` replaced.  On every file below both
 must build the same ``Frame`` arrays bit for bit, write the same bytes, or
-raise the same error on the same line.
+raise the same error on the same line.  ``ingest_frame`` reads data rows
+with one ``np.loadtxt`` call and reads a file again with its block reader
+(``_read_block``, 2,048 rows parsed a column at a time) where numpy refuses
+the file or its rows hold an error, so the files below reach both readers;
+``NUMPY_CORPUS`` holds the files that numpy could read otherwise than
+``csv.reader``, ``int`` and ``float`` do.
 """
 import contextlib
+import csv
 import os
 
 import numpy as np
@@ -32,7 +38,7 @@ def _outcome(read, path, **kwargs):
     """The frame read, or the (type, message, line) of the error raised."""
     try:
         return read(path, **kwargs)
-    except (IngestError, ValueError) as exc:
+    except (IngestError, ValueError, csv.Error) as exc:
         return type(exc), str(exc), getattr(exc, "line", None)
 
 
@@ -89,7 +95,9 @@ class TestValidFiles:
             assert isinstance(_check_read(path), Frame)  # "cr\rhere" is quoted
         # a delimiter that occurs in numbers quotes them, as csv.writer does
         for delimiter in ("-", ".", "e", "1", ";", " "):
-            _check_write(frame, tmp_path, name=f"d{ord(delimiter)}.txt", delimiter=delimiter)
+            path = _check_write(frame, tmp_path, name=f"d{ord(delimiter)}.txt",
+                                delimiter=delimiter)
+            assert isinstance(_check_read(path, delimiter=delimiter), Frame)
 
     @pytest.mark.parametrize("name", ["frame.csv", "frame.tsv"])
     @pytest.mark.parametrize("label", ["cr\rhere", "a\rb\rc"])
@@ -250,12 +258,164 @@ class TestBrokenFiles:
         _check_read(path)
 
 
+# Files that numpy's reader could read otherwise than csv.reader, int and float.
+NUMPY_CORPUS = {
+    # numpy would take "#" for a comment
+    "rows starting with #": "stratum,psu_id,ssu_id,y1\na,1,1,1\n#b,2,1,1\n#,3,1,2\nc#d,4,1,1\n",
+    "# before an id": "psu_id,ssu_id,y1\n1,1,1\n#2,1,1\n",
+    "# after a y value": "psu_id,ssu_id,y1\n1,1,1\n1,2,2#3\n",
+    "# inside a label": "psu_id,ssu_id,y1,stratum\n1,1,1,a#b\n2,1,1,a#c\n",
+    # numpy skips blank lines, so it cannot name the line of a later error
+    "blank lines before a duplicate": "psu_id,ssu_id,y1\n1,1,1\n\n\r\n1,2,2\n\n1,1,3\n",
+    "blank lines before two strata": "stratum,psu_id,ssu_id,y1\na,1,1,1\n\n\nb,2,1,1\n\nb,1,2,1\n",
+    "quoted line end before a duplicate": 'stratum,psu_id,ssu_id,y1\n"a\nb",1,1,1\n"a\nb",1,1,2\n',
+    # quotes
+    "quoted numbers": 'stratum,psu_id,ssu_id,y1\n"a","1","2","3.5"\na,"2"1,"3",4\na,3,1,"4"e1\n',
+    "doubled quote": 'stratum,psu_id,ssu_id,y1\n"a""b",1,1,1\n"""",2,1,1\n"",3,1,1\n',
+    "quote then text": 'stratum,psu_id,ssu_id,y1\n"a"b,1,1,1\n"a" "b",2,1,1\n""c,3,1,1\n',
+    "text then quote": 'stratum,psu_id,ssu_id,y1\nx"y",1,1,1\n x,2,1,1\n "x",3,1,1\n',
+    "quoted delimiter": 'stratum,psu_id,ssu_id,y1\n"a,b",1,1,1\n"a,b",2,1,1\n',
+    "quoted line ends": ('stratum,psu_id,ssu_id,y1\n"new\nline",1,1,1\n"cr\rhere",2,1,1\n'
+                         '"crlf\r\nhere",3,1,1\n'),
+    "quote in a number": 'psu_id,ssu_id,y1\n1,1,1\n2,1"2",3\n',
+    "unterminated quote": 'stratum,psu_id,ssu_id,y1\na,1,1,1\n"b,2,1,1\n',
+    "unterminated quote, last field": 'stratum,psu_id,ssu_id,y1\na,1,1,1\nb,2,1,"1\n',
+    "unterminated quote of full width": 'stratum,psu_id,ssu_id,y1\na,1,1,1\n"b,2,1,1\nc",3,1,1\n',
+    # line ends
+    "crlf": "stratum,psu_id,ssu_id,y1\r\na,1,1,1\r\na,1,2,2\r\nb,2,1,3\r\n",
+    "lone cr": "stratum,psu_id,ssu_id,y1\ra,1,1,1\ra,1,2,2\r\rb,2,1,3\r",
+    "no final line end": "stratum,psu_id,ssu_id,y1\na,1,1,1\nb,2,1,3",
+    "mixed line ends": "psu_id,ssu_id,y1\n1,1,1\r\n1,2,2\r1,3,3\n\r\n2,1,4",
+    "cr inside a field": "psu_id,ssu_id,y1\n1,1,1\n1,2\r,2\n",
+    # ids
+    "padded ids": "psu_id,ssu_id,y1\n 5 ,\t2\t,1\n5\x0b,4\x0c,1\n",
+    "ids padded with Unicode spaces": "psu_id,ssu_id,y1\n5,1,1\n\xa05,3\u2003,1\n",
+    "signed ids": "psu_id,ssu_id,y1\n+5,-0,1\n-5,+0,1\n",
+    "int64 extremes": ("psu_id,ssu_id,y1\n9223372036854775807,-9223372036854775808,1\n"
+                       "9223372036854775806,-9223372036854775807,1\n"),
+    "unicode digit ids": "psu_id,ssu_id,y1\n\u0663,\uff11,1\n\u0663,\u0967,2\n",
+    "underscored ids": "psu_id,ssu_id,y1\n1_0,1,1\n10,2,2\n1__0,3,3\n",
+    "ids spelled as floats": "psu_id,ssu_id,y1\n1,1,1\n1.0,2,2\n",
+    # y values
+    "unicode digit y": "psu_id,ssu_id,y1\n1,1,\u0663.5\n1,2,\uff11e\uff12\n",
+    "underscored y": "psu_id,ssu_id,y1\n1,1,1_000.5\n1,2,1e1_0\n",
+    "bad underscored y": "psu_id,ssu_id,y1\n1,1,1\n1,2,1__0\n",
+    "padded y": "psu_id,ssu_id,y1\n1,1, 1.5 \n1,2,\t2\x0b\n1,3,\xa02\x85\n",
+    "y spellings": "psu_id,ssu_id,y1\n1,1,.5\n1,2,5.\n1,3,5E3\n1,4,+1e-3\n",
+    "hex y": "psu_id,ssu_id,y1\n1,1,1\n1,2,0x1p3\n",
+    "infinity": "psu_id,ssu_id,y1\n1,1,1\n1,2,-Infinity\n",
+    "whitespace-only row": "psu_id,ssu_id,y1\n1,1,1\n   \n1,2,2\n",
+    "nul in a label": "stratum,psu_id,ssu_id,y1\na\x00b,1,1,1\na,2,1,1\n",
+    # numpy 2.4 reads "-" and some non-ASCII characters as an int: -462 here
+    "minus and a non-ASCII letter": "psu_id,ssu_id,y1\n1,1,1\n-\u01fe,2,1\n",
+    "non-ASCII labels": "stratum,psu_id,ssu_id,y1\nr\xe9gion,1,1,1\n\xeele,2,1,1\n\xe9,3,1,1\n",
+    # numpy skips these as whitespace, int() and float() refuse them
+    "unit separators": "psu_id,ssu_id,y1,y2\n1,1,1,1\n1,2,2,\x1d3\x1f\n1\x1c,3,1,1\n",
+    # csv.reader refuses a field longer than its limit, 131,072 characters
+    "long label": f"stratum,psu_id,ssu_id,y1\na,1,1,1\n{'b' * 131073},2,1,1\n",
+    "long quoted label on two lines": ("stratum,psu_id,ssu_id,y1\na,1,1,1\n"
+                                       f'"{"b" * 70000}\n{"c" * 70000}",2,1,1\n'),
+    "long quoted label within the limit": ("stratum,psu_id,ssu_id,y1\na,1,1,1\n"
+                                           f'"{"b" * 60000}\n{"c" * 60000}",2,1,1\n'),
+    "long id": f"psu_id,ssu_id,y1\n1,1,1\n{'0' * 131072}2,1,1\n",
+}
+
+# the hard cases of decimal to binary rounding: -0.0, subnormals, underflow,
+# the largest double and 17-digit and longer halfway values
+HARD_FLOATS = [
+    "-0.0", "0.0", "-0", "5e-324", "4.9406564584124654e-324", "2.4703282292062327e-324",
+    "2.4703282292062328e-324", "2.2250738585072009e-308", "2.2250738585072011e-308",
+    "2.2250738585072014e-308", "1e-400", "-1e-400", "1.7976931348623157e308",
+    "1.7976931348623158e308", "9007199254740993", "9007199254740992.5",
+    "0.30000000000000004", "0.1000000000000000055511151231257827",
+    "1.00000000000000011102230246251565404236316680908203125",
+    "1.00000000000000011102230246251565404236316680908203125000001",
+    "1.00000000000000033306690738754696212708950042724609375", "123456789012345678901234567890",
+    "7.038531e-26", "8.533e+68", "4.1006e-184", "9.998e+307", "9.9538452227e-280",
+    "6.47660115e-260", "7.4e+47", "5.92e+48", "7.35e+66", "8.32116e+55",
+]
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the block reader ran")
+
+
+class TestNumpyCorpus:
+    @pytest.mark.parametrize("name", sorted(NUMPY_CORPUS))
+    def test_same_outcome(self, tmp_path, name):
+        path = tmp_path / "f.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write(NUMPY_CORPUS[name])
+        _check_read(path)
+
+    def test_hard_floats_on_numpy_reader(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tsframe, "_read_block", _refuse)
+        rng = np.random.default_rng(5)
+        lines = ["psu_id,ssu_id,y1,y2"]
+        for k, text in enumerate(HARD_FLOATS):
+            lines.append(f"{k % 7},{k},{text},{text.removeprefix('-') if k % 2 else text}")
+        for k in range(len(HARD_FLOATS), 2000):  # random doubles, spelled 17 digits and shortest
+            x = float(rng.standard_normal() * 10.0 ** rng.integers(-300, 300))
+            lines.append(f"{k % 7},{k},{x:.17g},{x!r}")
+        path = tmp_path / "f.csv"
+        path.write_text("\n".join(lines) + "\n")
+        frame = _check_read(path)
+        assert isinstance(frame, Frame)
+
+    def test_stratified_tsv(self, tmp_path):
+        frame = generate_population(SyntheticConfig(30, 5, 0.4, 20.0, 2.0, (0.2,), 0.6, seed=9))
+        frame = Frame(frame.values, frame.sizes, strata=[f"h {i // 8}\t" for i in range(30)])
+        path = _check_write(frame, tmp_path, name="frame.tsv")
+        _same_frame(_check_read(path), frame)
+
+
+class TestReaderChoice:
+    """numpy reads what frame_to_csv writes; the block reader reads what numpy refuses."""
+
+    @pytest.mark.parametrize("stratified", [False, True])
+    def test_numpy_reads_written_frames(self, tmp_path, monkeypatch, stratified):
+        frame = generate_population(SyntheticConfig(300, 8, 0.5, 20.0, 2.0, (0.2, 0.3), 0.6,
+                                                    seed=11))
+        if stratified:
+            frame = Frame(frame.values, frame.sizes, frame.psu_ids * 5 - 700, frame.ssu_ids,
+                          [f"s, {i // 100}" for i in range(frame.n_psus)])  # quoted labels
+        path = tmp_path / "frame.csv"
+        frame_to_csv(frame, path)
+        monkeypatch.setattr(tsframe, "_read_block", _refuse)
+        _same_frame(_check_read(path), frame)
+
+    def test_underscores_reach_the_block_reader(self, tmp_path, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[1])  # the block's first line
+            return read_block(*args, **kwargs)
+
+        read_block = tsframe._read_block
+        monkeypatch.setattr(tsframe, "_read_block", spy)
+        path = tmp_path / "f.csv"
+        path.write_text("psu_id,ssu_id,y1\n1,1,2.5\n1,2,1_000.5\n")
+        frame = _check_read(path)
+        assert calls == [2]
+        assert frame.values[:, 0].tolist() == [2.5, 1000.5]
+
+
 class TestIdRange:
     @pytest.mark.parametrize("psu, ssu", [("9223372036854775808", "1"),
                                           ("1", "-9223372036854775809")])
     def test_id_outside_int64_is_malformed(self, tmp_path, psu, ssu):
         path = tmp_path / "f.csv"
         path.write_text(f"psu_id,ssu_id,y1\n1,1,1.0\n{psu},{ssu},2.0\n1,x,3\n")
+        with pytest.raises(IngestError, match=r"^line 3: malformed row \(-?9223372036854775\d+ "
+                                              r"is outside the int64 range\)$"):
+            ingest_frame(path)
+
+    @pytest.mark.parametrize("psu, ssu", [("9223372036854775808", "1"),
+                                          ("1", "-9223372036854775809")])
+    def test_id_outside_int64_on_the_last_row(self, tmp_path, psu, ssu):
+        """numpy refuses the row; the block reader names it (the oracle overflows)."""
+        path = tmp_path / "f.csv"
+        path.write_text(f"psu_id,ssu_id,y1\n1,1,1.0\n{psu},{ssu},2.0\n")
         with pytest.raises(IngestError, match=r"^line 3: malformed row \(-?9223372036854775\d+ "
                                               r"is outside the int64 range\)$"):
             ingest_frame(path)

@@ -343,9 +343,43 @@ class TestDeterminismAndParallel:
         monkeypatch.setattr(mc.multiprocessing, "get_context", lambda method: FakeContext())
         monkeypatch.setattr(mc, "_WORKER_CTX", None)  # restored after the test
         capped = run_scenario(frame, scn, seed=80, threads=10**6, v_true={"total[y1]": 1.0})
-        n_spans = -(-200 // 16)  # 16-replicate chunks once threads * 8 exceeds the total
+        n_spans = -(-200 // mc._BLOCK)  # one-block chunks once threads * 8 exceeds the total
         assert requested == [min(os.cpu_count() or 1, n_spans)]
         assert capped == serial
+
+    @pytest.mark.parametrize("threads", [2, 4])
+    def test_spans_are_whole_blocks(self, monkeypatch, threads):
+        """A span cut inside a block would make the block engine run a short block."""
+        import twostage.montecarlo as mc
+
+        spans = []
+
+        class RecordingPool:
+            def __init__(self, processes, initializer, initargs):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                spans.extend((start, end) for _, start, end in jobs)
+                return [np.zeros((end - start, 1)) for _, start, end in jobs]
+
+        class RecordingContext:
+            Pool = RecordingPool
+
+        monkeypatch.setattr(mc.multiprocessing, "get_context", lambda method: RecordingContext())
+        mc._parallel(None, 1000, threads, None)
+        assert spans == [(lo, min(lo + 64, 1000)) for lo in range(0, 1000, 64)]
+        for total in (32, 200, 4097, 20000):
+            spans.clear()
+            mc._parallel(None, total, threads, None)
+            starts, ends = zip(*spans)
+            assert starts == (0, *ends[:-1]) and ends[-1] == total
+            assert all(lo % mc._BLOCK == 0 for lo in starts)
 
     def test_rerun_is_identical(self, frame_1to5):
         scn = Scenario(DesignSpec("SI", n_I=2), "CENSUS", replicates=150, true_run=1000)
