@@ -47,6 +47,7 @@ from .estimators import (
     TotalEstimand,
     VHAT_METHODS,
     check_alpha,
+    check_variables,
     check_variance_methods,
     estimand_columns,
     expansion_totals,
@@ -299,6 +300,8 @@ def _validate_estimate(payload: dict, seed: int, bootstrap: bool = False) -> dic
     if bootstrap:
         if kind != "SI":
             raise ConfigError("config.design.kind: the PSU bootstrap runs on SI designs")
+        if design.n_I < 2:
+            raise ConfigError(f"config.design.n_I: must be >= 2 to bootstrap, got {design.n_I}")
         plan["bootstrap"] = _parse_bootstrap(payload.get("bootstrap", {}), "config.bootstrap", seed)
         plan["studentized"] = _as_bool(payload.get("studentized", False), "config.studentized")
     return plan
@@ -337,6 +340,9 @@ def _validate_mc(payload: dict, seed: int) -> dict:
     ests = _as_list(_require(scn, "estimands", path), f"{path}.estimands")
     plan["estimands"] = [_parse_estimand(e, f"{path}.estimands[{i}]") for i, e in enumerate(ests)]
     given = dict(estimands=tuple(e for e, _, _ in plan["estimands"]))
+    if "population" in plan:  # two variables per ICC target: the rule needs no frame
+        n_vars = 2 * len(plan["population"].icc_targets)
+        _spec(lambda: check_variables(given["estimands"], n_vars, "population"), path)
     given |= _given(scn, path, studentized=_as_bool, variance_methods=_as_methods,
                     bootstrap=_or_none(partial(_parse_bootstrap, seed=seed)),
                     alpha=_as_num, replicates=_as_int, true_run=_as_int)

@@ -167,12 +167,13 @@ def si_draws(n_population: int, n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def fresh_si_draws(n_population, n, rngs: Sequence[np.random.Generator],
-                   keys: Sequence) -> np.ndarray:
+                   keys: Sequence, starts: np.ndarray | None = None) -> np.ndarray:
     """The (B, n) :func:`si_draws` rows of the streams ``rngs[b]`` reset to ``keys[b]``, at once.
 
     Each stream is left where ``si_draws`` leaves it.  Sequences ``n_population``
     and ``n`` give a row one ``si_draws`` per pair (a stratified draw), as one
-    ``integers`` call on the pairs' concatenated bounds does.
+    ``integers`` call on the pairs' concatenated bounds does.  A (B, n) ``starts``
+    gets each stream's next ``random(n)``, from the same read (``rng._fresh_integers``).
     """
     pairs = list(zip(np.atleast_1d(n_population).tolist(), np.atleast_1d(n).tolist()))
     for N, k in pairs:
@@ -180,7 +181,7 @@ def fresh_si_draws(n_population, n, rngs: Sequence[np.random.Generator],
             raise ValueError(f"need 1 <= n <= N, got n={k}, N={N}")
     low = np.concatenate([np.arange(k, dtype=np.int64) for _, k in pairs])
     high = np.repeat(np.array([N for N, _ in pairs], dtype=np.int64), [k for _, k in pairs])
-    return _fresh_integers(rngs, keys, low, high)
+    return _fresh_integers(rngs, keys, low, high, starts)
 
 
 def si_order(n_population: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -433,13 +434,14 @@ class SystematicTable:
     monotone step function of k, so each distinct sample of PSU i owns one
     interval of k; the intervals partition [0, 2^53).  The intervals, and
     the within-PSU positions each one places, depend on N_i and n0 alone, so
-    they are kept once per size class (the PSUs of one size): class row c is
-    one interval, in class order and then in order of k, and ``ends[c]`` is
-    the first grid point past it (2^53 for a class's last row).  The
-    estimates are kept per PSU: PSU i's rows are its class's rows, at
-    ``psu_rows[i]`` on, and ``estimates[r]`` is :func:`psu_subtotal_estimates`
-    of row r's sample placed at its interval's first grid point, the gather
-    path's own call, so it has that path's bits at any start in the interval.
+    they are kept once per size class (the PSUs of one size), and placed once
+    where all (R_C, n0) fit _TABLE_CELLS: class row c is one interval, in
+    class order and then in order of k, and ``ends[c]`` is the first grid
+    point past it (2^53 for a class's last row).  PSU i's rows are its
+    class's rows, at ``psu_rows[i]`` on; ``estimates[r]`` is
+    :func:`psu_subtotal_estimates` of row r's class-row positions plus the
+    PSU's offset, the gather path's own call at the interval's first grid
+    point, so it has that path's bits at any start in the interval.
 
     In exact arithmetic a class of size N has N / gcd(N, n0) equal
     intervals; rounding moves their ends by a few grid points or adds
@@ -498,21 +500,6 @@ class SystematicTable:
         if self.estimates.shape[1] == 1:
             return np.take(self.estimates, rows, axis=0)
         return np.take(self.estimates, rows.T, axis=0).transpose(*range(rows.ndim)[::-1], rows.ndim)
-
-    def draw(self, psu_indices: np.ndarray, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-        """:func:`second_stage_estimates` of a (B, k) block under SYSTEMATIC, looked up.
-
-        Row b's starts are drawn from ``rngs[b]`` as that function draws them.
-        """
-        return self.subtotal_estimates(psu_indices, _systematic_starts(rngs, psu_indices.shape[1]))
-
-
-def _systematic_starts(rngs: Sequence[np.random.Generator], k: int) -> np.ndarray:
-    """(B, k) systematic starts, row b drawn from ``rngs[b]``."""
-    starts = np.empty((len(rngs), k))
-    for b, rng in enumerate(rngs):
-        starts[b] = rng.random(k)
-    return starts
 
 
 def _bucket(starts: np.ndarray, buckets: np.ndarray) -> np.ndarray:
@@ -622,13 +609,17 @@ def systematic_table(frame: Frame, n0: int, column_block) -> SystematicTable:
     (R, p) table from the columns of about _TABLE_SSUS SSUs at a time, so no
     column matrix of the whole frame is built.
     """
-    sizes, psu_class = np.unique(_check_n0(frame, np.arange(frame.n_psus), n0),
-                                 return_inverse=True)
+    sizes, first_psu, psu_class = np.unique(_check_n0(frame, np.arange(frame.n_psus), n0),
+                                            return_index=True, return_inverse=True)
     points, counts = zip(*(_interval_starts(sizes[lo:lo + _KEY_SIZES], n0)
                            for lo in range(0, sizes.size, _KEY_SIZES)))
     lower = np.concatenate(points)
     del points
     counts = np.concatenate(counts)
+    placed = None  # every class row's within-PSU positions at its first grid point, once
+    if lower.size * n0 <= _TABLE_CELLS:  # where they fit a batch's room
+        at = np.repeat(first_psu, counts)  # a PSU of each class row's class
+        placed = systematic_positions(frame, at, lower * _GRID, n0) - frame.offsets[at][:, None]
     class_rows = np.concatenate(([0], np.cumsum(counts)))
     buckets = sizes // np.gcd(sizes, n0)
     bucket_base = np.cumsum(buckets) - buckets
@@ -657,28 +648,30 @@ def systematic_table(frame: Frame, n0: int, column_block) -> SystematicTable:
         columns = column_block(frame.offsets[lo], frame.offsets[hi])
         if estimates is None:
             estimates = np.empty((psu_rows[-1], columns.shape[1]))
-        _fill_span(frame, n0, lo, psu_rows[lo:hi + 1], shift, ends, columns, estimates)
+        _fill_span(frame, n0, lo, psu_rows[lo:hi + 1], shift, ends, placed, columns, estimates)
         del columns  # so that two spans' columns are never held at once
     return SystematicTable(psu_rows, psu_class, class_rows, ends, estimates,
                            buckets.astype(np.float64), bucket_base, first)
 
 
 def _fill_span(frame: Frame, n0: int, lo: int, span_rows: np.ndarray, shift: np.ndarray,
-               ends: np.ndarray, columns: np.ndarray, estimates: np.ndarray) -> None:
+               ends: np.ndarray, placed: np.ndarray | None, columns: np.ndarray,
+               estimates: np.ndarray) -> None:
     """Fill the table rows of the PSUs from ``lo`` on whose row bounds are ``span_rows``.
 
     ``columns`` holds the span's SSU columns.  Row r of PSU i is class row
-    r + shift[i], and its sample is placed at that class row's first grid
-    point: the previous class row's end, or 0 for a class's first row (whose
-    previous row, at index -1 for the first class, ends at 2^53).  Rows go
+    c = r + shift[i]; its sample is c's within-PSU positions at c's first grid
+    point (row c of ``placed``, or placed here at the previous class row's end,
+    2^53 and so 0 before a class's first row) plus the PSU's offset.  Rows go
     _TABLE_CELLS // n0 at a time, and their estimates straight into the table.
     """
     batch = max(1, _TABLE_CELLS // n0)
     for r0 in range(span_rows[0], span_rows[-1], batch):
         r1 = min(r0 + batch, span_rows[-1])
         psus = np.searchsorted(span_rows, np.arange(r0, r1), side="right") + (lo - 1)
-        prev = ends[np.arange(r0 - 1, r1 - 1) + shift[psus]]
-        rows = systematic_positions(frame, psus, (prev & (_GRID_POINTS - 1)) * _GRID, n0)
+        cls = np.arange(r0, r1) + shift[psus]
+        rows = (placed[cls] + frame.offsets[psus][:, None] if placed is not None else
+                systematic_positions(frame, psus, (ends[cls - 1] & (_GRID_POINTS - 1)) * _GRID, n0))
         rows -= frame.offsets[lo]
         psu_subtotal_estimates(frame, columns, psus, rows, n0, out=estimates[r0:r1])
 
@@ -766,7 +759,8 @@ def second_stage_estimates(
         y_hat = subtotals[psu_indices]
         return y_hat, (np.zeros_like(y_hat) if with_vhat else None)
     if method == "SYSTEMATIC":
-        rows = systematic_positions(frame, psu_indices, _systematic_starts(rngs, k), n0)
+        starts = np.array([rng.random(k) for rng in rngs]).reshape(n_rows, k)
+        rows = systematic_positions(frame, psu_indices, starts, n0)
     else:
         rows = np.empty((n_rows, k, n0), dtype=np.int64)
         for b, rng in enumerate(rngs):

@@ -37,6 +37,7 @@ __all__ = [
     "VHAT_METHODS",
     "check_variance_methods",
     "check_alpha",
+    "check_variables",
     "mean_total",
     "ht_total_be",
     "expansion_totals",
@@ -356,6 +357,15 @@ class ProportionEstimand:
 SmoothEstimand = TotalEstimand | RatioEstimand | CorrelationEstimand | ProportionEstimand
 
 
+def check_variables(estimands: Sequence[SmoothEstimand], n_vars: int, source: str = "frame"):
+    """Refuse an estimand that reads a variable past the source's ``n_vars``, naming it."""
+    for i, e in enumerate(estimands):
+        top = max(getattr(e, name) for name in ("var", "num", "den", "a", "b") if hasattr(e, name))
+        if top >= n_vars:
+            raise ValueError(f"estimands[{i}] {e.label} reads y{top + 1}, past the {source}'s "
+                             f"{n_vars} variables")
+
+
 def column_matrix(values: np.ndarray, keys: Sequence[tuple]) -> np.ndarray:
     """The C-contiguous (N, len(keys)) matrix of the SSU columns named by ``keys``.
 
@@ -424,6 +434,7 @@ def estimand_columns(
     :func:`column_layout` keys, its (N_I, p) PSU subtotals, and the layout's
     ``index`` and slices.
     """
+    check_variables(estimands, frame.n_vars)
     keys, index, slices = column_layout(estimands)
     columns = column_matrix(frame.values, keys)
     return columns, np.add.reduceat(columns, frame.offsets[:-1], axis=0), index, slices

@@ -627,15 +627,22 @@ def _loadtxt_rows(fh, delimiter: str, cols: _Columns) -> _Read | None:
 def _block_rows(reader, cols: _Columns) -> _Read:
     """Every data row of ``reader``, read ``_BLOCK_ROWS`` at a time.
 
-    Raises the IngestError of the first bad line.
+    Raises the IngestError of the first bad line, a field past csv's limit among them.
     """
     labels: dict[str, int] = {}
     blocks: list[_Rows] = []
     first_line = 2
-    while rows := list(itertools.islice(reader, _BLOCK_ROWS)):
+    while True:
+        rows, refused = [], None
+        try:
+            rows.extend(itertools.islice(reader, _BLOCK_ROWS))  # keeps the rows before a raise
+        except csv.Error as exc:
+            refused = IngestError(str(exc), line=first_line + len(rows))
+        if not rows and refused is None:
+            break
         block, error = _read_block(rows, first_line, cols, labels)
         blocks.append(block)
-        if error is not None:
+        if (error := error or refused) is not None:
             _first_row_of_psu(_concat(blocks))  # an earlier row's error comes first
             raise error
         first_line += len(rows)
@@ -679,8 +686,8 @@ def ingest_frame(
         reader = csv.reader(fh, delimiter=delim)
         try:
             header = next(reader)
-        except StopIteration:
-            raise IngestError("empty file", line=1) from None
+        except (StopIteration, csv.Error) as exc:  # csv.Error: a field past csv's limit
+            raise IngestError(str(exc) or "empty file", line=1) from None
         header = [h.strip() for h in header]
 
         def col(name: str) -> int | None:

@@ -19,11 +19,11 @@ of worker processes.
 Under SYSTEMATIC subsampling a run builds one exact table of every PSU's
 distinct systematic samples and their estimates
 (:func:`~twostage.designs.systematic_table`), once and before any worker
-forks, and keeps no column matrix; each replicate draws its starts from its
-own stream and looks its samples up instead of placing and gathering them.
-A row of the table is the gather path's own call at one start of its
-interval, so the outputs keep their bits, and the table takes about the
-memory of the column matrix it replaces.
+forks, and keeps no column matrix; each replicate reads its SI draws and then
+its starts from one raw-word pass over its own stream, and looks its samples
+up instead of placing and gathering them.  A row of the table is the gather
+path's own call at one start of its interval, so the outputs keep their bits,
+and the table takes about the memory of the column matrix it replaces.
 
 A run builds its table or columns from the frame's values as they are when
 it starts, and reads the frame's cached subtotals; the frame shares the
@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -70,6 +70,7 @@ from .estimators import (
     TotalEstimand,
     VHAT_METHODS,
     check_alpha,
+    check_variables,
     check_variance_methods,
     column_layout,
     column_matrix,
@@ -168,6 +169,7 @@ class Scenario:
         strata = (None if self.first_stage.kind == "SI"
                   else {k: v.size for k, v in frame.stratum_psu_indices().items()})
         self.first_stage.validate_for(frame.n_psus, strata)
+        check_variables(self.estimands, frame.n_vars)
         if self.n0 is not None:
             _check_n0(frame, np.arange(frame.n_psus), self.n0)
 
@@ -246,8 +248,6 @@ class _Context:
     layout: dict[tuple[str, str], int]
     width: int  # columns of an MC row
     need_vhat: bool = False
-    # _BLOCK generators that _block resets to its replicates' streams
-    pool: list[np.random.Generator] = field(default_factory=list)
 
 
 def _build_context(frame: Frame, scenario: Scenario, seed: int, tag: tuple) -> _Context:
@@ -304,36 +304,35 @@ class _Block:
     theta: np.ndarray  # (B, n_estimands) point estimates
 
 
-def _block(ctx: _Context, keys: list) -> _Block:
+def _block(ctx: _Context, keys: list, rngs: list) -> _Block:
     """One block of replicates: each draws from its own substream, then one estimate for all.
 
     ``keys`` holds the block's Philox keys (at most _BLOCK, Python ints); replicate i's
-    stream is the context's i-th pooled generator, reset to keys[i], so it
-    stays the replicate's own until the next block.  Each replicate makes
-    the draws of a lone replicate in the same order (its first stage, then
-    its second stage); the block draws the SI rows from the fresh streams'
-    raw words at once (``fresh_si_draws``), resolves the SI orders at once
-    (each stratum's under STRAT_SI) and makes one ``second_stage_estimates`` call
-    or, under SYSTEMATIC, one lookup in the context's table, all elementwise
-    per row, and every reduction runs over axis 1 of a C-contiguous array
-    (or of the table's view, which numpy sums in the same order), so each
-    row has the bits that the replicate computed on its own would have.
+    stream is ``rngs[i]`` reset to keys[i], so it stays the replicate's own until the next
+    block (a table's rows draw nothing after their starts, so ``rngs`` may repeat one there).
+    Each replicate makes the draws of a lone replicate in the same order (its first stage,
+    then its second stage); the block reads the SI rows, and under SYSTEMATIC the starts,
+    from the fresh streams' raw words at once (``fresh_si_draws``), resolves the SI orders
+    at once (each stratum's under STRAT_SI) and makes one ``second_stage_estimates`` call or
+    one lookup in the context's table, all elementwise per row, and every reduction runs
+    over axis 1 of a C-contiguous array (or of the table's view, which numpy sums in the
+    same order), so each row has the bits that the replicate computed on its own would have.
     """
     sc, design = ctx.scenario, ctx.scenario.first_stage
     N = ctx.frame.n_psus
-    if not ctx.pool:
-        ctx.pool = [new_stream() for _ in range(_BLOCK)]
-    rngs = ctx.pool[:len(keys)]
-    # fresh_si_draws resets rngs[i] to keys[i]; the second stage follows its first stage
+    rngs = rngs[:len(keys)]
+    # fresh_si_draws resets rngs[i] to keys[i] and reads a table's starts after the first stage
     if design.kind == "SI":
-        orders = resolve_si_orders(fresh_si_draws(N, design.n_I, rngs, keys))
+        n_population, n = N, [design.n_I]
     else:
         groups, alloc = ctx.frame.stratum_psu_indices(), design.allocations
-        draws = fresh_si_draws([p.size for p in groups.values()], [alloc[s] for s in groups],
-                               rngs, keys)
-        orders = np.concatenate(_stratified_si_orders(groups, alloc, draws), axis=1)
+        n_population, n = [p.size for p in groups.values()], [alloc[s] for s in groups]
+    starts = None if ctx.table is None else np.empty((len(keys), sum(n)))
+    draws = fresh_si_draws(n_population, n, rngs, keys, starts)
+    orders = (resolve_si_orders(draws) if design.kind == "SI"
+              else np.concatenate(_stratified_si_orders(groups, alloc, draws), axis=1))
     if ctx.table is not None:
-        yhat, vhat = ctx.table.draw(orders, rngs), None
+        yhat, vhat = ctx.table.subtotal_estimates(orders, starts), None
     else:
         yhat, vhat = second_stage_estimates(ctx.frame, ctx.columns, ctx.col_subtotals, orders,
                                             sc.second_stage, sc.n0, rngs,
@@ -433,15 +432,18 @@ def _write_bootstrap(
 def _replicate_rows(ctx: _Context, start: int, end: int) -> np.ndarray:
     out = np.full((end - start, ctx.width), np.nan)
     write = _si_replicate_row if ctx.scenario.first_stage.kind == "SI" else _strat_replicate_row
+    rngs = [new_stream() for _ in range(_BLOCK)]  # each replicate draws on after its block
     for lo, keys in key_blocks((ctx.seed, *ctx.tag, "mc"), start, end, _BLOCK):
-        block = _block(ctx, keys)
+        block = _block(ctx, keys, rngs)
         for i in range(len(keys)):
             write(ctx, block, i, out[lo - start + i])
     return out
 
 
 def _point_rows(ctx: _Context, start: int, end: int) -> np.ndarray:
-    return np.vstack([_block(ctx, keys).theta
+    rngs = ([new_stream()] * _BLOCK if ctx.table is not None  # see _block
+            else [new_stream() for _ in range(_BLOCK)])
+    return np.vstack([_block(ctx, keys, rngs).theta
                       for _, keys in key_blocks((ctx.seed, *ctx.tag, "true"), start, end, _BLOCK)])
 
 
@@ -579,14 +581,7 @@ def scaling_study(
         scenario.validate(frame)  # fail before the first cell runs
     rows: list[dict] = []
     for idx, (meta, scenario) in enumerate(cells):
-        reports = run_scenario(
-            frame, scenario, seed, threads=threads, stream_tag=("cell", idx)
-        )
-        for rep in reports:
-            for metric, value, mc_se in rep.metric_rows():
-                row = dict(meta)
-                row.update(
-                    estimand=rep.estimand, metric=metric, value=value, mc_se=mc_se
-                )
-                rows.append(row)
+        for rep in run_scenario(frame, scenario, seed, threads=threads, stream_tag=("cell", idx)):
+            rows.extend(dict(meta, estimand=rep.estimand, metric=metric, value=value, mc_se=mc_se)
+                        for metric, value, mc_se in rep.metric_rows())
     return rows

@@ -192,9 +192,11 @@ def reset_stream(rng: np.random.Generator, key: Sequence[int]) -> np.random.Gene
 # ---------------------------------------------------------------------------
 
 
-def _raw_words(rngs: Sequence[np.random.Generator], keys: Sequence, w: int) -> np.ndarray:
+def _raw_words(rngs: Sequence[np.random.Generator], keys: Sequence, w: int,
+               then=None) -> np.ndarray:
     """(len(keys), w) raw words from the start of each key's stream, ``rngs[b]`` reset to keys[b]
-    as row b is read (``rngs`` may repeat one generator: far cheaper than one per row).
+    as row b is read (``rngs`` may repeat one generator: far cheaper than one per row); a given
+    ``then(b, rngs[b])`` is called right after row b is read, to draw on from there.
 
     One fresh-stream state serves every row, only its key rewritten: a Philox stream's start
     differs in nothing else.  The state is this call's own, so concurrent calls share none."""
@@ -205,6 +207,8 @@ def _raw_words(rngs: Sequence[np.random.Generator], keys: Sequence, w: int) -> n
         counter_and_key["key"] = key
         rng.bit_generator.state = state
         words.append(rng.bit_generator.random_raw(w))
+        if then is not None:
+            then(len(words) - 1, rng)
     return np.array(words, dtype=np.uint64).reshape(len(keys), w)
 
 
@@ -247,20 +251,32 @@ def _bounded_draws(words: np.ndarray, ranges, start: int = 0):
     return x.view(np.int64), used, scalar
 
 
-def _fresh_integers(rngs: Sequence[np.random.Generator], keys: Sequence, low, high) -> np.ndarray:
+def _fresh_integers(rngs: Sequence[np.random.Generator], keys: Sequence, low, high,
+                    doubles: np.ndarray | None = None) -> np.ndarray:
     """Each ``rngs[b].integers(low, high)`` ((k,) int64 bounds), reset to keys[b], drawn at once:
     whole words are decoded at once, numpy draws an odd last half and redraws a row that it would
-    draw another way, so each generator is left where numpy leaves it."""
+    draw another way, so each generator is left where numpy leaves it.  A (B, d) ``doubles`` gets
+    each one's next ``random(d)``: (word >> 11) 2^-53 of the next d words, or numpy's after an odd
+    count of halves, drawn as each row is read, so ``rngs`` may repeat a generator."""
     ranges = high - low
     worded = np.flatnonzero(ranges > 1)
-    paired = worded[:worded.size - worded.size % 2]
+    odd = worded.size % 2
+    paired = worded[:worded.size - odd]
     cut = paired[-1] + 1 if paired.size else 0  # the entries decoded from whole words
-    draws, _, scalar = _bounded_draws(_raw_words(rngs, keys, paired.size // 2), ranges[:cut])
+    d = 0 if doubles is None else doubles.shape[1]
     out = np.tile(low, (len(keys), 1))
+
+    def odd_tail(b, rng):  # numpy draws the last half, caching its other half, then the doubles
+        out[b, worded[-1]] += rng.integers(ranges[worded[-1]])
+        if d:
+            doubles[b] = rng.random(d)
+    words = _raw_words(rngs, keys, paired.size // 2 + d * (1 - odd), odd_tail if odd else None)
+    draws, _, scalar = _bounded_draws(words, ranges[:cut])
     out[:, :cut] += draws
-    if worded.size > paired.size:  # the last half, drawn by numpy, leaves its other half cached
-        for row, rng in zip(out, rngs):
-            row[worded[-1]] += rng.integers(ranges[worded[-1]])
+    if d and not odd:
+        np.multiply(words[:, paired.size // 2:] >> 11, 2.0 ** -53, out=doubles)
     for b in np.flatnonzero(scalar).tolist():
         out[b] = reset_stream(rngs[b], keys[b]).integers(low, high)
+        if d:
+            doubles[b] = rngs[b].random(d)
     return out

@@ -79,6 +79,13 @@ def _io_delimiter(path, delimiter):
     return "\t" if str(path).endswith(".tsv") else ","
 
 
+def _int64(text):
+    value = int(text)
+    if not -(1 << 63) <= value < 1 << 63:
+        raise ValueError(f"{value} is outside the int64 range")
+    return value
+
+
 def ingest_frame_rows(path, schema=None, delimiter=None):
     """Read a frame one row at a time (the reference for ``ingest_frame``)."""
     from twostage.frame import Frame, IngestError
@@ -96,6 +103,8 @@ def ingest_frame_rows(path, schema=None, delimiter=None):
             header = next(reader)
         except StopIteration:
             raise IngestError("empty file", line=1) from None
+        except csv.Error as exc:  # a field past csv's limit
+            raise IngestError(str(exc), line=1) from None
         header = [h.strip() for h in header]
 
         def col(name):
@@ -128,7 +137,15 @@ def ingest_frame_rows(path, schema=None, delimiter=None):
         psu_stratum = {}
         stratum_order = []
 
-        for line_no, row in enumerate(reader, start=2):
+        line_no = 1
+        rows = enumerate(reader, start=2)
+        while True:
+            try:
+                line_no, row = next(rows)
+            except StopIteration:
+                break
+            except csv.Error as exc:  # a field past csv's limit
+                raise IngestError(str(exc), line=line_no + 1) from None
             if not row or all(not f.strip() for f in row):
                 continue
             if len(row) != len(header):
@@ -136,8 +153,8 @@ def ingest_frame_rows(path, schema=None, delimiter=None):
                     f"expected {len(header)} fields, got {len(row)}", line=line_no
                 )
             try:
-                psu_id = int(row[psu_col])
-                ssu_id = int(row[ssu_col])
+                psu_id = _int64(row[psu_col])
+                ssu_id = _int64(row[ssu_col])
                 y = [float(row[j]) for j in y_cols]
             except ValueError as exc:
                 raise IngestError(f"malformed row ({exc})", line=line_no) from None

@@ -853,6 +853,41 @@ class TestErrorReporting:
         })
         assert message.startswith("config.design.expected_n_I: ")
 
+    def test_one_bootstrap_draw_is_a_config_error_before_the_frame_is_read(self, tmp_path,
+                                                                          capsys):
+        message = _config_error(tmp_path, capsys, "bootstrap", {
+            **DRAW, "frame": str(tmp_path / "missing.csv"), "design": {"kind": "SI", "n_I": 1}})
+        assert message == "config.design.n_I: must be >= 2 to bootstrap, got 1"
+
+    @pytest.mark.parametrize("estimand, reads", [
+        ({"kind": "total", "var": 5}, "total[y5] reads y5"),
+        ({"kind": "ratio", "num": 1, "den": 9}, "ratio[y1/y9] reads y9"),
+        ({"kind": "correlation", "a": 5, "b": 1}, "corr[y5,y1] reads y5"),
+        ({"kind": "proportion", "var": 7, "category": 1.0}, "prop[y7=1] reads y7"),
+    ], ids=["total", "ratio", "correlation", "proportion"])
+    def test_mc_population_variable_past_its_count_is_a_config_error(self, tmp_path, capsys,
+                                                                     estimand, reads):
+        """POP's two ICC targets give it four variables; the config alone fixes that."""
+        scenario = {**MC_SCENARIO, "estimands": [{"kind": "total", "var": 4}, estimand]}
+        message = _config_error(tmp_path, capsys, "mc", {"population": POP, "scenario": scenario})
+        assert message == (f"config.scenario.estimands[1]: {reads}, "
+                           "past the population's 4 variables")
+
+    @pytest.mark.parametrize("command", ["estimate", "bootstrap", "mc"])
+    def test_variable_past_the_frames_count_names_the_estimand(self, tmp_path, capsys, command):
+        frame_path = tmp_path / "frame.csv"
+        frame_to_csv(multi_ssu_frame(20, 3), frame_path)  # two variables
+        estimands = [{"kind": "total", "var": 2}, {"kind": "total", "var": 9}]
+        payload = {**DRAW, "frame": str(frame_path), "estimands": estimands}
+        if command == "mc":
+            payload = {"frame": str(frame_path),
+                       "scenario": {**MC_SCENARIO, "estimands": estimands}}
+        cfg = _write_config(tmp_path, "run.json", payload)
+        assert _run([command, "--config", cfg, "--seed", 1, "--out", tmp_path / "o"]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == {
+            "type": "ValueError",
+            "message": "estimands[1] total[y9] reads y9, past the frame's 2 variables"}
+
     @pytest.mark.parametrize("command", ["bootstrap", "mc"])
     def test_bootstrap_refusal_names_its_key_once(self, tmp_path, capsys, command):
         boot = {"replicates": 49}

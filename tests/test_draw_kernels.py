@@ -76,6 +76,27 @@ class TestFreshSiDraws:
             assert a.integers(0, 1000, size=3).tolist() == b.integers(0, 1000, size=3).tolist()
             assert a.random() == b.random()
 
+    @pytest.mark.parametrize("n_population, n", [
+        (2000, 200), (2000, 199), (7, 7), (8, 8), (2, 1), (1, 1),
+        # about half the rows redraw: they and the odd counts are drawn by numpy
+        ((1 << 31) + 1, 6), ((1 << 31) + 3, 7), ((1 << 32) + 1, 4),
+    ])
+    def test_starts_come_from_the_same_read(self, n_population, n):
+        """The starts are each stream's next random(n), and each stream is left where it is
+        then, also when one generator reads every row."""
+        keys = substream_keys(16, "starts", n_population, indices=range(40)).tolist()
+        block = [reset_stream(new_stream(), key) for key in keys]
+        alone = [reset_stream(new_stream(), key) for key in keys]
+        want = np.stack([si_draws(n_population, n, rng) for rng in alone])
+        want_starts = np.stack([rng.random(n) for rng in alone])
+        for rngs in (block, [new_stream()] * len(keys)):
+            starts = np.full((len(keys), n), np.nan)
+            _same(fresh_si_draws(n_population, n, rngs, keys, starts), want)
+            _same(starts, want_starts)
+        assert [_live_state(r) for r in block] == [_live_state(r) for r in alone]
+        for a, b in zip(block, alone):
+            assert a.integers(0, 1000, size=3).tolist() == b.integers(0, 1000, size=3).tolist()
+
     @pytest.mark.parametrize("pairs", [
         [(5, 5), (7, 3), (2000, 199)],  # a one-unit range in the middle, an odd total
         [(3, 1), (3, 3), (1, 1), (4, 2)],

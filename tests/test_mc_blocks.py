@@ -15,6 +15,7 @@ import pytest
 
 import twostage.designs as designs
 import twostage.montecarlo as montecarlo
+import twostage.rng as rng_module
 from twostage import (
     BootstrapConfig,
     CorrelationEstimand,
@@ -96,6 +97,10 @@ CASES = {
         variance_methods=("WITH_REPLACEMENT",), bootstrap=BOOT)),
     "skewed-systematic": (_skewed, Scenario(
         DesignSpec("SI", n_I=6), "SYSTEMATIC", n0=10, estimands=ESTIMANDS)),
+    # an odd count of 32-bit draws: every row's draws and starts are numpy's own
+    "systematic-odd-n_I": (_population, Scenario(
+        DesignSpec("SI", n_I=7), "SYSTEMATIC", n0=3, estimands=ESTIMANDS,
+        variance_methods=("SIMPLIFIED",), bootstrap=BOOT)),
     # the block resolver at the edges: every PSU of a tiny frame, and a
     # frame above 2,048 PSUs
     "one-psu-frame": (lambda: _sized([5]), Scenario(
@@ -148,6 +153,16 @@ def _same(a: np.ndarray, b: np.ndarray) -> None:
 def _state(rng: np.random.Generator) -> str:
     """The generator's full state (Philox holds arrays, so compared as text)."""
     return repr(rng.bit_generator.state)
+
+
+def test_a_systematic_reference_run_makes_one_generator(monkeypatch):
+    """Its rows draw nothing past their starts, so one generator reads every row's stream."""
+    made = []
+    real = rng_module.new_stream
+    monkeypatch.setattr(montecarlo, "new_stream", lambda: made.append(1) or real())
+    make_frame, scenario = CASES["systematic"]
+    montecarlo.approximate_true_variance(make_frame(), scenario, 11)
+    assert len(made) == 1
 
 
 @pytest.mark.parametrize("span", SPANS)

@@ -164,6 +164,18 @@ class TestScenarioValidation:
             scn.validate(frame)
         Scenario(DesignSpec("SI", n_I=2), "SI", 3, replicates=100, true_run=1000).validate(frame)
 
+    @pytest.mark.parametrize("second_stage, n0", [("CENSUS", None), ("SYSTEMATIC", 3)])
+    def test_a_variable_past_the_frames_count_is_refused_by_validation(self, second_stage, n0):
+        scn = Scenario(DesignSpec("SI", n_I=2), second_stage, n0,
+                       estimands=(TotalEstimand(1), RatioEstimand(0, 2)),
+                       replicates=100, true_run=1000)
+        frame = multi_ssu_frame(20, 5)  # two variables
+        message = r"^estimands\[1\] ratio\[y1/y3\] reads y3, past the frame's 2 variables$"
+        with pytest.raises(ValueError, match=message):
+            scn.validate(frame)
+        with pytest.raises(ValueError, match=message):
+            approximate_true_variance(frame, scn, seed=1)
+
     def test_reference_run_size_is_checked_when_v_true_is_supplied(self, frame_1to5):
         scn = Scenario(DesignSpec("SI", n_I=5), "CENSUS", replicates=100, true_run=999)
         with pytest.raises(ValueError, match="^true_run must be >= 1000$"):

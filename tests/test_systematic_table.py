@@ -13,13 +13,17 @@ import numpy as np
 import pytest
 
 import twostage.designs as designs
-from twostage import Frame, SyntheticConfig, generate_population, substream
+from twostage import Frame, SyntheticConfig, generate_population
 from twostage.designs import (
+    fresh_si_draws,
     psu_subtotal_estimates,
+    resolve_si_orders,
     second_stage_estimates,
+    si_order,
     systematic_positions,
     systematic_table,
 )
+from twostage.rng import new_stream, reset_stream, substream_keys
 
 GRID = 2.0 ** -53
 GRID_POINTS = 1 << 53
@@ -260,15 +264,19 @@ class TestBrackets:
 
 @pytest.mark.parametrize("p", [1, 3])
 def test_draw_matches_the_second_stage_engine(p):
-    """A block's lookups draw the starts that ``second_stage_estimates`` draws, row by row."""
+    """A block's lookups at the starts read with its SI draws (``fresh_si_draws``) equal
+    ``second_stage_estimates`` drawing each row's starts after its ``si_order``."""
     frame = _frame(np.resize([9, 14, 23, 40, 5], 60), p)
     table = _table(frame, 5)
-    psus = np.random.default_rng(p).integers(0, frame.n_psus, size=(7, 30))
-    new = [substream(3, "table", b) for b in range(7)]
-    old = [substream(3, "table", b) for b in range(7)]
-    want, _ = second_stage_estimates(frame, frame.values, None, psus, "SYSTEMATIC", 5, old)
-    _same(table.draw(psus, new), want)
-    assert [repr(r.bit_generator.state) for r in new] == [repr(r.bit_generator.state) for r in old]
+    keys = substream_keys(3, "table", indices=range(7)).tolist()
+    block = [reset_stream(new_stream(), key) for key in keys]
+    alone = [reset_stream(new_stream(), key) for key in keys]
+    starts = np.full((7, 30), np.nan)
+    psus = resolve_si_orders(fresh_si_draws(frame.n_psus, 30, block, keys, starts))
+    _same(psus, np.stack([si_order(frame.n_psus, 30, rng) for rng in alone]))
+    want, _ = second_stage_estimates(frame, frame.values, None, psus, "SYSTEMATIC", 5, alone)
+    _same(table.subtotal_estimates(psus, starts), want)
+    assert [r.random(3).tolist() for r in block] == [r.random(3).tolist() for r in alone]
 
 
 @pytest.mark.parametrize("p, with_vhat", [(1, False), (3, False), (3, True)])
