@@ -16,6 +16,9 @@ in closed form.  Replicate b derives all of its randomness from the
 substream (seed, ..., "mc", b), so reports are bit-identical for any number
 of worker processes.
 
+Replicates run in fixed blocks, larger for reference samples than for MC
+replicates (see ``_point_block_rows``), on one generator pool per process.
+
 Under SYSTEMATIC subsampling a run builds one exact table of every PSU's
 distinct systematic samples and their estimates
 (:func:`~twostage.designs.systematic_table`), once and before any worker
@@ -36,6 +39,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+import threading
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -95,9 +99,15 @@ __all__ = [
 
 STRAT_WR = "STRAT_WR"
 
-# replicates are drawn and estimated in fixed blocks of this many; the block
-# never depends on the thread count, and neither do the results
+# MC replicates are drawn and estimated in fixed blocks of this many, and a
+# reference-run block holds a multiple of it; no block depends on the thread
+# count, and neither do the results
 _BLOCK = 64
+# first-stage draws (rows x n) a reference-run block holds at most, past one _BLOCK
+_POINT_CELLS = 1 << 15
+# the most rows of a reference-run block under an SI second stage, where each row keeps
+# its own generator of the pool (about 1 KB, and 30 us to make) for its second stage
+_POINT_POOL_ROWS = 2048
 
 _SI_VARIANCE_METHODS = ("UNBIASED", "SIMPLIFIED", "WITH_REPLACEMENT")
 
@@ -247,6 +257,7 @@ class _Context:
     # ci_* family owns its column (the lower limit) and the next (the upper)
     layout: dict[tuple[str, str], int]
     width: int  # columns of an MC row
+    point_rows: int  # rows of a reference-run block (see _point_block_rows)
     need_vhat: bool = False
 
 
@@ -281,8 +292,22 @@ def _build_context(frame: Frame, scenario: Scenario, seed: int, tag: tuple) -> _
         table = None
     return _Context(
         frame, scenario, seed, tag, columns, col_subtotals, table, expand, slices, layout,
-        width, need_vhat=any(m in VHAT_METHODS for m in scenario.variance_methods),
+        width, _point_block_rows(scenario),
+        need_vhat=any(m in VHAT_METHODS for m in scenario.variance_methods),
     )
+
+
+def _point_block_rows(scenario: Scenario) -> int:
+    """The largest multiple of _BLOCK rows of n first-stage draws within _POINT_CELLS, or _BLOCK.
+
+    A reference sample carries no bootstrap, so a block's fixed numpy-call
+    cost is spread over as many rows as keep its draws within 2^15; under an
+    SI second stage over at most _POINT_POOL_ROWS, the generators it keeps.
+    """
+    design = scenario.first_stage
+    n = design.n_I if design.kind == "SI" else sum(design.allocations.values())
+    rows = _BLOCK * max(1, _POINT_CELLS // (n * _BLOCK))
+    return min(rows, _POINT_POOL_ROWS) if scenario.second_stage == "SI" else rows
 
 
 @dataclass
@@ -307,9 +332,10 @@ class _Block:
 def _block(ctx: _Context, keys: list, rngs: list) -> _Block:
     """One block of replicates: each draws from its own substream, then one estimate for all.
 
-    ``keys`` holds the block's Philox keys (at most _BLOCK, Python ints); replicate i's
-    stream is ``rngs[i]`` reset to keys[i], so it stays the replicate's own until the next
-    block (a table's rows draw nothing after their starts, so ``rngs`` may repeat one there).
+    ``keys`` holds the block's Philox keys (Python ints); replicate i's stream is
+    ``rngs[i]`` reset to keys[i], so it stays the replicate's own until the next block (the
+    rows of a table or a census draw nothing after their starts or their first stage, so
+    ``rngs`` may repeat one there).
     Each replicate makes the draws of a lone replicate in the same order (its first stage,
     then its second stage); the block reads the SI rows, and under SYSTEMATIC the starts,
     from the fresh streams' raw words at once (``fresh_si_draws``), resolves the SI orders
@@ -429,10 +455,23 @@ def _write_bootstrap(
         _store(ctx, row, label, "ci_studentized", *studentized_ci(reps, base_se, alpha))
 
 
+# each thread's generators, made as its blocks first need them and reset to each
+# replicate's stream in turn: a fresh generator costs about 30 us, and a fork worker
+# keeps the pool it inherits, so its spans make none again
+_POOL = threading.local()
+
+
+def _generators(count: int) -> list[np.random.Generator]:
+    """This thread's pool of generators, grown to at least ``count``."""
+    pool = _POOL.__dict__.setdefault("rngs", [])
+    pool.extend(new_stream() for _ in range(count - len(pool)))
+    return pool
+
+
 def _replicate_rows(ctx: _Context, start: int, end: int) -> np.ndarray:
     out = np.full((end - start, ctx.width), np.nan)
     write = _si_replicate_row if ctx.scenario.first_stage.kind == "SI" else _strat_replicate_row
-    rngs = [new_stream() for _ in range(_BLOCK)]  # each replicate draws on after its block
+    rngs = _generators(min(_BLOCK, end - start))  # each replicate draws on after its block
     for lo, keys in key_blocks((ctx.seed, *ctx.tag, "mc"), start, end, _BLOCK):
         block = _block(ctx, keys, rngs)
         for i in range(len(keys)):
@@ -441,10 +480,12 @@ def _replicate_rows(ctx: _Context, start: int, end: int) -> np.ndarray:
 
 
 def _point_rows(ctx: _Context, start: int, end: int) -> np.ndarray:
-    rngs = ([new_stream()] * _BLOCK if ctx.table is not None  # see _block
-            else [new_stream() for _ in range(_BLOCK)])
-    return np.vstack([_block(ctx, keys, rngs).theta
-                      for _, keys in key_blocks((ctx.seed, *ctx.tag, "true"), start, end, _BLOCK)])
+    rows = min(ctx.point_rows, end - start)
+    # the rows of a table or a census draw nothing past their first stage and starts, so one
+    # generator reads them all (see _block); an SI second stage draws on from each row's own
+    rngs = _generators(rows) if ctx.scenario.second_stage == "SI" else _generators(1)[:1] * rows
+    return np.vstack([_block(ctx, keys, rngs).theta for _, keys in
+                      key_blocks((ctx.seed, *ctx.tag, "true"), start, end, ctx.point_rows)])
 
 
 # module-level worker state for fork-based pools
@@ -461,12 +502,13 @@ def _pool_rows(job: tuple) -> np.ndarray:
     return fn(_WORKER_CTX, start, end)
 
 
-def _parallel(fn, total: int, threads: int, ctx: _Context) -> np.ndarray:
+def _parallel(fn, total: int, threads: int, ctx: _Context, rows: int) -> np.ndarray:
     """Run a chunked replicate loop fn(ctx, start, end), serial or on a fork pool.
 
-    Every replicate derives its stream from its own index, and chunk results
-    are reassembled in index order, so the output does not depend on the
-    thread count.
+    Spans are cut at whole blocks of ``rows``, the blocks fn walks.  Every
+    replicate derives its stream from its own index, and chunk results are
+    reassembled in index order, so the output does not depend on the thread
+    count.
     """
     if threads <= 1 or total < 32:
         return fn(ctx, 0, total)
@@ -474,8 +516,8 @@ def _parallel(fn, total: int, threads: int, ctx: _Context) -> np.ndarray:
         mp = multiprocessing.get_context("fork")
     except ValueError:
         return fn(ctx, 0, total)
-    # about 8 spans per thread, each a whole number of _BLOCKs so no block is cut short
-    chunk = _BLOCK * -(-total // (threads * 8 * _BLOCK))
+    # about 8 spans per thread, each a whole number of blocks so no block is cut short
+    chunk = rows * -(-total // (threads * 8 * rows))
     spans = [(fn, s, min(s + chunk, total)) for s in range(0, total, chunk)]
     # more workers than cores or spans would only add processes
     workers = min(threads, os.cpu_count() or 1, len(spans))
@@ -506,7 +548,7 @@ def approximate_true_variance(
 def _reference_run(ctx: _Context, threads: int) -> tuple[dict[str, float], dict[str, float]]:
     """``approximate_true_variance`` on a built context."""
     scenario = ctx.scenario
-    theta = _parallel(_point_rows, scenario.true_run, threads, ctx)
+    theta = _parallel(_point_rows, scenario.true_run, threads, ctx, ctx.point_rows)
     v_true = {e.label: float(np.var(theta[:, j], ddof=1)) for j, e in enumerate(scenario.estimands)}
     means = {e.label: float(theta[:, j].mean()) for j, e in enumerate(scenario.estimands)}
     return v_true, means
@@ -535,7 +577,7 @@ def run_scenario(
         e.label: population_value(frame, e) for e in scenario.estimands
     }
 
-    rows = _parallel(_replicate_rows, scenario.replicates, threads, ctx)
+    rows = _parallel(_replicate_rows, scenario.replicates, threads, ctx, _BLOCK)
     b = scenario.replicates
     reports: list[MCReport] = []
     for (label, family), col in ctx.layout.items():

@@ -4,10 +4,13 @@
 MC-replicate loops (with the unsplit second-stage engine and the scalar
 Fisher-Yates loop, stratum by stratum under STRAT_SI) that
 ``montecarlo._point_rows`` / ``_replicate_rows`` replaced.  On every
-scenario below both must produce the same rows bit for bit, for any span
-and any split of it into worker chunks.
+scenario below both must produce the same rows bit for bit, for any span,
+any split of it into worker chunks and any reference-run block size.
 """
+import dataclasses
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -155,19 +158,101 @@ def _state(rng: np.random.Generator) -> str:
     return repr(rng.bit_generator.state)
 
 
-def test_a_systematic_reference_run_makes_one_generator(monkeypatch):
-    """Its rows draw nothing past their starts, so one generator reads every row's stream."""
+def _count_new_streams(monkeypatch) -> list:
+    """Empty this thread's generator pool and record each generator montecarlo makes."""
     made = []
     real = rng_module.new_stream
     monkeypatch.setattr(montecarlo, "new_stream", lambda: made.append(1) or real())
+    monkeypatch.setattr(montecarlo, "_POOL", threading.local())
+    return made
+
+
+def test_a_systematic_reference_run_makes_one_generator(monkeypatch):
+    """Its rows draw nothing past their starts, so one generator reads every row's stream."""
+    made = _count_new_streams(monkeypatch)
     make_frame, scenario = CASES["systematic"]
     montecarlo.approximate_true_variance(make_frame(), scenario, 11)
     assert len(made) == 1
 
 
+@pytest.mark.parametrize("case", ["census", "stratified"])
+def test_a_census_reference_run_makes_one_generator_once(monkeypatch, case):
+    """A census draws nothing past the first stage, so one generator reads every row's stream,
+    and the next run takes it from the pool."""
+    made = _count_new_streams(monkeypatch)
+    make_frame, scenario = CASES[case]
+    first = montecarlo.approximate_true_variance(make_frame(), scenario, 11)
+    assert montecarlo.approximate_true_variance(make_frame(), scenario, 11) == first
+    assert len(made) == 1
+
+
+def test_concurrent_runs_in_threads_share_no_generator():
+    """Each thread draws on its own pool: a shared one would move one run's streams under
+    another's."""
+    make_frame, scenario = CASES["si-unbiased"]
+    scenario = dataclasses.replace(scenario, true_run=1000)
+    frame = make_frame()
+    want = montecarlo.approximate_true_variance(frame, scenario, 5)
+    got = [None] * 6
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        def run(i):
+            got[i] = montecarlo.approximate_true_variance(frame, scenario, 5)
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(got))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [want] * len(got)
+
+
+def _block_rows(ctx) -> tuple[int, ...]:
+    """Block rows to walk a reference run in: one, a _BLOCK and the context's own."""
+    return 1, BLOCK, ctx.point_rows
+
+
 @pytest.mark.parametrize("span", SPANS)
 def test_point_rows_match_the_replicate_loop(ctx, span):
-    _same(montecarlo._point_rows(ctx, *span), oracles.point_rows(ctx, *span))
+    want = oracles.point_rows(ctx, *span)
+    for rows in _block_rows(ctx):
+        _same(montecarlo._point_rows(dataclasses.replace(ctx, point_rows=rows), *span), want)
+
+
+def test_point_rows_across_a_block_cut_match_the_replicate_loop(ctx):
+    """A span from inside one block of each size to inside the next."""
+    for rows in _block_rows(ctx):
+        span = (max(0, rows - 3), rows + 5)
+        _same(montecarlo._point_rows(dataclasses.replace(ctx, point_rows=rows), *span),
+              oracles.point_rows(ctx, *span))
+
+
+def test_the_derived_block_rows():
+    """The largest multiple of 64 rows that holds 2^15 first-stage draws, or 64; at most 2,048
+    rows, one generator each, under an SI second stage."""
+    for n, rows in [(1, 32768), (15, 2176), (16, 2048), (20, 1600), (200, 128), (201, 128),
+                    (256, 128), (257, 64), (600, 64), (4096, 64)]:
+        for method, n0, want in [("SYSTEMATIC", 3, rows), ("CENSUS", None, rows),
+                                 ("SI", 3, min(rows, 2048))]:
+            scenario = Scenario(DesignSpec("SI", n_I=n), method, n0=n0)
+            assert montecarlo._point_block_rows(scenario) == want
+    _, stratified = CASES["stratified"]
+    assert montecarlo._point_block_rows(stratified) == 2688  # 12 draws a row
+
+
+@pytest.mark.parametrize("case", ["systematic", "si-unbiased"])
+def test_a_fork_run_equals_the_serial_run(case):
+    """At n_I = 40, 2,000 samples make 3 spans of 768-row blocks on 2 fork workers."""
+    make_frame, scenario = CASES[case]
+    scenario = dataclasses.replace(scenario, first_stage=DesignSpec("SI", n_I=40),
+                                   true_run=2000)
+    frame = make_frame()
+    assert montecarlo._point_block_rows(scenario) == 768
+    serial = montecarlo.approximate_true_variance(frame, scenario, 7, threads=1)
+    assert montecarlo.approximate_true_variance(frame, scenario, 7, threads=2) == serial
 
 
 @pytest.mark.parametrize("span", SPANS)
@@ -298,6 +383,26 @@ def test_build_context_peaks_at_the_distinct_columns(pop3, n0):
     p = ctx.table.estimates.shape[1]
     assert p == 11
     assert peak <= (frame.n_ssus + frame.n_psus) * p * 8 + (1 << 20)
+
+
+def test_a_reference_block_peaks_within_twice_its_estimates(pop3):
+    """One derived-size block of the criteria 5-6 pop3 cell (n_I = 200, n0 = 10, six estimands)
+    peaks within twice its (rows, n_I, p) subtotal estimates, p the table's columns."""
+    scenario = Scenario(DesignSpec("SI", n_I=200), "SYSTEMATIC", n0=10, estimands=(
+        TotalEstimand(0), TotalEstimand(4), RatioEstimand(0, 1), RatioEstimand(4, 5),
+        CorrelationEstimand(0, 1), CorrelationEstimand(4, 5)), true_run=1000)
+    ctx = montecarlo._build_context(pop3, scenario, 1, ())
+    rows, p = ctx.point_rows, ctx.table.estimates.shape[1]
+    assert rows == 128
+    montecarlo._point_rows(ctx, 0, 1)  # the pool's generator is made here
+    tracemalloc.start()
+    try:
+        theta = montecarlo._point_rows(ctx, 0, rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert theta.shape == (rows, 6)
+    assert peak <= 2 * rows * 200 * p * 8
 
 
 @pytest.mark.parametrize("case", sorted(c for c in CASES if c.startswith("stratified")))

@@ -309,6 +309,37 @@ class TestStratifiedScenario:
             assert rep.lower_pct + rep.upper_pct < 30.0
 
 
+def _run_spans_in_process(monkeypatch) -> list:
+    """Make montecarlo's fork pool run its initializer and then its spans in this process.
+
+    The returned list receives each pool's requested worker count.
+    """
+    import twostage.montecarlo as mc
+
+    requested = []
+
+    class FakePool:
+        def __init__(self, processes, initializer, initargs):
+            requested.append(processes)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, spans):
+            return [fn(span) for span in spans]
+
+    class FakeContext:
+        Pool = FakePool
+
+    monkeypatch.setattr(mc.multiprocessing, "get_context", lambda method: FakeContext())
+    monkeypatch.setattr(mc, "_WORKER_CTX", None)  # restored after the test
+    return requested
+
+
 class TestDeterminismAndParallel:
     def test_thread_count_does_not_change_results(self):
         frame = scalar_frame(np.arange(1.0, 41.0))
@@ -331,29 +362,7 @@ class TestDeterminismAndParallel:
         frame = scalar_frame(np.arange(1.0, 41.0))
         scn = Scenario(DesignSpec("SI", n_I=8), "CENSUS", replicates=200, true_run=1000)
         serial = run_scenario(frame, scn, seed=80, v_true={"total[y1]": 1.0})
-        requested = []
-
-        class FakePool:
-            """Records the worker count and runs the spans in this process."""
-
-            def __init__(self, processes, initializer, initargs):
-                requested.append(processes)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, spans):
-                return [fn(span) for span in spans]
-
-        class FakeContext:
-            Pool = FakePool
-
-        monkeypatch.setattr(mc.multiprocessing, "get_context", lambda method: FakeContext())
-        monkeypatch.setattr(mc, "_WORKER_CTX", None)  # restored after the test
+        requested = _run_spans_in_process(monkeypatch)
         capped = run_scenario(frame, scn, seed=80, threads=10**6, v_true={"total[y1]": 1.0})
         n_spans = -(-200 // mc._BLOCK)  # one-block chunks once threads * 8 exceeds the total
         assert requested == [min(os.cpu_count() or 1, n_spans)]
@@ -361,7 +370,8 @@ class TestDeterminismAndParallel:
 
     @pytest.mark.parametrize("threads", [2, 4])
     def test_spans_are_whole_blocks(self, monkeypatch, threads):
-        """A span cut inside a block would make the block engine run a short block."""
+        """A span cut inside a block of the rows given to _parallel would make the block engine
+        run a short block."""
         import twostage.montecarlo as mc
 
         spans = []
@@ -384,14 +394,41 @@ class TestDeterminismAndParallel:
             Pool = RecordingPool
 
         monkeypatch.setattr(mc.multiprocessing, "get_context", lambda method: RecordingContext())
-        mc._parallel(None, 1000, threads, None)
-        assert spans == [(lo, min(lo + 64, 1000)) for lo in range(0, 1000, 64)]
-        for total in (32, 200, 4097, 20000):
+        for rows in (mc._BLOCK, 128, 1600):
             spans.clear()
-            mc._parallel(None, total, threads, None)
-            starts, ends = zip(*spans)
-            assert starts == (0, *ends[:-1]) and ends[-1] == total
-            assert all(lo % mc._BLOCK == 0 for lo in starts)
+            mc._parallel(None, 1000, threads, None, rows)
+            # threads * 8 blocks of 64 rows or more exceed 1,000: one block per span
+            assert spans == [(lo, min(lo + rows, 1000)) for lo in range(0, 1000, rows)]
+            for total in (32, 200, 4097, 20000):
+                spans.clear()
+                mc._parallel(None, total, threads, None, rows)
+                starts, ends = zip(*spans)
+                assert starts == (0, *ends[:-1]) and ends[-1] == total
+                assert all(lo % rows == 0 for lo in starts)
+
+    def test_one_generator_pool_serves_every_span(self, monkeypatch):
+        """At threads = 4 every span draws on the generators its process made once."""
+        import threading
+
+        import twostage.montecarlo as mc
+        import twostage.rng as rng_module
+
+        made = []
+        real = rng_module.new_stream
+        monkeypatch.setattr(mc, "new_stream", lambda: made.append(1) or real())
+        monkeypatch.setattr(mc, "_POOL", threading.local())  # an empty pool, restored after
+        requested = _run_spans_in_process(monkeypatch)
+        frame = multi_ssu_frame(300, seed=14)
+        scn = Scenario(DesignSpec("SI", n_I=100), "SI", n0=2, variance_methods=("SIMPLIFIED",),
+                       replicates=200, true_run=1000)
+        rows = mc._point_block_rows(scn)
+        assert rows == 320  # so the reference run makes 4 spans, and the replicates 4 more
+        reports = run_scenario(frame, scn, seed=89, threads=4)
+        assert len(requested) == 2 and len(made) == rows
+        monkeypatch.setattr(mc, "_POOL", threading.local())
+        made.clear()
+        assert run_scenario(frame, scn, seed=89) == reports
+        assert len(made) == rows
 
     def test_rerun_is_identical(self, frame_1to5):
         scn = Scenario(DesignSpec("SI", n_I=2), "CENSUS", replicates=150, true_run=1000)
