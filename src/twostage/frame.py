@@ -70,9 +70,11 @@ class Frame:
     instead of leaving the cached subtotals, within-PSU variances and
     stratum groups stale.  The views copy nothing, so they share memory
     with the arrays passed in: a write through the caller's own reference
-    to those arrays after construction does leave the caches stale.  A
-    copy is not made: on a frame of 80,000 SSUs and 6 variables it raised
-    a Monte Carlo run's peak memory by 1.4 MB.
+    to those arrays after construction does leave the caches stale, and the
+    SYSTEMATIC sample table that the Monte Carlo harness keeps for the frame
+    (see :mod:`twostage.montecarlo`).  A copy is not made: on a frame of
+    80,000 SSUs and 6 variables it raised a Monte Carlo run's peak memory
+    by 1.4 MB.
 
     Parameters
     ----------

@@ -19,20 +19,21 @@ of worker processes.
 Replicates run in fixed blocks, larger for reference samples than for MC
 replicates (see ``_point_block_rows``), on one generator pool per process.
 
-Under SYSTEMATIC subsampling a run builds one exact table of every PSU's
+Under SYSTEMATIC subsampling a run reads one exact table of every PSU's
 distinct systematic samples and their estimates
-(:func:`~twostage.designs.systematic_table`), once and before any worker
-forks, and keeps no column matrix; each replicate reads its SI draws and then
-its starts from one raw-word pass over its own stream, and looks its samples
-up instead of placing and gathering them.  A row of the table is the gather
-path's own call at one start of its interval, so the outputs keep their bits,
-and the table takes about the memory of the column matrix it replaces.
+(:func:`~twostage.designs.systematic_table`), kept per live frame for the
+next run of its n0 and column keys (``_TABLES``), found or built before any
+worker forks, and keeps no column matrix; each replicate reads its SI draws
+and then its starts from one raw-word pass over its own stream, and looks its
+samples up instead of placing and gathering them.  A row of the table is the
+gather path's own call at one start of its interval, so the outputs keep their
+bits, and the table takes about the memory of the column matrix it replaces.
 
-A run builds its table or columns from the frame's values as they are when
-it starts, and reads the frame's cached subtotals; the frame shares the
-arrays it was built from, so a caller that writes through its own
-reference to them afterwards leaves those subtotals stale (see
-:class:`~twostage.frame.Frame`).
+A run builds its columns, or a table it does not find kept, from the frame's
+values as they are when it starts, and reads the frame's cached subtotals;
+the frame shares the arrays it was built from, so a caller that writes
+through its own reference to them afterwards leaves those subtotals and the
+kept table stale (see :class:`~twostage.frame.Frame`).
 """
 from __future__ import annotations
 
@@ -40,6 +41,7 @@ import math
 import multiprocessing
 import os
 import threading
+import weakref
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -281,12 +283,11 @@ def _build_context(frame: Frame, scenario: Scenario, seed: int, tag: tuple) -> _
             layout[e.label, family] = width
             width += 2 if family.startswith("ci_") else 1
 
-    # built before any worker forks, so every worker shares it
+    # found or built before any worker forks, so every worker shares it
     if scenario.second_stage == "SYSTEMATIC":
         keys, expand, slices = column_layout(est)
         columns = col_subtotals = None
-        table = systematic_table(frame, scenario.n0,
-                                 lambda lo, hi: column_matrix(frame.values[lo:hi], keys))
+        table = _frame_table(frame, scenario.n0, keys)
     else:
         columns, col_subtotals, expand, slices = estimand_columns(frame, est)
         table = None
@@ -295,6 +296,29 @@ def _build_context(frame: Frame, scenario: Scenario, seed: int, tag: tuple) -> _
         width, _point_block_rows(scenario),
         need_vhat=any(m in VHAT_METHODS for m in scenario.variance_methods),
     )
+
+
+# each live frame's last SYSTEMATIC table, as ((n0, column keys), table); the
+# entry goes when the frame does
+_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_TABLES_LOCK = threading.Lock()
+
+
+def _frame_table(frame: Frame, n0: int, keys: list) -> SystematicTable:
+    """The frame's SYSTEMATIC table of the column keys at n0, kept from the last run if it fits.
+
+    The table is a pure function of the frame, n0 and the keys, so a kept
+    one has the bits of a fresh build.  The lock makes racing threads build
+    a frame's table once.
+    """
+    key = (n0, tuple(keys))
+    with _TABLES_LOCK:
+        kept = _TABLES.get(frame)
+        if kept is None or kept[0] != key:
+            kept = key, systematic_table(frame, n0,
+                                         lambda lo, hi: column_matrix(frame.values[lo:hi], keys))
+            _TABLES[frame] = kept
+    return kept[1]
 
 
 def _point_block_rows(scenario: Scenario) -> int:

@@ -8,10 +8,12 @@ scenario below both must produce the same rows bit for bit, for any span,
 any split of it into worker chunks and any reference-run block size.
 """
 import dataclasses
+import gc
 import math
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -186,6 +188,31 @@ def test_a_census_reference_run_makes_one_generator_once(monkeypatch, case):
     assert len(made) == 1
 
 
+def _race(run, count: int) -> None:
+    """``run(i)`` for i < count, each on its own thread, switching threads every 1 us."""
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+
+
+def _count_tables(monkeypatch) -> list:
+    """Empty the kept tables and record the id of the frame of each table montecarlo builds."""
+    built = []
+    real = montecarlo.systematic_table
+    monkeypatch.setattr(montecarlo, "systematic_table",
+                        lambda frame, *args: built.append(id(frame)) or real(frame, *args))
+    monkeypatch.setattr(montecarlo, "_TABLES", weakref.WeakKeyDictionary())
+    return built
+
+
 def test_concurrent_runs_in_threads_share_no_generator():
     """Each thread draws on its own pool: a shared one would move one run's streams under
     another's."""
@@ -194,20 +221,75 @@ def test_concurrent_runs_in_threads_share_no_generator():
     frame = make_frame()
     want = montecarlo.approximate_true_variance(frame, scenario, 5)
     got = [None] * 6
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        def run(i):
-            got[i] = montecarlo.approximate_true_variance(frame, scenario, 5)
-        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(got))]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(switch)
-    assert not any(thread.is_alive() for thread in threads)
+
+    def run(i):
+        got[i] = montecarlo.approximate_true_variance(frame, scenario, 5)
+    _race(run, len(got))
     assert got == [want] * len(got)
+
+
+def test_concurrent_systematic_runs_in_threads_build_one_table(monkeypatch):
+    """Six threads on one fresh frame: one of them builds its table, and every run has the bits
+    of the serial run; a fork run that reads the kept table has them too."""
+    built = _count_tables(monkeypatch)
+    make_frame, scenario = CASES["systematic"]
+    scenario = dataclasses.replace(scenario, true_run=1000)
+    want = montecarlo.approximate_true_variance(make_frame(), scenario, 5)
+    frame = make_frame()
+    got = [None] * 6
+
+    def run(i):
+        got[i] = montecarlo.approximate_true_variance(frame, scenario, 5)
+    _race(run, len(got))
+    assert got == [want] * len(got)
+    assert len(built) == 2  # the serial run's frame and the threads' one
+
+
+def _table_run(frame: Frame, n0: int = 3, estimands=ESTIMANDS) -> tuple:
+    """A SYSTEMATIC reference run of 1,000 samples on the frame."""
+    scenario = Scenario(DesignSpec("SI", n_I=10), "SYSTEMATIC", n0=n0, estimands=estimands,
+                        true_run=1000)
+    return montecarlo.approximate_true_variance(frame, scenario, 9)
+
+
+def test_a_kept_table_is_rebuilt_when_n0_or_the_columns_change(monkeypatch):
+    """Every run reads its table of the frame, n0 and column keys; a table kept for another n0
+    or other keys is replaced (so n0 = 3 -> 4 -> 3 builds three times), and each result has
+    the bits of a run on a fresh frame."""
+    built = _count_tables(monkeypatch)
+    frame = _population()
+    runs = [(3, ESTIMANDS, 1), (3, ESTIMANDS, 1), (4, ESTIMANDS, 2), (3, ESTIMANDS, 3),
+            (3, (TotalEstimand(0),), 4), (3, (TotalEstimand(1),), 5), (3, (TotalEstimand(1),), 5),
+            (3, (RatioEstimand(1, 1),), 6)]  # a lone key read twice keeps both columns
+    for n0, estimands, builds in runs:
+        got = _table_run(frame, n0, estimands)
+        assert len(built) == builds, (n0, estimands)
+        assert got == _table_run(_population(), n0, estimands)
+        del built[builds:]  # the fresh frame's build
+
+
+def test_each_frame_keeps_its_own_table(monkeypatch):
+    """Two frames of the same sizes but other values each build and keep their own table, so
+    switching A -> B -> A builds twice."""
+    built = _count_tables(monkeypatch)
+    a = _population()
+    b = Frame(a.values + 1.0, a.sizes)
+    want = {id(a): _table_run(_population()), id(b): _table_run(Frame(a.values + 1.0, a.sizes))}
+    assert want[id(a)] != want[id(b)]
+    del built[:]
+    for frame in (a, b, a):
+        assert _table_run(frame) == want[id(frame)]
+    assert built == [id(a), id(b)]
+
+
+def test_a_dropped_frame_leaves_no_kept_table(monkeypatch):
+    _count_tables(monkeypatch)
+    frame = _population()
+    _table_run(frame)
+    table = weakref.ref(montecarlo._TABLES[frame][1])
+    del frame
+    gc.collect()
+    assert len(montecarlo._TABLES) == 0 and table() is None
 
 
 def _block_rows(ctx) -> tuple[int, ...]:
@@ -253,6 +335,18 @@ def test_a_fork_run_equals_the_serial_run(case):
     assert montecarlo._point_block_rows(scenario) == 768
     serial = montecarlo.approximate_true_variance(frame, scenario, 7, threads=1)
     assert montecarlo.approximate_true_variance(frame, scenario, 7, threads=2) == serial
+
+
+def test_a_fork_run_on_a_kept_table_equals_the_serial_run(monkeypatch):
+    """The fork workers of a run that found its table kept read it as the serial run did."""
+    built = _count_tables(monkeypatch)
+    make_frame, scenario = CASES["systematic"]
+    scenario = dataclasses.replace(scenario, first_stage=DesignSpec("SI", n_I=40),
+                                   true_run=2000)
+    frame = make_frame()
+    serial = montecarlo.approximate_true_variance(frame, scenario, 7, threads=1)
+    assert montecarlo.approximate_true_variance(frame, scenario, 7, threads=2) == serial
+    assert built == [id(frame)]
 
 
 @pytest.mark.parametrize("span", SPANS)
@@ -373,6 +467,7 @@ def test_build_context_peaks_at_the_distinct_columns(pop3, n0):
         TotalEstimand(0), TotalEstimand(4), RatioEstimand(0, 1), RatioEstimand(4, 5),
         CorrelationEstimand(0, 1), CorrelationEstimand(4, 5)), variance_methods=("SIMPLIFIED",))
     montecarlo._build_context(frame, scenario, 1, ())  # the frame's own caches fill here
+    del montecarlo._TABLES[frame]  # so that the traced context builds its table again
     tracemalloc.start()
     try:
         ctx = montecarlo._build_context(frame, scenario, 1, ())

@@ -6,12 +6,26 @@ y by a power of two is exact in floating point, so its relation holds bit
 for bit.
 """
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from twostage import Frame, SyntheticConfig, frame_to_csv, generate_population, ingest_frame
+from twostage import (
+    BootstrapConfig,
+    CorrelationEstimand,
+    DesignSpec,
+    Frame,
+    RatioEstimand,
+    Scenario,
+    SyntheticConfig,
+    TotalEstimand,
+    frame_to_csv,
+    generate_population,
+    ingest_frame,
+    run_scenario,
+)
 from twostage.cli import main
 
 SCALE = 8.0
@@ -108,6 +122,37 @@ def test_scaling_every_y_by_eight(tmp_path, command):
         assert (base_out / data).read_bytes() == (scaled_out / data).read_bytes()
     else:
         _assert_replicates_scaled(base_out / data, scaled_out / data)
+
+
+MC = Scenario(DesignSpec("SI", n_I=10), "SYSTEMATIC", n0=3,
+              estimands=(TotalEstimand(1), RatioEstimand(1, 2), CorrelationEstimand(1, 2)),
+              variance_methods=("SIMPLIFIED", "WITH_REPLACEMENT"),
+              bootstrap=BootstrapConfig(replicates=50, seed=0), studentized=True,
+              replicates=100, true_run=1000)
+# the report fields that carry the estimand's units; every other field is scale-free
+SCALED_FIELDS = ("theta_true", "mean_estimate", "mean_se")
+
+
+def test_scaling_every_y_by_eight_in_the_mc_harness():
+    """``run_scenario`` on the frame, then on its copy with every y scaled by 8, in one process:
+    RB, RS and the L/U rows keep their bits; a total's reference and mean estimates scale by 8
+    for its point and intervals and by 64 for its variances, a ratio's and a correlation's keep
+    their bits.  The copy has the frame's sizes, so it must not read the frame's kept table."""
+    frame = _population()
+    scaled = Frame(frame.values * SCALE, frame.sizes, frame.psu_ids, frame.ssu_ids)
+    base_reports = run_scenario(frame, MC, seed=31)
+    scaled_reports = run_scenario(scaled, MC, seed=31)
+    assert len(base_reports) == len(scaled_reports) == 14
+    for a, b in zip(base_reports, scaled_reports):
+        factor = 1.0
+        if a.estimand.startswith("total"):
+            factor = SCALE if a.kind in ("point", "ci") else SCALE ** 2
+        for field in dataclasses.fields(a):
+            x, y = getattr(a, field.name), getattr(b, field.name)
+            if isinstance(x, float):
+                _same_bits(y, x * (factor if field.name in SCALED_FIELDS else 1.0))
+            else:
+                assert y == x, (a.estimand, a.family, field.name)
 
 
 def _same_frame(a: Frame, b: Frame) -> None:

@@ -251,7 +251,12 @@ class TestRunScenario:
         build = montecarlo.systematic_table
         monkeypatch.setattr(montecarlo, "systematic_table",
                             lambda *args: calls.append(args) or build(*args))
-        assert run_scenario(frame, scn, seed=78) == supplied
+        fresh = multi_ssu_frame(30, 78)  # equal values, but no table kept for it yet
+        first = run_scenario(fresh, scn, seed=78)
+        assert first == supplied
+        assert len(calls) == 1
+        # the next run on the frame reads the table it kept
+        assert run_scenario(fresh, scn, seed=78) == first
         assert len(calls) == 1
 
     def test_supplied_v_true_used_for_variance_rows(self, frame_1to5):
